@@ -453,6 +453,19 @@ func BenchmarkKernelQRTournament(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelQRTournamentSerial pins GOMAXPROCS=1, so its bytes/op,
+// which verify.sh gates, do not depend on the host's CPU count.
+func BenchmarkKernelQRTournamentSerial(b *testing.B) {
+	a := gen.Circuit(1500, 6, 4).ToCSC()
+	old := runtime.GOMAXPROCS(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		qrtp.SelectColumns(a, 32, qrtp.Binary)
+	}
+	b.StopTimer()
+	runtime.GOMAXPROCS(old)
+}
+
 func BenchmarkKernelCOLAMDOrdering(b *testing.B) {
 	a := gen.Circuit(1500, 6, 5)
 	b.ResetTimer()

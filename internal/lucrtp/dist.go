@@ -95,6 +95,9 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 	rowOrder := res.RowPerm
 	colOrder := res.ColPerm
 	thresholdOn := opts.Threshold != NoThreshold
+	// This rank's tournament workspace. Ranks are goroutines, so each
+	// owns one; they never share it.
+	var ws qrtp.Workspace
 
 	for iter := startIter + 1; ; iter++ {
 		if c.Tracing() {
@@ -131,7 +134,7 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 				myCols = kept
 			}
 		}
-		colRes := qrtp.SelectColumnsDist(c, csc, myCols, keff)
+		colRes := ws.SelectColumnsDist(c, csc, myCols, keff)
 		lcp := qrtp.Permutation(colRes.Winners, ncur)
 		// Column permutations are implicit during tournament pivoting
 		// (Fig 5 caption) — no kernel charge.
@@ -199,9 +202,8 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		}
 
 		// --- Row QR_TP on Q_kᵀ (distributed tournament over rows) ---
-		qt := sparse.FromDense(qk.T(), 0).ToCSC()
 		myRows := qrtp.BlockCyclicColumns(mcur, p, c.Rank(), keff)
-		rowRes := qrtp.SelectColumnsDistLabeled(c, qt, myRows, keff, "rowQR_TP")
+		rowRes := ws.SelectRowsDist(c, qk, myRows, keff)
 		lrp := qrtp.Permutation(rowRes.Winners, mcur)
 		// Local row permutations of A⁽ⁱ⁾ after row QR_TP are one of the
 		// expensive kernels when fill-in is large (Fig 5): each rank

@@ -183,6 +183,9 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 	t2 := 0.0 // running Σ‖T̃⁽ʲ⁾‖²_F
 	thresholdOn := opts.Threshold != NoThreshold
 	start := time.Now()
+	// One tournament workspace serves every column and row tournament of
+	// the solve.
+	var ws qrtp.Workspace
 
 	record := func(e float64, s *sparse.CSR) {
 		res.ErrHistory = append(res.ErrHistory, e)
@@ -225,9 +228,9 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 				}
 			}
 			res.DiscardedCols += ncur - len(cand)
-			colRes = qrtp.SelectColumnsAmong(csc, cand, keff, opts.Tree)
+			colRes = ws.SelectColumnsAmong(csc, cand, keff, opts.Tree)
 		} else {
-			colRes = qrtp.SelectColumns(csc, keff, opts.Tree)
+			colRes = ws.SelectColumns(csc, keff, opts.Tree)
 		}
 		lcp := qrtp.Permutation(colRes.Winners, ncur)
 		acur = acur.PermuteCols(lcp)
@@ -292,7 +295,7 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 		}
 
 		// Line 7: row tournament on Q_kᵀ.
-		rowWinners := qrtp.SelectRowsDense(qk, keff)
+		rowWinners := ws.SelectRowsDense(qk, keff)
 		lrp := qrtp.Permutation(rowWinners, mcur)
 		acur = acur.PermuteRows(lrp)
 		qk = qk.PermuteRows(lrp)

@@ -485,24 +485,26 @@ func Orth(a *Dense) *Dense {
 // independent of GOMAXPROCS; only the trailing-matrix rank-1 updates and
 // the final Q formation use the parallel kernels.
 func QRCP(a *Dense) (q, r *Dense, perm []int) {
+	f, tau, r, perm := qrcpPivoted(a)
+	q = (&qrFactor{fac: f, tau: tau}).thinQ(len(tau))
+	return q, r, perm
+}
+
+// qrcpPivoted is the part QRCP and QRCPSelect share: it factors a copy
+// of a with qrcpFactor and returns the factored copy, tau, R and perm, so
+// both entry points return bitwise the same R and pivots.
+func qrcpPivoted(a *Dense) (f *Dense, tau []float64, r *Dense, perm []int) {
 	m, n := a.Dims()
 	k := min(m, n)
-	f := a.Clone()
+	f = a.Clone()
 	perm = make([]int, n)
-	tau := make([]float64, k)
-	norms := make([]float64, n)
-	orig := make([]float64, n)
-	scratch := make([]float64, n)
-	qrcpFactor(f, tau, norms, orig, scratch, perm)
-	qf := &qrFactor{fac: f, tau: tau}
+	tau = make([]float64, k)
+	qrcpFactor(f, tau, make([]float64, n), make([]float64, n), make([]float64, n), perm)
 	r = NewDense(k, n)
 	for i := 0; i < k; i++ {
-		for j := i; j < n; j++ {
-			r.Set(i, j, f.At(i, j))
-		}
+		copy(r.Row(i)[i:], f.Row(i)[i:])
 	}
-	q = qf.thinQ(k)
-	return q, r, perm
+	return f, tau, r, perm
 }
 
 // qrcpFactor runs the Businger–Golub pivoted factorization in place on f
@@ -565,10 +567,25 @@ func qrcpFactor(f *Dense, tau, norms, orig, scratch []float64, perm []int) {
 	}
 }
 
-// QRCPSelect runs QRCP and returns only the permutation and the R factor;
-// it is the kernel the tournament-pivoting reduction uses at every tree
-// node, where Q is never needed.
+// QRCPSelect returns the R factor and the column permutation of QRCP(a),
+// bitwise equal to QRCP's, without forming Q. It is the column selector
+// of the skeleton methods; the tournament nodes use QRCPInPlace instead.
 func QRCPSelect(a *Dense) (r *Dense, perm []int) {
-	_, r, perm = QRCP(a)
+	_, _, r, perm = qrcpPivoted(a)
 	return r, perm
+}
+
+// QRCPInPlace runs the QRCP pivot sequence on f in place with
+// caller-owned storage and allocates nothing: on return perm is the
+// column permutation of QRCP(f) bit for bit (it runs the same
+// qrcpFactor), the upper triangle of f holds R and the reflectors sit
+// below it. tau needs length min(m, n); norms, orig, scratch and perm
+// need length n. It is the tournament-node kernel, where only the pivots
+// are used.
+func QRCPInPlace(f *Dense, tau, norms, orig, scratch []float64, perm []int) {
+	m, n := f.Dims()
+	if len(tau) != min(m, n) || len(norms) != n || len(orig) != n || len(scratch) != n || len(perm) != n {
+		panic("mat: QRCPInPlace workspace length mismatch")
+	}
+	qrcpFactor(f, tau, norms, orig, scratch, perm)
 }

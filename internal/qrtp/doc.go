@@ -9,4 +9,9 @@
 // log₂(P) global reduction rounds) are provided. The distributed variant
 // is the scaling bottleneck the paper analyzes in Fig 4: once log₂(P)
 // approaches the tree height, the global rounds dominate.
+//
+// A Workspace carries the grow-only storage of the tournament games, so
+// a solve that runs many tournaments (LU_CRTP runs two per iteration)
+// allocates its panels once; the package-level functions run on a fresh
+// one.
 package qrtp

@@ -2,6 +2,7 @@ package qrtp
 
 import (
 	"fmt"
+	"math"
 
 	"sparselr/internal/dist"
 	"sparselr/internal/mat"
@@ -27,49 +28,175 @@ type Result struct {
 	R11     *mat.Dense
 }
 
-// node runs the tournament game at one tree node: QRCP on the candidate
-// columns and selection of the first k winners.
-func node(a *sparse.CSC, cand []int, k int) []int {
+// source is a matrix whose columns a tournament plays: a sparse CSC
+// matrix for column tournaments, or rowsOf(Q_k) for LU_CRTP's row
+// tournament on Q_kᵀ.
+type source interface {
+	Dims() (r, c int)
+	// ExtractColsDenseInto overwrites dst (Rows×len(cols)) with the
+	// selected columns.
+	ExtractColsDenseInto(dst *mat.Dense, cols []int)
+	// ColsNNZ counts the stored entries of the selected columns (the
+	// dist flop model's panel size).
+	ColsNNZ(cols []int) int
+}
+
+// rowsOf presents the rows of a dense matrix q as the columns of qᵀ. Its
+// panels and nonzero counts are those of sparse.FromDense(q.T(), 0).ToCSC()
+// bit for bit: entries that round trip would drop (±0, NaN) read as +0.
+type rowsOf struct{ q *mat.Dense }
+
+func (s rowsOf) Dims() (r, c int) { return s.q.Cols, s.q.Rows }
+
+func (s rowsOf) ExtractColsDenseInto(dst *mat.Dense, rows []int) {
+	if dst.Rows != s.q.Cols || dst.Cols != len(rows) {
+		panic(fmt.Sprintf("qrtp: row panel %d×%d, want %d×%d", dst.Rows, dst.Cols, s.q.Cols, len(rows)))
+	}
+	for p, r := range rows {
+		for i, v := range s.q.Row(r) {
+			if !(math.Abs(v) > 0) {
+				v = 0
+			}
+			dst.Data[i*dst.Stride+p] = v
+		}
+	}
+}
+
+func (s rowsOf) ColsNNZ(rows []int) int {
+	n := 0
+	for _, r := range rows {
+		for _, v := range s.q.Row(r) {
+			if math.Abs(v) > 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// Workspace is the grow-only storage of QR tournaments: the compact panel
+// a game factors, the QRCP vectors, and the champion and merge slices.
+// In steady state a game allocates nothing, and its pivots are bitwise
+// those of mat.QRCP on the same panel. A workspace is not safe for
+// concurrent use: a solve owns one, and in the dist runtime every rank
+// owns its own. The zero value is ready to use.
+type Workspace struct {
+	panel                     mat.Buffer
+	tau, norms, orig, scratch []float64
+	perm                      []int
+	ids                       []int // 0..n−1 for whole-matrix tournaments
+	champ                     []int // champion slots of k ids each
+	champLen                  []int
+	merge                     []int // two champions concatenated
+	win                       []int // running winners of the dist global rounds
+}
+
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// identity returns 0..n−1 in workspace storage.
+func (ws *Workspace) identity(n int) []int {
+	ws.ids = grow(ws.ids, n)
+	for j := range ws.ids {
+		ws.ids[j] = j
+	}
+	return ws.ids
+}
+
+// node plays the tournament game at one tree node: QRCP on the candidate
+// columns of a and selection of the first k pivots, written to dst
+// (cap ≥ k, not aliasing cand). At most k candidates all win.
+func (ws *Workspace) node(a source, cand []int, k int, dst []int) []int {
 	if len(cand) <= k {
-		return append([]int(nil), cand...)
+		return append(dst[:0], cand...)
 	}
-	panel := a.ExtractColsDense(cand)
-	_, perm := mat.QRCPSelect(panel)
-	win := make([]int, k)
-	for i := 0; i < k; i++ {
-		win[i] = cand[perm[i]]
+	m, _ := a.Dims()
+	c := len(cand)
+	panel := ws.panel.Shape(m, c)
+	a.ExtractColsDenseInto(panel, cand)
+	ws.tau = grow(ws.tau, min(m, c))
+	ws.norms = grow(ws.norms, c)
+	ws.orig = grow(ws.orig, c)
+	ws.scratch = grow(ws.scratch, c)
+	ws.perm = grow(ws.perm, c)
+	mat.QRCPInPlace(panel, ws.tau, ws.norms, ws.orig, ws.scratch, ws.perm)
+	dst = dst[:k]
+	for i := range dst {
+		dst[i] = cand[ws.perm[i]]
 	}
-	return win
+	return dst
+}
+
+// slot returns champion slot s (capacity k).
+func (ws *Workspace) slot(s, k int) []int { return ws.champ[s*k : s*k+k : s*k+k] }
+
+// tournament reduces more than k candidates to k winners: leaves of 2k
+// consecutive candidates, then the given tree over their champions.
+// charge, when non-nil, sees every game's candidates before it is
+// played. The winners alias workspace storage.
+func (ws *Workspace) tournament(a source, cand []int, k int, tree Tree, charge func([]int)) []int {
+	blockW := 2 * k
+	leaves := (len(cand) + blockW - 1) / blockW
+	ws.champ = grow(ws.champ, leaves*k)
+	ws.champLen = grow(ws.champLen, leaves)
+	ws.merge = grow(ws.merge, 2*k)
+	champ := func(s int) []int { return ws.champ[s*k : s*k+ws.champLen[s]] }
+	play := func(s int, cand []int) {
+		if charge != nil {
+			charge(cand)
+		}
+		ws.champLen[s] = len(ws.node(a, cand, k, ws.slot(s, k)))
+	}
+	for s := 0; s < leaves; s++ {
+		play(s, cand[s*blockW:min((s+1)*blockW, len(cand))])
+	}
+	switch tree {
+	case Binary:
+		// Level by level in place: the pair (i, i+1) lands in slot i/2,
+		// which no later pair of the level reads.
+		for n := leaves; n > 1; n = (n + 1) / 2 {
+			for i := 0; i < n; i += 2 {
+				if i+1 == n {
+					ws.champLen[i/2] = copy(ws.slot(i/2, k), champ(i))
+					continue
+				}
+				play(i/2, append(append(ws.merge[:0], champ(i)...), champ(i+1)...))
+			}
+		}
+	case Flat:
+		for s := 1; s < leaves; s++ {
+			play(0, append(append(ws.merge[:0], champ(0)...), champ(s)...))
+		}
+	default:
+		panic("qrtp: unknown tree kind")
+	}
+	return champ(0)
 }
 
 // finalR11 computes the R factor of a plain QR on the winner panel,
 // trimmed to k×k.
-func finalR11(a *sparse.CSC, winners []int, k int) *mat.Dense {
+func (ws *Workspace) finalR11(a source, winners []int, k int) *mat.Dense {
 	if len(winners) == 0 {
 		return mat.NewDense(0, 0)
 	}
-	panel := a.ExtractColsDense(winners)
+	m, _ := a.Dims()
+	panel := ws.panel.Shape(m, len(winners))
+	a.ExtractColsDenseInto(panel, winners)
 	r := mat.ROnly(panel)
-	kk := k
-	if len(winners) < kk {
-		kk = len(winners)
-	}
-	if r.Rows < kk {
-		kk = r.Rows
-	}
+	kk := min(k, len(winners), r.Rows)
 	return r.View(0, 0, kk, kk).Clone()
 }
 
 // SelectColumns runs a sequential tournament over all columns of a and
 // returns the k winners together with R₁₁. Blocks of 2k columns feed the
 // leaves. If a has at most k columns all of them win.
-func SelectColumns(a *sparse.CSC, k int, tree Tree) Result {
+func (ws *Workspace) SelectColumns(a *sparse.CSC, k int, tree Tree) Result {
 	_, n := a.Dims()
-	cand := make([]int, n)
-	for j := range cand {
-		cand[j] = j
-	}
-	return SelectColumnsAmong(a, cand, k, tree)
+	return ws.SelectColumnsAmong(a, ws.identity(n), k, tree)
 }
 
 // SelectColumnsAmong runs the sequential tournament restricted to the
@@ -77,50 +204,47 @@ func SelectColumns(a *sparse.CSC, k int, tree Tree) Result {
 // column-discarding enhancement of Cayrols (the paper's ref [2]):
 // columns known to be negligible are excluded from the tournament,
 // cutting its cost, while remaining part of the matrix. If cand has at
-// most k entries they all win.
-func SelectColumnsAmong(a *sparse.CSC, cand []int, k int, tree Tree) Result {
+// most k entries they all win. The result owns its storage.
+func (ws *Workspace) SelectColumnsAmong(a *sparse.CSC, cand []int, k int, tree Tree) Result {
 	if k <= 0 {
 		panic(fmt.Sprintf("qrtp: non-positive k = %d", k))
 	}
-	if len(cand) <= k {
-		winners := append([]int(nil), cand...)
-		return Result{Winners: winners, R11: finalR11(a, winners, k)}
+	winners := cand
+	if len(cand) > k {
+		winners = ws.tournament(a, cand, k, tree, nil)
 	}
-	blockW := 2 * k
-	var champs [][]int
-	for j := 0; j < len(cand); j += blockW {
-		hi := j + blockW
-		if hi > len(cand) {
-			hi = len(cand)
-		}
-		champs = append(champs, node(a, cand[j:hi], k))
+	winners = append([]int(nil), winners...)
+	return Result{Winners: winners, R11: ws.finalR11(a, winners, k)}
+}
+
+// SelectRowsDense runs a tournament on the rows of a dense matrix q (used
+// by LU_CRTP on Q_kᵀ to obtain the row permutation P_r): it selects the k
+// most linearly independent rows of q. The rows are gathered straight
+// from q; the result owns its storage.
+func (ws *Workspace) SelectRowsDense(q *mat.Dense, k int) []int {
+	if k <= 0 {
+		panic(fmt.Sprintf("qrtp: non-positive k = %d", k))
 	}
-	var winners []int
-	switch tree {
-	case Binary:
-		for len(champs) > 1 {
-			var next [][]int
-			for i := 0; i < len(champs); i += 2 {
-				if i+1 == len(champs) {
-					next = append(next, champs[i])
-					continue
-				}
-				merged := append(append([]int(nil), champs[i]...), champs[i+1]...)
-				next = append(next, node(a, merged, k))
-			}
-			champs = next
-		}
-		winners = champs[0]
-	case Flat:
-		winners = champs[0]
-		for i := 1; i < len(champs); i++ {
-			merged := append(append([]int(nil), winners...), champs[i]...)
-			winners = node(a, merged, k)
-		}
-	default:
-		panic("qrtp: unknown tree kind")
+	winners := ws.identity(q.Rows)
+	if len(winners) > k {
+		winners = ws.tournament(rowsOf{q}, winners, k, Binary, nil)
 	}
-	return Result{Winners: winners, R11: finalR11(a, winners, k)}
+	return append([]int(nil), winners...)
+}
+
+// SelectColumns runs SelectColumns on a fresh workspace.
+func SelectColumns(a *sparse.CSC, k int, tree Tree) Result {
+	return new(Workspace).SelectColumns(a, k, tree)
+}
+
+// SelectColumnsAmong runs SelectColumnsAmong on a fresh workspace.
+func SelectColumnsAmong(a *sparse.CSC, cand []int, k int, tree Tree) Result {
+	return new(Workspace).SelectColumnsAmong(a, cand, k, tree)
+}
+
+// SelectRowsDense runs SelectRowsDense on a fresh workspace.
+func SelectRowsDense(q *mat.Dense, k int) []int {
+	return new(Workspace).SelectRowsDense(q, k)
 }
 
 // Permutation expands a winner list into a full column permutation of an
@@ -144,15 +268,6 @@ func Permutation(winners []int, n int) []int {
 	return perm
 }
 
-// SelectRowsDense runs a tournament on the rows of a dense matrix q (used
-// by LU_CRTP on Q_kᵀ to obtain the row permutation P_r): it selects the k
-// most linearly independent rows of q.
-func SelectRowsDense(q *mat.Dense, k int) []int {
-	qt := sparse.FromDense(q.T(), 0).ToCSC()
-	res := SelectColumns(qt, k, Binary)
-	return res.Winners
-}
-
 // nodeFlops estimates the arithmetic cost of a tournament game on c
 // candidate columns holding nnzPanel stored entries, following the sparse
 // panel-QR cost model of the paper's §IV (O(k²·nnz) per tournament with
@@ -166,14 +281,29 @@ func nodeFlops(k, c, nnzPanel int) float64 {
 // Every rank returns the same Result. The matrix itself is shared-memory
 // readable by all ranks (the dist layer models the communication the real
 // implementation would perform: winner panels travel up a binary tree).
+func (ws *Workspace) SelectColumnsDist(c *dist.Comm, a *sparse.CSC, myCols []int, k int) Result {
+	return ws.selectDist(c, a, myCols, k, "colQR_TP")
+}
+
+// SelectRowsDist is the distributed row tournament of LU_CRTP: QR_TP over
+// the rows of q (the columns of qᵀ, gathered straight from q), rank r
+// owning the row ids in myRows, under the kernel label "rowQR_TP".
+func (ws *Workspace) SelectRowsDist(c *dist.Comm, q *mat.Dense, myRows []int, k int) Result {
+	return ws.selectDist(c, rowsOf{q}, myRows, k, "rowQR_TP")
+}
+
+// SelectColumnsDist runs SelectColumnsDist on a fresh workspace.
 func SelectColumnsDist(c *dist.Comm, a *sparse.CSC, myCols []int, k int) Result {
-	return SelectColumnsDistLabeled(c, a, myCols, k, "colQR_TP")
+	return new(Workspace).SelectColumnsDist(c, a, myCols, k)
 }
 
 // SelectColumnsDistLabeled is SelectColumnsDist with an explicit kernel
-// label so callers can separate the column tournament from the row
-// tournament in the Fig 5 breakdown.
+// label so callers can separate tournaments in the Fig 5 breakdown.
 func SelectColumnsDistLabeled(c *dist.Comm, a *sparse.CSC, myCols []int, k int, label string) Result {
+	return new(Workspace).selectDist(c, a, myCols, k, label)
+}
+
+func (ws *Workspace) selectDist(c *dist.Comm, a source, myCols []int, k int, label string) Result {
 	const (
 		tagWinners = 101
 		tagPanel   = 102
@@ -184,9 +314,9 @@ func SelectColumnsDistLabeled(c *dist.Comm, a *sparse.CSC, myCols []int, k int, 
 	}
 	// Local round (communication-free): tournament over the owned
 	// columns using leaves of 2k.
-	local := localTournament(c, a, myCols, k, label+"/local")
+	winners := ws.localTournament(c, a, myCols, k, label+"/local")
 	// Global binary reduction.
-	winners := local
+	ws.win = grow(ws.win, k)
 	for stride := 1; stride < p; stride <<= 1 {
 		if c.Rank()%(2*stride) == 0 {
 			partner := c.Rank() + stride
@@ -194,14 +324,16 @@ func SelectColumnsDistLabeled(c *dist.Comm, a *sparse.CSC, myCols []int, k int, 
 				theirs := c.Recv(partner, tagWinners).([]int)
 				// Model the transfer of the partner's winner panel.
 				_ = c.Recv(partner, tagPanel)
-				merged := append(append([]int(nil), winners...), theirs...)
+				ws.merge = grow(ws.merge, 2*k)
+				merged := append(append(ws.merge[:0], winners...), theirs...)
 				nnzPanel := a.ColsNNZ(merged)
 				c.Compute(nodeFlops(k, len(merged), nnzPanel), label+"/global")
-				winners = node(a, merged, k)
+				winners = ws.node(a, merged, k, ws.win)
 			}
 		} else if c.Rank()%(2*stride) == stride {
 			partner := c.Rank() - stride
-			c.Send(partner, tagWinners, winners, 8*len(winners))
+			// Send a copy: winners is workspace storage of this rank.
+			c.Send(partner, tagWinners, append([]int(nil), winners...), 8*len(winners))
 			// The winner columns themselves (sparse payload: index+value
 			// per entry).
 			c.Send(partner, tagPanel, nil, 12*a.ColsNNZ(winners))
@@ -213,7 +345,8 @@ func SelectColumnsDistLabeled(c *dist.Comm, a *sparse.CSC, myCols []int, k int, 
 	if c.Rank() == 0 {
 		nnzW := a.ColsNNZ(winners)
 		c.Compute(nodeFlops(k, len(winners), nnzW), label+"/finalR")
-		res = Result{Winners: winners, R11: finalR11(a, winners, k)}
+		winners = append([]int(nil), winners...)
+		res = Result{Winners: winners, R11: ws.finalR11(a, winners, k)}
 	}
 	kk := k
 	out := c.Bcast(0, res, 8*kk+8*kk*kk)
@@ -221,37 +354,17 @@ func SelectColumnsDistLabeled(c *dist.Comm, a *sparse.CSC, myCols []int, k int, 
 }
 
 // localTournament selects k champions among the owned columns, charging
-// the leaf-round flops to the given kernel label.
-func localTournament(c *dist.Comm, a *sparse.CSC, myCols []int, k int, label string) []int {
+// the flops of every game to the given kernel label. The champions alias
+// workspace storage (or myCols when it has at most k entries).
+func (ws *Workspace) localTournament(c *dist.Comm, a source, myCols []int, k int, label string) []int {
+	charge := func(cols []int) {
+		c.Compute(nodeFlops(k, len(cols), a.ColsNNZ(cols)), label)
+	}
 	if len(myCols) <= k {
-		c.Compute(nodeFlops(k, len(myCols), a.ColsNNZ(myCols)), label)
-		return append([]int(nil), myCols...)
+		charge(myCols)
+		return myCols
 	}
-	blockW := 2 * k
-	var champs [][]int
-	for j := 0; j < len(myCols); j += blockW {
-		hi := j + blockW
-		if hi > len(myCols) {
-			hi = len(myCols)
-		}
-		blk := myCols[j:hi]
-		c.Compute(nodeFlops(k, len(blk), a.ColsNNZ(blk)), label)
-		champs = append(champs, node(a, blk, k))
-	}
-	for len(champs) > 1 {
-		var next [][]int
-		for i := 0; i < len(champs); i += 2 {
-			if i+1 == len(champs) {
-				next = append(next, champs[i])
-				continue
-			}
-			merged := append(append([]int(nil), champs[i]...), champs[i+1]...)
-			c.Compute(nodeFlops(k, len(merged), a.ColsNNZ(merged)), label)
-			next = append(next, node(a, merged, k))
-		}
-		champs = next
-	}
-	return champs[0]
+	return ws.tournament(a, myCols, k, Binary, charge)
 }
 
 // BlockCyclicColumns returns the column ids owned by the given rank under

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -115,6 +116,28 @@ func TestAdversarialSpGEMMBitwise(t *testing.T) {
 				withMaxProcs(p, func() { got = SpGEMM(a, b) })
 				if !csrBitwiseEqual(serial, got) {
 					t.Fatalf("GOMAXPROCS=%d: SpGEMM differs from serial", p)
+				}
+			}
+		})
+	}
+}
+
+// TestAdversarialResidualFrobNormBitwise pins the order-preserving sum:
+// the residual norm must equal the serial path bit for bit at every
+// GOMAXPROCS, including 3 (blocks that do not split evenly).
+func TestAdversarialResidualFrobNormBitwise(t *testing.T) {
+	for _, tc := range adversarialCases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := tc.gen(109)
+			l := randDense(a.Rows, 6, 11)
+			r := randDense(6, a.Cols, 12)
+			var serial float64
+			withMaxProcs(1, func() { serial = a.ResidualFrobNorm(l, r) })
+			for _, p := range append([]int{3}, adversarialProcs...) {
+				var got float64
+				withMaxProcs(p, func() { got = a.ResidualFrobNorm(l, r) })
+				if math.Float64bits(got) != math.Float64bits(serial) {
+					t.Fatalf("GOMAXPROCS=%d: ResidualFrobNorm %v differs from serial %v", p, got, serial)
 				}
 			}
 		})

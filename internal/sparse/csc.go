@@ -54,16 +54,34 @@ func (a *CSC) ToCSR() *CSR {
 // panel. Cost is proportional to the nonzeros of the selected columns.
 func (a *CSC) ExtractColsDense(cols []int) *mat.Dense {
 	out := mat.NewDense(a.Rows, len(cols))
+	a.scatterCols(out, cols)
+	return out
+}
+
+// ExtractColsDenseInto is ExtractColsDense into caller-owned storage: dst
+// must be Rows×len(cols). It zeroes exactly dst, then scatters the
+// selected columns, so a reused buffer yields the same panel as a fresh
+// one.
+func (a *CSC) ExtractColsDenseInto(dst *mat.Dense, cols []int) {
+	if dst.Rows != a.Rows || dst.Cols != len(cols) {
+		panic(fmt.Sprintf("sparse: ExtractColsDenseInto destination %d×%d, want %d×%d", dst.Rows, dst.Cols, a.Rows, len(cols)))
+	}
+	dst.Zero()
+	a.scatterCols(dst, cols)
+}
+
+// scatterCols writes the entries of the selected columns into the
+// zeroed panel out.
+func (a *CSC) scatterCols(out *mat.Dense, cols []int) {
 	for p, j := range cols {
 		if j < 0 || j >= a.Cols {
 			panic(fmt.Sprintf("sparse: ExtractColsDense column %d out of range", j))
 		}
 		rows, vals := a.ColView(j)
 		for k, i := range rows {
-			out.Set(i, p, vals[k])
+			out.Data[i*out.Stride+p] = vals[k]
 		}
 	}
-	return out
 }
 
 // ColsNNZ returns the total number of stored entries across the given

@@ -183,6 +183,9 @@ func (a *CSR) Transpose() *CSR {
 const (
 	spmmParallelThreshold   = 1 << 15
 	spgemmParallelThreshold = 1 << 16
+	// residualBlockFloats bounds the pooled block of residual rows that
+	// ResidualFrobNorm forms in parallel before summing it in order.
+	residualBlockFloats = 1 << 16
 	// spmmColBlockMin / spmmCacheBudget shape the MulDense column
 	// blocking: when a pass over all of B would stream more than the
 	// budget, B is processed in column blocks sized to fit it (never
@@ -396,9 +399,11 @@ func (a *CSR) MulVec(x []float64) []float64 {
 // ResidualFrobNorm returns ‖A − L·R‖_F for dense factors L (m×k) and
 // R (k×n) without densifying A: each CSR row is streamed against the
 // corresponding row of the factor product, so peak memory is O(n) per
-// worker instead of the O(m·n) an explicit residual would need. Large
-// residuals run row-parallel with per-chunk partial sums reduced in chunk
-// order (deterministic for a fixed GOMAXPROCS).
+// row in flight instead of the O(m·n) an explicit residual would need.
+// Large residuals form their rows in parallel, one bounded block of rows
+// at a time into pooled scratch, and then add the squares serially in
+// ascending row order, so the result equals the serial path bit for bit
+// at any GOMAXPROCS.
 func (a *CSR) ResidualFrobNorm(l, r *mat.Dense) float64 {
 	if l.Rows != a.Rows || r.Cols != a.Cols || l.Cols != r.Rows {
 		panic("sparse: ResidualFrobNorm dimension mismatch")
@@ -406,54 +411,52 @@ func (a *CSR) ResidualFrobNorm(l, r *mat.Dense) float64 {
 	if a.Rows == 0 || a.Cols == 0 {
 		return 0
 	}
-	rowSums := func(lo, hi int, row []float64) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			for j := range row {
-				row[j] = 0
+	// residualRow writes row i of L·R − A into row.
+	residualRow := func(i int, row []float64) {
+		for j := range row {
+			row[j] = 0
+		}
+		// row = (L·R)_i, accumulated in ascending k order.
+		lrow := l.Row(i)
+		for k, lv := range lrow {
+			if lv == 0 {
+				continue
 			}
-			// row = (L·R)_i, accumulated in ascending k order.
-			lrow := l.Row(i)
-			for k, lv := range lrow {
-				if lv == 0 {
-					continue
-				}
-				rrow := r.Row(k)
-				for j, rv := range rrow {
-					row[j] += lv * rv
-				}
-			}
-			// Subtract the sparse row: row = (L·R − A)_i.
-			cols, vals := a.RowView(i)
-			for k, j := range cols {
-				row[j] -= vals[k]
-			}
-			for _, v := range row {
-				s += v * v
+			rrow := r.Row(k)
+			for j, rv := range rrow {
+				row[j] += lv * rv
 			}
 		}
-		return s
+		// Subtract the sparse row: row = (L·R − A)_i.
+		cols, vals := a.RowView(i)
+		for k, j := range cols {
+			row[j] -= vals[k]
+		}
 	}
+	n := a.Cols
+	blockRows := 1
 	work := a.Rows * a.Cols * l.Cols
-	if work < spmmParallelThreshold || runtime.GOMAXPROCS(0) < 2 {
-		buf := mat.GetScratch(a.Cols)
-		s := rowSums(0, a.Rows, *buf)
-		mat.PutScratch(buf)
-		return math.Sqrt(s)
+	if nw := runtime.GOMAXPROCS(0); work >= spmmParallelThreshold && nw > 1 {
+		blockRows = min(a.Rows, max(residualBlockFloats/n, nw))
 	}
-	grain := mat.ChunkGrain(a.Rows)
-	nchunks := (a.Rows + grain - 1) / grain
-	partials := make([]float64, nchunks)
-	mat.ParallelFor(a.Rows, grain, func(lo, hi int) {
-		buf := mat.GetScratch(a.Cols)
-		partials[lo/grain] = rowSums(lo, hi, *buf)
-		mat.PutScratch(buf)
-	})
-	var total float64
-	for _, p := range partials {
-		total += p
+	buf := mat.GetScratch(blockRows * n)
+	blk := *buf
+	var s float64
+	var lo int
+	fill := func(rlo, rhi int) {
+		for i := rlo; i < rhi; i++ {
+			residualRow(lo+i, blk[i*n:(i+1)*n])
+		}
 	}
-	return math.Sqrt(total)
+	for lo = 0; lo < a.Rows; lo += blockRows {
+		hi := min(lo+blockRows, a.Rows)
+		mat.ParallelFor(hi-lo, 1, fill)
+		for _, v := range blk[:(hi-lo)*n] {
+			s += v * v
+		}
+	}
+	mat.PutScratch(buf)
+	return math.Sqrt(s)
 }
 
 // SpGEMM returns the sparse product A·B using Gustavson's row-merge

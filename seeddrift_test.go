@@ -17,6 +17,7 @@ import (
 	"sparselr/internal/arrf"
 	"sparselr/internal/cur"
 	"sparselr/internal/dist"
+	"sparselr/internal/lucrtp"
 	"sparselr/internal/mat"
 	"sparselr/internal/randqb"
 	"sparselr/internal/randubv"
@@ -228,6 +229,49 @@ func TestSeedDriftACA(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDrift(t, "aca", curDriftHash(r), 0x2f6d311477ce8a22)
+}
+
+// luDriftHash hashes an LU_CRTP/ILUT_CRTP result: both sparse factors,
+// both permutations, and the convergence metadata.
+func luDriftHash(r *lucrtp.Result) uint64 {
+	w := newDriftHash()
+	w.csr(r.L)
+	w.csr(r.U)
+	w.ints(r.RowPerm)
+	w.ints(r.ColPerm)
+	w.u64(math.Float64bits(r.ErrIndicator))
+	w.u64(uint64(r.Rank))
+	return w.sum()
+}
+
+func TestSeedDriftLUCRTP(t *testing.T) {
+	r, err := lucrtp.Factor(driftA(), lucrtp.Options{BlockSize: 8, Tol: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDrift(t, "lucrtp", luDriftHash(r), 0x9ac4b46643ca0857)
+}
+
+func TestSeedDriftILUTCRTP(t *testing.T) {
+	r, err := lucrtp.Factor(driftA(), lucrtp.Options{BlockSize: 8, Tol: 1e-3, Threshold: lucrtp.AutoThreshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDrift(t, "ilutcrtp", luDriftHash(r), 0x4b44ed6414b329fb)
+}
+
+func TestSeedDriftLUCRTPDist(t *testing.T) {
+	var r *lucrtp.Result
+	dist.Run(4, dist.DefaultConfig(), func(c *dist.Comm) {
+		rr, err := lucrtp.FactorDist(c, driftA(), lucrtp.Options{BlockSize: 8, Tol: 1e-3})
+		if err != nil {
+			panic(err)
+		}
+		if c.Rank() == 0 {
+			r = rr
+		}
+	})
+	checkDrift(t, "lucrtp_dist4", luDriftHash(r), 0x40fab40d215bb8a1)
 }
 
 func TestSeedDriftARRF(t *testing.T) {

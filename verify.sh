@@ -9,9 +9,10 @@
 #      (the >=32-concurrent-client daemon acceptance test), under a
 #      watchdog -timeout so a deadlock regression fails the gate
 #      instead of hanging it
-#   6. seed-drift gate: the default-Gaussian solver outputs must hash to
-#      the golden values captured from the pre-sketch-layer code
-#      (seeddrift_test.go) so published seed results stand
+#   6. seed-drift gate: the solver outputs must hash to the golden values
+#      in seeddrift_test.go so published seed results stand, at
+#      GOMAXPROCS 1, 2 and 4 so a thread-count-dependent golden fails on
+#      every host
 #   7. doc-link check: relative links in *.md must resolve
 #   8. godoc-presence gate: every package must carry a package-level
 #      doc comment (go doc works everywhere)
@@ -24,7 +25,10 @@
 #      fleet-wide dedup, peer cache fill, kill-mid-wave rerouting and
 #      warm restart from -cachedir -> gateway req/s and peer-fill hit
 #      rate merged into BENCH_serve.json
-#  11. kernel micro-benchmarks -> BENCH_kernels.json (ns/op per kernel)
+#  11. kernel micro-benchmarks -> BENCH_kernels.json (ns/op, bytes/op and
+#      allocs/op per kernel); the GOMAXPROCS=1 twins
+#      KernelQRTournamentSerial and KernelSolveLUCRTPSerial must allocate
+#      <= 1.05x the bytes/op of the committed file on any CPU count
 #  12. dist collective micro-benchmarks (traced vs untraced) -> BENCH_dist.json
 #  13. sketch micro-benchmarks -> BENCH_sketch.json (ns/op + allocs/op),
 #      asserting SparseSign apply >= 3x faster than Gaussian and
@@ -81,11 +85,11 @@ go test -timeout "${TESTTIMEOUT:-10m}" ./...
 
 echo "== go test -race (kernel + fault-injection + serving packages, watchdog timeout)"
 go test -race -timeout "${TESTTIMEOUT:-10m}" \
-    ./internal/mat ./internal/sparse ./internal/sketch ./internal/cur ./internal/serve ./internal/fleet \
+    ./internal/mat ./internal/sparse ./internal/sketch ./internal/cur ./internal/serve ./internal/fleet ./internal/qrtp \
     ./internal/dist/... ./internal/randqb/... ./internal/randubv/... ./internal/lucrtp/...
 
-echo "== seed-drift gate (default-Gaussian bit-identity vs golden hashes)"
-go test -timeout "${TESTTIMEOUT:-10m}" -run '^TestSeedDrift' -count=1 -v . | grep -E '^(--- |ok|FAIL)'
+echo "== seed-drift gate (bit-identity vs golden hashes at GOMAXPROCS 1, 2, 4)"
+go test -timeout "${TESTTIMEOUT:-10m}" -run '^TestSeedDrift' -count=1 -cpu 1,2,4 -v . | grep -E '^(--- |ok|FAIL)'
 
 echo "== doc-link check (*.md relative links)"
 bad=0
@@ -132,10 +136,21 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
         | grep -E '^(=== RUN|--- |ok|FAIL|    smoke)'
     echo "merged fleet metrics into BENCH_serve.json"
 
-    echo "== kernel micro-benchmarks (with parallel-vs-serial speedup gates)"
+    echo "== kernel micro-benchmarks (with bytes/op and parallel-vs-serial speedup gates)"
+    # committed_bytes prints the bytes/op of one benchmark in the committed
+    # BENCH_kernels.json; outside a git checkout, or while the commit
+    # predates the benchmark, in the working copy.
+    committed_bytes() {
+        local pat="s/^  \"$1\": \{.*\"bytes_per_op\": ([0-9]+).*/\1/p" v
+        v=$(git show HEAD:BENCH_kernels.json 2>/dev/null | sed -nE "$pat")
+        [[ -n "$v" ]] || v=$(sed -nE "$pat" BENCH_kernels.json)
+        echo "$v"
+    }
+    base_tourn=$(committed_bytes KernelQRTournamentSerial)
+    base_lu=$(committed_bytes KernelSolveLUCRTPSerial)
     out=$(go test -run '^$' -bench '^BenchmarkKernel' -benchmem -benchtime "${BENCHTIME:-200ms}" . ./internal/mat | grep -E '^Benchmark')
     echo "$out"
-    echo "$out" | awk -v ncpu="$(nproc 2>/dev/null || echo 1)" '
+    echo "$out" | awk -v ncpu="$(nproc 2>/dev/null || echo 1)" -v base_tourn="$base_tourn" -v base_lu="$base_lu" '
         BEGIN { print "{"; first = 1 }
         /^Benchmark/ {
             name = $1
@@ -144,7 +159,20 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
             if (!first) printf ",\n"
             first = 0
             printf "  \"%s\": {\"iters\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", name, $2, $3, $5, $7
-            ns[name] = $3
+            ns[name] = $3; bytes[name] = $5
+        }
+        # bytesGate fails when a benchmark allocates more than 1.05x its
+        # committed bytes/op. It gates GOMAXPROCS=1 twins only: their
+        # bytes repeat on any host, while the parallel kernels allocate
+        # per-chunk scratch that grows with the CPU count.
+        function bytesGate(name, base) {
+            if (base == "" || bytes[name] == "") {
+                printf "missing bytes/op for %s (committed %s)\n", name, base > "/dev/stderr"; exit 1
+            }
+            if (bytes[name] > 1.05 * base) {
+                printf "%s allocates %s B/op, over 1.05x the committed %s B/op\n", name, bytes[name], base > "/dev/stderr"
+                exit 1
+            }
         }
         function ratio(label, ser, par) {
             if (ns[ser] > 0 && ns[par] > 0) {
@@ -171,6 +199,10 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
                 printf "%s\"mulbt_over_mult\": %.3f", sep, ns["KernelMulBT"] / ns["KernelMulT"]; sep = ", "
             }
             printf "}\n}\n"
+            # Gate 0: the LU_CRTP memory footprint (tournament workspace).
+            # Deterministic, so it runs first and on any CPU count.
+            bytesGate("KernelQRTournamentSerial", base_tourn)
+            bytesGate("KernelSolveLUCRTPSerial", base_lu)
             # Gate 1: MulBT must stay within 2x of MulT on the comparable
             # shape (it was ~6x before the packed-Bt path).
             if (ns["KernelMulT"] == "" || ns["KernelMulBT"] == "") {
