@@ -95,11 +95,12 @@ type Options struct {
 	Procs      int
 	DistConfig *dist.Config // nil → dist.DefaultConfig()
 
-	// Checkpointing for the distributed loop solvers (RandQBEI, LUCRTP,
-	// ILUTCRTP, RandUBV): when CheckpointEvery > 0 and CheckpointStore is
-	// non-nil, each rank saves its loop state every CheckpointEvery
-	// iterations, and a rerun against a store holding a complete snapshot
-	// resumes from it to a bit-identical result.
+	// Checkpointing for the loop solvers (RandQBEI and RandUBV at any
+	// Procs, LUCRTP and ILUTCRTP on the distributed path): when
+	// CheckpointEvery > 0 and CheckpointStore is non-nil, each rank saves
+	// its loop state every CheckpointEvery iterations, and a rerun with
+	// the same Procs against a store holding a complete snapshot resumes
+	// from it to a bit-identical result.
 	CheckpointEvery int
 	CheckpointStore *dist.CheckpointStore
 }
@@ -220,55 +221,23 @@ func Approximate(a *sparse.CSR, opts Options) (*Approximation, error) {
 	ap := &Approximation{Method: opts.Method}
 	switch opts.Method {
 	case RandQBEI:
-		r, err := randqb.Factor(a, randqb.Options{
-			BlockSize: opts.BlockSize, Tol: opts.Tol, Power: opts.Power,
-			MaxRank: opts.MaxRank, Seed: opts.Seed,
-			Sketch: opts.Sketch, SketchNNZ: opts.SketchNNZ,
-		})
+		r, err := randqb.Factor(a, qbOptions(opts))
 		if err != nil {
 			return nil, err
 		}
-		ap.QB = r
-		ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
-		ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
-		ap.NNZFactors = r.Q.Rows*r.Q.Cols + r.B.Rows*r.B.Cols
+		ap.setQB(r)
 	case RandUBV:
-		r, err := randubv.Factor(a, randubv.Options{
-			BlockSize: opts.BlockSize, Tol: opts.Tol, MaxRank: opts.MaxRank, Seed: opts.Seed,
-			Sketch: opts.Sketch, SketchNNZ: opts.SketchNNZ,
-		})
+		r, err := randubv.Factor(a, ubvOptions(opts))
 		if err != nil {
 			return nil, err
 		}
-		ap.UBV = r
-		ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
-		ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
-		ap.NNZFactors = r.U.Rows*r.U.Cols + r.B.Rows*r.B.Cols + r.V.Rows*r.V.Cols
+		ap.setUBV(r)
 	case LUCRTP, ILUTCRTP:
-		lopts := lucrtp.Options{
-			BlockSize: opts.BlockSize, Tol: opts.Tol, MaxRank: opts.MaxRank,
-			EstIters: opts.EstIters, Mu: opts.Mu, Reorder: opts.Reorder,
-			Tree: opts.Tree, StableL: opts.StableL, DiscardTol: opts.DiscardTol,
-			StopAtNumericalRank: opts.StopAtNumericalRank,
-		}
-		if opts.Method == ILUTCRTP {
-			switch {
-			case opts.Aggressive:
-				lopts.Threshold = lucrtp.AggressiveThreshold
-			case opts.Mu > 0:
-				lopts.Threshold = lucrtp.FixedThreshold
-			default:
-				lopts.Threshold = lucrtp.AutoThreshold
-			}
-		}
-		r, err := lucrtp.Factor(a, lopts)
+		r, err := lucrtp.Factor(a, luOptions(opts))
 		if err != nil {
 			return nil, err
 		}
-		ap.LU = r
-		ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
-		ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
-		ap.NNZFactors = r.NNZFactors()
+		ap.setLU(r)
 	case TSVD:
 		var r *tsvd.Result
 		var err error
@@ -430,75 +399,17 @@ func approximateDist(a *sparse.CSR, opts Options) (*Approximation, error) {
 	var res *dist.Result
 	switch opts.Method {
 	case RandQBEI:
-		res, innerErr = dist.RunE(opts.Procs, cfg, func(c *dist.Comm) error {
-			r, err := randqb.FactorDist(c, a, randqb.Options{
-				BlockSize: opts.BlockSize, Tol: opts.Tol, Power: opts.Power,
-				MaxRank: opts.MaxRank, Seed: opts.Seed,
-				Sketch: opts.Sketch, SketchNNZ: opts.SketchNNZ,
-				CheckpointEvery: opts.CheckpointEvery, Checkpoint: opts.CheckpointStore,
-			})
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				ap.QB = r
-				ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
-				ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
-				ap.NNZFactors = r.Q.Rows*r.Q.Cols + r.B.Rows*r.B.Cols
-			}
-			return nil
-		})
+		res, innerErr = runRanks(opts.Procs, cfg, func(c *dist.Comm) (*randqb.Result, error) {
+			return randqb.FactorDist(c, a, qbOptions(opts))
+		}, ap.setQB)
 	case LUCRTP, ILUTCRTP:
-		lopts := lucrtp.Options{
-			BlockSize: opts.BlockSize, Tol: opts.Tol, MaxRank: opts.MaxRank,
-			EstIters: opts.EstIters, Mu: opts.Mu, Reorder: opts.Reorder,
-			Tree: opts.Tree, StableL: opts.StableL, DiscardTol: opts.DiscardTol,
-			StopAtNumericalRank: opts.StopAtNumericalRank,
-		}
-		if opts.Method == ILUTCRTP {
-			switch {
-			case opts.Aggressive:
-				lopts.Threshold = lucrtp.AggressiveThreshold
-			case opts.Mu > 0:
-				lopts.Threshold = lucrtp.FixedThreshold
-			default:
-				lopts.Threshold = lucrtp.AutoThreshold
-			}
-		}
-		lopts.CheckpointEvery = opts.CheckpointEvery
-		lopts.Checkpoint = opts.CheckpointStore
-		res, innerErr = dist.RunE(opts.Procs, cfg, func(c *dist.Comm) error {
-			r, err := lucrtp.FactorDist(c, a, lopts)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				ap.LU = r
-				ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
-				ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
-				ap.NNZFactors = r.NNZFactors()
-			}
-			return nil
-		})
+		res, innerErr = runRanks(opts.Procs, cfg, func(c *dist.Comm) (*lucrtp.Result, error) {
+			return lucrtp.FactorDist(c, a, luOptions(opts))
+		}, ap.setLU)
 	case RandUBV:
-		res, innerErr = dist.RunE(opts.Procs, cfg, func(c *dist.Comm) error {
-			r, err := randubv.FactorDist(c, a, randubv.Options{
-				BlockSize: opts.BlockSize, Tol: opts.Tol,
-				MaxRank: opts.MaxRank, Seed: opts.Seed,
-				Sketch: opts.Sketch, SketchNNZ: opts.SketchNNZ,
-				CheckpointEvery: opts.CheckpointEvery, Checkpoint: opts.CheckpointStore,
-			})
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				ap.UBV = r
-				ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
-				ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
-				ap.NNZFactors = r.U.Rows*r.U.Cols + r.B.Rows*r.B.Cols + r.V.Rows*r.V.Cols
-			}
-			return nil
-		})
+		res, innerErr = runRanks(opts.Procs, cfg, func(c *dist.Comm) (*randubv.Result, error) {
+			return randubv.FactorDist(c, a, ubvOptions(opts))
+		}, ap.setUBV)
 	default:
 		if _, ok := methodInfo(opts.Method); !ok {
 			return nil, fmt.Errorf("core: unknown method %v", opts.Method)
@@ -523,4 +434,78 @@ func approximateDist(a *sparse.CSR, opts Options) (*Approximation, error) {
 	}
 	ap.CommTime = comm
 	return ap, nil
+}
+
+// runRanks runs body on p ranks and hands rank 0's result to set.
+func runRanks[T any](p int, cfg dist.Config, body func(*dist.Comm) (T, error), set func(T)) (*dist.Result, error) {
+	return dist.RunE(p, cfg, func(c *dist.Comm) error {
+		r, err := body(c)
+		if err == nil && c.Rank() == 0 {
+			set(r)
+		}
+		return err
+	})
+}
+
+// qbOptions, ubvOptions and luOptions translate the run options into each
+// solver's own, for the sequential and the distributed path alike.
+func qbOptions(o Options) randqb.Options {
+	return randqb.Options{
+		BlockSize: o.BlockSize, Tol: o.Tol, Power: o.Power,
+		MaxRank: o.MaxRank, Seed: o.Seed,
+		Sketch: o.Sketch, SketchNNZ: o.SketchNNZ,
+		CheckpointEvery: o.CheckpointEvery, Checkpoint: o.CheckpointStore,
+	}
+}
+
+func ubvOptions(o Options) randubv.Options {
+	return randubv.Options{
+		BlockSize: o.BlockSize, Tol: o.Tol, MaxRank: o.MaxRank, Seed: o.Seed,
+		Sketch: o.Sketch, SketchNNZ: o.SketchNNZ,
+		CheckpointEvery: o.CheckpointEvery, Checkpoint: o.CheckpointStore,
+	}
+}
+
+func luOptions(o Options) lucrtp.Options {
+	lo := lucrtp.Options{
+		BlockSize: o.BlockSize, Tol: o.Tol, MaxRank: o.MaxRank,
+		EstIters: o.EstIters, Mu: o.Mu, Reorder: o.Reorder,
+		Tree: o.Tree, StableL: o.StableL, DiscardTol: o.DiscardTol,
+		StopAtNumericalRank: o.StopAtNumericalRank, CheckpointEvery: o.CheckpointEvery,
+		Checkpoint: o.CheckpointStore,
+	}
+	if o.Method == ILUTCRTP {
+		switch {
+		case o.Aggressive:
+			lo.Threshold = lucrtp.AggressiveThreshold
+		case o.Mu > 0:
+			lo.Threshold = lucrtp.FixedThreshold
+		default:
+			lo.Threshold = lucrtp.AutoThreshold
+		}
+	}
+	return lo
+}
+
+// setQB, setUBV and setLU fill the uniform result fields from each
+// solver's result.
+func (ap *Approximation) setQB(r *randqb.Result) {
+	ap.QB = r
+	ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
+	ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
+	ap.NNZFactors = r.Q.Rows*r.Q.Cols + r.B.Rows*r.B.Cols
+}
+
+func (ap *Approximation) setUBV(r *randubv.Result) {
+	ap.UBV = r
+	ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
+	ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
+	ap.NNZFactors = r.U.Rows*r.U.Cols + r.B.Rows*r.B.Cols + r.V.Rows*r.V.Cols
+}
+
+func (ap *Approximation) setLU(r *lucrtp.Result) {
+	ap.LU = r
+	ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
+	ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
+	ap.NNZFactors = r.NNZFactors()
 }

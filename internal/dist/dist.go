@@ -624,6 +624,23 @@ func RunE(p int, cfg Config, body func(*Comm) error) (*Result, error) {
 	return res, nil
 }
 
+// RunSerial runs an SPMD solver body on a one-rank world with the
+// default cost model and returns its result and its own error (a panic
+// in the body comes back as RunE's *RankError). It is how a solver
+// written once as an SPMD body serves its sequential entry point.
+func RunSerial[T any](body func(*Comm) (T, error)) (T, error) {
+	var out T
+	var err error
+	_, runErr := RunE(1, DefaultConfig(), func(c *Comm) error {
+		out, err = body(c)
+		return err
+	})
+	if err == nil {
+		err = runErr
+	}
+	return out, err
+}
+
 // TotalMessages returns the point-to-point message count across ranks.
 func (r *Result) TotalMessages() int {
 	n := 0

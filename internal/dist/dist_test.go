@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -19,6 +20,24 @@ func TestRunSingleRank(t *testing.T) {
 	}
 	if got := res.MaxKernel("work"); math.Abs(got-1e-3) > 1e-12 {
 		t.Fatalf("kernel time = %v", got)
+	}
+}
+
+// RunSerial hands back the body's result and its own error, unwrapped,
+// and turns a panic in the body into a *RankError.
+func TestRunSerial(t *testing.T) {
+	got, err := RunSerial(func(c *Comm) (int, error) { return c.Size() + 41, nil })
+	if got != 42 || err != nil {
+		t.Fatalf("RunSerial = %v, %v; want 42, nil", got, err)
+	}
+	own := errors.New("body failed")
+	if _, err := RunSerial(func(*Comm) (int, error) { return 0, own }); err != own {
+		t.Fatalf("RunSerial error = %v, want the body's own error", err)
+	}
+	_, err = RunSerial(func(*Comm) (int, error) { panic("boom") })
+	var re *RankError
+	if !errors.As(err, &re) || re.Rank != 0 {
+		t.Fatalf("RunSerial panic = %v, want a rank-0 *RankError", err)
 	}
 }
 

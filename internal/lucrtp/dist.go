@@ -222,7 +222,7 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		// --- Triangular solve X = Ā₂₁Ā₁₁⁻¹: Ā₂₁ scattered by rows,
 		// Ā₁₁ broadcast, result allgathered (§V) ---
 		c.Bcast(0, nil, 8*keff*keff) // broadcast of Ā₁₁
-		lo, hi := rowShare(a21.Rows, p, c.Rank())
+		lo, hi := dist.RowShare(a21.Rows, p, c.Rank())
 		var xsp *sparse.CSR
 		{
 			var myX *mat.Dense
@@ -397,17 +397,4 @@ type luSnapshot struct {
 	droppedNNZ         int
 	controlTriggered   bool
 	hitNumRank         bool
-}
-
-// rowShare returns the contiguous block [lo, hi) of rows owned by the
-// given rank under an even partition.
-func rowShare(rows, p, rank int) (lo, hi int) {
-	base := rows / p
-	rem := rows % p
-	lo = rank*base + min(rank, rem)
-	hi = lo + base
-	if rank < rem {
-		hi++
-	}
-	return lo, hi
 }

@@ -126,24 +126,6 @@ func TestFactorDistVirtualSpeedup(t *testing.T) {
 	}
 }
 
-func TestRowShare(t *testing.T) {
-	for _, tc := range []struct{ rows, p int }{{10, 3}, {7, 7}, {5, 8}, {0, 4}} {
-		total := 0
-		prevHi := 0
-		for r := 0; r < tc.p; r++ {
-			lo, hi := rowShare(tc.rows, tc.p, r)
-			if lo != prevHi {
-				t.Fatalf("rows=%d p=%d: gap at rank %d", tc.rows, tc.p, r)
-			}
-			prevHi = hi
-			total += hi - lo
-		}
-		if total != tc.rows {
-			t.Fatalf("rows=%d p=%d: covered %d", tc.rows, tc.p, total)
-		}
-	}
-}
-
 func TestFactorDistColumnDiscarding(t *testing.T) {
 	a := decayMatrix(80, 80, 25, 0.6, 140)
 	tol := 1e-2

@@ -3,11 +3,11 @@ package mat
 // Batched small-problem execution. A product below gemmParallelThreshold
 // runs serially — correct for one call, but N concurrent small solves then
 // thrash the threshold: each pays dispatch overhead yet none is big enough
-// to occupy the pool. BatchRun/BatchMulInto invert the split: the batch
-// itself becomes the parallel dimension, so many sub-threshold problems run
-// as one ParallelFor over problems. Each problem is computed by exactly the
-// same serial code path a standalone call would use, so results are bitwise
-// identical to running the calls one by one.
+// to occupy the pool. BatchRun inverts the split: the batch itself becomes
+// the parallel dimension, so many sub-threshold problems run as one
+// ParallelFor over problems. Each problem runs exactly the code a
+// standalone call would, so results are bitwise identical to running the
+// calls one by one.
 
 // BatchRun executes fn(i) for i in [0, n) across the worker pool, one
 // problem per work item. fn must not touch state shared between problems.
@@ -24,38 +24,4 @@ func BatchRun(n int, fn func(i int)) {
 			fn(i)
 		}
 	})
-}
-
-// MulJob is one dst = a·b product in a batch.
-type MulJob struct {
-	Dst, A, B *Dense
-}
-
-// BatchMulInto computes every job's Dst = A·B. Sub-threshold products are
-// run as one pool submission over problems (each on the serial kernel, so
-// the value written is bitwise identical to a standalone MulInto); products
-// at or above the threshold fall through to MulInto, which parallelizes
-// internally. All dimensions are validated before any work starts.
-func BatchMulInto(jobs []MulJob) {
-	for _, j := range jobs {
-		if j.A.Cols != j.B.Rows || j.Dst.Rows != j.A.Rows || j.Dst.Cols != j.B.Cols {
-			panic("mat: BatchMulInto dimension mismatch")
-		}
-	}
-	small := make([]MulJob, 0, len(jobs))
-	for _, j := range jobs {
-		if j.A.Rows*j.A.Cols*j.B.Cols < gemmParallelThreshold {
-			small = append(small, j)
-		}
-	}
-	BatchRun(len(small), func(i int) {
-		j := small[i]
-		j.Dst.Zero()
-		gemmSerial(j.Dst, j.A, j.B, 1, 0, j.A.Rows)
-	})
-	for _, j := range jobs {
-		if j.A.Rows*j.A.Cols*j.B.Cols >= gemmParallelThreshold {
-			MulInto(j.Dst, j.A, j.B)
-		}
-	}
 }

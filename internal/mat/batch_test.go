@@ -1,50 +1,6 @@
 package mat
 
-import (
-	"math"
-	"testing"
-)
-
-// BatchMulInto must write bitwise the same results as per-call MulInto
-// for every job, across sub-threshold and above-threshold sizes mixed
-// in one batch.
-func TestBatchMulIntoMatchesMulInto(t *testing.T) {
-	shapes := []struct{ m, k, n int }{
-		{3, 4, 5},    // tiny
-		{16, 16, 16}, // small, below threshold
-		{30, 31, 29}, // odd, below threshold
-		{64, 64, 64}, // above threshold (2^18 madds)
-		{50, 90, 70}, // above threshold, odd
-	}
-	jobs := make([]MulJob, 0, len(shapes))
-	want := make([]*Dense, 0, len(shapes))
-	for i, s := range shapes {
-		a := randDense(s.m, s.k, int64(100+i))
-		b := randDense(s.k, s.n, int64(200+i))
-		w := NewDense(s.m, s.n)
-		MulInto(w, a, b)
-		want = append(want, w)
-		jobs = append(jobs, MulJob{Dst: NewDense(s.m, s.n), A: a, B: b})
-	}
-	BatchMulInto(jobs)
-	for i := range jobs {
-		got, w := jobs[i].Dst, want[i]
-		for j := range got.Data {
-			if math.Float64bits(got.Data[j]) != math.Float64bits(w.Data[j]) {
-				t.Fatalf("job %d: element %d differs: got %g want %g", i, j, got.Data[j], w.Data[j])
-			}
-		}
-	}
-}
-
-func TestBatchMulIntoDimensionPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched batch job did not panic")
-		}
-	}()
-	BatchMulInto([]MulJob{{Dst: NewDense(2, 2), A: NewDense(2, 3), B: NewDense(4, 2)}})
-}
+import "testing"
 
 func TestBatchRunCoversAllIndices(t *testing.T) {
 	const n = 100

@@ -118,28 +118,3 @@ func TestPropMulIntoOverwritesDirtyDst(t *testing.T) {
 		PutDense(dst)
 	}
 }
-
-// BatchMulInto must equal per-call MulInto bitwise whatever mix of
-// shapes is batched together and at every GOMAXPROCS.
-func TestPropBatchMulIntoBitwise(t *testing.T) {
-	shapes := propShapes(t)
-	jobs := make([]MulJob, len(shapes))
-	want := make([]*Dense, len(shapes))
-	for i, s := range shapes {
-		m, k, n := s[0], s[1], s[2]
-		a := randDense(m, k, int64(i*101+m))
-		b := randDense(k, n, int64(i*103+n))
-		jobs[i] = MulJob{Dst: NewDense(m, n), A: a, B: b}
-		want[i] = Mul(a, b)
-	}
-	for _, p := range propProcs() {
-		withMaxProcs(p, func() {
-			BatchMulInto(jobs)
-		})
-		for i := range jobs {
-			if !bitwiseEqual(jobs[i].Dst, want[i]) {
-				t.Fatalf("BatchMulInto shape %v at GOMAXPROCS=%d differs from MulInto", shapes[i], p)
-			}
-		}
-	}
-}

@@ -8,10 +8,13 @@
 // construction — the structural contrast with LU_CRTP's sparse factors
 // that drives the paper's accuracy-vs-cost comparison.
 //
-// The iteration loop runs on a qbState: grow-only stores for Q_K, B_K and
-// (under the power scheme) B_Kᵀ plus reusable workspaces for every
-// intermediate, so a steady-state block iteration performs no heap
-// allocation. The default Gaussian sketch replays the historical RNG
-// stream and the kernels are evaluation-order stable, so results are
-// bit-identical to the pre-workspace implementation.
+// The algorithm is written once, as the SPMD body FactorDist; the
+// sequential Factor runs that body on a one-rank world. The iteration
+// loop runs on a qbState: grow-only stores for the rank's rows of Q_K,
+// the replicated B_K and (under the power scheme) B_Kᵀ, plus reusable
+// workspaces for every intermediate, so at P = 1 a steady-state block
+// iteration performs no heap allocation. The default Gaussian sketch
+// replays the historical RNG stream and the kernels are
+// evaluation-order stable, so results are bit-identical to the
+// pre-workspace implementation.
 package randqb

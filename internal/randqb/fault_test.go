@@ -6,6 +6,7 @@ import (
 
 	"sparselr/internal/dist"
 	"sparselr/internal/sketch"
+	"sparselr/internal/sparse"
 )
 
 func distCfg() dist.Config { return dist.Config{Alpha: 1e-6, Beta: 1e-9, Gamma: 1e-9} }
@@ -44,10 +45,20 @@ func TestFactorDistInjectedCrash(t *testing.T) {
 
 func TestFactorDistCheckpointRestartBitIdentical(t *testing.T) {
 	a := decayMatrix(60, 50, 30, 0.6, 101)
-	const p = 2
-	run := func(opts Options, cfg dist.Config) (*Result, error) {
+	for _, p := range []int{1, 2} {
+		checkRestartBitIdentical(t, a, p, faultOpts)
+	}
+}
+
+// checkRestartBitIdentical crashes the last of p ranks mid-run with
+// checkpointing on, resumes from the surviving cut and requires the
+// factors and the indicator history of the uninterrupted run bit for bit.
+// At p = 1 the one rank is the sequential solver.
+func checkRestartBitIdentical(t *testing.T, a *sparse.CSR, p int, mkOpts func() Options) {
+	t.Helper()
+	run := func(opts Options, cfg dist.Config) (*Result, *dist.Result, error) {
 		var out *Result
-		_, err := dist.RunE(p, cfg, func(c *dist.Comm) error {
+		st, err := dist.RunE(p, cfg, func(c *dist.Comm) error {
 			r, err := FactorDist(c, a, opts)
 			if err != nil {
 				return err
@@ -57,55 +68,52 @@ func TestFactorDistCheckpointRestartBitIdentical(t *testing.T) {
 			}
 			return nil
 		})
-		return out, err
+		return out, st, err
 	}
-	want, err := run(faultOpts(), distCfg())
+	want, base, err := run(mkOpts(), distCfg())
 	if err != nil {
-		t.Fatalf("uninterrupted run failed: %v", err)
+		t.Fatalf("p=%d: uninterrupted run failed: %v", p, err)
 	}
 	if want.Iters < 3 {
-		t.Fatalf("test needs a multi-iteration run, got %d iterations", want.Iters)
+		t.Fatalf("p=%d: test needs a multi-iteration run, got %d iterations", p, want.Iters)
 	}
 
 	store := dist.NewCheckpointStore()
-	opts := faultOpts()
+	opts := mkOpts()
 	opts.CheckpointEvery = 1
 	opts.Checkpoint = store
-	base, _ := dist.RunE(p, distCfg(), func(c *dist.Comm) error { _, err := FactorDist(c, a, faultOpts()); return err })
 	cfg := distCfg()
-	cfg.Fault = &dist.FaultPlan{Crashes: []dist.Crash{{Rank: 1, At: 0.6 * base.MaxTime()}}}
-	if _, err := run(opts, cfg); err == nil {
-		t.Fatal("faulted run should fail")
+	cfg.Fault = &dist.FaultPlan{Crashes: []dist.Crash{{Rank: p - 1, At: 0.6 * base.MaxTime()}}}
+	if _, _, err := run(opts, cfg); err == nil {
+		t.Fatalf("p=%d: faulted run should fail", p)
 	}
 	if _, _, ok := store.Latest(p); !ok {
-		t.Fatal("no complete checkpoint survived the crash")
+		t.Fatalf("p=%d: no complete checkpoint survived the crash", p)
 	}
-	got, err := run(opts, distCfg())
+	got, _, err := run(opts, distCfg())
 	if err != nil {
-		t.Fatalf("restarted run failed: %v", err)
+		t.Fatalf("p=%d: restarted run failed: %v", p, err)
 	}
 
 	if got.Rank != want.Rank || got.Iters != want.Iters || got.Converged != want.Converged {
-		t.Fatalf("restart diverged: rank %d/%d iters %d/%d", got.Rank, want.Rank, got.Iters, want.Iters)
+		t.Fatalf("p=%d: restart diverged: rank %d/%d iters %d/%d", p, got.Rank, want.Rank, got.Iters, want.Iters)
+	}
+	same := func(name string, x, y []float64) {
+		if len(x) != len(y) {
+			t.Fatalf("p=%d: %s length differs after restart", p, name)
+		}
+		for i := range x {
+			if x[i] != y[i] {
+				t.Fatalf("p=%d: %s element %d differs after restart: %v != %v", p, name, i, x[i], y[i])
+			}
+		}
 	}
 	if got.Q.Rows != want.Q.Rows || got.Q.Cols != want.Q.Cols || got.B.Rows != want.B.Rows || got.B.Cols != want.B.Cols {
-		t.Fatal("factor shapes differ after restart")
+		t.Fatalf("p=%d: factor shapes differ after restart", p)
 	}
-	for i := range want.Q.Data {
-		if got.Q.Data[i] != want.Q.Data[i] {
-			t.Fatalf("Q element %d differs after restart: %v != %v", i, got.Q.Data[i], want.Q.Data[i])
-		}
-	}
-	for i := range want.B.Data {
-		if got.B.Data[i] != want.B.Data[i] {
-			t.Fatalf("B element %d differs after restart: %v != %v", i, got.B.Data[i], want.B.Data[i])
-		}
-	}
-	for i := range want.ErrHistory {
-		if got.ErrHistory[i] != want.ErrHistory[i] {
-			t.Fatalf("ErrHistory differs after restart at %d", i)
-		}
-	}
+	same("Q", got.Q.Data, want.Q.Data)
+	same("B", got.B.Data, want.B.Data)
+	same("ErrHistory", got.ErrHistory, want.ErrHistory)
 }
 
 // TestFactorDistCheckpointRestartSketchers repeats the bit-identical
@@ -124,69 +132,15 @@ func TestFactorDistCheckpointRestartSketchers(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a := decayMatrix(60, 50, 30, 0.6, 101)
-			const p = 2
 			mkOpts := func() Options {
 				o := faultOpts()
 				o.Sketch = tc.kind
 				o.SketchNNZ = tc.nnz
 				return o
 			}
-			run := func(opts Options, cfg dist.Config) (*Result, error) {
-				var out *Result
-				_, err := dist.RunE(p, cfg, func(c *dist.Comm) error {
-					r, err := FactorDist(c, a, opts)
-					if err != nil {
-						return err
-					}
-					if c.Rank() == 0 {
-						out = r
-					}
-					return nil
-				})
-				return out, err
+			for _, p := range []int{1, 2} {
+				checkRestartBitIdentical(t, a, p, mkOpts)
 			}
-			want, err := run(mkOpts(), distCfg())
-			if err != nil {
-				t.Fatalf("uninterrupted run failed: %v", err)
-			}
-			if want.Iters < 3 {
-				t.Fatalf("test needs a multi-iteration run, got %d iterations", want.Iters)
-			}
-
-			store := dist.NewCheckpointStore()
-			opts := mkOpts()
-			opts.CheckpointEvery = 1
-			opts.Checkpoint = store
-			base, _ := dist.RunE(p, distCfg(), func(c *dist.Comm) error { _, err := FactorDist(c, a, mkOpts()); return err })
-			cfg := distCfg()
-			cfg.Fault = &dist.FaultPlan{Crashes: []dist.Crash{{Rank: 1, At: 0.6 * base.MaxTime()}}}
-			if _, err := run(opts, cfg); err == nil {
-				t.Fatal("faulted run should fail")
-			}
-			if _, _, ok := store.Latest(p); !ok {
-				t.Fatal("no complete checkpoint survived the crash")
-			}
-			got, err := run(opts, distCfg())
-			if err != nil {
-				t.Fatalf("restarted run failed: %v", err)
-			}
-
-			if got.Rank != want.Rank || got.Iters != want.Iters || got.Converged != want.Converged {
-				t.Fatalf("restart diverged: rank %d/%d iters %d/%d", got.Rank, want.Rank, got.Iters, want.Iters)
-			}
-			same := func(name string, x, y []float64) {
-				if len(x) != len(y) {
-					t.Fatalf("%s length differs after restart", name)
-				}
-				for i := range x {
-					if x[i] != y[i] {
-						t.Fatalf("%s element %d differs after restart: %v != %v", name, i, x[i], y[i])
-					}
-				}
-			}
-			same("Q", got.Q.Data, want.Q.Data)
-			same("B", got.B.Data, want.B.Data)
-			same("ErrHistory", got.ErrHistory, want.ErrHistory)
 		})
 	}
 }

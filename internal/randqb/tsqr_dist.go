@@ -19,7 +19,11 @@ import (
 // found fewer than w new directions), the blocks are assembled and every
 // rank falls back to the replicated rank-revealing Orth, returning its
 // slice, so column counts stay consistent across ranks.
-func distTSQRLocal(c *dist.Comm, yLoc *mat.Dense, mTotal int, kernel string) *mat.Dense {
+//
+// With one rank there is nothing to reduce: yLoc is all of the matrix
+// and ws's rank-revealing Orth (bitwise equal to mat.Orth, without the
+// allocations) is the whole factorization. Its result is a view into ws.
+func distTSQRLocal(c *dist.Comm, yLoc *mat.Dense, mTotal int, kernel string, ws *mat.OrthWorkspace) *mat.Dense {
 	const (
 		tagRUp   = 501
 		tagCarry = 502
@@ -31,7 +35,7 @@ func distTSQRLocal(c *dist.Comm, yLoc *mat.Dense, mTotal int, kernel string) *ma
 	}
 	if p == 1 {
 		c.Compute(2*float64(mTotal)*float64(w)*float64(w), kernel)
-		return mat.Orth(yLoc)
+		return ws.Orth(yLoc)
 	}
 	// Local QR.
 	c.Compute(2*float64(yLoc.Rows)*float64(w)*float64(w), kernel)
@@ -126,17 +130,18 @@ func distTSQRLocal(c *dist.Comm, yLoc *mat.Dense, mTotal int, kernel string) *ma
 
 // distTSQR orthogonalizes a replicated tall matrix: it slices y by the
 // standard row share, runs distTSQRLocal and allgathers the full factor.
-func distTSQR(c *dist.Comm, y *mat.Dense, kernel string) *mat.Dense {
+// With one rank the slice is all of y and the result is a view into ws.
+func distTSQR(c *dist.Comm, y *mat.Dense, kernel string, ws *mat.OrthWorkspace) *mat.Dense {
 	p := c.Size()
 	m, w := y.Dims()
 	if w == 0 {
 		return mat.NewDense(m, 0)
 	}
-	lo, hi := rowShare(m, p, c.Rank())
-	qLoc := distTSQRLocal(c, y.View(lo, 0, hi-lo, w).Clone(), m, kernel)
 	if p == 1 {
-		return qLoc
+		return distTSQRLocal(c, y, m, kernel, ws)
 	}
+	lo, hi := dist.RowShare(m, p, c.Rank())
+	qLoc := distTSQRLocal(c, y.View(lo, 0, hi-lo, w).Clone(), m, kernel, ws)
 	parts := c.Allgather(qLoc, 8*(hi-lo)*qLoc.Cols)
 	out := parts[0].(*mat.Dense)
 	for rr := 1; rr < p; rr++ {

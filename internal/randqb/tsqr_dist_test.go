@@ -28,7 +28,7 @@ func TestDistTSQROrthonormalAndSpanning(t *testing.T) {
 		y := randTall(50, 6, int64(p))
 		results := make([]*mat.Dense, p)
 		dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
-			results[c.Rank()] = distTSQR(c, y, "orth/TSQR")
+			results[c.Rank()] = distTSQR(c, y, "orth/TSQR", new(mat.OrthWorkspace))
 		})
 		for r := 0; r < p; r++ {
 			q := results[r]
@@ -58,7 +58,7 @@ func TestDistTSQRDeficientFallback(t *testing.T) {
 	y := mat.MulBT(u, v)
 	p := 4
 	dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
-		q := distTSQR(c, y, "orth/TSQR")
+		q := distTSQR(c, y, "orth/TSQR", new(mat.OrthWorkspace))
 		if q.Cols != 2 {
 			t.Errorf("rank %d: fallback basis has %d columns, want 2", c.Rank(), q.Cols)
 		}
@@ -70,7 +70,7 @@ func TestDistTSQRDeficientFallback(t *testing.T) {
 
 func TestDistTSQRZeroColumns(t *testing.T) {
 	dist.Run(2, dist.DefaultConfig(), func(c *dist.Comm) {
-		q := distTSQR(c, mat.NewDense(10, 0), "orth/TSQR")
+		q := distTSQR(c, mat.NewDense(10, 0), "orth/TSQR", new(mat.OrthWorkspace))
 		if q.Cols != 0 || q.Rows != 10 {
 			t.Error("zero-column input mishandled")
 		}
@@ -80,7 +80,7 @@ func TestDistTSQRZeroColumns(t *testing.T) {
 func TestDistTSQRChargesKernel(t *testing.T) {
 	y := randTall(60, 4, 11)
 	res := dist.Run(4, dist.DefaultConfig(), func(c *dist.Comm) {
-		distTSQR(c, y, "orth/TSQR")
+		distTSQR(c, y, "orth/TSQR", new(mat.OrthWorkspace))
 	})
 	if res.MaxKernel("orth/TSQR") <= 0 {
 		t.Fatal("TSQR kernel time missing")

@@ -29,6 +29,10 @@ func TestFactorDistMatchesSequential(t *testing.T) {
 		if got == nil {
 			t.Fatalf("p=%d: no result", p)
 		}
+		// Factor is this body on one rank: bit for bit the same run.
+		if p == 1 && (!got.U.Equal(seq.U, 0) || !got.B.Equal(seq.B, 0) || !got.V.Equal(seq.V, 0)) {
+			t.Fatal("p=1: FactorDist differs from Factor")
+		}
 		if got.Rank != seq.Rank || got.Iters != seq.Iters {
 			t.Fatalf("p=%d: rank/iters %d/%d vs %d/%d", p, got.Rank, got.Iters, seq.Rank, seq.Iters)
 		}

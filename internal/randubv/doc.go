@@ -5,7 +5,9 @@
 // reorthogonalization, using the same Frobenius error indicator family as
 // RandQB_EI.
 //
-// The paper evaluates RandUBV sequentially (a parallel version is named
-// as future work), so only a sequential driver is provided; its
-// per-iteration work matches RandQB_EI with p = 0 (§IV).
+// The paper evaluates RandUBV sequentially and names a parallel version
+// as future work. The recurrence is written once, as the SPMD body
+// FactorDist; the sequential Factor runs that body on a one-rank world,
+// where its collectives vanish. Its per-iteration work matches RandQB_EI
+// with p = 0 (§IV).
 package randubv

@@ -6,6 +6,7 @@ import (
 
 	"sparselr/internal/dist"
 	"sparselr/internal/sketch"
+	"sparselr/internal/sparse"
 )
 
 func distCfg() dist.Config { return dist.Config{Alpha: 1e-6, Beta: 1e-9, Gamma: 1e-9} }
@@ -44,10 +45,20 @@ func TestFactorDistInjectedCrash(t *testing.T) {
 
 func TestFactorDistCheckpointRestartBitIdentical(t *testing.T) {
 	a := decayMatrix(60, 50, 30, 0.6, 101)
-	const p = 2
-	run := func(opts Options, cfg dist.Config) (*Result, error) {
+	for _, p := range []int{1, 2} {
+		checkRestartBitIdentical(t, a, p, faultOpts)
+	}
+}
+
+// checkRestartBitIdentical crashes rank 0 of p mid-run with
+// checkpointing on, resumes from the surviving cut and requires the
+// factors and the indicator history of the uninterrupted run bit for bit.
+// At p = 1 the one rank is the sequential solver.
+func checkRestartBitIdentical(t *testing.T, a *sparse.CSR, p int, mkOpts func() Options) {
+	t.Helper()
+	run := func(opts Options, cfg dist.Config) (*Result, *dist.Result, error) {
 		var out *Result
-		_, err := dist.RunE(p, cfg, func(c *dist.Comm) error {
+		st, err := dist.RunE(p, cfg, func(c *dist.Comm) error {
 			r, err := FactorDist(c, a, opts)
 			if err != nil {
 				return err
@@ -57,44 +68,43 @@ func TestFactorDistCheckpointRestartBitIdentical(t *testing.T) {
 			}
 			return nil
 		})
-		return out, err
+		return out, st, err
 	}
-	want, err := run(faultOpts(), distCfg())
+	want, base, err := run(mkOpts(), distCfg())
 	if err != nil {
-		t.Fatalf("uninterrupted run failed: %v", err)
+		t.Fatalf("p=%d: uninterrupted run failed: %v", p, err)
 	}
 	if want.Iters < 3 {
-		t.Fatalf("test needs a multi-iteration run, got %d iterations", want.Iters)
+		t.Fatalf("p=%d: test needs a multi-iteration run, got %d iterations", p, want.Iters)
 	}
 
 	store := dist.NewCheckpointStore()
-	opts := faultOpts()
+	opts := mkOpts()
 	opts.CheckpointEvery = 1
 	opts.Checkpoint = store
-	base, _ := dist.RunE(p, distCfg(), func(c *dist.Comm) error { _, err := FactorDist(c, a, faultOpts()); return err })
 	cfg := distCfg()
 	cfg.Fault = &dist.FaultPlan{Crashes: []dist.Crash{{Rank: 0, At: 0.6 * base.MaxTime()}}}
-	if _, err := run(opts, cfg); err == nil {
-		t.Fatal("faulted run should fail")
+	if _, _, err := run(opts, cfg); err == nil {
+		t.Fatalf("p=%d: faulted run should fail", p)
 	}
 	if _, _, ok := store.Latest(p); !ok {
-		t.Fatal("no complete checkpoint survived the crash")
+		t.Fatalf("p=%d: no complete checkpoint survived the crash", p)
 	}
-	got, err := run(opts, distCfg())
+	got, _, err := run(opts, distCfg())
 	if err != nil {
-		t.Fatalf("restarted run failed: %v", err)
+		t.Fatalf("p=%d: restarted run failed: %v", p, err)
 	}
 
 	if got.Rank != want.Rank || got.Iters != want.Iters || got.Converged != want.Converged {
-		t.Fatalf("restart diverged: rank %d/%d iters %d/%d", got.Rank, want.Rank, got.Iters, want.Iters)
+		t.Fatalf("p=%d: restart diverged: rank %d/%d iters %d/%d", p, got.Rank, want.Rank, got.Iters, want.Iters)
 	}
 	same := func(name string, x, y []float64) {
 		if len(x) != len(y) {
-			t.Fatalf("%s length differs after restart", name)
+			t.Fatalf("p=%d: %s length differs after restart", p, name)
 		}
 		for i := range x {
 			if x[i] != y[i] {
-				t.Fatalf("%s element %d differs after restart: %v != %v", name, i, x[i], y[i])
+				t.Fatalf("p=%d: %s element %d differs after restart: %v != %v", p, name, i, x[i], y[i])
 			}
 		}
 	}
@@ -120,70 +130,15 @@ func TestFactorDistCheckpointRestartSketchers(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a := decayMatrix(60, 50, 30, 0.6, 101)
-			const p = 2
 			mkOpts := func() Options {
 				o := faultOpts()
 				o.Sketch = tc.kind
 				o.SketchNNZ = tc.nnz
 				return o
 			}
-			run := func(opts Options, cfg dist.Config) (*Result, error) {
-				var out *Result
-				_, err := dist.RunE(p, cfg, func(c *dist.Comm) error {
-					r, err := FactorDist(c, a, opts)
-					if err != nil {
-						return err
-					}
-					if c.Rank() == 0 {
-						out = r
-					}
-					return nil
-				})
-				return out, err
+			for _, p := range []int{1, 2} {
+				checkRestartBitIdentical(t, a, p, mkOpts)
 			}
-			want, err := run(mkOpts(), distCfg())
-			if err != nil {
-				t.Fatalf("uninterrupted run failed: %v", err)
-			}
-			if want.Iters < 3 {
-				t.Fatalf("test needs a multi-iteration run, got %d iterations", want.Iters)
-			}
-
-			store := dist.NewCheckpointStore()
-			opts := mkOpts()
-			opts.CheckpointEvery = 1
-			opts.Checkpoint = store
-			base, _ := dist.RunE(p, distCfg(), func(c *dist.Comm) error { _, err := FactorDist(c, a, mkOpts()); return err })
-			cfg := distCfg()
-			cfg.Fault = &dist.FaultPlan{Crashes: []dist.Crash{{Rank: 0, At: 0.6 * base.MaxTime()}}}
-			if _, err := run(opts, cfg); err == nil {
-				t.Fatal("faulted run should fail")
-			}
-			if _, _, ok := store.Latest(p); !ok {
-				t.Fatal("no complete checkpoint survived the crash")
-			}
-			got, err := run(opts, distCfg())
-			if err != nil {
-				t.Fatalf("restarted run failed: %v", err)
-			}
-
-			if got.Rank != want.Rank || got.Iters != want.Iters || got.Converged != want.Converged {
-				t.Fatalf("restart diverged: rank %d/%d iters %d/%d", got.Rank, want.Rank, got.Iters, want.Iters)
-			}
-			same := func(name string, x, y []float64) {
-				if len(x) != len(y) {
-					t.Fatalf("%s length differs after restart", name)
-				}
-				for i := range x {
-					if x[i] != y[i] {
-						t.Fatalf("%s element %d differs after restart: %v != %v", name, i, x[i], y[i])
-					}
-				}
-			}
-			same("U", got.U.Data, want.U.Data)
-			same("B", got.B.Data, want.B.Data)
-			same("V", got.V.Data, want.V.Data)
-			same("ErrHistory", got.ErrHistory, want.ErrHistory)
 		})
 	}
 }
