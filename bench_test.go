@@ -411,6 +411,29 @@ func BenchmarkKernelSolveRandQBEISerial(b *testing.B) {
 	runtime.GOMAXPROCS(old)
 }
 
+func BenchmarkKernelSolveRandUBV(b *testing.B) {
+	a := benchSolveMatrix()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := randubv.Factor(a, randubv.Options{BlockSize: 32, Tol: 1e-2, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkKernelSolveRandUBVSerial(b *testing.B) {
+	a := benchSolveMatrix()
+	old := runtime.GOMAXPROCS(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := randubv.Factor(a, randubv.Options{BlockSize: 32, Tol: 1e-2, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.GOMAXPROCS(old)
+}
+
 func BenchmarkKernelSolveLUCRTP(b *testing.B) {
 	a := benchSolveMatrix()
 	b.ResetTimer()

@@ -85,6 +85,9 @@ func main() {
 	gw.Start()
 	defer gw.Stop()
 
+	// Catch SIGTERM/SIGINT before the port opens, as lowrankd does.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lowrank-gateway:", err)
@@ -103,8 +106,6 @@ func main() {
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case s := <-sig:
 		fmt.Printf("lowrank-gateway: %v: shutting down\n", s)

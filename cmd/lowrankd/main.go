@@ -145,6 +145,11 @@ func main() {
 		Metrics:      metrics,
 	})
 
+	// Catch SIGTERM/SIGINT before the port opens: a client that sees
+	// the daemon answer may stop it at once, and the default action
+	// would kill it undrained.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lowrankd:", err)
@@ -163,8 +168,6 @@ func main() {
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case s := <-sig:
 		fmt.Printf("lowrankd: %v: draining (timeout %v)\n", s, *drainTimeout)

@@ -3,6 +3,7 @@ package mat
 import (
 	"math"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -60,6 +61,65 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 					t.Fatalf("n=%d grain=%d: index %d visited %d times", tc.n, tc.grain, i, h)
 				}
 			}
+		}
+	})
+}
+
+// Concurrent and nested calls share the pooled jobs: every index must
+// still be visited exactly once per call, and a helper that starts after
+// its call returned must not touch a later call's job (-race checks it).
+func TestParallelForConcurrentAndNested(t *testing.T) {
+	withMaxProcs(4, func() {
+		var wg sync.WaitGroup
+		for g := 0; g < 6; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for rep := 0; rep < 50; rep++ {
+					const n, inner = 37, 9
+					hits := make([]int32, n*inner)
+					ParallelFor(n, 2, func(lo, hi int) {
+						for i := lo; i < hi; i++ {
+							ParallelFor(inner, 1, func(jlo, jhi int) {
+								for j := jlo; j < jhi; j++ {
+									atomic.AddInt32(&hits[i*inner+j], 1)
+								}
+							})
+						}
+					})
+					for i, h := range hits {
+						if h != 1 {
+							t.Errorf("index %d visited %d times", i, h)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
+}
+
+// A parallel ParallelFor call allocates nothing in steady state: its
+// counter, WaitGroup and arguments live in a pooled job. (Counted by
+// hand: testing.AllocsPerRun pins GOMAXPROCS to 1, the inline path.)
+func TestParallelForAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	withMaxProcs(2, func() {
+		var sum atomic.Int64
+		fn := func(lo, hi int) { sum.Add(int64(hi - lo)) }
+		ParallelFor(64, 4, fn)
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			ParallelFor(64, 4, fn)
+		}
+		runtime.ReadMemStats(&after)
+		if perCall := (after.Mallocs - before.Mallocs) / runs; perCall != 0 {
+			t.Fatalf("ParallelFor allocates %d times per call, want 0", perCall)
 		}
 	})
 }

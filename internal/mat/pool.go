@@ -18,12 +18,13 @@ const maxPoolWorkers = 256
 var kernelPool = struct {
 	mu      sync.Mutex
 	spawned int
-	tasks   chan func()
-}{tasks: make(chan func(), maxPoolWorkers)}
+	tasks   chan *forJob
+}{tasks: make(chan *forJob, maxPoolWorkers)}
 
 func poolWorker() {
-	for f := range kernelPool.tasks {
-		f()
+	for j := range kernelPool.tasks {
+		j.runChunks()
+		j.release()
 	}
 }
 
@@ -40,6 +41,49 @@ func ensureWorkers(n int) {
 	kernelPool.mu.Unlock()
 }
 
+// forJob is one parallel ParallelFor region, shared by the caller and the
+// helpers it queued. Jobs are pooled so a steady-state call allocates
+// nothing. Every holder (the caller and each queued helper) owns one
+// reference, and the last one to drop it returns the job to the pool: a
+// helper that starts late, after the caller has already returned, still
+// finds its own job, claims no chunk and leaves, and never sees a later
+// call's fields.
+type forJob struct {
+	fn       func(lo, hi int)
+	n, grain int
+	chunks   int64
+	next     atomic.Int64
+	refs     atomic.Int32
+	// The WaitGroup counts chunks, not helpers: a queued helper that
+	// never gets a worker claims no chunks and therefore blocks nobody,
+	// and every claimed chunk is owned by a goroutine that is actively
+	// running it.
+	wg sync.WaitGroup
+}
+
+var forJobPool = sync.Pool{New: func() any { return new(forJob) }}
+
+// runChunks claims chunks through the shared counter until none remain.
+func (j *forJob) runChunks() {
+	for {
+		c := j.next.Add(1) - 1
+		if c >= j.chunks {
+			return
+		}
+		lo := int(c) * j.grain
+		j.fn(lo, min(lo+j.grain, j.n))
+		j.wg.Done()
+	}
+}
+
+// release drops one reference, recycling the job with the last.
+func (j *forJob) release() {
+	if j.refs.Add(-1) == 0 {
+		j.fn = nil
+		forJobPool.Put(j)
+	}
+}
+
 // ParallelFor executes fn over the index range [0, n) split into chunks of
 // size grain, using up to GOMAXPROCS goroutines (the caller plus pool
 // workers). Chunks are handed out dynamically through an atomic counter, so
@@ -50,7 +94,8 @@ func ensureWorkers(n int) {
 // Each index is processed by exactly one goroutine and chunk boundaries
 // depend only on n, grain and GOMAXPROCS, so kernels whose chunks touch
 // disjoint output regions are bitwise deterministic. With GOMAXPROCS=1 (or
-// a single chunk) fn runs inline on the caller: the serial path.
+// a single chunk) fn runs inline on the caller: the serial path. Either
+// way a steady-state call allocates nothing.
 func ParallelFor(n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -72,38 +117,24 @@ func ParallelFor(n, grain int, fn func(lo, hi int)) {
 		helpers = maxPoolWorkers
 	}
 	ensureWorkers(helpers)
-	// The WaitGroup counts chunks, not helper tasks: a queued helper that
-	// never gets a worker claims no chunks and therefore blocks nobody,
-	// and every claimed chunk is owned by a goroutine that is actively
-	// running it.
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(chunks)
-	work := func() {
-		for {
-			c := atomic.AddInt64(&next, 1) - 1
-			if c >= int64(chunks) {
-				return
-			}
-			lo := int(c) * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-			wg.Done()
-		}
-	}
+	j := forJobPool.Get().(*forJob)
+	j.fn, j.n, j.grain, j.chunks = fn, n, grain, int64(chunks)
+	j.next.Store(0)
+	j.refs.Store(1)
+	j.wg.Add(chunks)
 	for i := 0; i < helpers; i++ {
+		j.refs.Add(1)
 		select {
-		case kernelPool.tasks <- work:
+		case kernelPool.tasks <- j:
 		default:
 			// Queue full (heavy concurrent kernel traffic): skip this
 			// helper; the caller's work loop covers the chunks.
+			j.refs.Add(-1)
 		}
 	}
-	work()
-	wg.Wait()
+	j.runChunks()
+	j.wg.Wait()
+	j.release()
 }
 
 // ChunkGrain returns a grain that splits n indices into at most one
@@ -135,7 +166,10 @@ var scratchPool = sync.Pool{New: func() any { p := make([]float64, 0); return &p
 func GetScratch(n int) *[]float64 {
 	p := scratchPool.Get().(*[]float64)
 	if cap(*p) < n {
-		*p = make([]float64, n)
+		// Grow geometrically: a kernel whose operand widens a little on
+		// every solver iteration (a growing basis) would otherwise
+		// reallocate on every call, quadratic bytes over the solve.
+		*p = make([]float64, n, max(n, 2*cap(*p)))
 	}
 	*p = (*p)[:n]
 	return p

@@ -2,6 +2,8 @@ package randqb
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"sparselr/internal/dist"
@@ -77,5 +79,53 @@ func TestStepAllocFreeSparseSign(t *testing.T) {
 	}
 	if allocs := stepAllocs(t, a, opts); allocs != 0 {
 		t.Fatalf("steady-state qb step (sparsesign) allocates %v per run, want 0", allocs)
+	}
+}
+
+// solveBytes returns the bytes one p-rank FactorDist run allocates, the
+// world's own setup included. A first run warms the kernel scratch
+// pools; GOMAXPROCS is pinned to 1 and the collector is off while
+// measuring, so the count repeats on any host.
+func solveBytes(t *testing.T, a *sparse.CSR, p int, opts Options) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("byte counts are not meaningful under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run := func() error {
+		_, err := dist.RunE(p, dist.DefaultConfig(), func(c *dist.Comm) error {
+			_, err := FactorDist(c, a, opts)
+			return err
+		})
+		return err
+	}
+	if err := run(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := run()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return float64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// At P = 2 the reductions sum into rank-owned buffers and the
+// allgathers copy straight into one matrix, so beyond two one-rank runs
+// the power-scheme solve allocates at most 10× its factor bytes (the
+// TSQR tree and the replicated B account for most of it). Cloning every
+// reduced product and re-stacking every allgather costs about 15×.
+func TestFactorDistBytesP2(t *testing.T) {
+	const m, n, kMax = 300, 240, 64
+	a := randSparse(m, n, 0.05, 31)
+	opts := Options{BlockSize: 4, Tol: 1e-12, MaxRank: kMax, Power: 1, Seed: 9}
+	one := solveBytes(t, a, 1, opts)
+	two := solveBytes(t, a, 2, opts)
+	factors := 8.0 * (m + n) * kMax
+	if extra := two - 2*one; extra > 10*factors {
+		t.Fatalf("P=2 allocates %.0f B beyond two one-rank runs (%.0f B each), over 10× the %.0f factor bytes", extra, one, factors)
 	}
 }

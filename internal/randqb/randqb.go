@@ -146,9 +146,11 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 // B_Kᵀ in btData as an n×capK panel, maintained incrementally so no
 // transpose is ever re-materialized in the loop.
 //
-// Intermediates come from scratch: the Buffers at p == 1, where a
-// steady-state block iteration allocates nothing, and fresh matrices at
-// p > 1, where a collective may hand them to another rank.
+// Intermediates come from the Buffers at every p: at p == 1 a
+// steady-state block iteration allocates nothing, and at p > 1 the
+// collectives move the Buffers themselves under the payload ownership
+// rule of DESIGN.md §4c (dist.SumReduce returns the total in the
+// caller's own partial).
 type qbState struct {
 	c    *dist.Comm
 	a    *sparse.CSR // this rank's row block of A (all of A when p == 1)
@@ -168,6 +170,7 @@ type qbState struct {
 
 	wsQ, wsQh            mat.OrthWorkspace
 	y, bom, qh, proj, bt mat.Buffer
+	sum                  mat.Buffer // rank 0's dist.SumReduce total
 
 	res   *Result
 	start time.Time
@@ -256,50 +259,21 @@ func (st *qbState) btKView() *mat.Dense {
 	return &st.btHdr
 }
 
-// scratch returns an r×c intermediate with unspecified contents.
-func (st *qbState) scratch(buf *mat.Buffer, r, c int) *mat.Dense {
-	if st.p == 1 {
-		return buf.Shape(r, c)
-	}
-	return mat.NewDense(r, c)
-}
-
-// sumReduce adds the per-rank partials of a replicated product: gather
-// at the root, sum, broadcast. The result is safe to mutate; at p == 1 it
-// is the partial itself.
-func (st *qbState) sumReduce(partial *mat.Dense, kernel string) *mat.Dense {
-	c, p := st.c, st.p
-	if p == 1 {
-		return partial
-	}
-	bytes := 8 * partial.Rows * partial.Cols
-	parts := c.Gather(0, partial, bytes)
-	var sum *mat.Dense
-	if c.Rank() == 0 {
-		sum = parts[0].(*mat.Dense).Clone()
-		for r := 1; r < p; r++ {
-			sum.Add(parts[r].(*mat.Dense))
-		}
-		c.Compute(float64(p-1)*float64(partial.Rows)*float64(partial.Cols), kernel)
-	}
-	return c.Bcast(0, sum, bytes).(*mat.Dense).Clone()
-}
-
 // mulB computes the replicated B_K·x (x is n×w) by splitting the inner
 // dimension across ranks and reducing.
 func (st *qbState) mulB(x *mat.Dense) *mat.Dense {
 	bK := st.bKView()
 	st.c.Compute(2*float64(bK.Rows)*float64(st.nhi-st.nlo)*float64(x.Cols), "GEMM")
+	out := st.bom.Shape(bK.Rows, x.Cols)
 	if st.p == 1 {
-		out := st.bom.Shape(bK.Rows, x.Cols)
 		mat.MulInto(out, bK, x)
 		return out
 	}
-	partial := mat.Mul(
+	mat.MulInto(out,
 		bK.View(0, st.nlo, bK.Rows, st.nhi-st.nlo),
 		x.View(st.nlo, 0, st.nhi-st.nlo, x.Cols),
 	)
-	return st.sumReduce(partial, "GEMM")
+	return dist.SumReduce(st.c, out, &st.sum, "GEMM")
 }
 
 // sketchB is mulB against the current sketch block: each rank applies
@@ -310,21 +284,21 @@ func (st *qbState) sketchB(blk sketch.Block) *mat.Dense {
 	_, w := blk.Dims()
 	bK := st.bKView()
 	st.c.Compute(blk.CostDense(bK.Rows, st.nlo, st.nhi), "GEMM")
-	out := st.scratch(&st.bom, bK.Rows, w)
+	out := st.bom.Shape(bK.Rows, w)
 	if st.p == 1 {
 		blk.MulDenseInto(out, bK)
 		return out
 	}
 	blk.MulDenseRangeInto(out, bK, st.nlo, st.nhi)
-	return st.sumReduce(out, "GEMM")
+	return dist.SumReduce(st.c, out, &st.sum, "GEMM")
 }
 
 // projQK computes the replicated Q_Kᵀ·x for a row-distributed x.
 func (st *qbState) projQK(x *mat.Dense) *mat.Dense {
 	st.c.Compute(2*float64(st.mLoc)*float64(st.kCur)*float64(x.Cols), "GEMM")
-	proj := st.scratch(&st.proj, st.kCur, x.Cols)
+	proj := st.proj.Shape(st.kCur, x.Cols)
 	mat.MulTInto(proj, st.qKView(), x)
-	return st.sumReduce(proj, "GEMM")
+	return dist.SumReduce(st.c, proj, &st.sum, "GEMM")
 }
 
 // correct computes yLoc -= Q_K,loc·s for a replicated small s.
@@ -348,7 +322,7 @@ func (st *qbState) step(iter int) bool {
 	blk := st.sk.Next(kEff)
 	// Line 5: Q_k = orth(A·Ω − Q_K(B_K·Ω)), all row-local.
 	c.Compute(blk.CostCSR(st.nnzLoc, st.mLoc), "SpMM")
-	y := st.scratch(&st.y, st.mLoc, kEff)
+	y := st.y.Shape(st.mLoc, kEff)
 	blk.MulCSRInto(y, st.a)
 	if st.kCur > 0 {
 		st.correct(y, st.sketchB(blk))
@@ -358,9 +332,9 @@ func (st *qbState) step(iter int) bool {
 	for r := 0; r < st.opts.Power; r++ {
 		// Q̂ = orth(AᵀQ_k − B_Kᵀ(Q_KᵀQ_k)).
 		c.Compute(2*st.nnzLoc*float64(qk.Cols), "SpMM")
-		qh := st.scratch(&st.qh, st.n, qk.Cols)
+		qh := st.qh.Shape(st.n, qk.Cols)
 		st.a.MulTDenseInto(qh, qk)
-		qh = st.sumReduce(qh, "SpMM")
+		qh = dist.SumReduce(st.c, qh, &st.sum, "SpMM")
 		if st.kCur > 0 {
 			proj := st.projQK(qk)
 			c.Compute(2*float64(st.n)/float64(st.p)*float64(st.kCur)*float64(proj.Cols), "GEMM")
@@ -369,7 +343,7 @@ func (st *qbState) step(iter int) bool {
 		qhat := distTSQR(c, qh, "orth/TSQR", &st.wsQh)
 		// Q_k = orth(A·Q̂ − Q_K(B_K·Q̂)).
 		c.Compute(2*st.nnzLoc*float64(qhat.Cols), "SpMM")
-		y2 := st.scratch(&st.y, st.mLoc, qhat.Cols)
+		y2 := st.y.Shape(st.mLoc, qhat.Cols)
 		st.a.MulDenseInto(y2, qhat)
 		if st.kCur > 0 {
 			st.correct(y2, st.mulB(qhat))
@@ -389,9 +363,9 @@ func (st *qbState) step(iter int) bool {
 	// Line 11: B_k = Q_kᵀ·A, computed as (Aᵀ·Q_k)ᵀ to exploit CSR: each
 	// rank's Q_k,locᵀ·A_loc, reduced.
 	c.Compute(2*st.nnzLoc*float64(kc), "Bupdate")
-	bt := st.scratch(&st.bt, st.n, kc)
+	bt := st.bt.Shape(st.n, kc)
 	st.a.MulTDenseInto(bt, qk)
-	bt = st.sumReduce(bt, "Bupdate")
+	bt = dist.SumReduce(st.c, bt, &st.sum, "Bupdate")
 	// Line 12: expand the stores in place.
 	st.ensureCap(st.kCur + kc)
 	for i := 0; i < st.mLoc; i++ {
@@ -423,7 +397,7 @@ func (st *qbState) step(iter int) bool {
 	res.ErrIndicator = ind
 	if st.opts.TrackOrthLoss {
 		qK := st.qKView()
-		gram := st.sumReduce(mat.MulT(qK, qK), "GEMM")
+		gram := dist.SumReduce(st.c, mat.MulT(qK, qK), &st.sum, "GEMM")
 		gram.Sub(mat.Identity(qK.Cols))
 		loss := gram.InfNorm()
 		if iter == 1 {
@@ -502,15 +476,14 @@ func (st *qbState) resume() int {
 // assembled on every rank: the library result is a plain factorization;
 // only the run itself is distributed.
 func (st *qbState) finish() *Result {
-	qK := st.qKView().Clone()
-	if st.p > 1 {
-		parts := st.c.Allgather(qK, 8*qK.Rows*qK.Cols)
-		qK = parts[0].(*mat.Dense)
-		for r := 1; r < st.p; r++ {
-			qK = mat.VStack(qK, parts[r].(*mat.Dense))
-		}
+	qK := st.qKView()
+	if st.p == 1 {
+		st.res.Q = qK.Clone()
+	} else {
+		// The strided panels travel as views: no rank writes its store
+		// again, so each receiver copies them straight into Q.
+		st.res.Q = dist.AllgatherRowsInto(st.c, mat.NewDense(st.m, st.kCur), qK)
 	}
-	st.res.Q = qK
 	st.res.B = st.bKView().Clone()
 	st.res.Rank = st.kCur
 	return st.res

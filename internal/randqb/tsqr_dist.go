@@ -95,15 +95,8 @@ func distTSQRLocal(c *dist.Comm, yLoc *mat.Dense, mTotal int, kernel string, ws 
 	if deficient {
 		// Assemble the blocks and fall back to the replicated
 		// rank-revealing Orth; return this rank's slice.
-		parts := c.Allgather(yLoc, 8*yLoc.Rows*w)
-		full := parts[0].(*mat.Dense)
-		offset := 0
-		for rr := 0; rr < c.Rank(); rr++ {
-			offset += parts[rr].(*mat.Dense).Rows
-		}
-		for rr := 1; rr < p; rr++ {
-			full = mat.VStack(full, parts[rr].(*mat.Dense))
-		}
+		full := dist.AllgatherRowsInto(c, mat.NewDense(mTotal, w), yLoc)
+		offset, _ := dist.RowShare(mTotal, p, c.Rank())
 		c.Compute(2*float64(mTotal)*float64(w)*float64(w), kernel)
 		q := mat.Orth(full)
 		return q.View(offset, 0, yLoc.Rows, q.Cols).Clone()
@@ -141,13 +134,8 @@ func distTSQR(c *dist.Comm, y *mat.Dense, kernel string, ws *mat.OrthWorkspace) 
 		return distTSQRLocal(c, y, m, kernel, ws)
 	}
 	lo, hi := dist.RowShare(m, p, c.Rank())
-	qLoc := distTSQRLocal(c, y.View(lo, 0, hi-lo, w).Clone(), m, kernel, ws)
-	parts := c.Allgather(qLoc, 8*(hi-lo)*qLoc.Cols)
-	out := parts[0].(*mat.Dense)
-	for rr := 1; rr < p; rr++ {
-		out = mat.VStack(out, parts[rr].(*mat.Dense))
-	}
-	return out
+	qLoc := distTSQRLocal(c, y.View(lo, 0, hi-lo, w), m, kernel, ws)
+	return dist.AllgatherRowsInto(c, mat.NewDense(m, qLoc.Cols), qLoc)
 }
 
 // findAbsorber returns the rank that received this rank's R factor in

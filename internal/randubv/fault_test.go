@@ -46,15 +46,27 @@ func TestFactorDistInjectedCrash(t *testing.T) {
 func TestFactorDistCheckpointRestartBitIdentical(t *testing.T) {
 	a := decayMatrix(60, 50, 30, 0.6, 101)
 	for _, p := range []int{1, 2} {
-		checkRestartBitIdentical(t, a, p, faultOpts)
+		checkRestartBitIdentical(t, a, p, faultOpts, 0.6)
+	}
+	// A late crash resumes from a cut taken after the V store outgrew
+	// its initial capacity: the resumed run rebuilds the U block list
+	// and a strided V store from the snapshot, then grows the store
+	// again.
+	initCap := 2 * faultOpts().BlockSize
+	for _, p := range []int{1, 3} {
+		it, snap := checkRestartBitIdentical(t, a, p, faultOpts, 0.9)
+		if snap.v.Cols <= initCap {
+			t.Fatalf("p=%d: resumed at iteration %d with %d V columns, want a store grown past %d", p, it, snap.v.Cols, initCap)
+		}
 	}
 }
 
-// checkRestartBitIdentical crashes rank 0 of p mid-run with
-// checkpointing on, resumes from the surviving cut and requires the
-// factors and the indicator history of the uninterrupted run bit for bit.
-// At p = 1 the one rank is the sequential solver.
-func checkRestartBitIdentical(t *testing.T, a *sparse.CSR, p int, mkOpts func() Options) {
+// checkRestartBitIdentical crashes rank 0 of p at crashFrac of the
+// uninterrupted run's virtual time with checkpointing on, resumes from
+// the surviving cut and requires the factors and the indicator history
+// of the uninterrupted run bit for bit. It returns the cut's iteration
+// and rank 0's snapshot. At p = 1 the one rank is the sequential solver.
+func checkRestartBitIdentical(t *testing.T, a *sparse.CSR, p int, mkOpts func() Options, crashFrac float64) (int, *ubvSnapshot) {
 	t.Helper()
 	run := func(opts Options, cfg dist.Config) (*Result, *dist.Result, error) {
 		var out *Result
@@ -83,11 +95,12 @@ func checkRestartBitIdentical(t *testing.T, a *sparse.CSR, p int, mkOpts func() 
 	opts.CheckpointEvery = 1
 	opts.Checkpoint = store
 	cfg := distCfg()
-	cfg.Fault = &dist.FaultPlan{Crashes: []dist.Crash{{Rank: 0, At: 0.6 * base.MaxTime()}}}
+	cfg.Fault = &dist.FaultPlan{Crashes: []dist.Crash{{Rank: 0, At: crashFrac * base.MaxTime()}}}
 	if _, _, err := run(opts, cfg); err == nil {
 		t.Fatalf("p=%d: faulted run should fail", p)
 	}
-	if _, _, ok := store.Latest(p); !ok {
+	cut, states, ok := store.Latest(p)
+	if !ok {
 		t.Fatalf("p=%d: no complete checkpoint survived the crash", p)
 	}
 	got, _, err := run(opts, distCfg())
@@ -112,6 +125,7 @@ func checkRestartBitIdentical(t *testing.T, a *sparse.CSR, p int, mkOpts func() 
 	same("B", got.B.Data, want.B.Data)
 	same("V", got.V.Data, want.V.Data)
 	same("ErrHistory", got.ErrHistory, want.ErrHistory)
+	return cut, states[0].(*ubvSnapshot)
 }
 
 // TestFactorDistCheckpointRestartSketchers repeats the bit-identical
@@ -137,7 +151,7 @@ func TestFactorDistCheckpointRestartSketchers(t *testing.T) {
 				return o
 			}
 			for _, p := range []int{1, 2} {
-				checkRestartBitIdentical(t, a, p, mkOpts)
+				checkRestartBitIdentical(t, a, p, mkOpts, 0.6)
 			}
 		})
 	}

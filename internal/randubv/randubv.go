@@ -119,48 +119,38 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 	mLoc := float64(hi - lo)
 	start := time.Now()
 	// Reusable workspaces for the recurrence intermediates: the loop
-	// shapes them each iteration, so at p == 1 only the QR
-	// factorizations allocate in steady state. At p > 1 the products
-	// arrive fresh from the collectives instead.
-	var yBuf, wBuf, projBuf mat.Buffer
+	// shapes them each iteration, so only the QR factorizations allocate
+	// in steady state, at every p. At p > 1 the collectives move these
+	// rank-owned buffers themselves (DESIGN.md §4c).
+	var yBuf, locBuf, partBuf, sumBuf, projBuf mat.Buffer
 
-	// mulRows computes the replicated A·x from the ranks' row blocks.
+	// mulRows computes the replicated A·x from the ranks' row blocks,
+	// allgathered straight into yBuf. The Gather/Bcast of the chargeTSQR
+	// that always follows orders every rank's copy of this rank's block
+	// before the next mulRows writes locBuf again.
 	mulRows := func(x *mat.Dense) *mat.Dense {
 		w := x.Cols
 		c.Compute(2*nnzLoc*float64(w), "SpMM")
+		y := yBuf.Shape(m, w)
 		if p == 1 {
-			y := yBuf.Shape(m, w)
 			a.MulDenseInto(y, x)
 			return y
 		}
-		parts := c.Allgather(aLoc.MulDense(x), 8*(hi-lo)*w)
-		out := parts[0].(*mat.Dense)
-		for r := 1; r < p; r++ {
-			out = mat.VStack(out, parts[r].(*mat.Dense))
-		}
-		return out
+		yLoc := locBuf.Shape(hi-lo, w)
+		aLoc.MulDenseInto(yLoc, x)
+		return dist.AllgatherRowsInto(c, y, yLoc)
 	}
 	// mulT computes the replicated Aᵀ·x as the sum of the ranks'
 	// A_locᵀ·x_loc partials.
 	mulT := func(x *mat.Dense, kernel string) *mat.Dense {
 		w := x.Cols
 		c.Compute(2*nnzLoc*float64(w), kernel)
-		if p == 1 {
-			out := wBuf.Shape(n, w)
-			a.MulTDenseInto(out, x)
-			return out
+		if p > 1 {
+			x = x.View(lo, 0, hi-lo, w)
 		}
-		my := aLoc.MulTDense(x.View(lo, 0, hi-lo, w))
-		parts := c.Gather(0, my, 8*n*w)
-		var sum *mat.Dense
-		if c.Rank() == 0 {
-			sum = parts[0].(*mat.Dense).Clone()
-			for r := 1; r < p; r++ {
-				sum.Add(parts[r].(*mat.Dense))
-			}
-			c.Compute(float64(p-1)*float64(n)*float64(w), kernel)
-		}
-		return c.Bcast(0, sum, 8*n*w).(*mat.Dense).Clone()
+		out := partBuf.Shape(n, w)
+		aLoc.MulTDenseInto(out, x)
+		return dist.SumReduce(c, out, &sumBuf, kernel)
 	}
 	chargeTSQR := func(rows float64, w int) {
 		c.Compute(2*rows/float64(p)*float64(w)*float64(w), "orth/TSQR")
@@ -178,10 +168,14 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 	}
 
 	e := normA * normA
-	var vi, uPrev, vAll, uAll *mat.Dense
-	// B is assembled from per-iteration blocks; block sizes may shrink
-	// on deflation, so each block records its widths.
+	// V₁..ᵢ live in the grow-only store vAll; vi is the newest block.
+	// U is kept as its QR blocks, one per block row of B, and assembled
+	// once at the end: the loop only reads the newest one. Block sizes
+	// may shrink on deflation, so each block records its widths.
+	vAll := vStore{n: n, maxCap: maxRank}
+	var vi *mat.Dense
 	var blocks []blockPair
+	ku := 0
 
 	// Resume from the newest complete checkpoint cut, if one exists. The
 	// initial sketch is skipped entirely: the restored iterates already
@@ -195,10 +189,11 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 			resumed = true
 			e = s.e
 			vi = s.vi.Clone()
-			uPrev = s.uPrev.Clone()
-			vAll = s.vAll.Clone()
-			uAll = s.uAll.Clone()
+			vAll.append(s.v)
 			blocks = cloneBlocks(s.blocks)
+			for _, blk := range blocks {
+				ku += blk.uw
+			}
 			res.Iters = it
 			res.ErrIndicator = s.errIndicator
 			res.ErrHistory = append([]float64(nil), s.errHistory...)
@@ -212,9 +207,8 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		if vi.Cols == 0 {
 			return nil, fmt.Errorf("randubv: degenerate initial sketch")
 		}
-		uPrev = mat.NewDense(m, 0)
-		vAll = vi.Clone()
-		uAll = mat.NewDense(m, 0)
+		vAll.grow(min(2*k, maxRank))
+		vAll.append(vi)
 	}
 
 	for iter := startIter + 1; ; iter++ {
@@ -223,9 +217,10 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		}
 		// U_i R_i = qr(A·V_i − U_{i-1}·S_iᵀ).
 		y := mulRows(vi)
-		if uPrev.Cols > 0 && len(blocks) > 0 && blocks[len(blocks)-1].s != nil {
-			c.Compute(2*mLoc*float64(uPrev.Cols)*float64(vi.Cols), "GEMM")
-			mat.MulSub(y, uPrev, blocks[len(blocks)-1].s.T())
+		if len(blocks) > 0 && blocks[len(blocks)-1].s != nil {
+			prev := blocks[len(blocks)-1]
+			c.Compute(2*mLoc*float64(prev.u.Cols)*float64(vi.Cols), "GEMM")
+			mat.MulSub(y, prev.u, prev.s.T())
 		}
 		chargeTSQR(float64(m), y.Cols)
 		ui, ri := mat.QR(y)
@@ -238,8 +233,8 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 			ui = ui.View(0, 0, m, uw).Clone()
 			ri = ri.View(0, 0, uw, ri.Cols).Clone()
 		}
-		blocks = append(blocks, blockPair{r: ri, uw: uw, vw: vi.Cols})
-		uAll = mat.HStack(uAll, ui)
+		blocks = append(blocks, blockPair{u: ui, r: ri, uw: uw, vw: vi.Cols})
+		ku += uw
 		e -= ri.FrobNorm2()
 		if e < 0 {
 			e = 0
@@ -253,7 +248,7 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 			res.Converged = true
 			break
 		}
-		if uAll.Cols >= maxRank || vAll.Cols >= n || uAll.Cols >= m {
+		if ku >= maxRank || vAll.cols >= n || ku >= m {
 			break
 		}
 		// W = Aᵀ·U_i − V_i·R_iᵀ, with one-sided reorthogonalization
@@ -261,10 +256,11 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		w := mulT(ui, "Bupdate")
 		c.Compute(2*float64(n)/float64(p)*float64(vi.Cols)*float64(ui.Cols), "GEMM")
 		mat.MulSub(w, vi, ri.View(0, 0, ri.Rows, vi.Cols).T())
-		c.Compute(4*float64(n)/float64(p)*float64(vAll.Cols)*float64(w.Cols), "GEMM")
-		proj := projBuf.Shape(vAll.Cols, w.Cols)
-		mat.MulTInto(proj, vAll, w)
-		mat.MulSub(w, vAll, proj)
+		c.Compute(4*float64(n)/float64(p)*float64(vAll.cols)*float64(w.Cols), "GEMM")
+		vK := vAll.view()
+		proj := projBuf.Shape(vK.Cols, w.Cols)
+		mat.MulTInto(proj, vK, w)
+		mat.MulSub(w, vK, proj)
 		chargeTSQR(float64(n), w.Cols)
 		vNext, sNext := mat.QR(w)
 		vw := numericalWidth(sNext, normA)
@@ -276,8 +272,8 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 			sNext = sNext.View(0, 0, vw, sNext.Cols).Clone()
 		}
 		// Cap the V width so rank never exceeds maxRank.
-		if vAll.Cols+vw > maxRank {
-			vw = maxRank - vAll.Cols
+		if vAll.cols+vw > maxRank {
+			vw = maxRank - vAll.cols
 			if vw <= 0 {
 				break
 			}
@@ -289,16 +285,13 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		if e < 0 {
 			e = 0
 		}
-		vAll = mat.HStack(vAll, vNext)
-		uPrev = ui
+		vAll.append(vNext)
 		vi = vNext
 		if opts.Checkpoint != nil && opts.CheckpointEvery > 0 && iter%opts.CheckpointEvery == 0 {
 			opts.Checkpoint.Save(iter, c.Rank(), &ubvSnapshot{
 				e:            e,
 				vi:           vi.Clone(),
-				uPrev:        uPrev.Clone(),
-				vAll:         vAll.Clone(),
-				uAll:         uAll.Clone(),
+				v:            vAll.view().Clone(),
 				blocks:       cloneBlocks(blocks),
 				errIndicator: res.ErrIndicator,
 				errHistory:   append([]float64(nil), res.ErrHistory...),
@@ -316,17 +309,70 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		}
 	}
 
-	res.U = uAll
-	res.B = assembleB(blocks, uAll.Cols, vAll.Cols)
-	res.V = vAll
-	res.Rank = uAll.Cols
+	res.U = assembleU(blocks, m, ku)
+	res.B = assembleB(blocks, ku, vAll.cols)
+	res.V = vAll.view().Clone()
+	res.Rank = ku
 	return res, nil
 }
 
+// vStore is the grow-only basis V₁..ᵢ: an n×capV panel (stride capV)
+// whose first cols columns are filled. The reorthogonalization GEMMs read
+// it as one strided matrix, and it doubles when full, so appending K
+// columns in all copies O(n·K) values rather than re-stacking V every
+// iteration.
+type vStore struct {
+	n, cols, capV, maxCap int
+	data                  []float64
+	hdr                   mat.Dense
+}
+
+// grow makes room for at least k columns, doubling up to maxCap.
+func (s *vStore) grow(k int) {
+	if k <= s.capV {
+		return
+	}
+	newCap := max(min(2*s.capV, s.maxCap), k)
+	data := make([]float64, s.n*newCap)
+	for i := 0; i < s.n; i++ {
+		copy(data[i*newCap:i*newCap+s.cols], s.data[i*s.capV:i*s.capV+s.cols])
+	}
+	s.data, s.capV = data, newCap
+}
+
+// append copies the n-row block x into the next columns.
+func (s *vStore) append(x *mat.Dense) {
+	s.grow(s.cols + x.Cols)
+	for i := 0; i < s.n; i++ {
+		copy(s.data[i*s.capV+s.cols:], x.Row(i))
+	}
+	s.cols += x.Cols
+}
+
+// view returns the n×cols filled part (valid until the next append).
+func (s *vStore) view() *mat.Dense {
+	s.hdr = mat.Dense{Rows: s.n, Cols: s.cols, Stride: s.capV, Data: s.data}
+	return &s.hdr
+}
+
+// assembleU concatenates the U blocks into the m×ku basis.
+func assembleU(blocks []blockPair, m, ku int) *mat.Dense {
+	u := mat.NewDense(m, ku)
+	co := 0
+	for _, blk := range blocks {
+		for i := 0; i < m; i++ {
+			copy(u.Row(i)[co:co+blk.uw], blk.u.Row(i))
+		}
+		co += blk.uw
+	}
+	return u
+}
+
 // blockPair is one block row of the bidiagonal B under assembly: the
-// diagonal R_i, the superdiagonal S_iᵀ (nil for the last block) and the
-// numerical widths they contribute.
+// basis block U_i, the diagonal R_i, the superdiagonal S_iᵀ (nil for the
+// last block) and the numerical widths they contribute.
 type blockPair struct {
+	u      *mat.Dense // U_i, m × cols(U_i)
 	r      *mat.Dense // R_i, cols(U_i) × cols(V_i)
 	s      *mat.Dense // S_{i+1}: cols(V_{i+1}) × cols(U_i)
 	uw, vw int        // widths of U_i and V_i
@@ -359,22 +405,23 @@ func assembleB(blocks []blockPair, ku, kv int) *mat.Dense {
 	return b
 }
 
-// ubvSnapshot is one rank's RandUBV loop state at an iteration boundary.
-// All fields are deep copies; the iterates are replicated so every rank
-// snapshots the same values.
+// ubvSnapshot is one rank's RandUBV loop state at an iteration boundary:
+// the newest V block, the filled V store compacted to n×K, and the block
+// rows of B with their U blocks. All fields are deep copies; the iterates
+// are replicated so every rank snapshots the same values.
 type ubvSnapshot struct {
-	e                     float64
-	vi, uPrev, vAll, uAll *mat.Dense
-	blocks                []blockPair
-	errIndicator          float64
-	errHistory            []float64
-	timeHistory           []time.Duration
+	e            float64
+	vi, v        *mat.Dense
+	blocks       []blockPair
+	errIndicator float64
+	errHistory   []float64
+	timeHistory  []time.Duration
 }
 
 func cloneBlocks(blocks []blockPair) []blockPair {
 	out := make([]blockPair, len(blocks))
 	for i, b := range blocks {
-		out[i] = blockPair{r: b.r.Clone(), uw: b.uw, vw: b.vw}
+		out[i] = blockPair{u: b.u.Clone(), r: b.r.Clone(), uw: b.uw, vw: b.vw}
 		if b.s != nil {
 			out[i].s = b.s.Clone()
 		}

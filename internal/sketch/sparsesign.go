@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 
 	"sparselr/internal/mat"
 	"sparselr/internal/sparse"
@@ -119,16 +120,35 @@ func (b *sparseSignBlock) MulCSRInto(dst *mat.Dense, a *sparse.CSR) {
 }
 
 func (b *sparseSignBlock) mulCSRBody(dst *mat.Dense, a *sparse.CSR) {
-	// The serial path avoids forming the worker closure so the steady-state
-	// apply stays allocation-free.
+	// Both paths are allocation-free in steady state: the parallel one
+	// runs a pooled job instead of a per-call closure.
 	if a.NNZ()*b.s < applyParallelThreshold || runtime.GOMAXPROCS(0) < 2 {
 		b.mulCSRRows(dst, a, 0, a.Rows)
 		return
 	}
-	a.ParallelRowsByNNZ(func(lo, hi int) {
-		b.mulCSRRows(dst, a, lo, hi)
-	})
+	j := signCSRJobs.Get().(*signCSRJob)
+	j.b, j.dst, j.a = b, dst, a
+	a.ParallelRowsByNNZ(j.rows)
+	j.b, j.dst, j.a = nil, nil, nil
+	signCSRJobs.Put(j)
 }
+
+// signCSRJob binds mulCSRBody's operands to a pooled row body, so the
+// parallel apply forms no closure per call.
+type signCSRJob struct {
+	b    *sparseSignBlock
+	dst  *mat.Dense
+	a    *sparse.CSR
+	rows func(lo, hi int) // mulRows bound once per pooled job
+}
+
+var signCSRJobs = sync.Pool{New: func() any {
+	j := new(signCSRJob)
+	j.rows = j.mulRows
+	return j
+}}
+
+func (j *signCSRJob) mulRows(lo, hi int) { j.b.mulCSRRows(j.dst, j.a, lo, hi) }
 
 func (b *sparseSignBlock) mulCSRRows(dst *mat.Dense, a *sparse.CSR, lo, hi int) {
 	for i := lo; i < hi; i++ {

@@ -3,6 +3,7 @@ package sparse
 import (
 	"runtime"
 	"sort"
+	"sync"
 
 	"sparselr/internal/mat"
 )
@@ -23,6 +24,12 @@ import (
 // nchunks+1 with b[0] = 0 and b[nchunks] = n; chunk c covers rows
 // [b[c], b[c+1]) and may be empty when one row dominates the weight.
 func chunksByPrefix(prefix []int, nchunks int) []int {
+	return chunksByPrefixInto(nil, prefix, nchunks)
+}
+
+// chunksByPrefixInto is chunksByPrefix writing into dst's storage when
+// it is large enough.
+func chunksByPrefixInto(dst, prefix []int, nchunks int) []int {
 	n := len(prefix) - 1
 	if nchunks > n {
 		nchunks = n
@@ -30,7 +37,11 @@ func chunksByPrefix(prefix []int, nchunks int) []int {
 	if nchunks < 1 {
 		nchunks = 1
 	}
-	bounds := make([]int, nchunks+1)
+	if cap(dst) < nchunks+1 {
+		dst = make([]int, nchunks+1)
+	}
+	bounds := dst[:nchunks+1]
+	bounds[0] = 0
 	bounds[nchunks] = n
 	total := prefix[n] - prefix[0]
 	if total <= 0 {
@@ -73,21 +84,35 @@ const spmmChunksPerProc = 4
 // shared kernel pool, spmmChunksPerProc chunks per processor. Empty
 // chunks are skipped. fn must treat its ranges as disjoint row work;
 // ranges and their order of issue depend only on the matrix shape and
-// GOMAXPROCS.
+// GOMAXPROCS. The bounds and the chunk body come from a pool, so a
+// steady-state call allocates nothing of its own.
 func (a *CSR) ParallelRowsByNNZ(fn func(lo, hi int)) {
-	bounds := RowChunksByNNZ(a.RowPtr, spmmChunksPerProc*runtime.GOMAXPROCS(0))
-	parallelChunks(bounds, fn)
+	j := rowChunkJobs.Get().(*rowChunkJob)
+	j.bounds = chunksByPrefixInto(j.bounds, a.RowPtr, spmmChunksPerProc*runtime.GOMAXPROCS(0))
+	j.fn = fn
+	mat.ParallelFor(len(j.bounds)-1, 1, j.run)
+	j.fn = nil
+	rowChunkJobs.Put(j)
 }
 
-// parallelChunks dispatches the chunks delimited by bounds over the kernel
-// pool, one ParallelFor submission for the whole set.
-func parallelChunks(bounds []int, fn func(lo, hi int)) {
-	nchunks := len(bounds) - 1
-	mat.ParallelFor(nchunks, 1, func(clo, chi int) {
-		for c := clo; c < chi; c++ {
-			if bounds[c] < bounds[c+1] {
-				fn(bounds[c], bounds[c+1])
-			}
+// rowChunkJob is one ParallelRowsByNNZ dispatch: the chunk bounds and
+// the body the pool runs over them.
+type rowChunkJob struct {
+	bounds []int
+	fn     func(lo, hi int)
+	run    func(clo, chi int) // runChunks bound once per pooled job
+}
+
+var rowChunkJobs = sync.Pool{New: func() any {
+	j := new(rowChunkJob)
+	j.run = j.runChunks
+	return j
+}}
+
+func (j *rowChunkJob) runChunks(clo, chi int) {
+	for c := clo; c < chi; c++ {
+		if j.bounds[c] < j.bounds[c+1] {
+			j.fn(j.bounds[c], j.bounds[c+1])
 		}
-	})
+	}
 }

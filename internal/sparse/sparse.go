@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"sync"
 
 	"sparselr/internal/mat"
 )
@@ -241,10 +242,28 @@ func (a *CSR) mulDenseBody(out, b *mat.Dense) {
 		a.mulDenseRows(out, b, 0, a.Rows)
 		return
 	}
-	a.ParallelRowsByNNZ(func(lo, hi int) {
-		a.mulDenseRows(out, b, lo, hi)
-	})
+	j := spmmJobs.Get().(*spmmJob)
+	j.a, j.out, j.b = a, out, b
+	a.ParallelRowsByNNZ(j.rows)
+	j.a, j.out, j.b = nil, nil, nil
+	spmmJobs.Put(j)
 }
+
+// spmmJob binds mulDenseBody's operands to a pooled row body, so the
+// parallel SpMM forms no closure per call.
+type spmmJob struct {
+	a      *CSR
+	out, b *mat.Dense
+	rows   func(lo, hi int) // mulRows bound once per pooled job
+}
+
+var spmmJobs = sync.Pool{New: func() any {
+	j := new(spmmJob)
+	j.rows = j.mulRows
+	return j
+}}
+
+func (j *spmmJob) mulRows(lo, hi int) { j.a.mulDenseRows(j.out, j.b, lo, hi) }
 
 // mulDenseRows computes rows [lo, hi) of out = A·B, cache-blocked over
 // B's columns. Each output segment is zeroed on first touch and then
