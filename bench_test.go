@@ -457,6 +457,21 @@ func BenchmarkKernelSolveLUCRTPSerial(b *testing.B) {
 	runtime.GOMAXPROCS(old)
 }
 
+// BenchmarkKernelSolveILUTCRTPSerial is KernelSolveLUCRTPSerial with
+// eq-(24) thresholding, so verify.sh gates ILUT_CRTP's bytes/op too.
+func BenchmarkKernelSolveILUTCRTPSerial(b *testing.B) {
+	a := benchSolveMatrix()
+	old := runtime.GOMAXPROCS(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := lucrtp.Factor(a, lucrtp.Options{BlockSize: 32, Tol: 1e-2, Threshold: lucrtp.AutoThreshold}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.GOMAXPROCS(old)
+}
+
 func BenchmarkKernelQRCP(b *testing.B) {
 	d := mat.NewDense(800, 64)
 	for i := range d.Data {

@@ -10,7 +10,6 @@ import (
 	"sparselr/internal/dist"
 	"sparselr/internal/lucrtp"
 	"sparselr/internal/mat"
-	"sparselr/internal/qrtp"
 	"sparselr/internal/randqb"
 	"sparselr/internal/randubv"
 	"sparselr/internal/rsvd"
@@ -84,7 +83,6 @@ type Options struct {
 	Reorder             lucrtp.ReorderMode
 	StableL             bool
 	DiscardTol          float64 // >0 enables Cayrols-style column discarding
-	Tree                qrtp.Tree
 	StopAtNumericalRank bool
 
 	// Procs > 1 runs the method's distributed implementation on that
@@ -95,12 +93,12 @@ type Options struct {
 	Procs      int
 	DistConfig *dist.Config // nil → dist.DefaultConfig()
 
-	// Checkpointing for the loop solvers (RandQBEI and RandUBV at any
-	// Procs, LUCRTP and ILUTCRTP on the distributed path): when
-	// CheckpointEvery > 0 and CheckpointStore is non-nil, each rank saves
-	// its loop state every CheckpointEvery iterations, and a rerun with
-	// the same Procs against a store holding a complete snapshot resumes
-	// from it to a bit-identical result.
+	// Checkpointing for the loop solvers (RandQBEI, RandUBV, LUCRTP and
+	// ILUTCRTP, at any Procs): when CheckpointEvery > 0 and
+	// CheckpointStore is non-nil, each rank saves its loop state every
+	// CheckpointEvery iterations, and a rerun with the same Procs against
+	// a store holding a complete snapshot resumes from it to a
+	// bit-identical result.
 	CheckpointEvery int
 	CheckpointStore *dist.CheckpointStore
 }
@@ -470,7 +468,7 @@ func luOptions(o Options) lucrtp.Options {
 	lo := lucrtp.Options{
 		BlockSize: o.BlockSize, Tol: o.Tol, MaxRank: o.MaxRank,
 		EstIters: o.EstIters, Mu: o.Mu, Reorder: o.Reorder,
-		Tree: o.Tree, StableL: o.StableL, DiscardTol: o.DiscardTol,
+		StableL: o.StableL, DiscardTol: o.DiscardTol,
 		StopAtNumericalRank: o.StopAtNumericalRank, CheckpointEvery: o.CheckpointEvery,
 		Checkpoint: o.CheckpointStore,
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sparselr/internal/dist"
 	"sparselr/internal/mat"
 	"sparselr/internal/sparse"
 )
@@ -123,31 +124,55 @@ func TestPerturbationBudgetEq22(t *testing.T) {
 func TestEq10ExactWithCapturedT(t *testing.T) {
 	// With the explicit threshold matrix captured, eq (10) is an exact
 	// identity: ILUT_CRTP is a plain LU_CRTP of Ã = A + T, so
-	// ‖(PᵣAPc + T) − L̃Ũ‖_F must equal the estimator ‖Ã⁽ⁱ⁺¹⁾‖_F.
-	for _, seed := range []int64{81, 82, 83} {
-		a := randSparse(60, 60, 0.12, seed)
-		res, err := Factor(a, Options{
-			BlockSize: 8, Tol: 1e-2, Threshold: AutoThreshold,
-			EstIters: 6, CaptureDropped: true,
-		})
-		if err != nil {
-			continue // matrix-specific breakdown: acceptable
+	// ‖(PᵣAPc + T) − L̃Ũ‖_F must equal the estimator ‖Ã⁽ⁱ⁺¹⁾‖_F, on one
+	// rank (the sequential Factor) and on four.
+	opts := Options{
+		BlockSize: 8, Tol: 1e-2, Threshold: AutoThreshold,
+		EstIters: 6, CaptureDropped: true,
+	}
+	for _, p := range []int{1, 4} {
+		checked := 0
+		for _, seed := range []int64{81, 82, 83} {
+			a := randSparse(60, 60, 0.12, seed)
+			var res *Result
+			var err error
+			if p == 1 {
+				res, err = Factor(a, opts)
+			} else {
+				_, err = dist.RunE(p, dist.DefaultConfig(), func(c *dist.Comm) error {
+					r, err := FactorDist(c, a, opts)
+					if c.Rank() == 0 {
+						res = r
+					}
+					return err
+				})
+			}
+			if err != nil {
+				continue // matrix-specific breakdown: acceptable
+			}
+			if res.Dropped == nil {
+				t.Fatalf("p=%d: Dropped not captured", p)
+			}
+			// A cell dropped in iteration i can be refilled by a later
+			// Schur update and dropped again, so captured entries may
+			// collide: nnz(T) ≤ ΣnnzT̃⁽ʲ⁾, and ‖T‖_F ≤ Σ‖T̃⁽ʲ⁾‖_F
+			// (triangle).
+			if res.Dropped.NNZ() > res.DroppedNNZ {
+				t.Fatalf("p=%d: captured %d entries, accounting says %d", p, res.Dropped.NNZ(), res.DroppedNNZ)
+			}
+			if res.Dropped.FrobNorm() > res.DroppedNorm1*(1+1e-12) {
+				t.Fatalf("p=%d: ‖T‖_F = %v above the triangle bound %v", p, res.Dropped.FrobNorm(), res.DroppedNorm1)
+			}
+			got := ThresholdedError(a, res)
+			if math.Abs(got-res.ErrIndicator) > 1e-9*res.NormA {
+				t.Fatalf("p=%d seed %d: eq (10) residual %v vs estimator %v", p, seed, got, res.ErrIndicator)
+			}
+			if res.DroppedNNZ > 0 {
+				checked++
+			}
 		}
-		if res.Dropped == nil {
-			t.Fatal("Dropped not captured")
-		}
-		// A cell dropped in iteration i can be refilled by a later Schur
-		// update and dropped again, so captured entries may collide:
-		// nnz(T) ≤ ΣnnzT̃⁽ʲ⁾, and ‖T‖_F ≤ Σ‖T̃⁽ʲ⁾‖_F (triangle).
-		if res.Dropped.NNZ() > res.DroppedNNZ {
-			t.Fatalf("captured %d entries, accounting says %d", res.Dropped.NNZ(), res.DroppedNNZ)
-		}
-		if res.Dropped.FrobNorm() > res.DroppedNorm1*(1+1e-12) {
-			t.Fatalf("‖T‖_F = %v above the triangle bound %v", res.Dropped.FrobNorm(), res.DroppedNorm1)
-		}
-		got := ThresholdedError(a, res)
-		if math.Abs(got-res.ErrIndicator) > 1e-9*res.NormA {
-			t.Fatalf("seed %d: eq (10) residual %v vs estimator %v", seed, got, res.ErrIndicator)
+		if checked == 0 {
+			t.Fatalf("p=%d: no seed ran to completion with dropped entries", p)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package lucrtp
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sparselr/internal/dist"
@@ -148,5 +149,65 @@ func TestFactorDistColumnDiscarding(t *testing.T) {
 	}
 	if got.DiscardedCols == 0 {
 		t.Fatal("expected pruned candidates on the decay matrix")
+	}
+}
+
+// TestFactorDistReorderEvery checks that ReorderEvery re-applies COLAMD
+// to the Schur complement at P>1 too: rank 0 charges colamd once per
+// iteration, and the factors differ from ReorderFirst's as they do in
+// the sequential runs.
+func TestFactorDistReorderEvery(t *testing.T) {
+	a := randSparse(80, 80, 0.06, 106)
+	opts := func(mode ReorderMode) Options { return Options{BlockSize: 8, Tol: 1e-2, Reorder: mode} }
+	seqFirst, err := Factor(a, opts(ReorderFirst))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqEvery, err := Factor(a, opts(ReorderEvery))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(seqFirst.ColPerm, seqEvery.ColPerm) {
+		t.Fatal("test matrix does not separate the reorder modes sequentially")
+	}
+	run := func(mode ReorderMode) (*Result, int) {
+		tr := dist.NewTrace()
+		cfg := dist.DefaultConfig()
+		cfg.Tracer = tr
+		var got *Result
+		dist.Run(2, cfg, func(c *dist.Comm) {
+			r, err := FactorDist(c, a, opts(mode))
+			if err != nil {
+				t.Errorf("mode %v: %v", mode, err)
+				return
+			}
+			if c.Rank() == 0 {
+				got = r
+			}
+		})
+		if got == nil {
+			t.Fatalf("mode %v: no result", mode)
+		}
+		charges := 0
+		for _, e := range tr.Events(0) {
+			if e.Kind == dist.EvCompute && e.Name == "colamd" {
+				charges++
+			}
+		}
+		return got, charges
+	}
+	first, firstCharges := run(ReorderFirst)
+	every, everyCharges := run(ReorderEvery)
+	if firstCharges != 1 {
+		t.Fatalf("ReorderFirst charged colamd %d times, want 1", firstCharges)
+	}
+	if every.Iters < 2 || everyCharges != every.Iters {
+		t.Fatalf("ReorderEvery charged colamd %d times over %d iterations, want one per iteration", everyCharges, every.Iters)
+	}
+	if slices.Equal(first.ColPerm, every.ColPerm) && first.U.Equal(every.U, 0) {
+		t.Fatal("ReorderEvery at P=2 produced ReorderFirst's factors")
+	}
+	if te := TrueError(a, every); math.Abs(te-every.ErrIndicator) > 1e-8*every.NormA {
+		t.Fatalf("ReorderEvery factors wrong: true error %v vs indicator %v", te, every.ErrIndicator)
 	}
 }

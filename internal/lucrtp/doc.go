@@ -7,4 +7,9 @@
 // U_K (K×n) and permutations P_r, P_c with P_r·A·P_c ≈ L_K·U_K, growing K
 // in blocks of k until the error indicator ‖A⁽ⁱ⁺¹⁾‖_F (eq 9) — or, for
 // ILUT_CRTP, ‖Ã⁽ⁱ⁺¹⁾‖_F (eq 26) — falls below τ‖A‖_F.
+//
+// The algorithm is written once, as the SPMD body FactorDist; the
+// sequential Factor runs that body on a one-rank world, where the
+// triangular solve and the Schur update read whole blocks instead of
+// row shares.
 package lucrtp

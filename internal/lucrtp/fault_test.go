@@ -2,9 +2,11 @@ package lucrtp
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"sparselr/internal/dist"
+	"sparselr/internal/sparse"
 )
 
 func distCfg() dist.Config { return dist.Config{Alpha: 1e-6, Beta: 1e-9, Gamma: 1e-9} }
@@ -43,10 +45,27 @@ func TestFactorDistInjectedCrash(t *testing.T) {
 
 func TestFactorDistCheckpointRestartBitIdentical(t *testing.T) {
 	a := decayMatrix(60, 50, 30, 0.6, 101)
-	const p = 2
-	run := func(opts Options, cfg dist.Config) (*Result, error) {
+	ilut := func() Options {
+		return Options{BlockSize: 4, Tol: 1e-2, Threshold: AutoThreshold, EstIters: 6, CaptureDropped: true}
+	}
+	for _, p := range []int{1, 2} {
+		checkRestartBitIdentical(t, a, p, faultOpts)
+		// ILUT_CRTP with a captured T: the resumed run must rebuild the
+		// dropped entries of the iterations before the cut.
+		checkRestartBitIdentical(t, a, p, ilut)
+	}
+}
+
+// checkRestartBitIdentical crashes rank 0 of p at 60% of the
+// uninterrupted run's virtual time with checkpointing on, resumes from
+// the surviving cut and requires the factors, the permutations, the
+// captured T and the indicator history of the uninterrupted run bit for
+// bit. At p = 1 the resumed run is the sequential Factor.
+func checkRestartBitIdentical(t *testing.T, a *sparse.CSR, p int, mkOpts func() Options) {
+	t.Helper()
+	run := func(opts Options, cfg dist.Config) (*Result, *dist.Result, error) {
 		var out *Result
-		_, err := dist.RunE(p, cfg, func(c *dist.Comm) error {
+		st, err := dist.RunE(p, cfg, func(c *dist.Comm) error {
 			r, err := FactorDist(c, a, opts)
 			if err != nil {
 				return err
@@ -56,76 +75,72 @@ func TestFactorDistCheckpointRestartBitIdentical(t *testing.T) {
 			}
 			return nil
 		})
-		return out, err
+		return out, st, err
 	}
-	want, err := run(faultOpts(), distCfg())
+	want, base, err := run(mkOpts(), distCfg())
 	if err != nil {
-		t.Fatalf("uninterrupted run failed: %v", err)
+		t.Fatalf("p=%d: uninterrupted run failed: %v", p, err)
 	}
 	if want.Iters < 3 {
-		t.Fatalf("test needs a multi-iteration run, got %d iterations", want.Iters)
+		t.Fatalf("p=%d: test needs a multi-iteration run, got %d iterations", p, want.Iters)
+	}
+	if want.Dropped != nil && want.Dropped.NNZ() == 0 {
+		t.Fatalf("p=%d: the ILUT run dropped nothing to capture", p)
 	}
 
 	// Crash mid-run with checkpointing on, then restart from the store.
 	store := dist.NewCheckpointStore()
-	opts := faultOpts()
+	opts := mkOpts()
 	opts.CheckpointEvery = 1
 	opts.Checkpoint = store
 	cfg := distCfg()
-	base, _ := dist.RunE(p, distCfg(), func(c *dist.Comm) error { _, err := FactorDist(c, a, faultOpts()); return err })
 	cfg.Fault = &dist.FaultPlan{Crashes: []dist.Crash{{Rank: 0, At: 0.6 * base.MaxTime()}}}
-	if _, err := run(opts, cfg); err == nil {
-		t.Fatal("faulted run should fail")
+	if _, _, err := run(opts, cfg); err == nil {
+		t.Fatalf("p=%d: faulted run should fail", p)
 	}
 	if _, _, ok := store.Latest(p); !ok {
-		t.Fatal("no complete checkpoint survived the crash")
+		t.Fatalf("p=%d: no complete checkpoint survived the crash", p)
 	}
-	got, err := run(opts, distCfg())
+	got, _, err := run(opts, distCfg())
+	if p == 1 {
+		// The sequential entry point resumes from the same store.
+		got, err = Factor(a, opts)
+	}
 	if err != nil {
-		t.Fatalf("restarted run failed: %v", err)
+		t.Fatalf("p=%d: restarted run failed: %v", p, err)
 	}
 
 	if got.Rank != want.Rank || got.Iters != want.Iters || got.Converged != want.Converged {
-		t.Fatalf("restart diverged: rank %d/%d iters %d/%d", got.Rank, want.Rank, got.Iters, want.Iters)
+		t.Fatalf("p=%d: restart diverged: rank %d/%d iters %d/%d", p, got.Rank, want.Rank, got.Iters, want.Iters)
 	}
 	if got.ErrIndicator != want.ErrIndicator {
-		t.Fatalf("restart error indicator %v != %v", got.ErrIndicator, want.ErrIndicator)
+		t.Fatalf("p=%d: restart error indicator %v != %v", p, got.ErrIndicator, want.ErrIndicator)
 	}
-	sameCSR := func(name string, x, y interface {
-		Dims() (int, int)
-		NNZ() int
-	}) {
-		xr, xc := x.Dims()
-		yr, yc := y.Dims()
-		if xr != yr || xc != yc || x.NNZ() != y.NNZ() {
-			t.Fatalf("%s shape/nnz differ after restart", name)
+	sameCSR := func(name string, x, y *sparse.CSR) {
+		if (x == nil) != (y == nil) {
+			t.Fatalf("p=%d: %s present in only one run", p, name)
+		}
+		if x == nil {
+			return
+		}
+		if x.Rows != y.Rows || x.Cols != y.Cols || !slices.Equal(x.RowPtr, y.RowPtr) ||
+			!slices.Equal(x.ColIdx, y.ColIdx) || !slices.Equal(x.Val, y.Val) {
+			t.Fatalf("p=%d: %s differs after restart", p, name)
 		}
 	}
 	sameCSR("L", got.L, want.L)
 	sameCSR("U", got.U, want.U)
-	for i := range want.L.Val {
-		if got.L.Val[i] != want.L.Val[i] {
-			t.Fatalf("L value %d differs after restart: %v != %v", i, got.L.Val[i], want.L.Val[i])
-		}
+	sameCSR("Dropped", got.Dropped, want.Dropped)
+	if !slices.Equal(got.RowPerm, want.RowPerm) || !slices.Equal(got.ColPerm, want.ColPerm) {
+		t.Fatalf("p=%d: permutations differ after restart", p)
 	}
-	for i := range want.U.Val {
-		if got.U.Val[i] != want.U.Val[i] {
-			t.Fatalf("U value %d differs after restart: %v != %v", i, got.U.Val[i], want.U.Val[i])
-		}
+	if !slices.Equal(got.ErrHistory, want.ErrHistory) || !slices.Equal(got.NNZHistory, want.NNZHistory) {
+		t.Fatalf("p=%d: indicator history differs after restart", p)
 	}
-	for i := range want.RowPerm {
-		if got.RowPerm[i] != want.RowPerm[i] {
-			t.Fatalf("RowPerm differs after restart at %d", i)
-		}
+	if len(got.TimeHistory) != got.Iters {
+		t.Fatalf("p=%d: %d time-history entries for %d iterations", p, len(got.TimeHistory), got.Iters)
 	}
-	for i := range want.ColPerm {
-		if got.ColPerm[i] != want.ColPerm[i] {
-			t.Fatalf("ColPerm differs after restart at %d", i)
-		}
-	}
-	for i := range want.ErrHistory {
-		if got.ErrHistory[i] != want.ErrHistory[i] {
-			t.Fatalf("ErrHistory differs after restart at %d", i)
-		}
+	if got.DroppedNNZ != want.DroppedNNZ || got.DroppedNorm2 != want.DroppedNorm2 {
+		t.Fatalf("p=%d: threshold accounting differs after restart", p)
 	}
 }

@@ -53,7 +53,6 @@ type Options struct {
 	EstIters  int     // u in eq (24); 0 defaults to 10
 	Phi       float64 // threshold control φ; 0 defaults to τ|R⁽¹⁾(1,1)|
 	Reorder   ReorderMode
-	Tree      qrtp.Tree
 	// StopAtNumericalRank additionally stops when the panel QR diagonal
 	// collapses (the Grigori termination; used for the SJSU suite runs
 	// "stopped at the numerical rank").
@@ -78,11 +77,12 @@ type Options struct {
 	// reasonable setting; larger values prune more aggressively.
 	DiscardTol float64
 
-	// CheckpointEvery > 0 makes FactorDist save each rank's loop state
-	// into Checkpoint at the end of every CheckpointEvery-th iteration;
-	// a complete snapshot already in Checkpoint resumes the run (the
-	// COLAMD preamble is skipped — the restored Schur complement embeds
-	// it) to a bit-identical result. Ignored by the sequential Factor.
+	// CheckpointEvery > 0 makes each rank save its loop state into
+	// Checkpoint at the end of every CheckpointEvery-th iteration; a
+	// complete snapshot already in Checkpoint for the same number of
+	// ranks (one for Factor) resumes the run (the COLAMD preamble is
+	// skipped — the restored Schur complement embeds it) to a
+	// bit-identical result.
 	CheckpointEvery int
 	Checkpoint      *dist.CheckpointStore
 }
@@ -150,14 +150,34 @@ type entry struct {
 }
 
 // Factor computes the fixed-precision truncated factorization of a with
-// LU_CRTP (Options.Threshold == NoThreshold) or ILUT_CRTP.
+// LU_CRTP (Options.Threshold == NoThreshold) or ILUT_CRTP. It runs
+// FactorDist on a one-rank world.
 func Factor(a *sparse.CSR, opts Options) (*Result, error) {
+	return dist.RunSerial(func(c *dist.Comm) (*Result, error) { return FactorDist(c, a, opts) })
+}
+
+// FactorDist runs LU_CRTP/ILUT_CRTP inside a dist.Run body: the column
+// tournament, the row tournament, the triangular solve and the Schur
+// complement are executed SPMD-style across the ranks with the data
+// movement of §V (block-cyclic column distribution for A⁽ⁱ⁾, scatter of
+// Ā₂₁, broadcast of Ā₁₁, allgather of the solve result). Every rank
+// returns an identical *Result; per-rank virtual-time and per-kernel
+// attributions accumulate in the Comm and are read from dist.Run's
+// Result (Figs 4–5). On one rank the solve and the Schur update run on
+// the whole blocks, skipping the row-share copies only distribution
+// needs; every collective and charge stays.
+//
+// Kernel labels (matching Fig 5): colamd, colQR_TP/{local,global,finalR},
+// rowQR_TP/{local,global,finalR}, panelQR, rowPerm, triSolve, schur,
+// threshold.
+func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 	opts.defaults()
 	m, n := a.Dims()
 	if m == 0 || n == 0 {
 		return nil, fmt.Errorf("lucrtp: empty matrix %d×%d", m, n)
 	}
 	k := opts.BlockSize
+	p := c.Size()
 	normA := a.FrobNorm()
 	nnzA := a.NNZ()
 	maxRank := opts.MaxRank
@@ -166,83 +186,128 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 	}
 
 	res := &Result{NormA: normA, RowPerm: identity(m), ColPerm: identity(n)}
-	// COLAMD preprocessing (§V): permute columns before iteration 1.
 	acur := a
-	if opts.Reorder != ReorderOff {
-		perm := ordering.FillReducingOrder(a)
-		res.ColPerm = perm
-		acur = a.PermuteCols(perm)
-	}
-	rowOrder := res.RowPerm // alias; updated in place
-	colOrder := res.ColPerm
+	start := time.Now()
 
+	// Resume from the newest complete checkpoint cut, if one exists. The
+	// COLAMD preamble is skipped on resume: the restored Schur complement
+	// and permutations already embed the reordering.
+	startIter := 0
+	resumed := false
 	var lEnt, uEnt, tEnt []entry
 	z := 0
-	mu := 0.0
-	phi := 0.0
-	t2 := 0.0 // running Σ‖T̃⁽ʲ⁾‖²_F
+	mu, phi, t2 := 0.0, 0.0, 0.0 // t2: running Σ‖T̃⁽ʲ⁾‖²_F
+	if opts.Checkpoint != nil {
+		if it, states, ok := opts.Checkpoint.Latest(p); ok {
+			s := states[c.Rank()].(*luSnapshot)
+			startIter = it
+			resumed = true
+			acur = s.acur.Clone()
+			lEnt = append([]entry(nil), s.lEnt...)
+			uEnt = append([]entry(nil), s.uEnt...)
+			tEnt = append([]entry(nil), s.tEnt...)
+			z = s.z
+			mu, phi, t2 = s.mu, s.phi, s.t2
+			res.RowPerm = append([]int(nil), s.rowOrder...)
+			res.ColPerm = append([]int(nil), s.colOrder...)
+			res.R11First = s.r11First
+			res.Mu, res.Phi = s.resMu, s.resPhi
+			res.ErrHistory = append([]float64(nil), s.errHistory...)
+			res.FillHistory = append([]float64(nil), s.fillHistory...)
+			res.NNZHistory = append([]int(nil), s.nnzHistory...)
+			res.TimeHistory = append([]time.Duration(nil), s.timeHistory...)
+			if len(s.timeHistory) > 0 {
+				start = start.Add(-s.timeHistory[len(s.timeHistory)-1])
+			}
+			res.Iters = it
+			res.Rank = s.rank
+			res.ErrIndicator = s.errIndicator
+			res.DiscardedCols = s.discardedCols
+			res.DroppedNorm2 = s.droppedNorm2
+			res.DroppedNorm1 = s.droppedNorm1
+			res.DroppedNNZ = s.droppedNNZ
+			res.ControlTriggered = s.controlTriggered
+			res.HitNumRank = s.hitNumRank
+		}
+	}
+	if !resumed && opts.Reorder != ReorderOff {
+		res.ColPerm = fillReducingOrder(c, a)
+		acur = a.PermuteCols(res.ColPerm)
+	}
+	rowOrder := res.RowPerm
+	colOrder := res.ColPerm
 	thresholdOn := opts.Threshold != NoThreshold
-	start := time.Now()
-	// One tournament workspace serves every column and row tournament of
-	// the solve.
+	// This rank's tournament workspace. Ranks are goroutines, so each
+	// owns one; they never share it.
 	var ws qrtp.Workspace
 
-	record := func(e float64, s *sparse.CSR) {
-		res.ErrHistory = append(res.ErrHistory, e)
-		res.FillHistory = append(res.FillHistory, s.Density())
-		res.NNZHistory = append(res.NNZHistory, s.NNZ())
-		res.TimeHistory = append(res.TimeHistory, time.Since(start))
-	}
-
-	for iter := 1; ; iter++ {
+	for iter := startIter + 1; ; iter++ {
+		if c.Tracing() {
+			c.Annotate(fmt.Sprintf("LU_CRTP iter %d", iter))
+		}
 		mcur, ncur := acur.Dims()
 		keff := min(k, min(mcur, ncur), maxRank-z)
 		if keff <= 0 {
 			break
 		}
 		if opts.Reorder == ReorderEvery && iter > 1 {
-			perm := ordering.FillReducingOrder(acur)
+			perm := fillReducingOrder(c, acur)
 			acur = acur.PermuteCols(perm)
 			applyTail(colOrder, z, perm)
 		}
-		// Line 5 of Alg 2: column tournament.
+		// --- Column QR_TP (distributed tournament, line 5 of Alg 2) ---
 		csc := acur.ToCSC()
-		var colRes qrtp.Result
+		myCols := qrtp.BlockCyclicColumns(ncur, p, c.Rank(), keff)
 		if opts.DiscardTol > 0 {
-			// Column-discarding (ref [2]): keep only candidates whose
-			// norm clears the discard threshold; always keep at least
-			// keff candidates so a winner set exists.
+			// Column discarding (ref [2]): each rank prunes negligible
+			// candidates from its own block before the tournament.
 			limit2 := opts.DiscardTol * opts.Tol * normA / math.Sqrt(float64(n))
 			limit2 *= limit2
 			norms2 := acur.ColNorms2()
-			cand := make([]int, 0, ncur)
-			for j, n2 := range norms2 {
+			total := 0
+			for _, n2 := range norms2 {
 				if n2 > limit2 {
-					cand = append(cand, j)
+					total++
 				}
 			}
-			if len(cand) < keff {
-				cand = cand[:0]
-				for j := 0; j < ncur; j++ {
-					cand = append(cand, j)
+			if total >= keff {
+				kept := myCols[:0]
+				for _, j := range myCols {
+					if norms2[j] > limit2 {
+						kept = append(kept, j)
+					}
 				}
+				res.DiscardedCols += len(myCols) - len(kept)
+				myCols = kept
 			}
-			res.DiscardedCols += ncur - len(cand)
-			colRes = ws.SelectColumnsAmong(csc, cand, keff, opts.Tree)
-		} else {
-			colRes = ws.SelectColumns(csc, keff, opts.Tree)
 		}
+		colRes := ws.SelectColumnsDist(c, csc, myCols, keff)
 		lcp := qrtp.Permutation(colRes.Winners, ncur)
+		// Column permutations are implicit during tournament pivoting
+		// (Fig 5 caption) — no kernel charge.
 		acur = acur.PermuteCols(lcp)
 		applyTail(colOrder, z, lcp)
 
-		// Line 6: QR of the selected panel.
+		// --- Panel QR on the winning columns (line 6; owner computes,
+		// then the orthogonal panel is scattered, §V) ---
 		panelCols := make([]int, keff)
 		for t := range panelCols {
 			panelCols[t] = t
 		}
 		panel := acur.ExtractColsDense(panelCols)
+		panelNNZ := 0
+		for _, v := range panel.Data {
+			if v != 0 {
+				panelNNZ++
+			}
+		}
+		if c.Rank() == 0 {
+			c.Compute(4*float64(keff)*float64(panelNNZ)+2*float64(mcur)*float64(keff)*float64(keff), "panelQR")
+		}
 		qk, rPanel := mat.QR(panel)
+		c.Bcast(0, nil, 8*mcur*keff) // scatter of Q_k
+		c.Elapse(0, "panelQR")       // ensure the kernel appears on every rank
+
 		if iter == 1 {
 			res.R11First = math.Abs(rPanel.At(0, 0))
 			if thresholdOn {
@@ -276,76 +341,102 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 				res.HitNumRank = true
 				break
 			}
-			if opts.StopAtNumericalRank {
-				keff = sig
-				qk = qk.View(0, 0, mcur, keff).Clone()
-				lastBlock = true
-				res.HitNumRank = true
-			} else if !thresholdOn {
-				// LU_CRTP proceeds on a deficient block at its own risk;
-				// truncate to the significant part and finish.
-				keff = sig
-				qk = qk.View(0, 0, mcur, keff).Clone()
-				lastBlock = true
-				res.HitNumRank = true
-			} else {
+			if thresholdOn && !opts.StopAtNumericalRank {
 				// ILUT_CRTP rank deficiency: bound (20) violated.
 				return res, fmt.Errorf("%w: panel diagonal collapsed at iteration %d (|R(k,k)| ≤ %.3g)", ErrBreakdown, iter, rankTol)
 			}
+			// LU_CRTP proceeds on a deficient block at its own risk:
+			// truncate to the significant part and finish.
+			keff = sig
+			qk = qk.View(0, 0, mcur, keff).Clone()
+			lastBlock = true
+			res.HitNumRank = true
 		}
 
-		// Line 7: row tournament on Q_kᵀ.
-		rowWinners := ws.SelectRowsDense(qk, keff)
-		lrp := qrtp.Permutation(rowWinners, mcur)
+		// --- Row QR_TP on Q_kᵀ (line 7; distributed tournament over
+		// rows) ---
+		myRows := qrtp.BlockCyclicColumns(mcur, p, c.Rank(), keff)
+		rowRes := ws.SelectRowsDist(c, qk, myRows, keff)
+		lrp := qrtp.Permutation(rowRes.Winners, mcur)
+		// Local row permutations of A⁽ⁱ⁾ after row QR_TP are one of the
+		// expensive kernels when fill-in is large (Fig 5): each rank
+		// permutes its share of the nonzeros.
+		c.Compute(4*float64(acur.NNZ())/float64(p), "rowPerm")
 		acur = acur.PermuteRows(lrp)
 		qk = qk.PermuteRows(lrp)
 		applyTail(rowOrder, z, lrp)
 
-		// Line 8: partition Ā.
+		// --- Partition Ā (line 8) ---
 		a11 := acur.ExtractBlock(0, keff, 0, keff).ToDense()
 		a12 := acur.ExtractBlock(0, keff, keff, ncur)
 		a21 := acur.ExtractBlock(keff, mcur, 0, keff)
 		a22 := acur.ExtractBlock(keff, mcur, keff, ncur)
 
-		// Line 10: X = Ā₂₁Ā₁₁⁻¹ (or the stable Q-based form).
-		var x *mat.Dense
-		var err error
+		// --- Triangular solve X = Ā₂₁Ā₁₁⁻¹ or the stable Q-based form
+		// (line 10): Ā₂₁ scattered by rows, Ā₁₁ broadcast, result
+		// allgathered (§V) ---
+		c.Bcast(0, nil, 8*keff*keff) // broadcast of Ā₁₁
+		lo, hi := dist.RowShare(a21.Rows, p, c.Rank())
+		var src, pivot *mat.Dense
 		if opts.StableL {
-			q11 := qk.View(0, 0, keff, keff).Clone()
-			q21 := qk.View(keff, 0, mcur-keff, keff).Clone()
-			x, err = mat.SolveRight(q21, q11)
+			src = qk.View(keff, 0, mcur-keff, keff).Clone()
+			pivot = qk.View(0, 0, keff, keff).Clone()
 		} else {
-			x, err = mat.SolveRight(a21.ToDense(), a11)
+			src, pivot = a21.ToDense(), a11
 		}
+		if p > 1 {
+			src = src.View(lo, 0, hi-lo, src.Cols).Clone()
+		}
+		myX, err := mat.SolveRight(src, pivot)
 		if err != nil {
+			// All ranks hit the same singular pivot deterministically.
 			return res, fmt.Errorf("%w: iteration %d: %v", ErrBreakdown, iter, err)
 		}
-		xsp := sparse.FromDense(x, 0)
+		c.Compute(2*float64(hi-lo)*float64(keff)*float64(keff), "triSolve")
+		xsp := allgatherRows(c, sparse.FromDense(myX, 0))
+		if xsp.Cols == 0 {
+			xsp = sparse.NewCSR(a21.Rows, keff)
+		}
 
-		// Line 11: append L_k = [I; X] and U_k = [Ā₁₁ Ā₁₂].
+		// --- Append L_k = [I; X] and U_k = [Ā₁₁ Ā₁₂] (line 11,
+		// replicated bookkeeping) ---
 		for tIdx := 0; tIdx < keff; tIdx++ {
 			lEnt = append(lEnt, entry{rowOrder[z+tIdx], z + tIdx, 1})
-			for c := 0; c < keff; c++ {
-				if v := a11.At(tIdx, c); v != 0 {
-					uEnt = append(uEnt, entry{z + tIdx, colOrder[z+c], v})
+			for cc := 0; cc < keff; cc++ {
+				if v := a11.At(tIdx, cc); v != 0 {
+					uEnt = append(uEnt, entry{z + tIdx, colOrder[z+cc], v})
 				}
 			}
 			cols, vals := a12.RowView(tIdx)
-			for kk, c := range cols {
-				uEnt = append(uEnt, entry{z + tIdx, colOrder[z+keff+c], vals[kk]})
+			for kk, cc := range cols {
+				uEnt = append(uEnt, entry{z + tIdx, colOrder[z+keff+cc], vals[kk]})
 			}
 		}
 		for r := 0; r < xsp.Rows; r++ {
 			cols, vals := xsp.RowView(r)
-			for kk, c := range cols {
-				lEnt = append(lEnt, entry{rowOrder[z+keff+r], z + c, vals[kk]})
+			for kk, cc := range cols {
+				lEnt = append(lEnt, entry{rowOrder[z+keff+r], z + cc, vals[kk]})
 			}
 		}
 
-		// Line 12: Schur complement.
-		s := sparse.Add(1, a22, -1, sparse.SpGEMM(xsp, a12))
+		// --- Schur complement (line 12): each rank computes its row
+		// share, then an Allgather distributes S (§V) ---
+		myXBlock, myA22 := xsp, a22
+		if p > 1 {
+			myXBlock = xsp.ExtractBlock(lo, hi, 0, keff)
+			myA22 = a22.ExtractBlock(lo, hi, 0, a22.Cols)
+		}
+		c.Compute(sparse.SpGEMMFlops(myXBlock, a12)+2*float64(myA22.NNZ()), "schur")
+		s := allgatherRows(c, sparse.Add(1, myA22, -1, sparse.SpGEMM(myXBlock, a12)))
+		if s.Rows == 0 {
+			s = sparse.NewCSR(a22.Rows, a22.Cols)
+		}
+
 		e := s.FrobNorm()
-		record(e, s)
+		res.ErrHistory = append(res.ErrHistory, e)
+		res.FillHistory = append(res.FillHistory, s.Density())
+		res.NNZHistory = append(res.NNZHistory, s.NNZ())
+		res.TimeHistory = append(res.TimeHistory, time.Since(start))
 		res.Iters = iter
 		z += keff
 		res.Rank = z
@@ -363,6 +454,7 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 
 		// Alg 3 lines 8–10: thresholding with control.
 		if thresholdOn && mu > 0 {
+			c.Compute(2*float64(s.NNZ())/float64(p), "threshold")
 			var kept, dropped *sparse.CSR
 			if opts.Threshold == AggressiveThreshold {
 				budget := phi*phi - t2
@@ -401,20 +493,42 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 		}
 		acur = s
 		res.ErrIndicator = e
+		if opts.Checkpoint != nil && opts.CheckpointEvery > 0 && iter%opts.CheckpointEvery == 0 {
+			opts.Checkpoint.Save(iter, c.Rank(), &luSnapshot{
+				acur:             acur.Clone(),
+				lEnt:             append([]entry(nil), lEnt...),
+				uEnt:             append([]entry(nil), uEnt...),
+				tEnt:             append([]entry(nil), tEnt...),
+				z:                z,
+				mu:               mu,
+				phi:              phi,
+				t2:               t2,
+				rowOrder:         append([]int(nil), rowOrder...),
+				colOrder:         append([]int(nil), colOrder...),
+				r11First:         res.R11First,
+				resMu:            res.Mu,
+				resPhi:           res.Phi,
+				errHistory:       append([]float64(nil), res.ErrHistory...),
+				fillHistory:      append([]float64(nil), res.FillHistory...),
+				nnzHistory:       append([]int(nil), res.NNZHistory...),
+				timeHistory:      append([]time.Duration(nil), res.TimeHistory...),
+				rank:             res.Rank,
+				errIndicator:     res.ErrIndicator,
+				discardedCols:    res.DiscardedCols,
+				droppedNorm2:     res.DroppedNorm2,
+				droppedNorm1:     res.DroppedNorm1,
+				droppedNNZ:       res.DroppedNNZ,
+				controlTriggered: res.ControlTriggered,
+				hitNumRank:       res.HitNumRank,
+			})
+		}
 	}
 	if len(res.ErrHistory) > 0 {
 		res.ErrIndicator = res.ErrHistory[len(res.ErrHistory)-1]
 	}
-	res.L, res.U = assembleFactors(lEnt, uEnt, rowOrder, colOrder, m, n, res.Rank)
+	rowPos, colPos := inverse(rowOrder), inverse(colOrder)
+	res.L, res.U = assembleFactors(lEnt, uEnt, rowPos, colPos, res.Rank)
 	if opts.CaptureDropped {
-		rowPos := make([]int, m)
-		for p, orig := range rowOrder {
-			rowPos[orig] = p
-		}
-		colPos := make([]int, n)
-		for p, orig := range colOrder {
-			colPos[orig] = p
-		}
 		tb := sparse.NewBuilder(m, n)
 		for _, e := range tEnt {
 			tb.Add(rowPos[e.i], colPos[e.j], e.v)
@@ -422,6 +536,59 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 		res.Dropped = tb.ToCSR()
 	}
 	return res, nil
+}
+
+// fillReducingOrder returns the COLAMD + etree-postorder column
+// permutation of a (§V). COLAMD is "a local, intrinsically sequential
+// reordering heuristic", so rank 0 computes it and broadcasts it. The
+// result is this rank's own copy: ranks mutate their permutation
+// vectors in place, and message payloads share backing arrays.
+func fillReducingOrder(c *dist.Comm, a *sparse.CSR) []int {
+	var perm []int
+	if c.Rank() == 0 {
+		perm = ordering.FillReducingOrder(a)
+		c.Compute(float64(8*a.NNZ()), "colamd")
+	}
+	return append([]int(nil), c.Bcast(0, perm, 8*a.Cols).([]int)...)
+}
+
+// allgatherRows assembles a row-distributed CSR from every rank's row
+// block. On one rank the block already is the whole matrix.
+func allgatherRows(c *dist.Comm, mine *sparse.CSR) *sparse.CSR {
+	parts := c.Allgather(mine, 12*mine.NNZ())
+	if len(parts) == 1 {
+		return mine
+	}
+	blocks := make([]*sparse.CSR, len(parts))
+	for r, part := range parts {
+		blocks[r] = part.(*sparse.CSR)
+	}
+	return sparse.VStackCSR(blocks...)
+}
+
+// luSnapshot is one rank's LU_CRTP/ILUT_CRTP loop state at an iteration
+// boundary. The loop is fully replicated, so every rank snapshots the
+// same values; all fields are deep copies.
+type luSnapshot struct {
+	acur               *sparse.CSR
+	lEnt, uEnt, tEnt   []entry
+	z                  int
+	mu, phi, t2        float64
+	rowOrder, colOrder []int
+	r11First           float64
+	resMu, resPhi      float64
+	errHistory         []float64
+	fillHistory        []float64
+	nnzHistory         []int
+	timeHistory        []time.Duration
+	rank               int
+	errIndicator       float64
+	discardedCols      int
+	droppedNorm2       float64
+	droppedNorm1       float64
+	droppedNNZ         int
+	controlTriggered   bool
+	hitNumRank         bool
 }
 
 // ThresholdedError evaluates eq (10) exactly for a run with
@@ -439,25 +606,28 @@ func ThresholdedError(a *sparse.CSR, res *Result) float64 {
 }
 
 // assembleFactors maps the buffered entries from original coordinates to
-// the final permuted positions and builds CSR factors.
-func assembleFactors(lEnt, uEnt []entry, rowOrder, colOrder []int, m, n, rank int) (l, u *sparse.CSR) {
-	rowPos := make([]int, m)
-	for p, orig := range rowOrder {
-		rowPos[orig] = p
-	}
-	colPos := make([]int, n)
-	for p, orig := range colOrder {
-		colPos[orig] = p
-	}
-	lb := sparse.NewBuilder(m, rank)
+// the final permuted positions (rowPos/colPos, the inverses of the row
+// and column orders) and builds CSR factors.
+func assembleFactors(lEnt, uEnt []entry, rowPos, colPos []int, rank int) (l, u *sparse.CSR) {
+	lb := sparse.NewBuilder(len(rowPos), rank)
 	for _, e := range lEnt {
 		lb.Add(rowPos[e.i], e.j, e.v)
 	}
-	ub := sparse.NewBuilder(rank, n)
+	ub := sparse.NewBuilder(rank, len(colPos))
 	for _, e := range uEnt {
 		ub.Add(e.i, colPos[e.j], e.v)
 	}
 	return lb.ToCSR(), ub.ToCSR()
+}
+
+// inverse returns the inverse of the permutation order:
+// inv[order[p]] = p.
+func inverse(order []int) []int {
+	inv := make([]int, len(order))
+	for p, orig := range order {
+		inv[orig] = p
+	}
+	return inv
 }
 
 // applyTail permutes the tail (positions ≥ z) of order by the local

@@ -307,29 +307,6 @@ func (d *Dense) String() string {
 	return s
 }
 
-// HStack concatenates matrices horizontally: out = [a b]. Either argument
-// may be nil or empty, in which case the other is cloned.
-func HStack(a, b *Dense) *Dense {
-	if a == nil || a.IsEmpty() {
-		if b == nil {
-			return NewDense(0, 0)
-		}
-		return b.Clone()
-	}
-	if b == nil || b.IsEmpty() {
-		return a.Clone()
-	}
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("mat: HStack row mismatch %d vs %d", a.Rows, b.Rows))
-	}
-	out := NewDense(a.Rows, a.Cols+b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		copy(out.Row(i)[:a.Cols], a.Row(i))
-		copy(out.Row(i)[a.Cols:], b.Row(i))
-	}
-	return out
-}
-
 // VStack concatenates matrices vertically: out = [a; b]. Either argument
 // may be nil or empty, in which case the other is cloned.
 func VStack(a, b *Dense) *Dense {

@@ -235,16 +235,8 @@ func TestAddSubScale(t *testing.T) {
 	}
 }
 
-func TestHStackVStack(t *testing.T) {
+func TestVStack(t *testing.T) {
 	a := randDense(3, 2, 10)
-	b := randDense(3, 4, 11)
-	h := HStack(a, b)
-	if h.Rows != 3 || h.Cols != 6 {
-		t.Fatalf("HStack dims %d×%d", h.Rows, h.Cols)
-	}
-	if h.At(1, 1) != a.At(1, 1) || h.At(1, 3) != b.At(1, 1) {
-		t.Fatal("HStack content wrong")
-	}
 	c := randDense(2, 2, 12)
 	v := VStack(a, c)
 	if v.Rows != 5 || v.Cols != 2 {
@@ -257,9 +249,6 @@ func TestHStackVStack(t *testing.T) {
 
 func TestStackWithEmpty(t *testing.T) {
 	a := randDense(3, 2, 13)
-	if !HStack(nil, a).Equal(a, 0) || !HStack(a, nil).Equal(a, 0) {
-		t.Fatal("HStack with nil should clone the other side")
-	}
 	if !VStack(nil, a).Equal(a, 0) || !VStack(a, NewDense(0, 0)).Equal(a, 0) {
 		t.Fatal("VStack with empty should clone the other side")
 	}

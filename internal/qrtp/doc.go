@@ -5,8 +5,10 @@
 // (Grigori, Cayrols, Demmel, SIAM J. Sci. Comput. 2018).
 //
 // Both a sequential driver (flat or binary tree) and a distributed driver
-// over the dist runtime (communication-free local round followed by
-// log₂(P) global reduction rounds) are provided. The distributed variant
+// over the dist runtime (communication-free binary local round followed
+// by log₂(P) global reduction rounds) are provided; LU_CRTP runs the
+// distributed one at every P, and the flat tree serves as the sequential
+// reference of the tree-shape ablation. The distributed variant
 // is the scaling bottleneck the paper analyzes in Fig 4: once log₂(P)
 // approaches the tree height, the global rounds dominate.
 //

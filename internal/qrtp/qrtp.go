@@ -370,7 +370,11 @@ func (ws *Workspace) localTournament(c *dist.Comm, a source, myCols []int, k int
 // BlockCyclicColumns returns the column ids owned by the given rank under
 // a block-cyclic distribution with the given block width.
 func BlockCyclicColumns(n, p, rank, block int) []int {
-	var cols []int
+	owned := 0
+	for start := rank * block; start < n; start += p * block {
+		owned += min(block, n-start)
+	}
+	cols := make([]int, 0, owned)
 	for start := rank * block; start < n; start += p * block {
 		for j := start; j < start+block && j < n; j++ {
 			cols = append(cols, j)

@@ -28,8 +28,8 @@
 #  11. kernel micro-benchmarks -> BENCH_kernels.json (ns/op, bytes/op and
 #      allocs/op per kernel); the GOMAXPROCS=1 twins
 #      KernelQRTournamentSerial, KernelSolveLUCRTPSerial,
-#      KernelSolveRandQBEISerial and KernelSolveRandUBVSerial must
-#      allocate <= 1.05x the bytes/op of
+#      KernelSolveILUTCRTPSerial, KernelSolveRandQBEISerial and
+#      KernelSolveRandUBVSerial must allocate <= 1.05x the bytes/op of
 #      the committed file on any CPU count, and KernelSpMMT must stay
 #      within 0.9x of its serial twin on the medians of 5 alternating
 #      runs of both
@@ -152,11 +152,12 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
     }
     base_tourn=$(committed_bytes KernelQRTournamentSerial)
     base_lu=$(committed_bytes KernelSolveLUCRTPSerial)
+    base_ilut=$(committed_bytes KernelSolveILUTCRTPSerial)
     base_qb=$(committed_bytes KernelSolveRandQBEISerial)
     base_ubv=$(committed_bytes KernelSolveRandUBVSerial)
     out=$(go test -run '^$' -bench '^BenchmarkKernel' -benchmem -benchtime "${BENCHTIME:-200ms}" . ./internal/mat | grep -E '^Benchmark')
     echo "$out"
-    echo "$out" | awk -v ncpu="$(nproc 2>/dev/null || echo 1)" -v base_tourn="$base_tourn" -v base_lu="$base_lu" -v base_qb="$base_qb" -v base_ubv="$base_ubv" '
+    echo "$out" | awk -v ncpu="$(nproc 2>/dev/null || echo 1)" -v base_tourn="$base_tourn" -v base_lu="$base_lu" -v base_ilut="$base_ilut" -v base_qb="$base_qb" -v base_ubv="$base_ubv" '
         BEGIN { print "{"; first = 1 }
         /^Benchmark/ {
             name = $1
@@ -206,11 +207,12 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
             }
             printf "}\n}\n"
             # Gate 0: the memory footprints of the LU_CRTP tournament
-            # workspace and of the sequential RandQB_EI and RandUBV
-            # solves.
+            # workspace and of the sequential LU_CRTP, ILUT_CRTP,
+            # RandQB_EI and RandUBV solves.
             # Deterministic, so it runs first and on any CPU count.
             bytesGate("KernelQRTournamentSerial", base_tourn)
             bytesGate("KernelSolveLUCRTPSerial", base_lu)
+            bytesGate("KernelSolveILUTCRTPSerial", base_ilut)
             bytesGate("KernelSolveRandQBEISerial", base_qb)
             bytesGate("KernelSolveRandUBVSerial", base_ubv)
             # Gate 1: MulBT must stay within 2x of MulT on the comparable
