@@ -504,6 +504,9 @@ func BenchmarkKernelQRTournamentSerial(b *testing.B) {
 	runtime.GOMAXPROCS(old)
 }
 
+// BenchmarkKernelCOLAMDOrdering times the COLAMD + etree-postorder
+// preprocessing. The ordering is serial, so its bytes/op, which verify.sh
+// gates, repeat on any host.
 func BenchmarkKernelCOLAMDOrdering(b *testing.B) {
 	a := gen.Circuit(1500, 6, 5)
 	b.ResetTimer()

@@ -163,9 +163,9 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 // Ā₂₁, broadcast of Ā₁₁, allgather of the solve result). Every rank
 // returns an identical *Result; per-rank virtual-time and per-kernel
 // attributions accumulate in the Comm and are read from dist.Run's
-// Result (Figs 4–5). On one rank the solve and the Schur update run on
-// the whole blocks, skipping the row-share copies only distribution
-// needs; every collective and charge stays.
+// Result (Figs 4–5). On one rank the solve runs on the whole block,
+// skipping the row-share copy only distribution needs, and the Schur
+// update's row share is all of Ā₂₂; every collective and charge stays.
 //
 // Kernel labels (matching Fig 5): colamd, colQR_TP/{local,global,finalR},
 // rowQR_TP/{local,global,finalR}, panelQR, rowPerm, triSolve, schur,
@@ -366,23 +366,21 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		qk = qk.PermuteRows(lrp)
 		applyTail(rowOrder, z, lrp)
 
-		// --- Partition Ā (line 8) ---
+		// --- Partition Ā (line 8); Ā₂₁ and Ā₂₂ are read from acur ---
 		a11 := acur.ExtractBlock(0, keff, 0, keff).ToDense()
 		a12 := acur.ExtractBlock(0, keff, keff, ncur)
-		a21 := acur.ExtractBlock(keff, mcur, 0, keff)
-		a22 := acur.ExtractBlock(keff, mcur, keff, ncur)
 
 		// --- Triangular solve X = Ā₂₁Ā₁₁⁻¹ or the stable Q-based form
 		// (line 10): Ā₂₁ scattered by rows, Ā₁₁ broadcast, result
 		// allgathered (§V) ---
 		c.Bcast(0, nil, 8*keff*keff) // broadcast of Ā₁₁
-		lo, hi := dist.RowShare(a21.Rows, p, c.Rank())
+		lo, hi := dist.RowShare(mcur-keff, p, c.Rank())
 		var src, pivot *mat.Dense
 		if opts.StableL {
 			src = qk.View(keff, 0, mcur-keff, keff).Clone()
 			pivot = qk.View(0, 0, keff, keff).Clone()
 		} else {
-			src, pivot = a21.ToDense(), a11
+			src, pivot = acur.ExtractBlock(keff, mcur, 0, keff).ToDense(), a11
 		}
 		if p > 1 {
 			src = src.View(lo, 0, hi-lo, src.Cols).Clone()
@@ -395,7 +393,7 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		c.Compute(2*float64(hi-lo)*float64(keff)*float64(keff), "triSolve")
 		xsp := allgatherRows(c, sparse.FromDense(myX, 0))
 		if xsp.Cols == 0 {
-			xsp = sparse.NewCSR(a21.Rows, keff)
+			xsp = sparse.NewCSR(mcur-keff, keff)
 		}
 
 		// --- Append L_k = [I; X] and U_k = [Ā₁₁ Ā₁₂] (line 11,
@@ -419,17 +417,13 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 			}
 		}
 
-		// --- Schur complement (line 12): each rank computes its row
-		// share, then an Allgather distributes S (§V) ---
-		myXBlock, myA22 := xsp, a22
-		if p > 1 {
-			myXBlock = xsp.ExtractBlock(lo, hi, 0, keff)
-			myA22 = a22.ExtractBlock(lo, hi, 0, a22.Cols)
-		}
-		c.Compute(sparse.SpGEMMFlops(myXBlock, a12)+2*float64(myA22.NNZ()), "schur")
-		s := allgatherRows(c, sparse.Add(1, myA22, -1, sparse.SpGEMM(myXBlock, a12)))
+		// --- Schur complement (line 12): each rank forms its row share
+		// of Ā₂₂ − XĀ₁₂ in one pass over acur, then an Allgather
+		// distributes S (§V) ---
+		c.Compute(sparse.SchurFlops(acur, keff, keff, xsp, a12, lo, hi), "schur")
+		s := allgatherRows(c, sparse.SchurComplement(acur, keff, keff, xsp, a12, lo, hi))
 		if s.Rows == 0 {
-			s = sparse.NewCSR(a22.Rows, a22.Cols)
+			s = sparse.NewCSR(mcur-keff, ncur-keff)
 		}
 
 		e := s.FrobNorm()

@@ -1,138 +1,217 @@
 package ordering
 
-import (
-	"container/heap"
-
-	"sparselr/internal/sparse"
-)
+import "sparselr/internal/sparse"
 
 // COLAMD returns a fill-reducing column permutation of a. The result perm
 // satisfies: column j of the reordered matrix is column perm[j] of a.
-// Empty columns are ordered last.
+// Columns are eliminated in ascending (approximate degree, index) order,
+// so empty columns, whose degree is 0, come first, in index order.
+//
+// All working storage is sized from a up front: row patterns and merged
+// super-rows share one arena, the per-column row lists another, and the
+// degree queue is an indexed heap over the columns, so a call allocates a
+// fixed handful of slices however many eliminations it makes.
 func COLAMD(a *sparse.CSR) []int {
 	m, n := a.Dims()
-	// Row patterns as mutable slices of column indices; rows merge as
-	// columns are eliminated.
-	rowPat := make([][]int32, m)
+	nnz := a.NNZ()
+	// Row r's pattern is rowArena[rowStart[r] : rowStart[r]+rowLen[r]].
+	// Rows [0, m) are a's rows; each elimination that merges rows adds
+	// one super-row, so there are at most m+n rows. A live row never
+	// holds an eliminated column and a super-row is shorter than the rows
+	// it replaces, so the live patterns never total more than nnz: twice
+	// that leaves room to append super-rows between compactions.
+	rowStart := make([]int, m+n)
+	rowLen := make([]int, m+n)
+	alive := make([]bool, m+n)
+	rowArena := make([]int32, 2*nnz)
+	for k, j := range a.ColIdx {
+		rowArena[k] = int32(j)
+	}
+	for i := 0; i < m; i++ {
+		rowStart[i] = a.RowPtr[i]
+		rowLen[i] = a.RowPtr[i+1] - a.RowPtr[i]
+		alive[i] = rowLen[i] > 0
+	}
+	nrows, used := m, nnz
+	// Column j's rows (by id, possibly dead) are
+	// colRows[colStart[j] : colStart[j]+colLen[j]], in ascending id
+	// order. Dead ids are dropped when the column's degree is
+	// refreshed. Each super-row registered under j replaces at least one
+	// row listed there, so a list never outgrows the column's count in a.
+	colStart := make([]int, n+1)
+	colLen := make([]int, n)
+	for _, j := range a.ColIdx {
+		colLen[j]++
+	}
+	for j := 0; j < n; j++ {
+		colStart[j+1] = colStart[j] + colLen[j]
+		colLen[j] = 0
+	}
+	colRows := make([]int32, nnz)
 	for i := 0; i < m; i++ {
 		cols, _ := a.RowView(i)
-		p := make([]int32, len(cols))
-		for k, j := range cols {
-			p[k] = int32(j)
-		}
-		rowPat[i] = p
-	}
-	alive := make([]bool, m)
-	for i := range alive {
-		alive[i] = len(rowPat[i]) > 0
-	}
-	// colRows[j]: rows (by id, possibly stale) that contain column j.
-	// Stale ids (dead rows) are filtered lazily on access.
-	colRows := make([][]int32, n)
-	for i := 0; i < m; i++ {
-		for _, j := range rowPat[i] {
-			colRows[j] = append(colRows[j], int32(i))
+		for _, j := range cols {
+			colRows[colStart[j]+colLen[j]] = int32(i)
+			colLen[j]++
 		}
 	}
-	eliminated := make([]bool, n)
-	// Approximate external degree of each live column.
-	deg := func(j int) int {
+	// refresh drops column j's dead rows and returns its approximate
+	// external degree Σ(len(row)−1) over the live ones.
+	refresh := func(j int32) int {
 		d := 0
-		live := colRows[j][:0]
-		for _, r := range colRows[j] {
+		list := colRows[colStart[j] : colStart[j]+colLen[j]]
+		live := list[:0]
+		for _, r := range list {
 			if alive[r] {
 				live = append(live, r)
-				d += len(rowPat[r]) - 1
+				d += rowLen[r] - 1
 			}
 		}
-		colRows[j] = live
+		colLen[j] = len(live)
 		return d
 	}
-	pq := make(colHeap, 0, n)
-	stamp := make([]int, n)
+	h := degreeHeap{deg: make([]int, n), heap: make([]int32, n), pos: make([]int32, n)}
 	for j := 0; j < n; j++ {
-		stamp[j] = 1
-		pq = append(pq, colEntry{col: int32(j), deg: deg(j), stamp: 1})
+		h.deg[j] = refresh(int32(j))
+		h.heap[j] = int32(j)
+		h.pos[j] = int32(j)
 	}
-	heap.Init(&pq)
+	h.init()
 	perm := make([]int, 0, n)
-	// nextRow allocates ids for merged super-rows.
 	touched := make([]bool, n)
+	merged := make([]int32, 0, n)
 	for len(perm) < n {
-		// Pop the current minimum, skipping stale heap entries.
-		var e colEntry
-		for {
-			e = heap.Pop(&pq).(colEntry)
-			if !eliminated[e.col] && e.stamp == stamp[e.col] {
-				break
-			}
-		}
-		j := int(e.col)
-		eliminated[j] = true
-		perm = append(perm, j)
+		j := h.pop()
+		perm = append(perm, int(j))
 		// Merge all live rows containing j into one super-row.
-		var merged []int32
-		affected := make([]int32, 0, 16)
-		for _, r := range colRows[j] {
+		merged = merged[:0]
+		for _, r := range colRows[colStart[j] : colStart[j]+colLen[j]] {
 			if !alive[r] {
 				continue
 			}
 			alive[r] = false
-			for _, c := range rowPat[r] {
-				if int(c) == j || eliminated[c] {
-					continue
-				}
-				if !touched[c] {
+			for _, c := range rowArena[rowStart[r] : rowStart[r]+rowLen[r]] {
+				if c != j && !touched[c] {
 					touched[c] = true
 					merged = append(merged, c)
-					affected = append(affected, c)
 				}
 			}
-			rowPat[r] = nil
 		}
-		colRows[j] = nil
-		if len(merged) > 0 {
-			// Register the super-row under a fresh id.
-			rid := int32(len(rowPat))
-			rowPat = append(rowPat, merged)
-			alive = append(alive, true)
-			for _, c := range merged {
-				colRows[c] = append(colRows[c], rid)
-			}
+		colLen[j] = 0
+		if len(merged) == 0 {
+			continue
 		}
-		// Refresh degrees of affected columns.
-		for _, c := range affected {
+		if used+len(merged) > len(rowArena) {
+			used = compactRows(rowArena, rowStart[:nrows], rowLen, alive)
+		}
+		rid := int32(nrows)
+		nrows++
+		rowStart[rid], rowLen[rid], alive[rid] = used, len(merged), true
+		used += copy(rowArena[used:], merged)
+		// Register the super-row under each of its columns and refresh
+		// their degrees. The rows merged into it were listed there, so
+		// the append after refresh stays within the column's slots.
+		for _, c := range merged {
 			touched[c] = false
-			stamp[c]++
-			heap.Push(&pq, colEntry{col: c, deg: deg(int(c)), stamp: stamp[c]})
+			d := refresh(c) + len(merged) - 1
+			colRows[colStart[c]+colLen[c]] = rid
+			colLen[c]++
+			h.update(c, d)
 		}
 	}
 	return perm
 }
 
-type colEntry struct {
-	col   int32
-	deg   int
-	stamp int
-}
-
-type colHeap []colEntry
-
-func (h colHeap) Len() int { return len(h) }
-func (h colHeap) Less(a, b int) bool {
-	if h[a].deg != h[b].deg {
-		return h[a].deg < h[b].deg
+// compactRows moves the live row patterns to the front of arena in id
+// order, which is also their arena order, and returns the used length.
+func compactRows(arena []int32, start, length []int, alive []bool) int {
+	w := 0
+	for r, s := range start {
+		if alive[r] {
+			start[r] = w
+			w += copy(arena[w:], arena[s:s+length[r]])
+		}
 	}
-	return h[a].col < h[b].col // deterministic tie-break
+	return w
 }
-func (h colHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
-func (h *colHeap) Push(x interface{}) { *h = append(*h, x.(colEntry)) }
-func (h *colHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// degreeHeap is an indexed binary min-heap of columns ordered by
+// (deg, column): each live column holds one entry, updated in place when
+// its degree changes.
+type degreeHeap struct {
+	deg  []int   // deg[c]: current approximate degree of column c
+	heap []int32 // columns in heap order
+	pos  []int32 // pos[c]: index of column c in heap
+}
+
+func (h *degreeHeap) less(a, b int32) bool {
+	if h.deg[a] != h.deg[b] {
+		return h.deg[a] < h.deg[b]
+	}
+	return a < b // deterministic tie-break
+}
+
+func (h *degreeHeap) swap(i, k int) {
+	h.heap[i], h.heap[k] = h.heap[k], h.heap[i]
+	h.pos[h.heap[i]] = int32(i)
+	h.pos[h.heap[k]] = int32(k)
+}
+
+func (h *degreeHeap) init() {
+	for i := len(h.heap)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *degreeHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.less(h.heap[i], h.heap[p]) {
+			return
+		}
+		h.swap(i, p)
+		i = p
+	}
+}
+
+func (h *degreeHeap) down(i int) {
+	n := len(h.heap)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		small := l
+		if r := l + 1; r < n && h.less(h.heap[r], h.heap[l]) {
+			small = r
+		}
+		if !h.less(h.heap[small], h.heap[i]) {
+			return
+		}
+		h.swap(i, small)
+		i = small
+	}
+}
+
+// pop removes and returns the column of least (deg, column).
+func (h *degreeHeap) pop() int32 {
+	last := len(h.heap) - 1
+	h.swap(0, last)
+	c := h.heap[last]
+	h.heap = h.heap[:last]
+	h.down(0)
+	return c
+}
+
+// update sets column c's degree to d and restores the heap order.
+func (h *degreeHeap) update(c int32, d int) {
+	old := h.deg[c]
+	h.deg[c] = d
+	if d < old {
+		h.up(int(h.pos[c]))
+	} else {
+		h.down(int(h.pos[c]))
+	}
 }
 
 // ColEtree computes the column elimination tree of a, i.e. the

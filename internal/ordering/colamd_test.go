@@ -2,6 +2,7 @@ package ordering
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -91,6 +92,18 @@ func TestCOLAMDEmptyColumns(t *testing.T) {
 	perm := COLAMD(a)
 	if !isPermutation(perm, 5) {
 		t.Fatal("perm invalid with empty columns")
+	}
+	// An empty column has degree 0, so it is eliminated first: a dense
+	// 3×3 block plus an empty column 3 orders [3 0 1 2].
+	b = sparse.NewBuilder(3, 4)
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			b.Add(i, j, 1)
+		}
+	}
+	want := []int{3, 0, 1, 2}
+	if got := COLAMD(b.ToCSR()); !slices.Equal(got, want) {
+		t.Fatalf("COLAMD = %v, want %v (empty columns first)", got, want)
 	}
 }
 

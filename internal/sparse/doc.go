@@ -1,6 +1,7 @@
 // Package sparse implements the sparse-matrix substrate for the low-rank
 // approximation algorithms: CSR, CSC and COO storage, sparse×dense and
-// sparse×sparse products, row/column permutation, panel extraction,
+// sparse×sparse products and LU_CRTP's fused Schur update A₂₂ − X·A₁₂,
+// row/column permutation, panel extraction,
 // norms, thresholding with captured perturbation matrices (the T̃ factors
 // of ILUT_CRTP), fill statistics and MatrixMarket I/O.
 //

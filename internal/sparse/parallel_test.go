@@ -131,6 +131,13 @@ func TestSpGEMMParallelMatchesSerialBitwise(t *testing.T) {
 	}
 }
 
+// spGEMMSerial is the single-threaded Gustavson product, the reference
+// for the parallel-equivalence tests.
+func spGEMMSerial(a, b *CSR) *CSR {
+	g := gustavson{x: a, b: b}
+	return g.serial(0, g.weights(0, a.Rows))
+}
+
 // referenceToCSR is the previous comparison-sort finalization, kept as the
 // oracle for the counting-sort implementation.
 func referenceToCSR(b *Builder) *CSR {

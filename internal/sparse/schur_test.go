@@ -1,0 +1,140 @@
+package sparse
+
+import (
+	"math/rand"
+	"testing"
+
+	"sparselr/internal/dist"
+)
+
+// schurCase builds A (m×n), X ((m−r0)×k) and B (k×(n−c0)) for
+// SchurComplement(A, r0, c0, X, B, ·, ·). Rows listed in empty have no X
+// entries and no trailing A entries; rows listed in cancel carry the
+// product row X·B in A's trailing block, so A − X·B cancels to exactly
+// zero there.
+func schurCase(m, n, r0, c0, k int, dx, db, da float64, empty, cancel []int, seed int64) (a, x, b *CSR) {
+	rng := rand.New(rand.NewSource(seed))
+	isEmpty := make(map[int]bool)
+	for _, i := range empty {
+		isEmpty[i] = true
+	}
+	xb := NewBuilder(m-r0, k)
+	for i := 0; i < m-r0; i++ {
+		for j := 0; j < k && !isEmpty[i]; j++ {
+			if rng.Float64() < dx {
+				xb.Add(i, j, rng.NormFloat64())
+			}
+		}
+	}
+	x = xb.ToCSR()
+	b = randCSR(k, n-c0, db, seed+1)
+	p := SpGEMM(x, b)
+	isCancel := make(map[int]bool)
+	for _, i := range cancel {
+		isCancel[i] = true
+	}
+	ab := NewBuilder(m, n)
+	for i := 0; i < m; i++ {
+		t := i - r0 // row of the trailing block, when ≥ 0
+		for j := 0; j < n; j++ {
+			trailing := t >= 0 && j >= c0
+			if trailing && (isEmpty[t] || isCancel[t]) {
+				continue
+			}
+			if rng.Float64() < da {
+				ab.Add(i, j, rng.NormFloat64())
+			}
+		}
+		if t >= 0 && isCancel[t] {
+			cols, vals := p.RowView(t)
+			for kk, j := range cols {
+				ab.Add(i, c0+j, vals[kk])
+			}
+		}
+	}
+	return ab.ToCSR(), x, b
+}
+
+// TestSchurComplementMatchesAddSpGEMM pins the fused kernel bitwise to the
+// two-pass form it replaces, Add(1, A22, −1, SpGEMM(X, A12)), on every row
+// share dist.RowShare hands out at p ∈ {1, 2, 4}, on the serial path and
+// (for the large case, whose shares clear the flop threshold) the
+// weight-balanced parallel one.
+func TestSchurComplementMatchesAddSpGEMM(t *testing.T) {
+	type tc struct {
+		name                string
+		m, n, r0, c0, k     int
+		dx, db, da          float64
+		empty, cancel       []int
+		parallelAtEveryRank bool
+	}
+	cases := []tc{
+		{name: "small", m: 60, n: 50, r0: 6, c0: 6, k: 6, dx: 0.6, db: 0.2, da: 0.15,
+			empty: []int{0, 17, 53}, cancel: []int{3, 4, 30, 52}},
+		{name: "keff0", m: 40, n: 30, r0: 0, c0: 0, k: 0, da: 0.2, empty: []int{5}},
+		{name: "offset", m: 50, n: 70, r0: 10, c0: 25, k: 4, dx: 0.7, db: 0.3, da: 0.1,
+			cancel: []int{0, 39}},
+		{name: "large", m: 840, n: 400, r0: 16, c0: 16, k: 16, dx: 0.5, db: 0.1, da: 0.02,
+			empty: []int{1, 2, 400, 823}, cancel: []int{0, 100, 205, 206, 600, 822},
+			parallelAtEveryRank: true},
+	}
+	for _, c := range cases {
+		a, x, b := schurCase(c.m, c.n, c.r0, c.c0, c.k, c.dx, c.db, c.da, c.empty, c.cancel, int64(c.m+c.n))
+		rows := c.m - c.r0
+		for _, p := range []int{1, 2, 4} {
+			for rank := 0; rank < p; rank++ {
+				lo, hi := dist.RowShare(rows, p, rank)
+				xblk := x.ExtractBlock(lo, hi, 0, x.Cols)
+				ablk := a.ExtractBlock(c.r0+lo, c.r0+hi, c.c0, a.Cols)
+				var want *CSR
+				withMaxProcs(1, func() { want = Add(1, ablk, -1, SpGEMM(xblk, b)) })
+				g := gustavson{x: x, b: b, a: a, r0: c.r0, c0: c.c0}
+				if pw := g.weights(lo, hi); c.parallelAtEveryRank && 2*float64(pw[hi-lo]) < spgemmParallelThreshold {
+					t.Fatalf("%s p=%d rank %d: share below the parallel threshold", c.name, p, rank)
+				}
+				for _, procs := range []int{1, 2, 4} {
+					var got *CSR
+					withMaxProcs(procs, func() { got = SchurComplement(a, c.r0, c.c0, x, b, lo, hi) })
+					if !csrBitwiseEqual(got, want) {
+						t.Fatalf("%s p=%d rank %d [%d,%d) GOMAXPROCS=%d: fused Schur differs from Add(A22, −X·A12)",
+							c.name, p, rank, lo, hi, procs)
+					}
+				}
+				wantFlops := SpGEMMFlops(xblk, b) + 2*float64(ablk.NNZ())
+				if got := SchurFlops(a, c.r0, c.c0, x, b, lo, hi); got != wantFlops {
+					t.Fatalf("%s p=%d rank %d: SchurFlops = %v, want %v", c.name, p, rank, got, wantFlops)
+				}
+			}
+		}
+		// The cancelling rows must come out empty, or the case does not
+		// exercise the exact-zero drop.
+		s := SchurComplement(a, c.r0, c.c0, x, b, 0, rows)
+		for _, i := range c.cancel {
+			if s.RowPtr[i+1] != s.RowPtr[i] {
+				t.Fatalf("%s: cancelling row %d kept %d entries", c.name, i, s.RowPtr[i+1]-s.RowPtr[i])
+			}
+		}
+	}
+}
+
+func TestSchurComplementDimensionPanic(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a mismatched B")
+		}
+	}()
+	SchurComplement(NewCSR(5, 5), 1, 1, NewCSR(4, 2), NewCSR(2, 3), 0, 4)
+}
+
+// TestPermuteColsAllocs bounds PermuteCols to the result's four
+// allocations: rows are re-sorted on pooled scratch.
+func TestPermuteColsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	a := randCSR(300, 200, 0.05, 91)
+	perm := rand.New(rand.NewSource(92)).Perm(200)
+	if got := testing.AllocsPerRun(10, func() { a.PermuteCols(perm) }); got > 4 {
+		t.Fatalf("PermuteCols: %v allocs/op, want ≤ 4", got)
+	}
+}

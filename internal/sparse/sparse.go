@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -486,80 +487,225 @@ func (a *CSR) ResidualFrobNorm(l, r *mat.Dense) float64 {
 // product. Each chunk owns a private sparse accumulator and the per-chunk
 // results are concatenated in row order. Every output row is computed
 // with exactly the serial per-row merge order, so the parallel result is
-// bitwise identical to the serial one.
+// bitwise identical to the serial one. The output arrays grow by
+// extrapolating the entries emitted per flop (growOutput), not by
+// append's steps, so they allocate little beyond their final size.
 func SpGEMM(a, b *CSR) *CSR {
 	if a.Cols != b.Rows {
 		panic("sparse: SpGEMM dimension mismatch")
 	}
-	if runtime.GOMAXPROCS(0) < 2 || SpGEMMFlops(a, b) < spgemmParallelThreshold {
-		return spGEMMSerial(a, b)
+	return gustavson{x: a, b: b}.rows(0, a.Rows)
+}
+
+// SchurComplement returns rows [lo, hi) of the Schur complement
+// A[r0:, c0:] − X·B, that is A[r0+lo : r0+hi, c0:] − X[lo:hi, :]·B, in
+// one Gustavson pass. A's trailing block is read in place and merged
+// with each product row as it leaves the sparse accumulator, so neither
+// the block nor the product is materialized. Exact zeros are dropped, and
+// the result is bitwise equal to
+//
+//	Add(1, A.ExtractBlock(r0+lo, r0+hi, c0, A.Cols), -1,
+//		SpGEMM(X.ExtractBlock(lo, hi, 0, X.Cols), B))
+//
+// Large blocks run row-parallel like SpGEMM, in chunks balanced on each
+// row's flops plus its A entries.
+func SchurComplement(a *CSR, r0, c0 int, x, b *CSR, lo, hi int) *CSR {
+	checkSchur(a, r0, c0, x, b, lo, hi)
+	return gustavson{x: x, b: b, a: a, r0: r0, c0: c0}.rows(lo, hi)
+}
+
+// SchurFlops returns the cost-model charge of SchurComplement with the
+// same arguments: SpGEMMFlops(X[lo:hi, :], B) plus two flops per stored
+// entry of A[r0+lo : r0+hi, c0:], that is twice the rows' weights.
+func SchurFlops(a *CSR, r0, c0 int, x, b *CSR, lo, hi int) float64 {
+	checkSchur(a, r0, c0, x, b, lo, hi)
+	return 2 * float64(gustavson{x: x, b: b, a: a, r0: r0, c0: c0}.weights(lo, hi)[hi-lo])
+}
+
+func checkSchur(a *CSR, r0, c0 int, x, b *CSR, lo, hi int) {
+	if r0 < 0 || c0 < 0 || x.Rows != a.Rows-r0 || x.Cols != b.Rows || b.Cols != a.Cols-c0 || lo < 0 || lo > hi || hi > x.Rows {
+		panic("sparse: SchurComplement dimension mismatch")
 	}
-	// Per-row flop prefix: row i of the product costs Σ nnz(B row j)
-	// over the stored a_ij.
-	rowLen := make([]int, b.Rows)
-	for i := 0; i < b.Rows; i++ {
-		rowLen[i] = b.RowPtr[i+1] - b.RowPtr[i]
+}
+
+// gustavson is one row-merge product X·B, or, when a is non-nil, the
+// Schur block A[r0:, c0:] − X·B.
+type gustavson struct {
+	x, b, a *CSR
+	r0, c0  int
+}
+
+// aRow returns A's stored entries in output row i of the Schur block
+// (none for a plain product).
+func (g gustavson) aRow(i int) (cols []int, vals []float64) {
+	if g.a == nil {
+		return nil, nil
 	}
-	pf := make([]int, a.Rows+1)
-	for i := 0; i < a.Rows; i++ {
-		f := 0
-		for _, j := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
-			f += rowLen[j]
+	cols, vals = g.a.RowView(g.r0 + i)
+	k := sort.SearchInts(cols, g.c0)
+	return cols[k:], vals[k:]
+}
+
+// weights returns the prefix sum over rows [lo, hi) of each output row's
+// size bound: its Gustavson flop count Σ nnz(B row j) over the stored
+// x_ij, plus its A entries. It balances the parallel chunks and sizes
+// the output.
+func (g gustavson) weights(lo, hi int) []int {
+	pw := make([]int, hi-lo+1)
+	for i := lo; i < hi; i++ {
+		acols, _ := g.aRow(i)
+		f := len(acols)
+		for _, j := range g.x.ColIdx[g.x.RowPtr[i]:g.x.RowPtr[i+1]] {
+			f += g.b.RowPtr[j+1] - g.b.RowPtr[j]
 		}
-		pf[i+1] = pf[i] + f
+		pw[i-lo+1] = pw[i-lo] + f
 	}
-	bounds := chunksByPrefix(pf, runtime.GOMAXPROCS(0))
+	return pw
+}
+
+// rows computes output rows [lo, hi): serially, or row-parallel in
+// weight-balanced chunks when the product is large enough.
+func (g gustavson) rows(lo, hi int) *CSR {
+	pw := g.weights(lo, hi)
+	if runtime.GOMAXPROCS(0) < 2 || 2*float64(pw[hi-lo]) < spgemmParallelThreshold {
+		return g.serial(lo, pw)
+	}
+	out := NewCSR(hi-lo, g.b.Cols)
+	bounds := chunksByPrefix(pw, runtime.GOMAXPROCS(0))
 	nchunks := len(bounds) - 1
 	type chunkOut struct {
 		colIdx []int
 		val    []float64
-		rowNNZ []int
 	}
 	results := make([]chunkOut, nchunks)
+	// Each chunk writes its chunk-relative row ends into its own range
+	// of out.RowPtr; the concatenation below shifts them into place.
 	mat.ParallelFor(nchunks, 1, func(clo, chi int) {
 		for c := clo; c < chi; c++ {
-			lo, hi := bounds[c], bounds[c+1]
-			if lo >= hi {
-				continue
+			l, h := bounds[c], bounds[c+1]
+			if l < h {
+				co := &results[c]
+				co.colIdx, co.val = newSPA(g.b.Cols).rows(g, lo+l, pw[l:h+1], out.RowPtr[l+1:h+1])
 			}
-			co := chunkOut{rowNNZ: make([]int, hi-lo)}
-			acc := make([]float64, b.Cols)
-			mark := make([]int, b.Cols)
-			for i := range mark {
-				mark[i] = -1
-			}
-			pattern := make([]int, 0, 64)
-			for i := lo; i < hi; i++ {
-				pattern = spGEMMRow(a, b, i, acc, mark, pattern[:0])
-				n0 := len(co.val)
-				for _, j := range pattern {
-					if acc[j] != 0 {
-						co.colIdx = append(co.colIdx, j)
-						co.val = append(co.val, acc[j])
-					}
-				}
-				co.rowNNZ[i-lo] = len(co.val) - n0
-			}
-			results[c] = co
 		}
 	})
-	out := NewCSR(a.Rows, b.Cols)
 	total := 0
 	for _, co := range results {
 		total += len(co.val)
 	}
 	out.ColIdx = make([]int, 0, total)
 	out.Val = make([]float64, 0, total)
-	row := 0
-	for _, co := range results {
+	for c, co := range results {
+		for r := bounds[c] + 1; r <= bounds[c+1]; r++ {
+			out.RowPtr[r] += len(out.Val)
+		}
 		out.ColIdx = append(out.ColIdx, co.colIdx...)
 		out.Val = append(out.Val, co.val...)
-		for _, nnz := range co.rowNNZ {
-			out.RowPtr[row+1] = out.RowPtr[row] + nnz
-			row++
-		}
 	}
 	return out
+}
+
+// serial computes output rows lo, lo+1, … (one per step of the weight
+// prefix pw) with one accumulator.
+func (g gustavson) serial(lo int, pw []int) *CSR {
+	out := NewCSR(len(pw)-1, g.b.Cols)
+	out.ColIdx, out.Val = newSPA(g.b.Cols).rows(g, lo, pw, out.RowPtr[1:])
+	return out
+}
+
+// spa is a dense sparse accumulator over the output columns.
+type spa struct {
+	acc     []float64
+	mark    []int
+	pattern []int
+}
+
+func newSPA(cols int) *spa {
+	w := &spa{acc: make([]float64, cols), mark: make([]int, cols), pattern: make([]int, 0, 64)}
+	for i := range w.mark {
+		w.mark[i] = -1
+	}
+	return w
+}
+
+// rows returns output rows lo, lo+1, … of g, one per step of the weight
+// prefix pw, writing the end of row lo+r to ends[r].
+func (w *spa) rows(g gustavson, lo int, pw, ends []int) (colIdx []int, val []float64) {
+	last := len(pw) - 1
+	if g.a != nil {
+		// A Schur block starts at its A entries plus 1/8: the update
+		// mostly adds fill to them, so this is usually its final size.
+		est := 0
+		for r := 0; r < last; r++ {
+			acols, _ := g.aRow(lo + r)
+			est += len(acols)
+		}
+		est = min(est+est/8, pw[last]-pw[0])
+		colIdx, val = make([]int, 0, est), make([]float64, 0, est)
+	}
+	for r := 0; r < last; r++ {
+		i := lo + r
+		w.pattern = spGEMMRow(g.x, g.b, i, w.acc, w.mark, w.pattern[:0])
+		acols, avals := g.aRow(i)
+		if n := len(val) + len(w.pattern) + len(acols); n > cap(val) {
+			colIdx, val = growOutput(colIdx, val, n, pw[r+1]-pw[0], pw[last]-pw[0], len(val)+pw[last]-pw[r])
+		}
+		if g.a == nil {
+			for _, j := range w.pattern {
+				if w.acc[j] != 0 {
+					colIdx = append(colIdx, j)
+					val = append(val, w.acc[j])
+				}
+			}
+		} else {
+			colIdx, val = w.subtractFrom(acols, avals, g.c0, colIdx, val)
+		}
+		ends[r] = len(val)
+	}
+	return colIdx, val
+}
+
+// growOutput reallocates colIdx and val to hold at least n entries. The
+// new capacity extrapolates the entries per unit of weight so far
+// (n over done) to the total weight, plus 1/8, grows by at least 1/4, and
+// never exceeds bound, the most entries the output can reach.
+func growOutput(colIdx []int, val []float64, n, done, total, bound int) ([]int, []float64) {
+	c := max(n, cap(val)+cap(val)/4)
+	if done > 0 {
+		c = max(c, int(float64(n)*float64(total)/float64(done)*1.125))
+	}
+	c = max(min(c, bound), n)
+	colIdx = append(make([]int, 0, c), colIdx...)
+	val = append(make([]float64, 0, c), val...)
+	return colIdx, val
+}
+
+// subtractFrom appends the row whose A entries (columns ≥ c0) are
+// acols/avals minus the accumulated product row, merging the two sorted
+// patterns the way Add(1, ·, −1, ·) does.
+func (w *spa) subtractFrom(acols []int, avals []float64, c0 int, colIdx []int, val []float64) ([]int, []float64) {
+	ka, pat := 0, w.pattern
+	for ka < len(acols) || len(pat) > 0 {
+		var j int
+		var v float64
+		switch {
+		case len(pat) == 0 || (ka < len(acols) && acols[ka]-c0 < pat[0]):
+			j, v = acols[ka]-c0, avals[ka]
+			ka++
+		case ka >= len(acols) || pat[0] < acols[ka]-c0:
+			j, v = pat[0], -w.acc[pat[0]]
+			pat = pat[1:]
+		default:
+			j, v = pat[0], avals[ka]-w.acc[pat[0]]
+			ka++
+			pat = pat[1:]
+		}
+		if v != 0 {
+			colIdx = append(colIdx, j)
+			val = append(val, v)
+		}
+	}
+	return colIdx, val
 }
 
 // spGEMMRow merges row i of A·B into the sparse accumulator (acc, mark)
@@ -580,30 +726,6 @@ func spGEMMRow(a, b *CSR, i int, acc []float64, mark []int, pattern []int) []int
 	}
 	sort.Ints(pattern)
 	return pattern
-}
-
-// spGEMMSerial is the single-threaded Gustavson product, also the
-// reference for the parallel-equivalence tests.
-func spGEMMSerial(a, b *CSR) *CSR {
-	out := NewCSR(a.Rows, b.Cols)
-	// Dense accumulator (SPA) reused across rows.
-	acc := make([]float64, b.Cols)
-	mark := make([]int, b.Cols)
-	for i := range mark {
-		mark[i] = -1
-	}
-	pattern := make([]int, 0, 64)
-	for i := 0; i < a.Rows; i++ {
-		pattern = spGEMMRow(a, b, i, acc, mark, pattern[:0])
-		for _, j := range pattern {
-			if acc[j] != 0 {
-				out.ColIdx = append(out.ColIdx, j)
-				out.Val = append(out.Val, acc[j])
-			}
-		}
-		out.RowPtr[i+1] = len(out.Val)
-	}
-	return out
 }
 
 // SpGEMMFlops returns the multiply-add count Gustavson's algorithm
@@ -681,36 +803,55 @@ func (a *CSR) PermuteRows(perm []int) *CSR {
 }
 
 // PermuteCols returns A·P where column j of the result is column perm[j]
-// of A. Column indices within each row are re-sorted.
+// of A. Column indices within each row are re-sorted on pooled scratch,
+// so a call allocates only the result.
 func (a *CSR) PermuteCols(perm []int) *CSR {
 	if len(perm) != a.Cols {
 		panic("sparse: PermuteCols length mismatch")
 	}
+	out := &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: append([]int(nil), a.RowPtr...),
+		ColIdx: make([]int, a.NNZ()), Val: make([]float64, a.NNZ())}
+	sc := permScratchPool.Get().(*permScratch)
 	// inv maps old column index → new position.
-	inv := make([]int, a.Cols)
+	if cap(sc.inv) < a.Cols {
+		sc.inv = make([]int, a.Cols)
+	}
+	inv := sc.inv[:a.Cols]
 	for newj, oldj := range perm {
 		inv[oldj] = newj
 	}
-	out := a.Clone()
-	type ent struct {
-		j int
-		v float64
-	}
-	buf := make([]ent, 0, 64)
 	for i := 0; i < a.Rows; i++ {
-		s, e := out.RowPtr[i], out.RowPtr[i+1]
-		buf = buf[:0]
+		s, e := a.RowPtr[i], a.RowPtr[i+1]
+		row := sc.row[:0]
 		for k := s; k < e; k++ {
-			buf = append(buf, ent{inv[out.ColIdx[k]], out.Val[k]})
+			row = append(row, colVal{inv[a.ColIdx[k]], a.Val[k]})
 		}
-		sort.Slice(buf, func(x, y int) bool { return buf[x].j < buf[y].j })
-		for k := s; k < e; k++ {
-			out.ColIdx[k] = buf[k-s].j
-			out.Val[k] = buf[k-s].v
+		slices.SortFunc(row, colVal.cmp)
+		for k, ent := range row {
+			out.ColIdx[s+k] = ent.j
+			out.Val[s+k] = ent.v
 		}
+		sc.row = row
 	}
+	permScratchPool.Put(sc)
 	return out
 }
+
+// colVal is one row entry being re-sorted by column.
+type colVal struct {
+	j int
+	v float64
+}
+
+func (x colVal) cmp(y colVal) int { return x.j - y.j }
+
+// permScratch is PermuteCols' reusable inverse permutation and row buffer.
+type permScratch struct {
+	inv []int
+	row []colVal
+}
+
+var permScratchPool = sync.Pool{New: func() any { return new(permScratch) }}
 
 // ExtractBlock returns the submatrix with rows [r0, r1) and columns
 // [c0, c1) as a new CSR matrix.
@@ -765,20 +906,16 @@ func (a *CSR) ExtractCols(cols []int) *CSR {
 		inv[j] = p
 	}
 	out := NewCSR(a.Rows, len(cols))
-	type ent struct {
-		j int
-		v float64
-	}
-	row := make([]ent, 0, len(cols))
+	row := make([]colVal, 0, len(cols))
 	for i := 0; i < a.Rows; i++ {
 		rcols, rvals := a.RowView(i)
 		row = row[:0]
 		for k, j := range rcols {
 			if p := inv[j]; p >= 0 {
-				row = append(row, ent{p, rvals[k]})
+				row = append(row, colVal{p, rvals[k]})
 			}
 		}
-		sort.Slice(row, func(x, y int) bool { return row[x].j < row[y].j })
+		slices.SortFunc(row, colVal.cmp)
 		for _, e := range row {
 			out.ColIdx = append(out.ColIdx, e.j)
 			out.Val = append(out.Val, e.v)

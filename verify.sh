@@ -29,7 +29,8 @@
 #      allocs/op per kernel); the GOMAXPROCS=1 twins
 #      KernelQRTournamentSerial, KernelSolveLUCRTPSerial,
 #      KernelSolveILUTCRTPSerial, KernelSolveRandQBEISerial and
-#      KernelSolveRandUBVSerial must allocate <= 1.05x the bytes/op of
+#      KernelSolveRandUBVSerial, and the serial KernelCOLAMDOrdering,
+#      must allocate <= 1.05x the bytes/op of
 #      the committed file on any CPU count, and KernelSpMMT must stay
 #      within 0.9x of its serial twin on the medians of 5 alternating
 #      runs of both
@@ -155,9 +156,10 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
     base_ilut=$(committed_bytes KernelSolveILUTCRTPSerial)
     base_qb=$(committed_bytes KernelSolveRandQBEISerial)
     base_ubv=$(committed_bytes KernelSolveRandUBVSerial)
+    base_colamd=$(committed_bytes KernelCOLAMDOrdering)
     out=$(go test -run '^$' -bench '^BenchmarkKernel' -benchmem -benchtime "${BENCHTIME:-200ms}" . ./internal/mat | grep -E '^Benchmark')
     echo "$out"
-    echo "$out" | awk -v ncpu="$(nproc 2>/dev/null || echo 1)" -v base_tourn="$base_tourn" -v base_lu="$base_lu" -v base_ilut="$base_ilut" -v base_qb="$base_qb" -v base_ubv="$base_ubv" '
+    echo "$out" | awk -v ncpu="$(nproc 2>/dev/null || echo 1)" -v base_tourn="$base_tourn" -v base_lu="$base_lu" -v base_ilut="$base_ilut" -v base_qb="$base_qb" -v base_ubv="$base_ubv" -v base_colamd="$base_colamd" '
         BEGIN { print "{"; first = 1 }
         /^Benchmark/ {
             name = $1
@@ -169,9 +171,10 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
             ns[name] = $3; bytes[name] = $5
         }
         # bytesGate fails when a benchmark allocates more than 1.05x its
-        # committed bytes/op. It gates GOMAXPROCS=1 twins only: their
-        # bytes repeat on any host, while the parallel kernels allocate
-        # per-chunk scratch that grows with the CPU count.
+        # committed bytes/op. It gates GOMAXPROCS=1 twins and serial
+        # kernels only: their bytes repeat on any host, while the
+        # parallel kernels allocate per-chunk scratch that grows with
+        # the CPU count.
         function bytesGate(name, base) {
             if (base == "" || bytes[name] == "") {
                 printf "missing bytes/op for %s (committed %s)\n", name, base > "/dev/stderr"; exit 1
@@ -207,14 +210,15 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
             }
             printf "}\n}\n"
             # Gate 0: the memory footprints of the LU_CRTP tournament
-            # workspace and of the sequential LU_CRTP, ILUT_CRTP,
-            # RandQB_EI and RandUBV solves.
+            # workspace, of the COLAMD + postorder ordering, and of the
+            # sequential LU_CRTP, ILUT_CRTP, RandQB_EI and RandUBV solves.
             # Deterministic, so it runs first and on any CPU count.
             bytesGate("KernelQRTournamentSerial", base_tourn)
             bytesGate("KernelSolveLUCRTPSerial", base_lu)
             bytesGate("KernelSolveILUTCRTPSerial", base_ilut)
             bytesGate("KernelSolveRandQBEISerial", base_qb)
             bytesGate("KernelSolveRandUBVSerial", base_ubv)
+            bytesGate("KernelCOLAMDOrdering", base_colamd)
             # Gate 1: MulBT must stay within 2x of MulT on the comparable
             # shape (it was ~6x before the packed-Bt path).
             if (ns["KernelMulT"] == "" || ns["KernelMulBT"] == "") {
