@@ -93,6 +93,8 @@ func TestValidateFlags(t *testing.T) {
 		"power out of range":    mutate(func(v *flagValues) { v.power = 4 }),
 		"negative np":           mutate(func(v *flagValues) { v.np = -2 }),
 		"tsvd distributed":      mutate(func(v *flagValues) { v.method = "tsvd"; v.np = 4 }),
+		"tsvd traced":           mutate(func(v *flagValues) { v.method = "tsvd"; v.traced = true }),
+		"cur traced at np 0":    mutate(func(v *flagValues) { v.method = "cur"; v.np = 0; v.traced = true }),
 		"sketchnnz w/ gaussian": mutate(func(v *flagValues) { v.sketchNNZ = 4 }),
 		"negative sketchnnz":    mutate(func(v *flagValues) { v.sketch = "sparsesign"; v.sketchNNZ = -1 }),
 	}
@@ -100,6 +102,10 @@ func TestValidateFlags(t *testing.T) {
 		if _, _, err := validateFlags(v); err == nil {
 			t.Errorf("%s: accepted %+v", name, v)
 		}
+	}
+	// A loop solver traces at one rank too.
+	if _, _, err := validateFlags(mutate(func(v *flagValues) { v.traced = true })); err != nil {
+		t.Fatalf("traced LU_CRTP at -np 1 rejected: %v", err)
 	}
 	// Zero tol with a rank cap is the legal fixed-rank mode.
 	fr := mutate(func(v *flagValues) { v.tol = 0; v.maxRank = 8 })

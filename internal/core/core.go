@@ -59,14 +59,16 @@ const (
 // method registry in registry.go.
 
 // Options configures a run. Zero values give sensible defaults
-// (BlockSize 8, sequential execution).
+// (BlockSize 8, one rank).
 type Options struct {
 	Method    Method
 	BlockSize int     // k
 	Tol       float64 // τ
 	MaxRank   int     // cap on K (0 = min(m,n))
 
-	// Randomized-method knobs.
+	// Randomized-method knobs. RandQB_EI rejects a Power outside [0,3]
+	// by panicking inside its rank body, which Approximate returns as a
+	// *dist.RankError at every Procs.
 	Power int   // RandQB_EI power parameter p ∈ [0,3]
 	Seed  int64 // PRNG seed
 	// Sketch selects the sketching operator of the randomized methods
@@ -85,11 +87,13 @@ type Options struct {
 	DiscardTol          float64 // >0 enables Cayrols-style column discarding
 	StopAtNumericalRank bool
 
-	// Procs > 1 runs the method's distributed implementation on that
-	// many virtual ranks (RandQB_EI, LU_CRTP, ILUT_CRTP, and — as this
+	// Procs is the number of virtual ranks the loop solvers run their
+	// SPMD body on (RandQB_EI, LU_CRTP, ILUT_CRTP, and — as this
 	// library's implementation of the paper's stated future work —
-	// RandUBV); Procs ≤ 1 runs sequentially. TSVD, RSVD and ARRF are
-	// sequential-only.
+	// RandUBV). Procs ≤ 1 is a one-rank world: the sequential run, which
+	// still reports the modeled single-rank time, the baseline of the
+	// scaling curves. The other methods are sequential-only and reject
+	// Procs > 1.
 	Procs      int
 	DistConfig *dist.Config // nil → dist.DefaultConfig()
 
@@ -122,13 +126,15 @@ type Approximation struct {
 	NNZFactors int
 
 	WallTime time.Duration
-	// Distributed-run telemetry (Procs > 1).
+	// Modeled-time telemetry of the loop solvers at every Procs (zero
+	// for the sequential-only methods).
 	VirtualTime float64
 	CommTime    float64
 	KernelTimes map[string]float64
-	// Dist holds the full per-rank virtual-time statistics of a
-	// distributed run (nil for sequential runs). To additionally record
-	// an event trace, attach a dist.Tracer (e.g. dist.NewTrace()) to
+	// Dist holds the full per-rank virtual-time statistics of a loop
+	// solver's run, one rank for a sequential run (nil for the
+	// sequential-only methods). To additionally record an event trace,
+	// attach a dist.Tracer (e.g. dist.NewTrace()) to
 	// Options.DistConfig.Tracer before calling Approximate.
 	Dist *dist.Result
 
@@ -209,33 +215,15 @@ func Approximate(a *sparse.CSR, opts Options) (*Approximation, error) {
 	if opts.Tol <= 0 && !opts.StopAtNumericalRank && opts.MaxRank <= 0 {
 		return nil, fmt.Errorf("core: need a positive tolerance, a MaxRank cap, or StopAtNumericalRank")
 	}
-	// Procs ≥ 1 requests the distributed implementation (np = 1 still
-	// yields the modeled single-rank time, the baseline of the scaling
-	// curves); Procs = 0 runs the plain sequential code path.
-	if opts.Procs > 1 || (opts.Procs == 1 && opts.Method.DistCapable()) {
+	if opts.Method.DistCapable() {
 		return approximateDist(a, opts)
+	}
+	if _, known := methodInfo(opts.Method); known && opts.Procs > 1 {
+		return nil, fmt.Errorf("core: %v has no distributed implementation; use Procs ≤ 1", opts.Method)
 	}
 	start := time.Now()
 	ap := &Approximation{Method: opts.Method}
 	switch opts.Method {
-	case RandQBEI:
-		r, err := randqb.Factor(a, qbOptions(opts))
-		if err != nil {
-			return nil, err
-		}
-		ap.setQB(r)
-	case RandUBV:
-		r, err := randubv.Factor(a, ubvOptions(opts))
-		if err != nil {
-			return nil, err
-		}
-		ap.setUBV(r)
-	case LUCRTP, ILUTCRTP:
-		r, err := lucrtp.Factor(a, luOptions(opts))
-		if err != nil {
-			return nil, err
-		}
-		ap.setLU(r)
 	case TSVD:
 		var r *tsvd.Result
 		var err error
@@ -384,38 +372,44 @@ func ClassifyFailure(err error) FailureClass {
 	return FailureOther
 }
 
-// approximateDist runs the method's distributed implementation on
-// opts.Procs virtual ranks and fills the modeled-time telemetry.
+// approximateDist runs a loop solver's SPMD body on max(Procs, 1)
+// virtual ranks and fills the modeled-time telemetry. The error rule is
+// dist.RunRoot's: at one rank a solver's own error comes back unwrapped.
 func approximateDist(a *sparse.CSR, opts Options) (*Approximation, error) {
 	cfg := dist.DefaultConfig()
 	if opts.DistConfig != nil {
 		cfg = *opts.DistConfig
 	}
+	p := max(opts.Procs, 1)
 	ap := &Approximation{Method: opts.Method}
 	start := time.Now()
-	var innerErr error
 	var res *dist.Result
+	var err error
 	switch opts.Method {
 	case RandQBEI:
-		res, innerErr = runRanks(opts.Procs, cfg, func(c *dist.Comm) (*randqb.Result, error) {
+		var r *randqb.Result
+		if r, res, err = dist.RunRoot(p, cfg, func(c *dist.Comm) (*randqb.Result, error) {
 			return randqb.FactorDist(c, a, qbOptions(opts))
-		}, ap.setQB)
-	case LUCRTP, ILUTCRTP:
-		res, innerErr = runRanks(opts.Procs, cfg, func(c *dist.Comm) (*lucrtp.Result, error) {
-			return lucrtp.FactorDist(c, a, luOptions(opts))
-		}, ap.setLU)
-	case RandUBV:
-		res, innerErr = runRanks(opts.Procs, cfg, func(c *dist.Comm) (*randubv.Result, error) {
-			return randubv.FactorDist(c, a, ubvOptions(opts))
-		}, ap.setUBV)
-	default:
-		if _, ok := methodInfo(opts.Method); !ok {
-			return nil, fmt.Errorf("core: unknown method %v", opts.Method)
+		}); err == nil {
+			ap.setQB(r)
 		}
-		return nil, fmt.Errorf("core: %v has no distributed implementation; use Procs ≤ 1", opts.Method)
+	case RandUBV:
+		var r *randubv.Result
+		if r, res, err = dist.RunRoot(p, cfg, func(c *dist.Comm) (*randubv.Result, error) {
+			return randubv.FactorDist(c, a, ubvOptions(opts))
+		}); err == nil {
+			ap.setUBV(r)
+		}
+	case LUCRTP, ILUTCRTP:
+		var r *lucrtp.Result
+		if r, res, err = dist.RunRoot(p, cfg, func(c *dist.Comm) (*lucrtp.Result, error) {
+			return lucrtp.FactorDist(c, a, luOptions(opts))
+		}); err == nil {
+			ap.setLU(r)
+		}
 	}
-	if innerErr != nil {
-		return nil, innerErr
+	if err != nil {
+		return nil, err
 	}
 	ap.WallTime = time.Since(start)
 	ap.Dist = res
@@ -434,19 +428,8 @@ func approximateDist(a *sparse.CSR, opts Options) (*Approximation, error) {
 	return ap, nil
 }
 
-// runRanks runs body on p ranks and hands rank 0's result to set.
-func runRanks[T any](p int, cfg dist.Config, body func(*dist.Comm) (T, error), set func(T)) (*dist.Result, error) {
-	return dist.RunE(p, cfg, func(c *dist.Comm) error {
-		r, err := body(c)
-		if err == nil && c.Rank() == 0 {
-			set(r)
-		}
-		return err
-	})
-}
-
 // qbOptions, ubvOptions and luOptions translate the run options into each
-// solver's own, for the sequential and the distributed path alike.
+// solver's own.
 func qbOptions(o Options) randqb.Options {
 	return randqb.Options{
 		BlockSize: o.BlockSize, Tol: o.Tol, Power: o.Power,

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"maps"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"sparselr/internal/gen"
@@ -223,3 +227,73 @@ func TestStopAtNumericalRankOption(t *testing.T) {
 		t.Fatalf("rank %d above numerical rank %d", ap.Rank, sm.NumRank)
 	}
 }
+
+// loopMethods are the methods that run as an SPMD body on virtual ranks.
+var loopMethods = []Method{RandQBEI, RandUBV, LUCRTP, ILUTCRTP}
+
+// A sequential run is a one-rank world: Procs 0 and Procs 1 compute the
+// same factors bit for bit and both report the modeled kernel times.
+func TestProcsZeroIsOneRankWorld(t *testing.T) {
+	for _, label := range []string{"M1", "M2", "M3"} {
+		pm, err := gen.ByLabel(label, gen.Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range loopMethods {
+			opts := Options{Method: m, BlockSize: 16, Tol: 1e-2, Power: 1, Seed: 1}
+			seq, err := Approximate(pm.A, opts)
+			if err != nil {
+				t.Fatalf("%s %v Procs 0: %v", label, m, err)
+			}
+			opts.Procs = 1
+			one, err := Approximate(pm.A, opts)
+			if err != nil {
+				t.Fatalf("%s %v Procs 1: %v", label, m, err)
+			}
+			if seq.Dist == nil || len(seq.Dist.Ranks) != 1 || len(seq.KernelTimes) == 0 {
+				t.Fatalf("%s %v Procs 0: no one-rank telemetry (Dist %v, %d kernels)", label, m, seq.Dist, len(seq.KernelTimes))
+			}
+			if seq.Rank != one.Rank || seq.Iters != one.Iters || seq.NNZFactors != one.NNZFactors ||
+				!sameBits(seq.ErrIndicator, one.ErrIndicator) || !sameBits(seq.VirtualTime, one.VirtualTime) {
+				t.Fatalf("%s %v: Procs 0 rank/iters/nnz/indicator/model %d/%d/%d/%v/%v, Procs 1 %d/%d/%d/%v/%v",
+					label, m, seq.Rank, seq.Iters, seq.NNZFactors, seq.ErrIndicator, seq.VirtualTime,
+					one.Rank, one.Iters, one.NNZFactors, one.ErrIndicator, one.VirtualTime)
+			}
+			if !slices.EqualFunc(seq.ErrHistory, one.ErrHistory, sameBits) {
+				t.Fatalf("%s %v: ErrHistory differs between Procs 0 and 1", label, m)
+			}
+			if !slices.EqualFunc(seq.Reconstruct().Data, one.Reconstruct().Data, sameBits) {
+				t.Fatalf("%s %v: Reconstruct differs between Procs 0 and 1", label, m)
+			}
+			if !maps.EqualFunc(seq.KernelTimes, one.KernelTimes, sameBits) {
+				t.Fatalf("%s %v: kernel times %v at Procs 0, %v at Procs 1", label, m, seq.KernelTimes, one.KernelTimes)
+			}
+		}
+	}
+}
+
+// At one rank a solver's own error is returned unwrapped, whether Procs
+// is 0 or 1; at Procs 2 it stays a rank crash.
+func TestOneRankErrorClass(t *testing.T) {
+	empty := sparse.NewCSR(0, 5)
+	for _, m := range loopMethods {
+		for _, procs := range []int{0, 1} {
+			_, err := Approximate(empty, Options{Method: m, BlockSize: 4, Tol: 1e-2, Seed: 1, Procs: procs})
+			if c := ClassifyFailure(err); c != FailureOther || strings.Contains(fmt.Sprint(err), "dist: rank 0") {
+				t.Fatalf("%v Procs %d on a 0×5 matrix: class %v, error %v; want %v without a rank prefix",
+					m, procs, c, err, FailureOther)
+			}
+		}
+		_, err := Approximate(empty, Options{Method: m, BlockSize: 4, Tol: 1e-2, Seed: 1, Procs: 2})
+		if c := ClassifyFailure(err); c != FailureRankCrash {
+			t.Fatalf("%v Procs 2 on a 0×5 matrix: class %v, error %v; want %v", m, c, err, FailureRankCrash)
+		}
+	}
+	// An out-of-range Power panics inside the rank body at every Procs.
+	_, err := Approximate(testMatrix(9), Options{Method: RandQBEI, BlockSize: 4, Tol: 1e-2, Power: 4})
+	if c := ClassifyFailure(err); c != FailureRankCrash {
+		t.Fatalf("RandQB_EI Power 4: class %v, error %v; want %v", c, err, FailureRankCrash)
+	}
+}
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }

@@ -7,6 +7,6 @@
 //
 // evaluated through each method's native error indicator (§II), plus
 // uniform telemetry (iterations, rank, factor nonzeros, error history,
-// wall time, and — for distributed runs — modeled parallel time and
-// per-kernel breakdowns).
+// wall time, and — for the loop solvers, at every rank count — modeled
+// parallel time and per-kernel breakdowns).
 package core

@@ -16,7 +16,7 @@ type MethodInfo struct {
 	Method  Method
 	Name    string   // canonical name, as the paper writes it
 	Aliases []string // additional accepted spellings
-	Dist    bool     // has a distributed (Procs > 1) implementation
+	Dist    bool     // runs as an SPMD body on max(Procs, 1) virtual ranks
 }
 
 // methodTable is ordered as the methods appear in docs and usage text.
@@ -55,8 +55,9 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", int(m))
 }
 
-// DistCapable reports whether the method has a distributed
-// implementation (Procs > 1 is accepted).
+// DistCapable reports whether the method runs as an SPMD body on
+// virtual ranks: it accepts Procs > 1 and reports its modeled times at
+// every Procs.
 func (m Method) DistCapable() bool {
 	mi, ok := methodInfo(m)
 	return ok && mi.Dist

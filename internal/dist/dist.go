@@ -624,21 +624,27 @@ func RunE(p int, cfg Config, body func(*Comm) error) (*Result, error) {
 	return res, nil
 }
 
-// RunSerial runs an SPMD solver body on a one-rank world with the
-// default cost model and returns its result and its own error (a panic
-// in the body comes back as RunE's *RankError). It is how a solver
-// written once as an SPMD body serves its sequential entry point.
-func RunSerial[T any](body func(*Comm) (T, error)) (T, error) {
+// RunRoot runs an SPMD solver body on p ranks and returns rank 0's
+// value with the per-rank statistics. At p == 1 a body error comes back
+// as the body's own error, so a one-rank world fails like a sequential
+// call; a panic or an injected fault is RunE's *RankError at any p, and
+// at p > 1 every failure is RunE's primary error. It is how a solver
+// written once as an SPMD body serves both its sequential entry point
+// and a run on many ranks.
+func RunRoot[T any](p int, cfg Config, body func(*Comm) (T, error)) (T, *Result, error) {
 	var out T
 	var err error
-	_, runErr := RunE(1, DefaultConfig(), func(c *Comm) error {
-		out, err = body(c)
-		return err
+	res, runErr := RunE(p, cfg, func(c *Comm) error {
+		r, e := body(c)
+		if c.Rank() == 0 {
+			out, err = r, e
+		}
+		return e
 	})
-	if err == nil {
-		err = runErr
+	if p == 1 && err != nil {
+		return out, res, err
 	}
-	return out, err
+	return out, res, runErr
 }
 
 // TotalMessages returns the point-to-point message count across ranks.

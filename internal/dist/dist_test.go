@@ -23,21 +23,33 @@ func TestRunSingleRank(t *testing.T) {
 	}
 }
 
-// RunSerial hands back the body's result and its own error, unwrapped,
-// and turns a panic in the body into a *RankError.
-func TestRunSerial(t *testing.T) {
-	got, err := RunSerial(func(c *Comm) (int, error) { return c.Size() + 41, nil })
-	if got != 42 || err != nil {
-		t.Fatalf("RunSerial = %v, %v; want 42, nil", got, err)
+// RunRoot hands back rank 0's result and the run's statistics. At one
+// rank a body error is the body's own, unwrapped, and a panic is a
+// *RankError; at p > 1 a body error is RunE's *RankError as before.
+func TestRunRoot(t *testing.T) {
+	got, res, err := RunRoot(1, DefaultConfig(), func(c *Comm) (int, error) {
+		c.Compute(1e6, "work")
+		return c.Size() + 41, nil
+	})
+	if got != 42 || err != nil || len(res.Ranks) != 1 || res.MaxKernel("work") <= 0 {
+		t.Fatalf("RunRoot = %v, %+v, %v; want 42, a one-rank result with a work kernel, nil", got, res, err)
+	}
+	got, res, err = RunRoot(3, cfg(), func(c *Comm) (int, error) { return 10 * c.Rank(), nil })
+	if got != 0 || err != nil || len(res.Ranks) != 3 {
+		t.Fatalf("RunRoot(3) = %v, %v; want rank 0's 0, nil", got, err)
 	}
 	own := errors.New("body failed")
-	if _, err := RunSerial(func(*Comm) (int, error) { return 0, own }); err != own {
-		t.Fatalf("RunSerial error = %v, want the body's own error", err)
+	if _, _, err := RunRoot(1, DefaultConfig(), func(*Comm) (int, error) { return 0, own }); err != own {
+		t.Fatalf("RunRoot error = %v, want the body's own error", err)
 	}
-	_, err = RunSerial(func(*Comm) (int, error) { panic("boom") })
 	var re *RankError
+	_, _, err = RunRoot(1, DefaultConfig(), func(*Comm) (int, error) { panic("boom") })
 	if !errors.As(err, &re) || re.Rank != 0 {
-		t.Fatalf("RunSerial panic = %v, want a rank-0 *RankError", err)
+		t.Fatalf("RunRoot panic = %v, want a rank-0 *RankError", err)
+	}
+	_, _, err = RunRoot(2, cfg(), func(*Comm) (int, error) { return 0, own })
+	if !errors.As(err, &re) || !errors.Is(err, own) {
+		t.Fatalf("RunRoot(2) error = %v, want a *RankError wrapping the body's error", err)
 	}
 }
 

@@ -153,7 +153,8 @@ type entry struct {
 // LU_CRTP (Options.Threshold == NoThreshold) or ILUT_CRTP. It runs
 // FactorDist on a one-rank world.
 func Factor(a *sparse.CSR, opts Options) (*Result, error) {
-	return dist.RunSerial(func(c *dist.Comm) (*Result, error) { return FactorDist(c, a, opts) })
+	r, _, err := dist.RunRoot(1, dist.DefaultConfig(), func(c *dist.Comm) (*Result, error) { return FactorDist(c, a, opts) })
+	return r, err
 }
 
 // FactorDist runs LU_CRTP/ILUT_CRTP inside a dist.Run body: the column

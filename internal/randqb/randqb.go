@@ -109,7 +109,8 @@ func (r *Result) MinRank(tol float64) int {
 // block of A is all of A.
 func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 	opts.defaults() // an invalid Power panics here, in the caller
-	return dist.RunSerial(func(c *dist.Comm) (*Result, error) { return FactorDist(c, a, opts) })
+	r, _, err := dist.RunRoot(1, dist.DefaultConfig(), func(c *dist.Comm) (*Result, error) { return FactorDist(c, a, opts) })
+	return r, err
 }
 
 // FactorDist runs RandQB_EI inside a dist.Run body in a genuinely

@@ -69,7 +69,8 @@ func TrueError(a *sparse.CSR, r *Result) float64 {
 // of FactorDist on a one-rank world, where A·V needs no allgather and
 // Aᵀ·U no reduction.
 func Factor(a *sparse.CSR, opts Options) (*Result, error) {
-	return dist.RunSerial(func(c *dist.Comm) (*Result, error) { return FactorDist(c, a, opts) })
+	r, _, err := dist.RunRoot(1, dist.DefaultConfig(), func(c *dist.Comm) (*Result, error) { return FactorDist(c, a, opts) })
+	return r, err
 }
 
 // FactorDist runs the randomized block bidiagonalization

@@ -183,7 +183,7 @@ func (m *Metrics) JobFinished(s Status) {
 }
 
 // SolveDone records one completed solve (fresh compute, not a cache
-// hit) with its wall latency and, for distributed runs, modeled time.
+// hit) with its wall latency and, for the loop solvers, modeled time.
 func (m *Metrics) SolveDone(method string, wall time.Duration, virtualTime float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -336,7 +336,7 @@ func (m *Metrics) WriteProm(w io.Writer, g Gauges) {
 		fmt.Fprintf(w, "lowrankd_solve_seconds_count{method=%q} %d\n", name, h.total)
 	}
 	if len(m.virtualSeconds) > 0 {
-		fmt.Fprintf(w, "# HELP lowrankd_dist_virtual_seconds_total Modeled distributed runtime by algorithm.\n# TYPE lowrankd_dist_virtual_seconds_total counter\n")
+		fmt.Fprintf(w, "# HELP lowrankd_dist_virtual_seconds_total Modeled runtime of the loop-solver solves (one-rank and distributed) by algorithm.\n# TYPE lowrankd_dist_virtual_seconds_total counter\n")
 		vms := make([]string, 0, len(m.virtualSeconds))
 		for name := range m.virtualSeconds {
 			vms = append(vms, name)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -93,6 +94,60 @@ func TestSpecKeyCanonical(t *testing.T) {
 	}
 	if d.Key() != e.Key() {
 		t.Fatal("deadline/checkpoint knobs must not affect the cache key")
+	}
+}
+
+// Procs 0 and 1 run the same one-rank world, so they share a key, and
+// it is the key a procs-omitted spec always had: existing -cachedir
+// entries stay valid.
+func TestSpecKeyProcsOneIsZero(t *testing.T) {
+	omitted := &Spec{Generator: "M3", Method: "LU_CRTP", Tol: 1e-2, Seed: 1}
+	one := &Spec{Generator: "M3", Method: "lu", Tol: 1e-2, Seed: 1, Procs: 1}
+	two := &Spec{Generator: "M3", Method: "lu", Tol: 1e-2, Seed: 1, Procs: 2}
+	for _, s := range []*Spec{omitted, one, two} {
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const want = "8fe94a2074da6609d5a45cf5d03500f87cfb4e790bc4b1510c343b9072b8ebd8"
+	if omitted.Key() != want {
+		t.Fatalf("procs-omitted key %s, want the stable %s", omitted.Key(), want)
+	}
+	if one.Key() != want {
+		t.Fatalf("procs=1 key %s, want the procs-omitted %s", one.Key(), want)
+	}
+	if two.Key() == want {
+		t.Fatal("procs=2 must not share the one-rank key")
+	}
+}
+
+// A procs-omitted LU_CRTP job is a one-rank world: it reports its
+// modeled time, and /metrics counts it.
+func TestOneRankSolveReportsVirtualTime(t *testing.T) {
+	srv := NewServer(Config{Workers: 1, QueueDepth: 4})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Drain(context.Background())
+
+	resp, err := http.Post(ts.URL+"/v1/jobs?wait=60s", "application/json",
+		strings.NewReader(`{"matrix":"M3","method":"LU_CRTP","tol":0.01,"seed":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sr submitResponse
+	json.NewDecoder(resp.Body).Decode(&sr)
+	resp.Body.Close()
+	if sr.Status != StatusDone || sr.Result == nil || sr.Result.VirtualTime <= 0 {
+		t.Fatalf("one-rank LU_CRTP job: %+v, want done with virtual_time > 0", sr)
+	}
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if series := `lowrankd_dist_virtual_seconds_total{method="LU_CRTP"}`; !strings.Contains(string(body), series) {
+		t.Fatalf("metrics missing %s:\n%s", series, body)
 	}
 }
 

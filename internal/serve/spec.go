@@ -31,7 +31,7 @@ type Spec struct {
 	Seed      int64   `json:"seed,omitempty"`       // PRNG seed
 	Sketch    string  `json:"sketch,omitempty"`     // gaussian|sparsesign|srtt
 	SketchNNZ int     `json:"sketch_nnz,omitempty"` // sparsesign nnz per Ω row
-	Procs     int     `json:"procs,omitempty"`      // >1 = distributed run
+	Procs     int     `json:"procs,omitempty"`      // virtual ranks (0 or 1 = one, >1 = distributed run)
 
 	// CheckpointEvery > 0 (with Procs > 1) checkpoints the distributed
 	// loop every that many iterations into the daemon's ResumeRegistry,
@@ -108,10 +108,14 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("serve: deadline_ms must be nonnegative, got %d", s.DeadlineMS)
 	}
 	// Canonicalize the wire spellings so equivalent requests share a
-	// cache key regardless of which alias the client used.
+	// cache key regardless of which alias the client used. Procs 1 is
+	// the one-rank world Procs 0 already runs, so it keys as 0.
 	s.Method = s.method.String()
 	s.Sketch = s.sketchKind.String()
 	s.Scale = s.scale.String()
+	if s.Procs == 1 {
+		s.Procs = 0
+	}
 	return nil
 }
 

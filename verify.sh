@@ -5,7 +5,8 @@
 #   3. go build ./...
 #   4. go test ./...           (tier-1)
 #   5. go test -race over the packages with parallel kernels, the
-#      fault-injection paths, the sketch layer and the serving layer
+#      fault-injection paths, the sketch layer, the core dispatch
+#      (every loop solve runs on a rank goroutine) and the serving layer
 #      (the >=32-concurrent-client daemon acceptance test), under a
 #      watchdog -timeout so a deadlock regression fails the gate
 #      instead of hanging it
@@ -88,9 +89,9 @@ go build ./...
 echo "== go test ./..."
 go test -timeout "${TESTTIMEOUT:-10m}" ./...
 
-echo "== go test -race (kernel + fault-injection + serving packages, watchdog timeout)"
+echo "== go test -race (kernel + fault-injection + core + serving packages, watchdog timeout)"
 go test -race -timeout "${TESTTIMEOUT:-10m}" \
-    ./internal/mat ./internal/sparse ./internal/sketch ./internal/cur ./internal/serve ./internal/fleet ./internal/qrtp \
+    ./internal/mat ./internal/sparse ./internal/sketch ./internal/cur ./internal/core ./internal/serve ./internal/fleet ./internal/qrtp \
     ./internal/dist/... ./internal/randqb/... ./internal/randubv/... ./internal/lucrtp/...
 
 echo "== seed-drift gate (bit-identity vs golden hashes at GOMAXPROCS 1, 2, 4)"
