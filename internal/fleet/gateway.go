@@ -247,14 +247,14 @@ func (g *Gateway) forwardOnce(r *http.Request, backend string, body []byte) (*fo
 	start := time.Now()
 	resp, err := g.client.Do(req)
 	if err != nil {
-		g.metrics.ForwardError(backend)
+		g.metrics.Errors.Inc(backend)
 		g.health.ReportFailure(backend, err)
 		return nil, err
 	}
 	defer resp.Body.Close()
 	respBody, err := io.ReadAll(io.LimitReader(resp.Body, g.maxBody+1))
 	if err != nil {
-		g.metrics.ForwardError(backend)
+		g.metrics.Errors.Inc(backend)
 		g.health.ReportFailure(backend, err)
 		return nil, err
 	}
@@ -283,12 +283,12 @@ func (g *Gateway) forwardSequence(r *http.Request, candidates []string, body []b
 			if err != nil {
 				g.logf("fleet: forward to %s failed: %v", backend, err)
 				if i < len(candidates)-1 {
-					g.metrics.Rerouted()
+					g.metrics.Reroutes.Inc()
 				}
 				continue
 			}
 			if backpressure(res.code) && i < len(candidates)-1 {
-				g.metrics.Spillover()
+				g.metrics.Spillover.Inc()
 				lastPressure = res
 				continue
 			}
@@ -300,11 +300,11 @@ func (g *Gateway) forwardSequence(r *http.Request, candidates []string, body []b
 		if pass >= g.retryBudget {
 			break
 		}
-		g.metrics.RetryPass()
+		g.metrics.RetryPasses.Inc()
 		select {
 		case <-time.After(jitteredBackoff(backoff)):
 		case <-r.Context().Done():
-			g.metrics.NoBackend()
+			g.metrics.Unroutable.Inc()
 			return nil, fmt.Errorf("fleet: canceled during retry backoff: %w", r.Context().Err())
 		}
 		if backoff *= 2; backoff > maxRetryBackoff {
@@ -317,9 +317,9 @@ func (g *Gateway) forwardSequence(r *http.Request, candidates []string, body []b
 		}
 	}
 	if g.retryBudget > 0 {
-		g.metrics.RetryBudgetExhausted()
+		g.metrics.RetryExhausted.Inc()
 	}
-	g.metrics.NoBackend()
+	g.metrics.Unroutable.Inc()
 	return nil, fmt.Errorf("fleet: no reachable backend (tried %d candidates over %d passes)", len(candidates), g.retryBudget+1)
 }
 
@@ -382,7 +382,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// client's own forward would have returned. Leader failure
 		// (502) is relayed too — the client retries, now likely as a
 		// leader.
-		g.metrics.CoalesceHit()
+		g.metrics.Coalesced.Inc()
 		select {
 		case <-fl.done:
 		case <-r.Context().Done():
@@ -413,7 +413,7 @@ func (g *Gateway) submitOnce(r *http.Request, key string, body []byte) (*forward
 	refresh := func() []string { return g.ring.OwnerSequence(key, 0) }
 	candidates := refresh()
 	if len(candidates) == 0 {
-		g.metrics.NoBackend()
+		g.metrics.Unroutable.Inc()
 		return nil, fmt.Errorf("fleet: every backend is down")
 	}
 	res, err := g.forwardSequence(r, candidates, body, refresh)
@@ -430,7 +430,7 @@ func (g *Gateway) submitOnce(r *http.Request, key string, body []byte) (*forward
 			if primary, ok := g.fullRing.Owner(key); ok && primary != res.backend && sub.Cached {
 				// Answered from cache by a non-primary: the owner-set
 				// replica (or a peer fill) covered for the primary.
-				g.metrics.ReplicaRead()
+				g.metrics.ReplicaReads.Inc()
 			}
 		}
 	}
@@ -505,7 +505,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		owner, ok := g.ring.Owner(spec.Key())
 		if !ok {
-			g.metrics.NoBackend()
+			g.metrics.Unroutable.Inc()
 			writeError(w, http.StatusServiceUnavailable, fmt.Errorf("fleet: every backend is down"))
 			return
 		}
@@ -632,7 +632,7 @@ func (g *Gateway) handleCacheProxy(w http.ResponseWriter, r *http.Request) {
 	refresh := func() []string { return g.ring.OwnerSequence(key, 0) }
 	candidates := refresh()
 	if len(candidates) == 0 {
-		g.metrics.NoBackend()
+		g.metrics.Unroutable.Inc()
 		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("fleet: every backend is down"))
 		return
 	}
@@ -659,7 +659,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	g.metrics.WriteProm(w, Gauges{
+	_ = g.metrics.WriteProm(w, Gauges{ // a failed write means the scraper hung up
 		RingSize: g.ring.Len(),
 		Backends: g.health.Snapshot(),
 		Routes:   g.routeCount(),

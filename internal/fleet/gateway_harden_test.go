@@ -63,12 +63,12 @@ func TestGatewayCoalescesSubmits(t *testing.T) {
 	// release the upstream solve.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		coalesced, _ := g.metrics.CoalesceSnapshot()
+		coalesced := g.metrics.Coalesced.Load()
 		if coalesced == clients-1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("coalesced = %d, want %d", coalesced, clients-1)
+			t.Fatalf("coalesced = %v, want %d", coalesced, clients-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -135,14 +135,12 @@ func TestGatewayRetryBudgetRecovers(t *testing.T) {
 	if n := atomic.LoadInt64(submits); n != 1 {
 		t.Fatalf("upstream submits = %d, want 1", n)
 	}
-	g.metrics.mu.Lock()
-	passes, exhausted := g.metrics.retryPasses, g.metrics.retryExhausted
-	g.metrics.mu.Unlock()
+	passes, exhausted := g.metrics.RetryPasses.Load(), g.metrics.RetryExhausted.Load()
 	if passes != 2 {
-		t.Fatalf("retry passes = %d, want 2", passes)
+		t.Fatalf("retry passes = %v, want 2", passes)
 	}
 	if exhausted != 0 {
-		t.Fatalf("retry budget exhausted %d times on a recovered request", exhausted)
+		t.Fatalf("retry budget exhausted %v times on a recovered request", exhausted)
 	}
 }
 
@@ -167,14 +165,12 @@ func TestGatewayRetryBudgetExhausted(t *testing.T) {
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("status %d, want 502", resp.StatusCode)
 	}
-	g.metrics.mu.Lock()
-	passes, exhausted := g.metrics.retryPasses, g.metrics.retryExhausted
-	g.metrics.mu.Unlock()
+	passes, exhausted := g.metrics.RetryPasses.Load(), g.metrics.RetryExhausted.Load()
 	if passes != 3 {
-		t.Fatalf("retry passes = %d, want 3", passes)
+		t.Fatalf("retry passes = %v, want 3", passes)
 	}
 	if exhausted != 1 {
-		t.Fatalf("retry exhausted = %d, want 1", exhausted)
+		t.Fatalf("retry exhausted = %v, want 1", exhausted)
 	}
 }
 
@@ -201,8 +197,8 @@ func TestGatewayReplicaReadAccounting(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200 via reroute", resp.StatusCode)
 	}
-	if _, reads := g.metrics.CoalesceSnapshot(); reads != 1 {
-		t.Fatalf("replica reads = %d, want 1", reads)
+	if reads := g.metrics.ReplicaReads.Load(); reads != 1 {
+		t.Fatalf("replica reads = %v, want 1", reads)
 	}
 
 	// A key the replica owns outright: cached, but primary-served.
@@ -211,7 +207,7 @@ func TestGatewayReplicaReadAccounting(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200 from primary", resp.StatusCode)
 	}
-	if _, reads := g.metrics.CoalesceSnapshot(); reads != 1 {
-		t.Fatalf("replica reads = %d after primary-served hit, want still 1", reads)
+	if reads := g.metrics.ReplicaReads.Load(); reads != 1 {
+		t.Fatalf("replica reads = %v after primary-served hit, want still 1", reads)
 	}
 }

@@ -200,10 +200,7 @@ func TestGatewaySpillsOverOnBackpressure(t *testing.T) {
 	if atomic.LoadInt64(&b.solves) != 1 {
 		t.Fatalf("spillover did not land on b: solves=%d", b.solves)
 	}
-	g.metrics.mu.Lock()
-	spill := g.metrics.spillover
-	g.metrics.mu.Unlock()
-	if spill == 0 {
+	if spill := g.metrics.Spillover.Load(); spill == 0 {
 		t.Fatal("spillover not counted")
 	}
 }
@@ -235,11 +232,9 @@ func TestGatewayReroutesAroundDeadBackend(t *testing.T) {
 	if g.ring.Len() != 1 || g.ring.Contains(a.ts.URL) {
 		t.Fatalf("dead backend still in ring: %v", g.ring.Members())
 	}
-	g.metrics.mu.Lock()
-	reroutes, evictions := g.metrics.reroutes, g.metrics.evictions
-	g.metrics.mu.Unlock()
+	reroutes, evictions := g.metrics.Reroutes.Load(), g.metrics.Evictions.Load()
 	if reroutes == 0 || evictions == 0 {
-		t.Fatalf("reroutes=%d evictions=%d", reroutes, evictions)
+		t.Fatalf("reroutes=%v evictions=%v", reroutes, evictions)
 	}
 	// Metrics endpoint exposes the ring change.
 	mresp, err := http.Get(gw.URL + "/metrics")

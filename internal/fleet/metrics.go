@@ -1,110 +1,68 @@
 package fleet
 
 import (
-	"fmt"
 	"io"
-	"sort"
-	"sync"
 	"time"
+
+	"sparselr/internal/prom"
 )
 
-// Metrics is the gateway's counter set, rendered in Prometheus text
-// exposition format by WriteProm. Series are prefixed
-// lowrank_gateway_ to keep them distinct from the per-shard lowrankd_
-// series when both are scraped into one store.
+// Metrics is the gateway's metric set, rendered by WriteProm. Callers
+// record on the exported handles directly; the HELP text each is
+// registered with in NewMetrics says what it counts. Series are
+// prefixed lowrank_gateway_ to keep them distinct from the per-shard
+// lowrankd_ series when both are scraped into one store.
 type Metrics struct {
-	mu sync.Mutex
+	reg prom.Registry
 
-	requests map[string]uint64 // forwarded requests by backend
-	errors   map[string]uint64 // forwarding failures by backend
-	latency  map[string]*latencyAgg
+	Errors                             *prom.Vec // by backend
+	requests, latencySum, latencyCount *prom.Vec
 
-	reroutes  uint64 // retries on the next ring node after a dial failure
-	spillover uint64 // retries on the next node after a 429/503
-	evictions uint64 // backends removed from the ring
-	readmits  uint64 // backends restored to the ring
-	noBackend uint64 // requests failed with every backend down
+	Reroutes, Spillover, Unroutable, Coalesced *prom.Value
+	RetryPasses, RetryExhausted, ReplicaReads  *prom.Value
+	Evictions, Readmissions                    *prom.Value
 
-	coalesceHits   uint64 // submits that joined an identical in-flight submit
-	retryPasses    uint64 // backoff passes spent after a whole-candidate-list dial failure
-	retryExhausted uint64 // requests that burned their whole retry budget
-	replicaReads   uint64 // cached submits answered by a non-primary owner
+	ringSize, jobRoutes *prom.Value
+	backendHealthy      *prom.Vec
 }
 
-type latencyAgg struct {
-	sum   float64 // seconds
-	count uint64
-}
-
-// NewMetrics returns an empty counter set.
+// NewMetrics returns an empty metric set.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		requests: map[string]uint64{},
-		errors:   map[string]uint64{},
-		latency:  map[string]*latencyAgg{},
-	}
+	m := &Metrics{}
+	r := &m.reg
+	m.requests = r.CounterVec("lowrank_gateway_requests_total", "Requests forwarded, by backend.", "backend")
+	m.Errors = r.CounterVec("lowrank_gateway_errors_total", "Forwarding failures, by backend.", "backend")
+	m.latencySum = r.CounterVec("lowrank_gateway_latency_seconds_sum", "Cumulative forward round-trip seconds, by backend.", "backend")
+	m.latencyCount = r.CounterVec("lowrank_gateway_latency_seconds_count", "Forward round-trips measured, by backend.", "backend")
+	m.Reroutes = r.Counter("lowrank_gateway_reroutes_total", "Requests retried on the next ring node after a dial failure.")
+	m.Spillover = r.Counter("lowrank_gateway_spillover_total", "Requests retried on the next ring node after 429/503 backpressure.")
+	m.Evictions = r.Counter("lowrank_gateway_evictions_total", "Backends evicted from the ring.")
+	m.Readmissions = r.Counter("lowrank_gateway_readmissions_total", "Backends readmitted to the ring.")
+	m.Unroutable = r.Counter("lowrank_gateway_unroutable_total", "Requests failed with every backend down.")
+	m.Coalesced = r.Counter("lowrank_gateway_coalesced_total", "Submits that joined an identical in-flight submit.")
+	m.RetryPasses = r.Counter("lowrank_gateway_retry_passes_total", "Backoff passes after every candidate dial-failed.")
+	m.RetryExhausted = r.Counter("lowrank_gateway_retry_exhausted_total", "Requests that spent their whole retry budget.")
+	m.ReplicaReads = r.Counter("lowrank_gateway_replica_reads_total", "Cached submits answered by a non-primary owner-set member.")
+	m.ringSize = r.Gauge("lowrank_gateway_ring_size", "Backends currently in the ring.")
+	m.backendHealthy = r.GaugeVec("lowrank_gateway_backend_healthy", "Backend health, by backend (1 = in ring).", "backend")
+	m.jobRoutes = r.Gauge("lowrank_gateway_job_routes", "Tracked job-id to backend routes.")
+	return m
 }
 
 // Forwarded records one proxied request and its round-trip latency.
 func (m *Metrics) Forwarded(backend string, d time.Duration) {
-	m.mu.Lock()
-	m.requests[backend]++
-	agg := m.latency[backend]
-	if agg == nil {
-		agg = &latencyAgg{}
-		m.latency[backend] = agg
-	}
-	agg.sum += d.Seconds()
-	agg.count++
-	m.mu.Unlock()
+	m.requests.Inc(backend)
+	m.latencySum.Add(backend, d.Seconds())
+	m.latencyCount.Inc(backend)
 }
-
-// ForwardError records a failed forward attempt to a backend.
-func (m *Metrics) ForwardError(backend string) {
-	m.mu.Lock()
-	m.errors[backend]++
-	m.mu.Unlock()
-}
-
-// Rerouted records a retry on the next ring node after a dial error;
-// Spillover a retry after queue-full/draining backpressure.
-func (m *Metrics) Rerouted()  { m.mu.Lock(); m.reroutes++; m.mu.Unlock() }
-func (m *Metrics) Spillover() { m.mu.Lock(); m.spillover++; m.mu.Unlock() }
 
 // RingChange records an eviction (healthy=false) or readmission.
 func (m *Metrics) RingChange(healthy bool) {
-	m.mu.Lock()
 	if healthy {
-		m.readmits++
+		m.Readmissions.Inc()
 	} else {
-		m.evictions++
+		m.Evictions.Inc()
 	}
-	m.mu.Unlock()
-}
-
-// NoBackend records a request that exhausted every candidate backend.
-func (m *Metrics) NoBackend() { m.mu.Lock(); m.noBackend++; m.mu.Unlock() }
-
-// CoalesceHit records a submit that rode an identical in-flight
-// submit's forward instead of producing its own.
-func (m *Metrics) CoalesceHit() { m.mu.Lock(); m.coalesceHits++; m.mu.Unlock() }
-
-// RetryPass records one backoff-then-rewalk pass after every candidate
-// dial-failed; RetryBudgetExhausted a request that spent its whole
-// budget without reaching a backend.
-func (m *Metrics) RetryPass()            { m.mu.Lock(); m.retryPasses++; m.mu.Unlock() }
-func (m *Metrics) RetryBudgetExhausted() { m.mu.Lock(); m.retryExhausted++; m.mu.Unlock() }
-
-// ReplicaRead records a submit answered from cache by a backend that
-// is not the key's full-ring primary — the owner-set replica (or a
-// peer fill) covering for a dead or evicted primary.
-func (m *Metrics) ReplicaRead() { m.mu.Lock(); m.replicaReads++; m.mu.Unlock() }
-
-// CoalesceSnapshot returns (coalesce hits, replica reads) for tests.
-func (m *Metrics) CoalesceSnapshot() (coalesced, replicaReads uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.coalesceHits, m.replicaReads
 }
 
 // Gauges carries the live values sampled at render time.
@@ -114,92 +72,16 @@ type Gauges struct {
 	Routes   int             // tracked job-id routes
 }
 
-// WriteProm renders every series.
-func (m *Metrics) WriteProm(w io.Writer, g Gauges) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	fmt.Fprintf(w, "# HELP lowrank_gateway_requests_total Requests forwarded, by backend.\n")
-	fmt.Fprintf(w, "# TYPE lowrank_gateway_requests_total counter\n")
-	for _, b := range sortedKeys(m.requests) {
-		fmt.Fprintf(w, "lowrank_gateway_requests_total{backend=%q} %d\n", b, m.requests[b])
-	}
-	fmt.Fprintf(w, "# HELP lowrank_gateway_errors_total Forwarding failures, by backend.\n")
-	fmt.Fprintf(w, "# TYPE lowrank_gateway_errors_total counter\n")
-	for _, b := range sortedKeys(m.errors) {
-		fmt.Fprintf(w, "lowrank_gateway_errors_total{backend=%q} %d\n", b, m.errors[b])
-	}
-	fmt.Fprintf(w, "# HELP lowrank_gateway_latency_seconds_sum Cumulative forward round-trip seconds, by backend.\n")
-	fmt.Fprintf(w, "# TYPE lowrank_gateway_latency_seconds_sum counter\n")
-	lkeys := make([]string, 0, len(m.latency))
-	for b := range m.latency {
-		lkeys = append(lkeys, b)
-	}
-	sort.Strings(lkeys)
-	for _, b := range lkeys {
-		fmt.Fprintf(w, "lowrank_gateway_latency_seconds_sum{backend=%q} %g\n", b, m.latency[b].sum)
-	}
-	fmt.Fprintf(w, "# HELP lowrank_gateway_latency_seconds_count Forward round-trips measured, by backend.\n")
-	fmt.Fprintf(w, "# TYPE lowrank_gateway_latency_seconds_count counter\n")
-	for _, b := range lkeys {
-		fmt.Fprintf(w, "lowrank_gateway_latency_seconds_count{backend=%q} %d\n", b, m.latency[b].count)
-	}
-
-	fmt.Fprintf(w, "# HELP lowrank_gateway_reroutes_total Requests retried on the next ring node after a dial failure.\n")
-	fmt.Fprintf(w, "# TYPE lowrank_gateway_reroutes_total counter\n")
-	fmt.Fprintf(w, "lowrank_gateway_reroutes_total %d\n", m.reroutes)
-	fmt.Fprintf(w, "# HELP lowrank_gateway_spillover_total Requests retried on the next ring node after 429/503 backpressure.\n")
-	fmt.Fprintf(w, "# TYPE lowrank_gateway_spillover_total counter\n")
-	fmt.Fprintf(w, "lowrank_gateway_spillover_total %d\n", m.spillover)
-	fmt.Fprintf(w, "# HELP lowrank_gateway_evictions_total Backends evicted from the ring.\n")
-	fmt.Fprintf(w, "# TYPE lowrank_gateway_evictions_total counter\n")
-	fmt.Fprintf(w, "lowrank_gateway_evictions_total %d\n", m.evictions)
-	fmt.Fprintf(w, "# HELP lowrank_gateway_readmissions_total Backends readmitted to the ring.\n")
-	fmt.Fprintf(w, "# TYPE lowrank_gateway_readmissions_total counter\n")
-	fmt.Fprintf(w, "lowrank_gateway_readmissions_total %d\n", m.readmits)
-	fmt.Fprintf(w, "# HELP lowrank_gateway_unroutable_total Requests failed with every backend down.\n")
-	fmt.Fprintf(w, "# TYPE lowrank_gateway_unroutable_total counter\n")
-	fmt.Fprintf(w, "lowrank_gateway_unroutable_total %d\n", m.noBackend)
-	fmt.Fprintf(w, "# HELP lowrank_gateway_coalesced_total Submits that joined an identical in-flight submit.\n")
-	fmt.Fprintf(w, "# TYPE lowrank_gateway_coalesced_total counter\n")
-	fmt.Fprintf(w, "lowrank_gateway_coalesced_total %d\n", m.coalesceHits)
-	fmt.Fprintf(w, "# HELP lowrank_gateway_retry_passes_total Backoff passes after every candidate dial-failed.\n")
-	fmt.Fprintf(w, "# TYPE lowrank_gateway_retry_passes_total counter\n")
-	fmt.Fprintf(w, "lowrank_gateway_retry_passes_total %d\n", m.retryPasses)
-	fmt.Fprintf(w, "# HELP lowrank_gateway_retry_exhausted_total Requests that spent their whole retry budget.\n")
-	fmt.Fprintf(w, "# TYPE lowrank_gateway_retry_exhausted_total counter\n")
-	fmt.Fprintf(w, "lowrank_gateway_retry_exhausted_total %d\n", m.retryExhausted)
-	fmt.Fprintf(w, "# HELP lowrank_gateway_replica_reads_total Cached submits answered by a non-primary owner-set member.\n")
-	fmt.Fprintf(w, "# TYPE lowrank_gateway_replica_reads_total counter\n")
-	fmt.Fprintf(w, "lowrank_gateway_replica_reads_total %d\n", m.replicaReads)
-
-	fmt.Fprintf(w, "# HELP lowrank_gateway_ring_size Backends currently in the ring.\n")
-	fmt.Fprintf(w, "# TYPE lowrank_gateway_ring_size gauge\n")
-	fmt.Fprintf(w, "lowrank_gateway_ring_size %d\n", g.RingSize)
-	fmt.Fprintf(w, "# HELP lowrank_gateway_backend_healthy Backend health, by backend (1 = in ring).\n")
-	fmt.Fprintf(w, "# TYPE lowrank_gateway_backend_healthy gauge\n")
-	bkeys := make([]string, 0, len(g.Backends))
-	for b := range g.Backends {
-		bkeys = append(bkeys, b)
-	}
-	sort.Strings(bkeys)
-	for _, b := range bkeys {
-		v := 0
-		if g.Backends[b] {
+// WriteProm renders every series, with the gauges sampled in g.
+func (m *Metrics) WriteProm(w io.Writer, g Gauges) error {
+	m.ringSize.Set(float64(g.RingSize))
+	for b, healthy := range g.Backends {
+		v := 0.0
+		if healthy {
 			v = 1
 		}
-		fmt.Fprintf(w, "lowrank_gateway_backend_healthy{backend=%q} %d\n", b, v)
+		m.backendHealthy.Set(b, v)
 	}
-	fmt.Fprintf(w, "# HELP lowrank_gateway_job_routes Tracked job-id to backend routes.\n")
-	fmt.Fprintf(w, "# TYPE lowrank_gateway_job_routes gauge\n")
-	fmt.Fprintf(w, "lowrank_gateway_job_routes %d\n", g.Routes)
-}
-
-func sortedKeys(m map[string]uint64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	m.jobRoutes.Set(float64(g.Routes))
+	return m.reg.Write(w)
 }

@@ -120,7 +120,7 @@ func (p *PeerClient) Fill(key string) (*core.Approximation, bool) {
 			continue
 		}
 		if i > 0 {
-			p.metrics.PeerReplicaHit()
+			p.metrics.PeerFillReplicaHits.Inc()
 		}
 		return ap, true
 	}
@@ -187,9 +187,9 @@ func (p *PeerClient) Replicate(key string, ap *core.Approximation) {
 	}
 	select {
 	case p.queue <- item:
-		p.metrics.ReplicationQueued()
+		p.metrics.ReplicationPending.Inc()
 	default:
-		p.metrics.ReplicationDropped()
+		p.metrics.ReplicationDropped.Inc()
 		p.logf("fleet: replicate %s: queue full, shedding push", key[:8])
 	}
 }
@@ -211,7 +211,11 @@ func (p *PeerClient) replicationWorker() {
 	defer close(p.done)
 	for item := range p.queue {
 		for _, target := range item.targets {
-			p.metrics.ReplicaPush(p.push(item.key, target, item.frame))
+			if p.push(item.key, target, item.frame) {
+				p.metrics.ReplicationPushes.Inc()
+			} else {
+				p.metrics.ReplicationPushFailures.Inc()
+			}
 		}
 		p.metrics.ReplicationSettled(time.Since(item.solved))
 	}

@@ -40,6 +40,12 @@ func promValue(m *serve.Metrics, series string) string {
 	return ""
 }
 
+// replicationCounts reads (pushes, failures, pending) off a serve
+// metrics set.
+func replicationCounts(m *serve.Metrics) (pushes, fails, pending float64) {
+	return m.ReplicationPushes.Load(), m.ReplicationPushFailures.Load(), m.ReplicationPending.Load()
+}
+
 // frameSink records PUT /v1/cache bodies by key and serves nothing.
 type frameSink struct {
 	ts *httptest.Server
@@ -153,15 +159,15 @@ func TestPeerClientReplicatePush(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		pushes, fails, pending := metrics.ReplicationSnapshot()
+		pushes, fails, pending := replicationCounts(metrics)
 		if pushes == 1 && pending == 0 {
 			if fails != 0 {
-				t.Fatalf("replication fails = %d", fails)
+				t.Fatalf("replication fails = %v", fails)
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("replication never settled: pushes=%d fails=%d pending=%d", pushes, fails, pending)
+			t.Fatalf("replication never settled: pushes=%v fails=%v pending=%v", pushes, fails, pending)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -204,8 +210,8 @@ func TestPeerClientReplicateOutsideOwnerSet(t *testing.T) {
 	if _, ok := b.frame(key); !ok {
 		t.Fatal("owner B never received the frame")
 	}
-	if pushes, fails, pending := metrics.ReplicationSnapshot(); pushes != 2 || fails != 0 || pending != 0 {
-		t.Fatalf("snapshot = %d/%d/%d, want 2 pushes, clean", pushes, fails, pending)
+	if pushes, fails, pending := replicationCounts(metrics); pushes != 2 || fails != 0 || pending != 0 {
+		t.Fatalf("snapshot = %v/%v/%v, want 2 pushes, clean", pushes, fails, pending)
 	}
 	// After Close, further Replicate calls are dropped silently.
 	pc.Replicate(fmt.Sprintf("%064x", 8), replicaAp(1))

@@ -15,10 +15,8 @@ import (
 )
 
 // counters snapshots the peer/disk counters of a Metrics set.
-func counters(m *Metrics) (diskHits, peerHits, peerMisses uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.diskHits, m.peerFillHits, m.peerFillMisses
+func counters(m *Metrics) (diskHits, peerHits, peerMisses float64) {
+	return m.DiskCacheHits.Load(), m.PeerFillHits.Load(), m.PeerFillMisses.Load()
 }
 
 // TestSchedulerPeerFillHit: a worker whose PeerFillFunc supplies the
@@ -69,7 +67,7 @@ func TestSchedulerPeerFillHit(t *testing.T) {
 		t.Fatalf("solver ran %d times despite peer fill", n)
 	}
 	if _, h, ms := counters(m); h != 1 || ms != 0 {
-		t.Fatalf("peer counters hit=%d miss=%d", h, ms)
+		t.Fatalf("peer counters hit=%v miss=%v", h, ms)
 	}
 	// The fetched factors are now in the memory tier: a resubmission is
 	// answered at admission without touching the queue or the peer.
@@ -125,7 +123,7 @@ func TestSchedulerPeerFillMissFallsBack(t *testing.T) {
 		t.Fatalf("asks=%d solves=%d, want 1/1", asks, solves)
 	}
 	if _, h, ms := counters(m); h != 0 || ms != 1 {
-		t.Fatalf("peer counters hit=%d miss=%d", h, ms)
+		t.Fatalf("peer counters hit=%v miss=%v", h, ms)
 	}
 	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
@@ -191,7 +189,7 @@ func TestSchedulerDiskTierAdmission(t *testing.T) {
 		t.Fatalf("warm admission re-solved: solves = %d", solves)
 	}
 	if dh, _, _ := counters(m2); dh != 1 {
-		t.Fatalf("disk hits = %d", dh)
+		t.Fatalf("disk hits = %v", dh)
 	}
 	// Promotion: the key is now in the memory tier.
 	if _, ok := mem.Get(spec.Key()); !ok {

@@ -223,9 +223,10 @@ func TestServerConcurrentClients(t *testing.T) {
 	// Metrics reconciliation on daemon 1: 80 admissions split into
 	// 8 misses + 32 singleflight joins + 40 cache hits, 8 solves, and
 	// 8 done jobs; queue and in-flight gauges are back to zero.
-	hits, sf, misses, solved := metrics.Snapshot()
+	hits, sf, misses := metrics.CacheHits.Load(), metrics.SingleflightHits.Load(), metrics.CacheMisses.Load()
+	solved := metrics.Solves.Load("RandQB_EI")
 	if misses != distinct || sf != clients-distinct || hits != clients || solved != distinct {
-		t.Fatalf("metrics: hits=%d joins=%d misses=%d solves=%d, want %d/%d/%d/%d",
+		t.Fatalf("metrics: hits=%v joins=%v misses=%v solves=%v, want %d/%d/%d/%d",
 			hits, sf, misses, solved, clients, clients-distinct, distinct, distinct)
 	}
 	mresp, err := http.Get(ts.URL + "/metrics")

@@ -85,11 +85,9 @@ func TestCachePutEndpoint(t *testing.T) {
 	if _, ok := disk.ReadFrame(testKey(2)); ok {
 		t.Fatal("rejected frame reached the disk tier")
 	}
-	srv.metrics.mu.Lock()
-	stores, rejects := srv.metrics.replicaStores, srv.metrics.replicaStoreRejects
-	srv.metrics.mu.Unlock()
+	stores, rejects := srv.metrics.ReplicaStores.Load(), srv.metrics.ReplicaStoreRejects.Load()
 	if stores != 1 || rejects != 3 {
-		t.Fatalf("replica store counters = %d/%d, want 1 accepted, 3 rejected", stores, rejects)
+		t.Fatalf("replica store counters = %v/%v, want 1 accepted, 3 rejected", stores, rejects)
 	}
 }
 

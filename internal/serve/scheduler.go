@@ -208,13 +208,13 @@ func (s *Scheduler) Submit(spec *Spec) (*Job, Outcome, error) {
 	if s.cfg.Cache != nil {
 		if ap, ok := s.cfg.Cache.Get(key); ok {
 			j := s.doneJobLocked(spec, ap, now)
-			s.metrics.CacheHit()
+			s.metrics.CacheHits.Inc()
 			return j, CacheHit, nil
 		}
 	}
 	// Singleflight: join an identical queued-or-running job.
 	if flight, ok := s.inflight[key]; ok {
-		s.metrics.SingleflightHit()
+		s.metrics.SingleflightHits.Inc()
 		return flight, Joined, nil
 	}
 	// Disk tier last: a restarted daemon serves its pre-restart keys
@@ -226,24 +226,24 @@ func (s *Scheduler) Submit(spec *Spec) (*Job, Outcome, error) {
 				s.cfg.Cache.Put(key, ap)
 			}
 			j := s.doneJobLocked(spec, ap, now)
-			s.metrics.DiskHit()
+			s.metrics.DiskCacheHits.Inc()
 			return j, CacheHit, nil
 		}
 	}
 	if s.draining {
-		s.metrics.DrainRejected()
+		s.metrics.DrainRejections.Inc()
 		return nil, "", ErrDraining
 	}
 	j := newJob(nextJobID(), spec, now, spec.Deadline(now, s.cfg.Deadline))
 	select {
 	case s.queue <- j:
 	default:
-		s.metrics.Rejected()
+		s.metrics.QueueRejections.Inc()
 		return nil, "", ErrQueueFull
 	}
 	s.inflight[key] = j
 	s.rememberLocked(j)
-	s.metrics.CacheMiss()
+	s.metrics.CacheMisses.Inc()
 	return j, Enqueued, nil
 }
 
@@ -321,13 +321,13 @@ func (s *Scheduler) SubmitBatch(specs []*Spec) ([]*Job, []Outcome, error) {
 	}
 	if slotsNeeded > 0 {
 		if s.draining {
-			s.metrics.DrainRejected()
+			s.metrics.DrainRejections.Inc()
 			return nil, nil, ErrDraining
 		}
 		// Producers serialize on s.mu and workers only free slots, so
 		// this capacity check cannot race with another submitter.
 		if free := cap(s.queue) - len(s.queue); free < slotsNeeded {
-			s.metrics.Rejected()
+			s.metrics.QueueRejections.Inc()
 			return nil, nil, ErrQueueFull
 		}
 	}
@@ -344,22 +344,22 @@ func (s *Scheduler) SubmitBatch(specs []*Spec) ([]*Job, []Outcome, error) {
 				if s.cfg.Cache != nil {
 					s.cfg.Cache.Put(keys[i], aps[i])
 				}
-				s.metrics.DiskHit()
+				s.metrics.DiskCacheHits.Inc()
 			} else {
-				s.metrics.CacheHit()
+				s.metrics.CacheHits.Inc()
 			}
 			jobs[i], outcomes[i] = j, CacheHit
 		case planJoin:
-			s.metrics.SingleflightHit()
+			s.metrics.SingleflightHits.Inc()
 			jobs[i], outcomes[i] = flights[i], Joined
 		case planLocalDup:
-			s.metrics.SingleflightHit()
+			s.metrics.SingleflightHits.Inc()
 			jobs[i], outcomes[i] = jobs[dups[i]], Joined
 		default:
 			j := newJob(nextJobID(), spec, now, spec.Deadline(now, s.cfg.Deadline))
 			s.inflight[keys[i]] = j
 			s.rememberLocked(j)
-			s.metrics.CacheMiss()
+			s.metrics.CacheMisses.Inc()
 			jobs[i], outcomes[i] = j, Enqueued
 			if kinds[i] == planFreshBatch {
 				members = append(members, j)
@@ -370,7 +370,7 @@ func (s *Scheduler) SubmitBatch(specs []*Spec) ([]*Job, []Outcome, error) {
 	}
 	if len(members) > 0 {
 		s.queue <- &Job{batch: members}
-		s.metrics.BatchEnqueued()
+		s.metrics.Batches.Inc()
 	}
 	return jobs, outcomes, nil
 }
@@ -425,7 +425,7 @@ func (s *Scheduler) Cancel(id string) bool {
 		return false
 	}
 	s.clearFlight(j)
-	s.metrics.JobFinished(StatusCanceled)
+	s.metrics.Jobs.Inc(string(StatusCanceled))
 	return true
 }
 
@@ -459,7 +459,7 @@ func (s *Scheduler) worker() {
 func (s *Scheduler) startable(j *Job, now time.Time) bool {
 	if !j.Deadline.IsZero() && now.After(j.Deadline) {
 		if j.cancel(StatusExpired, fmt.Errorf("serve: job %s deadline exceeded while queued", j.ID), now) {
-			s.metrics.JobFinished(StatusExpired)
+			s.metrics.Jobs.Inc(string(StatusExpired))
 		}
 		s.clearFlight(j)
 		return false
@@ -491,12 +491,12 @@ func (s *Scheduler) settle(j *Job, ap *core.Approximation, err error, wall time.
 		}
 		s.metrics.SolveDone(j.Spec.Method, wall, apVirtualTime(ap))
 		j.finish(StatusDone, ap, nil, time.Now())
-		s.metrics.JobFinished(StatusDone)
+		s.metrics.Jobs.Inc(string(StatusDone))
 	} else {
 		// Keep the checkpoint store: a resubmission resumes from the
 		// newest complete snapshot.
 		j.finish(StatusFailed, nil, err, time.Now())
-		s.metrics.JobFinished(StatusFailed)
+		s.metrics.Jobs.Inc(string(StatusFailed))
 	}
 	s.clearFlight(j)
 }
@@ -512,16 +512,16 @@ func (s *Scheduler) peerFill(j *Job) bool {
 	}
 	ap, ok := s.cfg.PeerFill(j.Key)
 	if !ok {
-		s.metrics.PeerFillMiss()
+		s.metrics.PeerFillMisses.Inc()
 		return false
 	}
-	s.metrics.PeerFillHit()
+	s.metrics.PeerFillHits.Inc()
 	if s.cfg.Cache != nil {
 		s.cfg.Cache.Put(j.Key, ap)
 	}
 	j.markCached()
 	j.finish(StatusDone, ap, nil, time.Now())
-	s.metrics.JobFinished(StatusDone)
+	s.metrics.Jobs.Inc(string(StatusDone))
 	s.clearFlight(j)
 	return true
 }

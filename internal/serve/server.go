@@ -144,7 +144,7 @@ func (s *Server) Drain(ctx context.Context) error { return s.sched.Drain(ctx) }
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 	s.mux.ServeHTTP(rec, r)
-	s.metrics.HTTPResponse(rec.code)
+	s.metrics.HTTPRequests.IncInt(rec.code)
 }
 
 type statusRecorder struct {
@@ -477,24 +477,24 @@ func (s *Server) handleCacheFetch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !isCacheKey(key) {
-		s.metrics.ReplicaStore(false)
+		s.metrics.ReplicaStoreRejects.Inc()
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: malformed cache key %q", key))
 		return
 	}
 	frame, err := io.ReadAll(io.LimitReader(r.Body, s.maxBody+1))
 	if err != nil {
-		s.metrics.ReplicaStore(false)
+		s.metrics.ReplicaStoreRejects.Inc()
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: reading frame: %v", err))
 		return
 	}
 	if int64(len(frame)) > s.maxBody {
-		s.metrics.ReplicaStore(false)
+		s.metrics.ReplicaStoreRejects.Inc()
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: frame exceeds %d bytes", s.maxBody))
 		return
 	}
 	ap, err := DecodeApproximation(bytes.NewReader(frame))
 	if err != nil {
-		s.metrics.ReplicaStore(false)
+		s.metrics.ReplicaStoreRejects.Inc()
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad frame: %v", err))
 		return
 	}
@@ -502,7 +502,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		s.cache.Put(key, ap)
 	}
 	s.disk.PutFrame(key, frame)
-	s.metrics.ReplicaStore(true)
+	s.metrics.ReplicaStores.Inc()
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -531,7 +531,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		g.Disk = s.disk.Stats()
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WriteProm(w, g)
+	_ = s.metrics.WriteProm(w, g) // a failed write means the scraper hung up
 }
 
 // terminalCode maps a terminal job view to its HTTP status: success

@@ -6,8 +6,9 @@
 #   4. go test ./...           (tier-1)
 #   5. go test -race over the packages with parallel kernels, the
 #      fault-injection paths, the sketch layer, the core dispatch
-#      (every loop solve runs on a rank goroutine) and the serving layer
-#      (the >=32-concurrent-client daemon acceptance test), under a
+#      (every loop solve runs on a rank goroutine), the serving layer
+#      (the >=32-concurrent-client daemon acceptance test) and the
+#      metrics writer internal/prom (recording while rendering), under a
 #      watchdog -timeout so a deadlock regression fails the gate
 #      instead of hanging it
 #   6. seed-drift gate: the solver outputs must hash to the golden values
@@ -89,9 +90,9 @@ go build ./...
 echo "== go test ./..."
 go test -timeout "${TESTTIMEOUT:-10m}" ./...
 
-echo "== go test -race (kernel + fault-injection + core + serving packages, watchdog timeout)"
+echo "== go test -race (kernel + fault-injection + core + serving + metrics packages, watchdog timeout)"
 go test -race -timeout "${TESTTIMEOUT:-10m}" \
-    ./internal/mat ./internal/sparse ./internal/sketch ./internal/cur ./internal/core ./internal/serve ./internal/fleet ./internal/qrtp \
+    ./internal/mat ./internal/sparse ./internal/sketch ./internal/cur ./internal/core ./internal/serve ./internal/fleet ./internal/prom ./internal/qrtp \
     ./internal/dist/... ./internal/randqb/... ./internal/randubv/... ./internal/lucrtp/...
 
 echo "== seed-drift gate (bit-identity vs golden hashes at GOMAXPROCS 1, 2, 4)"
