@@ -107,8 +107,9 @@ type Options struct {
 	CheckpointStore *dist.CheckpointStore
 }
 
-// Approximation is the uniform result of a run. Exactly one of LU, QB,
-// UBV, SVD is non-nil depending on the method.
+// Approximation is the uniform result of a run. Exactly one of the
+// seven result fields LU, QB, UBV, SVD, RS, ARRF and CUR is non-nil,
+// depending on the method; Factors lists its factors.
 type Approximation struct {
 	Method Method
 
@@ -120,9 +121,8 @@ type Approximation struct {
 	Converged    bool
 	ErrHistory   []float64
 
-	// NNZFactors counts the stored entries of the produced factors:
-	// nnz(L)+nnz(U) for the deterministic methods, the dense element
-	// count of the Q/B (resp. U/B/V) factors for the randomized ones.
+	// NNZFactors sums Factor.Entries over Factors: the nonzeros of the
+	// sparse factors (L/U, C/R) plus the element counts of the dense ones.
 	NNZFactors int
 
 	WallTime time.Duration
@@ -239,7 +239,6 @@ func Approximate(a *sparse.CSR, opts Options) (*Approximation, error) {
 		ap.Rank, ap.NormA = r.Rank, r.NormA
 		ap.ErrIndicator = r.TailNorm
 		ap.Converged = opts.Tol > 0 && r.TailNorm < opts.Tol*r.NormA
-		ap.NNZFactors = r.U.Rows*r.U.Cols + len(r.S) + r.V.Rows*r.V.Cols
 	case RSVDRestart:
 		r, err := rsvd.Factor(a, rsvd.Options{
 			InitialRank: opts.BlockSize, Tol: opts.Tol, Power: opts.Power,
@@ -252,7 +251,6 @@ func Approximate(a *sparse.CSR, opts Options) (*Approximation, error) {
 		ap.RS = r
 		ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Restarts, r.NormA
 		ap.ErrIndicator, ap.Converged = r.ErrIndicator, r.Converged
-		ap.NNZFactors = r.U.Rows*r.U.Cols + len(r.S) + r.V.Rows*r.V.Cols
 	case ARRF:
 		r, err := arrf.Factor(a, arrf.Options{
 			Tol: opts.Tol, RelativeToFrob: true,
@@ -265,7 +263,6 @@ func Approximate(a *sparse.CSR, opts Options) (*Approximation, error) {
 		ap.ARRF = r
 		ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Probes, r.NormA
 		ap.ErrIndicator, ap.Converged = r.ErrBound, r.Converged
-		ap.NNZFactors = r.Q.Rows * r.Q.Cols
 	case CUR, TwoSidedID, ACA:
 		variant := cur.CUR
 		switch opts.Method {
@@ -285,10 +282,10 @@ func Approximate(a *sparse.CSR, opts Options) (*Approximation, error) {
 		ap.CUR = r
 		ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
 		ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
-		ap.NNZFactors = r.NNZFactors()
 	default:
 		return nil, fmt.Errorf("core: unknown method %v", opts.Method)
 	}
+	ap.NNZFactors = ap.factorEntries()
 	ap.WallTime = time.Since(start)
 	return ap, nil
 }
@@ -411,6 +408,7 @@ func approximateDist(a *sparse.CSR, opts Options) (*Approximation, error) {
 	if err != nil {
 		return nil, err
 	}
+	ap.NNZFactors = ap.factorEntries()
 	ap.WallTime = time.Since(start)
 	ap.Dist = res
 	ap.VirtualTime = res.MaxTime()
@@ -474,19 +472,16 @@ func (ap *Approximation) setQB(r *randqb.Result) {
 	ap.QB = r
 	ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
 	ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
-	ap.NNZFactors = r.Q.Rows*r.Q.Cols + r.B.Rows*r.B.Cols
 }
 
 func (ap *Approximation) setUBV(r *randubv.Result) {
 	ap.UBV = r
 	ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
 	ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
-	ap.NNZFactors = r.U.Rows*r.U.Cols + r.B.Rows*r.B.Cols + r.V.Rows*r.V.Cols
 }
 
 func (ap *Approximation) setLU(r *lucrtp.Result) {
 	ap.LU = r
 	ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
 	ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
-	ap.NNZFactors = r.NNZFactors()
 }

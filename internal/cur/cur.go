@@ -85,12 +85,6 @@ type Result struct {
 	ErrHistory []float64
 }
 
-// NNZFactors counts the stored entries of the factors: the nonzeros of
-// the sparse C and R plus the dense core.
-func (r *Result) NNZFactors() int {
-	return r.C.NNZ() + r.R.NNZ() + r.U.Rows*r.U.Cols
-}
-
 // Approx forms the dense C·U·R (inspection at small sizes; O(m·n)).
 func (r *Result) Approx() *mat.Dense {
 	if r.Rank == 0 {

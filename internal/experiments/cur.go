@@ -24,7 +24,7 @@ type CURRow struct {
 	TrueRel     float64 // ‖A − Â‖_F / ‖A‖_F (exact, streamed)
 
 	FactorNNZ   int   // stored factor entries
-	FactorBytes int64 // estimated resident factor bytes (serve cost model)
+	FactorBytes int64 // resident factor bytes (core.Factor.Bytes)
 	WallTime    time.Duration
 }
 
@@ -66,7 +66,7 @@ func RunCUR(cfg Config) []CURRow {
 				Achieved:    ap.ErrIndicator / ap.NormA,
 				TrueRel:     ap.TrueError(m.A) / ap.NormA,
 				FactorNNZ:   ap.NNZFactors,
-				FactorBytes: factorBytes(ap),
+				FactorBytes: ap.FactorBytes(),
 				WallTime:    ap.WallTime,
 			}
 			rows = append(rows, row)
@@ -77,30 +77,4 @@ func RunCUR(cfg Config) []CURRow {
 		}
 	}
 	return rows
-}
-
-// factorBytes estimates the resident factor footprint with the serving
-// cache's cost model: 12 bytes per sparse nonzero plus row pointers,
-// 8 bytes per dense entry, 8 per skeleton index.
-func factorBytes(ap *core.Approximation) int64 {
-	const f64 = 8
-	var n int64
-	dense := func(rows, cols int) { n += int64(rows) * int64(cols) * f64 }
-	switch {
-	case ap.QB != nil:
-		dense(ap.QB.Q.Rows, ap.QB.Q.Cols)
-		dense(ap.QB.B.Rows, ap.QB.B.Cols)
-	case ap.UBV != nil:
-		dense(ap.UBV.U.Rows, ap.UBV.U.Cols)
-		dense(ap.UBV.B.Rows, ap.UBV.B.Cols)
-		dense(ap.UBV.V.Rows, ap.UBV.V.Cols)
-	case ap.CUR != nil:
-		n += int64(ap.CUR.C.NNZ()+ap.CUR.R.NNZ()) * 12
-		n += int64(ap.CUR.C.Rows+ap.CUR.R.Rows) * 4
-		dense(ap.CUR.U.Rows, ap.CUR.U.Cols)
-		n += int64(len(ap.CUR.RowIdx)+len(ap.CUR.ColIdx)) * 8
-	default:
-		n = int64(ap.NNZFactors) * f64
-	}
-	return n
 }

@@ -109,18 +109,6 @@ func (f *LUFactor) Solve(b *Dense) *Dense {
 	return x
 }
 
-// Det returns the determinant of the factored matrix.
-func (f *LUFactor) Det() float64 {
-	d := 1.0
-	for j := 0; j < f.n; j++ {
-		d *= f.lu.At(j, j)
-		if f.piv[j] != j {
-			d = -d
-		}
-	}
-	return d
-}
-
 // Solve computes X with a·X = b via LU with partial pivoting.
 func Solve(a, b *Dense) (*Dense, error) {
 	f, err := LU(a)

@@ -2,7 +2,6 @@ package mat
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -54,17 +53,6 @@ func TestLUSingular(t *testing.T) {
 func TestLUNonSquare(t *testing.T) {
 	if _, err := LU(NewDense(3, 4)); err == nil {
 		t.Fatal("expected an error for non-square LU")
-	}
-}
-
-func TestLUDet(t *testing.T) {
-	a := NewDenseFrom(2, 2, []float64{2, 1, 1, 3})
-	f, err := LU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Det(); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("det = %v, want 5", got)
 	}
 }
 

@@ -430,8 +430,8 @@ func QR(a *Dense) (q, r *Dense) {
 	return q, r
 }
 
-// ROnly computes only the R factor of the thin QR of a (used by TSQR tree
-// reductions where Q is not needed).
+// ROnly computes only the R factor of the thin QR of a (used by the QR_TP
+// tournament reductions, where Q is not needed).
 func ROnly(a *Dense) *Dense {
 	m, n := a.Dims()
 	k := m

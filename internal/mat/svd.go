@@ -127,109 +127,3 @@ func SingularValues(a *Dense) []float64 {
 	}
 	return SingularValuesGK(a)
 }
-
-// Norm2Est estimates the spectral norm ‖A‖₂ by power iteration on AᵀA,
-// accurate to the given relative tolerance (used by the analysis checks
-// around eqs 15 and 23, where the paper approximates ‖A‖₂ by
-// |R⁽¹⁾(1,1)|).
-func Norm2Est(a *Dense, tol float64, maxIter int) float64 {
-	m, n := a.Dims()
-	if m == 0 || n == 0 {
-		return 0
-	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	if maxIter <= 0 {
-		maxIter = 200
-	}
-	x := make([]float64, n)
-	for i := range x {
-		// A deterministic, non-degenerate start vector.
-		x[i] = 1 + float64(i%7)/7
-	}
-	nx := Nrm2(x)
-	for i := range x {
-		x[i] /= nx
-	}
-	prev := 0.0
-	for it := 0; it < maxIter; it++ {
-		y := MulTVec(a, MulVec(a, x))
-		lam := Nrm2(y)
-		if lam == 0 {
-			return 0
-		}
-		for i := range x {
-			x[i] = y[i] / lam
-		}
-		s := math.Sqrt(lam)
-		if math.Abs(s-prev) <= tol*s {
-			return s
-		}
-		prev = s
-	}
-	return prev
-}
-
-// SymEigenValues returns the eigenvalues of the symmetric matrix g using
-// the cyclic Jacobi eigenvalue method. Order is unspecified.
-func SymEigenValues(g *Dense) []float64 {
-	n, c := g.Dims()
-	if n != c {
-		panic("mat: SymEigenValues requires a square matrix")
-	}
-	a := g.Clone()
-	const maxSweeps = 50
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		// Off-diagonal Frobenius mass.
-		var off float64
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += a.At(i, j) * a.At(i, j)
-			}
-		}
-		if off <= 1e-30*float64(n*n) {
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := a.At(p, q)
-				if apq == 0 {
-					continue
-				}
-				app := a.At(p, p)
-				aqq := a.At(q, q)
-				if math.Abs(apq) <= 1e-18*(math.Abs(app)+math.Abs(aqq)) {
-					continue
-				}
-				zeta := (aqq - app) / (2 * apq)
-				var t float64
-				if zeta >= 0 {
-					t = 1 / (zeta + math.Sqrt(1+zeta*zeta))
-				} else {
-					t = -1 / (-zeta + math.Sqrt(1+zeta*zeta))
-				}
-				cc := 1 / math.Sqrt(1+t*t)
-				sn := cc * t
-				// Rotate rows and columns p, q.
-				for i := 0; i < n; i++ {
-					aip := a.At(i, p)
-					aiq := a.At(i, q)
-					a.Set(i, p, cc*aip-sn*aiq)
-					a.Set(i, q, sn*aip+cc*aiq)
-				}
-				for i := 0; i < n; i++ {
-					api := a.At(p, i)
-					aqi := a.At(q, i)
-					a.Set(p, i, cc*api-sn*aqi)
-					a.Set(q, i, sn*api+cc*aqi)
-				}
-			}
-		}
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = a.At(i, i)
-	}
-	return out
-}

@@ -2,7 +2,6 @@ package mat
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -106,29 +105,6 @@ func TestSVDEckartYoungOptimality(t *testing.T) {
 	}
 }
 
-func TestSingularValuesGramPathMatchesJacobi(t *testing.T) {
-	// Force the Gram path with a square matrix larger than the direct
-	// threshold? The threshold is 128; use a small one and compare
-	// SymEigenValues-based values to the Jacobi SVD directly instead.
-	a := randDense(40, 40, 104)
-	_, sj, _ := SVD(a)
-	g := MulT(a, a)
-	eig := SymEigenValues(g)
-	s := make([]float64, len(eig))
-	for i, e := range eig {
-		if e < 0 {
-			e = 0
-		}
-		s[i] = math.Sqrt(e)
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(s)))
-	for i := range sj {
-		if math.Abs(s[i]-sj[i]) > 1e-7*sj[0] {
-			t.Fatalf("Gram σ%d = %v vs Jacobi %v", i, s[i], sj[i])
-		}
-	}
-}
-
 func TestSingularValuesWideAndTall(t *testing.T) {
 	a := randDense(6, 15, 105)
 	st := SingularValues(a)
@@ -140,88 +116,6 @@ func TestSingularValuesWideAndTall(t *testing.T) {
 		if math.Abs(st[i]-sm[i]) > 1e-9*st[0] {
 			t.Fatal("singular values of A and Aᵀ must agree")
 		}
-	}
-}
-
-func TestSymEigenValuesDiagonal(t *testing.T) {
-	d := NewDense(4, 4)
-	want := []float64{3, -1, 7, 0.5}
-	for i, v := range want {
-		d.Set(i, i, v)
-	}
-	got := SymEigenValues(d)
-	sort.Float64s(got)
-	wantSorted := append([]float64(nil), want...)
-	sort.Float64s(wantSorted)
-	for i := range want {
-		if math.Abs(got[i]-wantSorted[i]) > 1e-12 {
-			t.Fatalf("eig mismatch: %v vs %v", got, wantSorted)
-		}
-	}
-}
-
-func TestSymEigenValuesTraceInvariant(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 6
-		g := NewDense(n, n)
-		for i := 0; i < n; i++ {
-			for j := i; j < n; j++ {
-				v := rng.NormFloat64()
-				g.Set(i, j, v)
-				g.Set(j, i, v)
-			}
-		}
-		var trace float64
-		for i := 0; i < n; i++ {
-			trace += g.At(i, i)
-		}
-		eig := SymEigenValues(g)
-		var sum float64
-		for _, e := range eig {
-			sum += e
-		}
-		return math.Abs(trace-sum) < 1e-9*(1+math.Abs(trace))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Norm2Est is power iteration on AᵀA, which converges at the rate
-// (σ₂/σ₁)²: its 1e-6 accuracy is a promise for matrices with a spectral
-// gap, not for σ₁ ≈ σ₂. Every draw is random — singular vectors and
-// singular values — with σ₂ ≤ σ₁/1.5 guaranteed.
-func TestNorm2EstMatchesSVD(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		sv := make([]float64, 11)
-		sv[0] = 0.1 + 10*rng.Float64()
-		sv[1] = sv[0] / (1.5 + 2*rng.Float64())
-		for i := 2; i < len(sv); i++ {
-			sv[i] = sv[1] * rng.Float64()
-		}
-		a := matrixWithSpectrum(15, 11, sv, seed)
-		_, s, _ := SVD(a)
-		est := Norm2Est(a, 1e-10, 500)
-		return math.Abs(est-s[0]) < 1e-6*s[0]
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNorm2EstEdgeCases(t *testing.T) {
-	if Norm2Est(NewDense(0, 3), 0, 0) != 0 {
-		t.Fatal("empty matrix should give 0")
-	}
-	if Norm2Est(NewDense(4, 4), 0, 0) != 0 {
-		t.Fatal("zero matrix should give 0")
-	}
-	d := NewDense(3, 3)
-	d.Set(1, 1, 7)
-	if got := Norm2Est(d, 1e-12, 100); math.Abs(got-7) > 1e-9 {
-		t.Fatalf("diagonal spectral norm %v, want 7", got)
 	}
 }
 

@@ -5,6 +5,8 @@ package serve
 import (
 	"testing"
 	"time"
+
+	"sparselr/internal/core"
 )
 
 // TestRecordingAllocs: recording on the request path allocates nothing
@@ -22,5 +24,18 @@ func TestRecordingAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, record); n != 0 {
 			t.Errorf("%s: %v allocs per record, want 0", name, n)
 		}
+	}
+}
+
+// TestFactorAccountingAllocs: on a real QB result, listing the factor
+// names allocates only the returned slice and charging the cache cost
+// allocates nothing.
+func TestFactorAccountingAllocs(t *testing.T) {
+	ap := solveSmall(t, "M3", core.RandQBEI)
+	if n := testing.AllocsPerRun(100, func() { factorNames(ap) }); n > 1 {
+		t.Errorf("factorNames: %v allocs per call, want ≤ 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { approxBytes(ap) }); n != 0 {
+		t.Errorf("approxBytes: %v allocs per call, want 0", n)
 	}
 }

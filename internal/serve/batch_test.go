@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	"sparselr/internal/core"
 	"sparselr/internal/dist"
+	"sparselr/internal/gen"
 )
 
 func countingSolve(n *int64) SolveFunc {
@@ -305,6 +307,57 @@ func TestBatchEndpoint(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("bad request %q: status %d", bad, resp.StatusCode)
+		}
+	}
+}
+
+// BenchmarkSubmitBatchSmall measures the /v1/batch carrier: 12 distinct
+// small specs (M1–M6 × 2 seeds, τ 0.1, k 8) admitted as one SubmitBatch
+// against the same 12 admitted by separate Submit calls, on GOMAXPROCS
+// workers with no result cache, so every iteration solves all 12.
+func BenchmarkSubmitBatchSmall(b *testing.B) {
+	for _, method := range []string{"CUR", "RandQB_EI"} {
+		var specs []*Spec
+		for _, label := range gen.Labels() {
+			for seed := int64(1); seed <= 2; seed++ {
+				sp := &Spec{Generator: label, Method: method, Tol: 0.1, BlockSize: 8, Seed: seed}
+				if err := sp.Validate(); err != nil {
+					b.Fatal(err)
+				}
+				specs = append(specs, sp)
+			}
+		}
+		for _, arm := range []string{"carrier", "solo"} {
+			b.Run(method+"/"+arm, func(b *testing.B) {
+				s := NewScheduler(SchedulerConfig{Workers: runtime.GOMAXPROCS(0), QueueDepth: 2 * len(specs)})
+				defer s.Drain(context.Background())
+				ctx := context.Background()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					jobs := make([]*Job, 0, len(specs))
+					if arm == "carrier" {
+						js, _, err := s.SubmitBatch(specs)
+						if err != nil {
+							b.Fatal(err)
+						}
+						jobs = js
+					} else {
+						for _, sp := range specs {
+							j, _, err := s.Submit(sp)
+							if err != nil {
+								b.Fatal(err)
+							}
+							jobs = append(jobs, j)
+						}
+					}
+					for _, j := range jobs {
+						if err := j.Wait(ctx); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
 		}
 	}
 }

@@ -86,44 +86,9 @@ func (c *Cache) Stats() (entries int, used, budget int64, evictions uint64) {
 	return len(c.items), c.used, c.budget, c.evictions
 }
 
-// approxBytes estimates the resident size of an approximation's
-// factors (the dominant term; bookkeeping fields are ignored).
+// approxBytes estimates an approximation's resident size: its factors
+// under core.Factor.Bytes (the dominant term), the error history, and
+// 512 bytes of struct headers and map/list bookkeeping.
 func approxBytes(ap *core.Approximation) int64 {
-	const f64 = 8
-	var n int64
-	dense := func(rows, cols int) { n += int64(rows) * int64(cols) * f64 }
-	switch {
-	case ap.LU != nil:
-		// CSR: 8-byte value + 4-byte column index per nonzero, plus row
-		// pointers.
-		n += int64(ap.LU.L.NNZ()+ap.LU.U.NNZ()) * 12
-		n += int64(ap.LU.L.Rows+ap.LU.U.Rows) * 4
-	case ap.QB != nil:
-		dense(ap.QB.Q.Rows, ap.QB.Q.Cols)
-		dense(ap.QB.B.Rows, ap.QB.B.Cols)
-	case ap.UBV != nil:
-		dense(ap.UBV.U.Rows, ap.UBV.U.Cols)
-		dense(ap.UBV.B.Rows, ap.UBV.B.Cols)
-		dense(ap.UBV.V.Rows, ap.UBV.V.Cols)
-	case ap.SVD != nil:
-		dense(ap.SVD.U.Rows, ap.SVD.U.Cols)
-		dense(ap.SVD.V.Rows, ap.SVD.V.Cols)
-		n += int64(len(ap.SVD.S)) * f64
-	case ap.RS != nil:
-		dense(ap.RS.U.Rows, ap.RS.U.Cols)
-		dense(ap.RS.V.Rows, ap.RS.V.Cols)
-		n += int64(len(ap.RS.S)) * f64
-	case ap.ARRF != nil:
-		dense(ap.ARRF.Q.Rows, ap.ARRF.Q.Cols)
-	case ap.CUR != nil:
-		// Skeleton factors: sparse C and R at CSR cost, the k×k core,
-		// and the two index vectors — not the dense-equivalent panels.
-		n += int64(ap.CUR.C.NNZ()+ap.CUR.R.NNZ()) * 12
-		n += int64(ap.CUR.C.Rows+ap.CUR.R.Rows) * 4
-		dense(ap.CUR.U.Rows, ap.CUR.U.Cols)
-		n += int64(len(ap.CUR.RowIdx)+len(ap.CUR.ColIdx)) * 8
-	}
-	n += int64(len(ap.ErrHistory)) * f64
-	// Fixed overhead per entry (struct headers, map/list bookkeeping).
-	return n + 512
+	return ap.FactorBytes() + int64(len(ap.ErrHistory))*8 + 512
 }

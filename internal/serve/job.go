@@ -239,23 +239,16 @@ func resultView(ap *core.Approximation) *ResultView {
 // factorNames lists the factors a completed approximation exposes via
 // GET /v1/jobs/{id}/factors/{name}.
 func factorNames(ap *core.Approximation) []string {
-	switch {
-	case ap.LU != nil:
-		return []string{"L", "U"}
-	case ap.QB != nil:
-		return []string{"Q", "B"}
-	case ap.UBV != nil:
-		return []string{"U", "B", "V"}
-	case ap.SVD != nil:
-		return []string{"U", "S", "V"}
-	case ap.RS != nil:
-		return []string{"U", "S", "V"}
-	case ap.ARRF != nil:
-		return []string{"Q"}
-	case ap.CUR != nil:
-		return []string{"C", "U", "R"}
+	var buf [3]core.Factor
+	fs := ap.Factors(buf[:0])
+	if len(fs) == 0 {
+		return nil
 	}
-	return nil
+	names := make([]string, len(fs))
+	for i, f := range fs {
+		names[i] = f.Name
+	}
+	return names
 }
 
 // jobIDCounter backs the process-local job IDs.

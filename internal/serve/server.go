@@ -14,7 +14,6 @@ import (
 
 	"sparselr/internal/core"
 	"sparselr/internal/mat"
-	"sparselr/internal/sparse"
 )
 
 // Config sizes a Server. Zero values get the SchedulerConfig defaults
@@ -584,91 +583,35 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // writeFactor serializes one factor of a completed approximation as
 // JSON ({"rows","cols","data"} row-major, or {"values"} for the
 // singular-value vector) or MatrixMarket (coordinate for the sparse
-// L/U factors, dense array format otherwise).
+// L/U and C/R factors, dense array format otherwise).
 func writeFactor(w http.ResponseWriter, ap *core.Approximation, name, format string) error {
 	if format != "json" && format != "mm" {
 		return fmt.Errorf("serve: unknown factor format %q (want json or mm)", format)
 	}
-	var d *mat.Dense
-	var csr *sparse.CSR
-	var vec []float64
-	switch {
-	case ap.LU != nil:
-		switch name {
-		case "L":
-			csr = ap.LU.L
-		case "U":
-			csr = ap.LU.U
-		}
-	case ap.QB != nil:
-		switch name {
-		case "Q":
-			d = ap.QB.Q
-		case "B":
-			d = ap.QB.B
-		}
-	case ap.UBV != nil:
-		switch name {
-		case "U":
-			d = ap.UBV.U
-		case "B":
-			d = ap.UBV.B
-		case "V":
-			d = ap.UBV.V
-		}
-	case ap.SVD != nil:
-		switch name {
-		case "U":
-			d = ap.SVD.U
-		case "S":
-			vec = ap.SVD.S
-		case "V":
-			d = ap.SVD.V
-		}
-	case ap.RS != nil:
-		switch name {
-		case "U":
-			d = ap.RS.U
-		case "S":
-			vec = ap.RS.S
-		case "V":
-			d = ap.RS.V
-		}
-	case ap.ARRF != nil:
-		if name == "Q" {
-			d = ap.ARRF.Q
-		}
-	case ap.CUR != nil:
-		switch name {
-		case "C":
-			csr = ap.CUR.C
-		case "U":
-			d = ap.CUR.U
-		case "R":
-			csr = ap.CUR.R
+	var f core.Factor
+	var buf [3]core.Factor
+	for _, g := range ap.Factors(buf[:0]) {
+		if g.Name == name {
+			f = g
 		}
 	}
-	if d == nil && csr == nil && vec == nil {
+	if f.Dense == nil && f.Sparse == nil && f.Values == nil {
 		return fmt.Errorf("serve: method %s has no factor %q (available: %v)",
 			ap.Method, name, factorNames(ap))
 	}
+	d := f.Dense
 	switch {
-	case csr != nil && format == "mm":
+	case f.Sparse != nil && format == "mm":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		return csr.WriteMatrixMarket(w)
-	case csr != nil:
-		d = csr.ToDense()
-	case vec != nil:
-		if format == "mm" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprintf(w, "%%%%MatrixMarket matrix array real general\n%d 1\n", len(vec))
-			for _, v := range vec {
-				fmt.Fprintf(w, "%.17g\n", v)
-			}
-			return nil
-		}
-		writeJSON(w, http.StatusOK, map[string]interface{}{"name": name, "values": vec})
+		return f.Sparse.WriteMatrixMarket(w)
+	case f.Sparse != nil:
+		d = f.Sparse.ToDense()
+	case f.Values != nil && format == "json":
+		writeJSON(w, http.StatusOK, map[string]interface{}{"name": name, "values": f.Values})
 		return nil
+	case f.Values != nil:
+		// A vector is an n×1 array in MatrixMarket.
+		d = &mat.Dense{Rows: len(f.Values), Cols: 1, Stride: 1, Data: f.Values}
 	}
 	if format == "mm" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -18,16 +18,20 @@
 #   7. doc-link check: relative links in *.md must resolve
 #   8. godoc-presence gate: every package must carry a package-level
 #      doc comment (go doc works everywhere)
-#   9. daemon smoke test: build cmd/lowrankd, boot it on an ephemeral
+#   9. factor-layout gate: outside internal/core no non-test Go file
+#      tests a result field (`.LU != nil`, `.QB != nil`, ...), so
+#      core.Approximation.Factors stays the one code that knows each
+#      method's factors
+#  10. daemon smoke test: build cmd/lowrankd, boot it on an ephemeral
 #      port, submit a workload twice (cold solve then cache hit),
 #      SIGTERM-drain cleanly -> BENCH_serve.json (cold vs cached
 #      latency, cached requests/sec)
-#  10. fleet smoke test: build cmd/lowrankd + cmd/lowrank-gateway, boot
+#  11. fleet smoke test: build cmd/lowrankd + cmd/lowrank-gateway, boot
 #      a two-shard fleet behind the gateway, assert exactly-once
 #      fleet-wide dedup, peer cache fill, kill-mid-wave rerouting and
 #      warm restart from -cachedir -> gateway req/s and peer-fill hit
 #      rate merged into BENCH_serve.json
-#  11. kernel micro-benchmarks -> BENCH_kernels.json (ns/op, bytes/op and
+#  12. kernel micro-benchmarks -> BENCH_kernels.json (ns/op, bytes/op and
 #      allocs/op per kernel); the GOMAXPROCS=1 twins
 #      KernelQRTournamentSerial, KernelSolveLUCRTPSerial,
 #      KernelSolveILUTCRTPSerial, KernelSolveRandQBEISerial and
@@ -36,18 +40,18 @@
 #      the committed file on any CPU count, and KernelSpMMT must stay
 #      within 0.9x of its serial twin on the medians of 5 alternating
 #      runs of both
-#  12. dist collective micro-benchmarks (traced vs untraced) -> BENCH_dist.json
-#  13. sketch micro-benchmarks -> BENCH_sketch.json (ns/op + allocs/op),
+#  13. dist collective micro-benchmarks (traced vs untraced) -> BENCH_dist.json
+#  14. sketch micro-benchmarks -> BENCH_sketch.json (ns/op + allocs/op),
 #      asserting SparseSign apply >= 3x faster than Gaussian and
 #      0 allocs/op on the Gaussian/SparseSign apply paths
-#  14. skeleton-method gate: re-run the internal/cur fixed-precision
+#  15. skeleton-method gate: re-run the internal/cur fixed-precision
 #      acceptance test (all three variants reach tau on Table I with the
 #      exact streamed residual), then the CUR/ID2/ACA-vs-RandQB_EI
 #      micro-benchmarks -> BENCH_cur.json (ns/op + resident factor
 #      bytes). The factor-bytes ratio gates unconditionally (CUR must
 #      stay >= 4x below the dense QB frame — it is deterministic);
 #      wall-clock ratios gate only on >= 4-CPU machines
-#  15. (-soak / SOAK=1 only) chaos soak: 3 lowrankd shards with
+#  16. (-soak / SOAK=1 only) chaos soak: 3 lowrankd shards with
 #      owner-set replication (R=2) behind the gateway, a seeded
 #      ChaosPlan SIGKILLing/restarting shards under a duplicate-heavy
 #      workload; asserts zero client-visible 5xx, exactly-once solving
@@ -58,10 +62,10 @@
 #      the soak adds the real-process run.
 #
 # Environment knobs:
-#   SKIP_BENCH=1    skip steps 9-14
-#   SOAK=1          run step 15 (also enabled by a -soak argument)
-#   BENCHTIME=...   per-benchmark budget for steps 11-14 (default 200ms)
-#   TESTTIMEOUT=... watchdog for steps 4-6, 9-10 and 15 (default 10m)
+#   SKIP_BENCH=1    skip steps 10-15
+#   SOAK=1          run step 16 (also enabled by a -soak argument)
+#   BENCHTIME=...   per-benchmark budget for steps 12-15 (default 200ms)
+#   TESTTIMEOUT=... watchdog for steps 4-6, 10-11 and 16 (default 10m)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -129,6 +133,16 @@ if [[ -n "$undocumented" ]]; then
     exit 1
 fi
 echo "godoc coverage OK"
+
+echo "== factor-layout gate (only internal/core switches over the result fields)"
+layout=$(grep -rnE --include='*.go' '\.(LU|QB|UBV|SVD|RS|ARRF|CUR) != nil' . \
+    | grep -v '_test\.go:' | grep -v '^\./internal/core/' || true)
+if [[ -n "$layout" ]]; then
+    echo "result-field switches outside internal/core (list factors via core.Approximation.Factors):"
+    echo "$layout"
+    exit 1
+fi
+echo "factor layout OK"
 
 if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
     echo "== daemon smoke test (cold solve -> cache hit -> clean drain)"
