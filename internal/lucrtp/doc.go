@@ -11,5 +11,7 @@
 // The algorithm is written once, as the SPMD body FactorDist; the
 // sequential Factor runs that body on a one-rank world, where the
 // triangular solve and the Schur update read whole blocks instead of
-// row shares.
+// row shares. Each rank owns one grow-only iteration workspace, so a warm
+// iteration allocates only what it keeps: the Schur complement, the
+// factor entries and the k×k blocks.
 package lucrtp

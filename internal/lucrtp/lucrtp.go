@@ -238,9 +238,7 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 	rowOrder := res.RowPerm
 	colOrder := res.ColPerm
 	thresholdOn := opts.Threshold != NoThreshold
-	// This rank's tournament workspace. Ranks are goroutines, so each
-	// owns one; they never share it.
-	var ws qrtp.Workspace
+	var ws workspace
 
 	for iter := startIter + 1; ; iter++ {
 		if c.Tracing() {
@@ -254,17 +252,21 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		if opts.Reorder == ReorderEvery && iter > 1 {
 			perm := fillReducingOrder(c, acur)
 			acur = acur.PermuteCols(perm)
-			applyTail(colOrder, z, perm)
+			ws.applyTail(colOrder, z, perm)
 		}
 		// --- Column QR_TP (distributed tournament, line 5 of Alg 2) ---
-		csc := acur.ToCSC()
-		myCols := qrtp.BlockCyclicColumns(ncur, p, c.Rank(), keff)
+		ws.reserve(acur.NNZ())
+		csc := &ws.csc
+		acur.ToCSCInto(csc)
+		ws.myCols = qrtp.AppendBlockCyclic(ws.myCols[:0], ncur, p, c.Rank(), keff)
+		myCols := ws.myCols
 		if opts.DiscardTol > 0 {
 			// Column discarding (ref [2]): each rank prunes negligible
 			// candidates from its own block before the tournament.
 			limit2 := opts.DiscardTol * opts.Tol * normA / math.Sqrt(float64(n))
 			limit2 *= limit2
-			norms2 := acur.ColNorms2()
+			ws.norms2 = acur.ColNorms2(ws.norms2)
+			norms2 := ws.norms2
 			total := 0
 			for _, n2 := range norms2 {
 				if n2 > limit2 {
@@ -282,20 +284,19 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 				myCols = kept
 			}
 		}
-		colRes := ws.SelectColumnsDist(c, csc, myCols, keff)
-		lcp := qrtp.Permutation(colRes.Winners, ncur)
+		colRes := ws.tour.SelectColumnsDist(c, csc, myCols, keff)
+		ws.lcp = ws.permutation(ws.lcp, colRes.Winners, ncur)
 		// Column permutations are implicit during tournament pivoting
-		// (Fig 5 caption) — no kernel charge.
-		acur = acur.PermuteCols(lcp)
-		applyTail(colOrder, z, lcp)
+		// (Fig 5 caption) — no kernel charge. A⁽ⁱ⁾ itself is permuted
+		// once, by both winner lists, after the row tournament.
+		ws.applyTail(colOrder, z, ws.lcp)
 
 		// --- Panel QR on the winning columns (line 6; owner computes,
-		// then the orthogonal panel is scattered, §V) ---
-		panelCols := make([]int, keff)
-		for t := range panelCols {
-			panelCols[t] = t
-		}
-		panel := acur.ExtractColsDense(panelCols)
+		// then the orthogonal panel is scattered, §V). The panel is
+		// gathered from the tournament's CSC and factored in place, so
+		// its upper triangle is R ---
+		panel := ws.panel.Shape(mcur, keff)
+		csc.ExtractColsDenseInto(panel, ws.lcp[:keff])
 		panelNNZ := 0
 		for _, v := range panel.Data {
 			if v != 0 {
@@ -305,12 +306,12 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		if c.Rank() == 0 {
 			c.Compute(4*float64(keff)*float64(panelNNZ)+2*float64(mcur)*float64(keff)*float64(keff), "panelQR")
 		}
-		qk, rPanel := mat.QR(panel)
+		qk := ws.qr.QR(panel)
 		c.Bcast(0, nil, 8*mcur*keff) // scatter of Q_k
 		c.Elapse(0, "panelQR")       // ensure the kernel appears on every rank
 
 		if iter == 1 {
-			res.R11First = math.Abs(rPanel.At(0, 0))
+			res.R11First = math.Abs(panel.At(0, 0))
 			if thresholdOn {
 				switch opts.Threshold {
 				case FixedThreshold:
@@ -327,10 +328,10 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 			}
 		}
 		// Numerical-rank guard on the panel diagonal.
-		rankTol := 1e-13 * math.Max(res.R11First, math.Abs(rPanel.At(0, 0)))
+		rankTol := 1e-13 * math.Max(res.R11First, math.Abs(panel.At(0, 0)))
 		sig := 0
 		for t := 0; t < keff; t++ {
-			if math.Abs(rPanel.At(t, t)) > rankTol {
+			if math.Abs(panel.At(t, t)) > rankTol {
 				sig++
 			} else {
 				break
@@ -349,23 +350,28 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 			// LU_CRTP proceeds on a deficient block at its own risk:
 			// truncate to the significant part and finish.
 			keff = sig
-			qk = qk.View(0, 0, mcur, keff).Clone()
+			qk = qk.View(0, 0, mcur, keff)
 			lastBlock = true
 			res.HitNumRank = true
 		}
 
 		// --- Row QR_TP on Q_kᵀ (line 7; distributed tournament over
 		// rows) ---
-		myRows := qrtp.BlockCyclicColumns(mcur, p, c.Rank(), keff)
-		rowRes := ws.SelectRowsDist(c, qk, myRows, keff)
-		lrp := qrtp.Permutation(rowRes.Winners, mcur)
+		ws.myRows = qrtp.AppendBlockCyclic(ws.myRows[:0], mcur, p, c.Rank(), keff)
+		myRows := ws.myRows
+		rowRes := ws.tour.SelectRowsDist(c, qk, myRows, keff)
+		ws.lrp = ws.permutation(ws.lrp, rowRes.Winners, mcur)
 		// Local row permutations of A⁽ⁱ⁾ after row QR_TP are one of the
 		// expensive kernels when fill-in is large (Fig 5): each rank
-		// permutes its share of the nonzeros.
+		// permutes its share of the nonzeros. The column winners ride
+		// along in the same pass: Ā = P_r·A⁽ⁱ⁾·P_c.
 		c.Compute(4*float64(acur.NNZ())/float64(p), "rowPerm")
-		acur = acur.PermuteRows(lrp)
-		qk = qk.PermuteRows(lrp)
-		applyTail(rowOrder, z, lrp)
+		acur.PermuteInto(&ws.perm, ws.lrp, ws.lcp)
+		acur = &ws.perm
+		pq := ws.q.Shape(mcur, keff)
+		qk.PermuteRowsInto(pq, ws.lrp)
+		qk = pq
+		ws.applyTail(rowOrder, z, ws.lrp)
 
 		// --- Partition Ā (line 8); Ā₂₁ and Ā₂₂ are read from acur ---
 		a11 := acur.ExtractBlock(0, keff, 0, keff).ToDense()
@@ -376,18 +382,17 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		// allgathered (§V) ---
 		c.Bcast(0, nil, 8*keff*keff) // broadcast of Ā₁₁
 		lo, hi := dist.RowShare(mcur-keff, p, c.Rank())
-		var src, pivot *mat.Dense
+		myX := ws.x.Shape(hi-lo, keff) // this rank's rows of Ā₂₁, solved in place
+		pivot := a11
 		if opts.StableL {
-			src = qk.View(keff, 0, mcur-keff, keff).Clone()
-			pivot = qk.View(0, 0, keff, keff).Clone()
+			for i := lo; i < hi; i++ {
+				copy(myX.Row(i-lo), qk.Row(keff+i))
+			}
+			pivot = qk.View(0, 0, keff, keff)
 		} else {
-			src, pivot = acur.ExtractBlock(keff, mcur, 0, keff).ToDense(), a11
+			gatherLeft(myX, acur, keff+lo)
 		}
-		if p > 1 {
-			src = src.View(lo, 0, hi-lo, src.Cols).Clone()
-		}
-		myX, err := mat.SolveRight(src, pivot)
-		if err != nil {
+		if err := mat.SolveRightInPlace(myX, pivot); err != nil {
 			// All ranks hit the same singular pivot deterministically.
 			return res, fmt.Errorf("%w: iteration %d: %v", ErrBreakdown, iter, err)
 		}
@@ -450,17 +455,22 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		// Alg 3 lines 8–10: thresholding with control.
 		if thresholdOn && mu > 0 {
 			c.Compute(2*float64(s.NNZ())/float64(p), "threshold")
+			// One read-only pass prices the drop; s is compacted in place
+			// only once the control accepts it. The aggressive variant
+			// splits s up front.
 			var kept, dropped *sparse.CSR
+			var dn2 float64
+			var dnnz int
 			if opts.Threshold == AggressiveThreshold {
 				budget := phi*phi - t2
 				if budget < 0 {
 					budget = 0
 				}
 				kept, dropped = s.ThresholdSmallest(phi, budget)
+				dn2, dnnz = dropped.FrobNorm2(), dropped.NNZ()
 			} else {
-				kept, dropped = s.Threshold(mu)
+				dn2, dnnz = s.DroppedBelow(mu)
 			}
-			dn2 := dropped.FrobNorm2()
 			if math.Sqrt(t2+dn2) >= phi {
 				// Line 10: undo and disable thresholding.
 				mu = 0
@@ -470,20 +480,31 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 				t2 += dn2
 				res.DroppedNorm2 = t2
 				res.DroppedNorm1 += math.Sqrt(dn2)
-				res.DroppedNNZ += dropped.NNZ()
+				res.DroppedNNZ += dnnz
+				var capture func(i, j int, v float64)
 				if opts.CaptureDropped {
 					// Ã = A + T: removing an entry v contributes −v to
 					// the perturbation. Positions are recorded by
 					// original ids; the tail permutations of later
 					// iterations are resolved at assembly time.
-					for r := 0; r < dropped.Rows; r++ {
-						cols, vals := dropped.RowView(r)
-						for kk, cc := range cols {
-							tEnt = append(tEnt, entry{rowOrder[z+r], colOrder[z+cc], -vals[kk]})
-						}
+					capture = func(i, j int, v float64) {
+						tEnt = append(tEnt, entry{rowOrder[z+i], colOrder[z+j], -v})
 					}
 				}
-				s = kept
+				if kept == nil {
+					// s is this rank's own Schur output.
+					s.DropBelow(mu, capture)
+				} else {
+					if capture != nil {
+						for r := 0; r < dropped.Rows; r++ {
+							cols, vals := dropped.RowView(r)
+							for kk, cc := range cols {
+								capture(r, cc, vals[kk])
+							}
+						}
+					}
+					s = kept
+				}
 			}
 		}
 		acur = s
@@ -545,6 +566,73 @@ func fillReducingOrder(c *dist.Comm, a *sparse.CSR) []int {
 		c.Compute(float64(8*a.NNZ()), "colamd")
 	}
 	return append([]int(nil), c.Bcast(0, perm, 8*a.Cols).([]int)...)
+}
+
+// workspace is one rank's grow-only LU iteration storage, owned like
+// qrtp.Workspace: ranks are goroutines, so each owns one and they never
+// share it. A warm iteration allocates only what it keeps: the Schur
+// output, the factor entries and the k×k blocks.
+type workspace struct {
+	tour  qrtp.Workspace
+	qr    mat.QRWorkspace
+	csc   sparse.CSC // A⁽ⁱ⁾ for the column tournament
+	perm  sparse.CSR // Ā = P_r·A⁽ⁱ⁾·P_c
+	panel mat.Buffer // A⁽ⁱ⁾'s winning columns, then R over the reflectors
+	q     mat.Buffer // P_r·Q_k
+	x     mat.Buffer // this rank's rows of Ā₂₁ (or Q₂₁), then of X
+	// This rank's tournament candidates, the column and row winner
+	// permutations, and their scratch.
+	myCols, myRows []int
+	norms2         []float64 // column norms² for column discarding
+	lcp, lrp       []int
+	taken          []bool
+	tail           []int
+}
+
+// reserve makes room for nnz entries in the two nnz-sized copies of
+// A⁽ⁱ⁾, at least doubling their capacity when they must grow, as append
+// does, so fill that grows a little every iteration does not reallocate
+// them every iteration.
+func (ws *workspace) reserve(nnz int) {
+	if cap(ws.csc.Val) >= nnz {
+		return
+	}
+	c := max(nnz, 2*cap(ws.csc.Val))
+	ws.csc.RowIdx, ws.csc.Val = make([]int, 0, c), make([]float64, 0, c)
+	ws.perm.ColIdx, ws.perm.Val = make([]int, 0, c), make([]float64, 0, c)
+}
+
+// permutation expands winners into a permutation of n ids in dst's
+// storage.
+func (ws *workspace) permutation(dst, winners []int, n int) []int {
+	ws.taken = mat.Grow(ws.taken, n)
+	return qrtp.PermutationInto(mat.Grow(dst, n), ws.taken, winners)
+}
+
+// applyTail permutes the tail (positions ≥ z) of order by the local
+// permutation lperm: newOrder[z+j] = order[z+lperm[j]].
+func (ws *workspace) applyTail(order []int, z int, lperm []int) {
+	ws.tail = mat.Grow(ws.tail, len(lperm))
+	for j, p := range lperm {
+		ws.tail[j] = order[z+p]
+	}
+	copy(order[z:], ws.tail)
+}
+
+// gatherLeft overwrites dst with the first dst.Cols columns of rows
+// r0, r0+1, … of a: this rank's rows of Ā₂₁.
+func gatherLeft(dst *mat.Dense, a *sparse.CSR, r0 int) {
+	dst.Zero()
+	for r := 0; r < dst.Rows; r++ {
+		cols, vals := a.RowView(r0 + r)
+		row := dst.Row(r)
+		for k, j := range cols {
+			if j >= dst.Cols {
+				break
+			}
+			row[j] = vals[k]
+		}
+	}
 }
 
 // allgatherRows assembles a row-distributed CSR from every rank's row
@@ -623,16 +711,6 @@ func inverse(order []int) []int {
 		inv[orig] = p
 	}
 	return inv
-}
-
-// applyTail permutes the tail (positions ≥ z) of order by the local
-// permutation lperm: newOrder[z+j] = order[z+lperm[j]].
-func applyTail(order []int, z int, lperm []int) {
-	tail := make([]int, len(lperm))
-	for j, p := range lperm {
-		tail[j] = order[z+p]
-	}
-	copy(order[z:], tail)
 }
 
 func identity(n int) []int {

@@ -339,10 +339,19 @@ func (d *Dense) PermuteRows(perm []int) *Dense {
 		panic("mat: PermuteRows length mismatch")
 	}
 	out := NewDense(d.Rows, d.Cols)
-	for i, p := range perm {
-		copy(out.Row(i), d.Row(p))
-	}
+	d.PermuteRowsInto(out, perm)
 	return out
+}
+
+// PermuteRowsInto writes P·d into dst, a d.Rows×d.Cols matrix that does
+// not alias d: row i of dst becomes row perm[i] of d.
+func (d *Dense) PermuteRowsInto(dst *Dense, perm []int) {
+	if len(perm) != d.Rows || dst.Rows != d.Rows || dst.Cols != d.Cols {
+		panic("mat: PermuteRows length mismatch")
+	}
+	for i, p := range perm {
+		copy(dst.Row(i), d.Row(p))
+	}
 }
 
 // PermuteCols returns d·P where column j of the result is column perm[j]

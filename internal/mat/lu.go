@@ -25,7 +25,12 @@ func LU(a *Dense) (*LUFactor, error) {
 	if n != c {
 		return nil, fmt.Errorf("mat: LU of non-square %d×%d matrix", n, c)
 	}
-	f := a.Clone()
+	return luInPlace(a.Clone())
+}
+
+// luInPlace factors the square matrix f in place.
+func luInPlace(f *Dense) (*LUFactor, error) {
+	n := f.Rows
 	piv := make([]int, n)
 	// Numerical singularity threshold relative to the matrix magnitude.
 	tol := f.MaxAbs() * float64(n) * 1e-14
@@ -118,15 +123,58 @@ func Solve(a, b *Dense) (*Dense, error) {
 	return f.Solve(b), nil
 }
 
-// SolveRight computes X with X·a = b, i.e. X = b·a⁻¹, via the identity
-// aᵀ·Xᵀ = bᵀ. This is the kernel used for the Ā₂₁·Ā₁₁⁻¹ panel in
-// LU_CRTP.
-func SolveRight(b, a *Dense) (*Dense, error) {
-	xt, err := Solve(a.T(), b.T())
-	if err != nil {
-		return nil, err
+// SolveRightInPlace overwrites b with X = b·a⁻¹, the solution of
+// X·a = b. It is the Ā₂₁·Ā₁₁⁻¹ kernel of LU_CRTP. It factors aᵀ, its only
+// allocation, then runs on each row of b the per-element operation
+// sequence of Solve(aᵀ, bᵀ)ᵀ: the same pivot swaps, forward substitution,
+// then back substitution. The result is bitwise that transposed solve.
+func SolveRightInPlace(b, a *Dense) error {
+	n, c := a.Dims()
+	if n != c {
+		return fmt.Errorf("mat: LU of non-square %d×%d matrix", c, n)
 	}
-	return xt.T(), nil
+	if b.Cols != n {
+		panic("mat: SolveRightInPlace dimension mismatch")
+	}
+	f, err := luInPlace(a.T())
+	if err != nil {
+		return err
+	}
+	for r := 0; r < b.Rows; r++ {
+		f.solveTransposedRow(b.Row(r))
+	}
+	return nil
+}
+
+// solveTransposedRow overwrites x with the solution y of A·y = x for the
+// factored A: the operations Solve performs on one column of its
+// right-hand side, in Solve's order.
+func (f *LUFactor) solveTransposedRow(x []float64) {
+	for j, p := range f.piv {
+		if p != j {
+			x[j], x[p] = x[p], x[j]
+		}
+	}
+	for i := 1; i < f.n; i++ {
+		lrow := f.lu.Row(i)
+		xi := x[i]
+		for k := 0; k < i; k++ {
+			if l := lrow[k]; l != 0 {
+				xi -= l * x[k]
+			}
+		}
+		x[i] = xi
+	}
+	for i := f.n - 1; i >= 0; i-- {
+		urow := f.lu.Row(i)
+		xi := x[i]
+		for k := i + 1; k < f.n; k++ {
+			if u := urow[k]; u != 0 {
+				xi -= u * x[k]
+			}
+		}
+		x[i] = xi / urow[i]
+	}
 }
 
 // SolveUpper solves r·X = b for upper-triangular r by back substitution.

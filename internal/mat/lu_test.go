@@ -63,8 +63,8 @@ func TestSolveRight(t *testing.T) {
 	}
 	x := randDense(6, 4, 66)
 	b := Mul(x, a)
-	got, err := SolveRight(b, a)
-	if err != nil {
+	got := b.Clone()
+	if err := SolveRightInPlace(got, a); err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(x, 1e-9) {
@@ -128,7 +128,51 @@ func TestSolveLowerUnit(t *testing.T) {
 
 func TestSolveRightSingularPropagates(t *testing.T) {
 	a := NewDense(3, 3)
-	if _, err := SolveRight(randDense(2, 3, 70), a); err == nil {
+	if err := SolveRightInPlace(randDense(2, 3, 70), a); err == nil {
 		t.Fatal("expected an error for a singular right-solve")
+	}
+}
+
+// SolveRightInPlace must reproduce Solve(aᵀ, bᵀ)ᵀ bit for bit, including
+// inputs that pivot and carry zero entries.
+func TestSolveRightInPlaceMatchesTransposedSolve(t *testing.T) {
+	for i, s := range [][2]int{{1, 1}, {7, 3}, {40, 8}, {5, 16}, {100, 32}} {
+		a := randDense(s[1], s[1], int64(400+i))
+		b := randDense(s[0], s[1], int64(500+i))
+		for j := range b.Data {
+			if j%4 == 1 {
+				b.Data[j] = 0
+			}
+		}
+		want, err := Solve(a.T(), b.T())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := b.Clone()
+		if err := SolveRightInPlace(got, a); err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(got, want.T()) {
+			t.Fatalf("%d×%d: in-place right solve differs from the transposed solve", s[0], s[1])
+		}
+	}
+}
+
+// The in-place right solve allocates only its k×k LU: the transposed
+// copy, its header, the pivots and the factor.
+func TestSolveRightInPlaceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	a := randDense(16, 16, 81)
+	b := randDense(300, 16, 82)
+	x := b.Clone()
+	if got := testing.AllocsPerRun(10, func() {
+		x.CopyFrom(b)
+		if err := SolveRightInPlace(x, a); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 4 {
+		t.Fatalf("SolveRightInPlace: %v allocs/op, want ≤ 4", got)
 	}
 }

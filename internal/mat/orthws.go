@@ -24,16 +24,12 @@ type OrthWorkspace struct {
 	ret     Dense
 }
 
-func growF64(s []float64, n int) []float64 {
+// Grow returns s resized to length n, reallocating only when n exceeds
+// its capacity; the contents are unspecified. It is the one grow-only
+// slice helper of the workspaces built on this package.
+func Grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growInt(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -52,11 +48,11 @@ func (ws *OrthWorkspace) Orth(a *Dense) *Dense {
 	// Copy the input before touching q: a may alias the previous result.
 	f := ws.f.Shape(m, n)
 	f.CopyFrom(a)
-	ws.tau = growF64(ws.tau, k)
-	ws.norms = growF64(ws.norms, n)
-	ws.orig = growF64(ws.orig, n)
-	ws.scratch = growF64(ws.scratch, n)
-	ws.perm = growInt(ws.perm, n)
+	ws.tau = Grow(ws.tau, k)
+	ws.norms = Grow(ws.norms, n)
+	ws.orig = Grow(ws.orig, n)
+	ws.scratch = Grow(ws.scratch, n)
+	ws.perm = Grow(ws.perm, n)
 	qrcpFactor(f, ws.tau, ws.norms, ws.orig, ws.scratch, ws.perm)
 	// Numerical rank from the QRCP diagonal (same rule as Orth).
 	d0 := math.Abs(f.Data[0])

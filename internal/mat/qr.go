@@ -35,18 +35,29 @@ type wyBlock struct {
 	v, t *Dense
 }
 
-// houseQR computes an in-place Householder QR of a clone of a. It works
-// for any shape; the number of reflectors is min(m, n). Large
-// factorizations run panel-blocked so the trailing update is GEMM.
+// houseQR computes a Householder QR of a clone of a. It works for any
+// shape; the number of reflectors is min(m, n).
 func houseQR(a *Dense) *qrFactor {
 	m, n := a.Dims()
+	f := a.Clone()
+	tau := make([]float64, min(m, n))
+	houseQRInPlace(f, tau, make([]float64, n))
+	return &qrFactor{fac: f, tau: tau}
+}
+
+// houseQRInPlace is the one Householder QR loop: it factors f in place
+// with caller-provided tau (len min(m, n)) and scratch s (len n), leaving
+// R in the upper triangle and the reflectors below it. Large
+// factorizations run panel-blocked so the trailing update is GEMM; those
+// below qrBlockedMinK reflectors run column at a time and allocate
+// nothing.
+func houseQRInPlace(f *Dense, tau, s []float64) {
+	m, n := f.Dims()
 	k := min(m, n)
 	if k < qrBlockedMinK {
-		return houseQRUnblocked(a)
+		houseQRColumns(f, tau, s)
+		return
 	}
-	f := a.Clone()
-	tau := make([]float64, k)
-	s := make([]float64, n)
 	for j := 0; j < k; j += qrBlock {
 		jb := min(qrBlock, k-j)
 		// Factor the panel; trailing updates confined to its jb columns.
@@ -60,21 +71,24 @@ func houseQR(a *Dense) *qrFactor {
 			applyWY(f.View(j, j+jb, m-j, n-(j+jb)), v, t, true)
 		}
 	}
-	return &qrFactor{fac: f, tau: tau}
 }
 
-// houseQRUnblocked is the column-at-a-time reference path, used for small
-// factorizations and by the equivalence tests and benchmarks.
+// houseQRUnblocked is the column-at-a-time reference path on a clone of
+// a, used by the equivalence tests and benchmarks.
 func houseQRUnblocked(a *Dense) *qrFactor {
 	m, n := a.Dims()
 	f := a.Clone()
-	k := min(m, n)
-	tau := make([]float64, k)
-	s := make([]float64, n)
-	for j := 0; j < k; j++ {
+	tau := make([]float64, min(m, n))
+	houseQRColumns(f, tau, make([]float64, n))
+	return &qrFactor{fac: f, tau: tau}
+}
+
+// houseQRColumns factors f in place one reflector at a time.
+func houseQRColumns(f *Dense, tau, s []float64) {
+	m, n := f.Dims()
+	for j := range tau {
 		houseColumn(f, j, m, tau, s, n)
 	}
-	return &qrFactor{fac: f, tau: tau}
 }
 
 // buildV materializes the unit lower-trapezoidal reflector block V for the

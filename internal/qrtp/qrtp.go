@@ -75,13 +75,15 @@ func (s rowsOf) ColsNNZ(rows []int) int {
 }
 
 // Workspace is the grow-only storage of QR tournaments: the compact panel
-// a game factors, the QRCP vectors, and the champion and merge slices.
+// a game factors, the QRCP vectors, the QR of the final R₁₁, and the
+// champion and merge slices.
 // In steady state a game allocates nothing, and its pivots are bitwise
 // those of mat.QRCP on the same panel. A workspace is not safe for
 // concurrent use: a solve owns one, and in the dist runtime every rank
 // owns its own. The zero value is ready to use.
 type Workspace struct {
 	panel                     mat.Buffer
+	qr                        mat.QRWorkspace // finalR11's in-place QR
 	tau, norms, orig, scratch []float64
 	perm                      []int
 	ids                       []int // 0..n−1 for whole-matrix tournaments
@@ -91,16 +93,9 @@ type Workspace struct {
 	win                       []int // running winners of the dist global rounds
 }
 
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // identity returns 0..n−1 in workspace storage.
 func (ws *Workspace) identity(n int) []int {
-	ws.ids = grow(ws.ids, n)
+	ws.ids = mat.Grow(ws.ids, n)
 	for j := range ws.ids {
 		ws.ids[j] = j
 	}
@@ -118,11 +113,11 @@ func (ws *Workspace) node(a source, cand []int, k int, dst []int) []int {
 	c := len(cand)
 	panel := ws.panel.Shape(m, c)
 	a.ExtractColsDenseInto(panel, cand)
-	ws.tau = grow(ws.tau, min(m, c))
-	ws.norms = grow(ws.norms, c)
-	ws.orig = grow(ws.orig, c)
-	ws.scratch = grow(ws.scratch, c)
-	ws.perm = grow(ws.perm, c)
+	ws.tau = mat.Grow(ws.tau, min(m, c))
+	ws.norms = mat.Grow(ws.norms, c)
+	ws.orig = mat.Grow(ws.orig, c)
+	ws.scratch = mat.Grow(ws.scratch, c)
+	ws.perm = mat.Grow(ws.perm, c)
 	mat.QRCPInPlace(panel, ws.tau, ws.norms, ws.orig, ws.scratch, ws.perm)
 	dst = dst[:k]
 	for i := range dst {
@@ -141,9 +136,9 @@ func (ws *Workspace) slot(s, k int) []int { return ws.champ[s*k : s*k+k : s*k+k]
 func (ws *Workspace) tournament(a source, cand []int, k int, tree Tree, charge func([]int)) []int {
 	blockW := 2 * k
 	leaves := (len(cand) + blockW - 1) / blockW
-	ws.champ = grow(ws.champ, leaves*k)
-	ws.champLen = grow(ws.champLen, leaves)
-	ws.merge = grow(ws.merge, 2*k)
+	ws.champ = mat.Grow(ws.champ, leaves*k)
+	ws.champLen = mat.Grow(ws.champLen, leaves)
+	ws.merge = mat.Grow(ws.merge, 2*k)
 	champ := func(s int) []int { return ws.champ[s*k : s*k+ws.champLen[s]] }
 	play := func(s int, cand []int) {
 		if charge != nil {
@@ -186,9 +181,13 @@ func (ws *Workspace) finalR11(a source, winners []int, k int) *mat.Dense {
 	m, _ := a.Dims()
 	panel := ws.panel.Shape(m, len(winners))
 	a.ExtractColsDenseInto(panel, winners)
-	r := mat.ROnly(panel)
-	kk := min(k, len(winners), r.Rows)
-	return r.View(0, 0, kk, kk).Clone()
+	ws.qr.FactorR(panel)
+	kk := min(k, len(winners), m)
+	r11 := mat.NewDense(kk, kk)
+	for i := 0; i < kk; i++ {
+		copy(r11.Row(i)[i:], panel.Row(i)[i:kk])
+	}
+	return r11
 }
 
 // SelectColumns runs a sequential tournament over all columns of a and
@@ -251,18 +250,28 @@ func SelectRowsDense(q *mat.Dense, k int) []int {
 // n-column matrix: winners first (in order), then the remaining columns
 // in ascending order. perm[j] = original index of new column j.
 func Permutation(winners []int, n int) []int {
-	perm := make([]int, 0, n)
-	taken := make([]bool, n)
+	return PermutationInto(make([]int, n), make([]bool, n), winners)
+}
+
+// PermutationInto is Permutation into caller-owned storage: it writes the
+// permutation of a len(perm)-column matrix into perm, marking taken
+// columns in taken (same length), and returns perm.
+func PermutationInto(perm []int, taken []bool, winners []int) []int {
+	n := len(perm)
+	clear(taken)
+	p := 0
 	for _, w := range winners {
 		if w < 0 || w >= n || taken[w] {
 			panic("qrtp: invalid winner list")
 		}
 		taken[w] = true
-		perm = append(perm, w)
+		perm[p] = w
+		p++
 	}
 	for j := 0; j < n; j++ {
 		if !taken[j] {
-			perm = append(perm, j)
+			perm[p] = j
+			p++
 		}
 	}
 	return perm
@@ -316,7 +325,7 @@ func (ws *Workspace) selectDist(c *dist.Comm, a source, myCols []int, k int, lab
 	// columns using leaves of 2k.
 	winners := ws.localTournament(c, a, myCols, k, label+"/local")
 	// Global binary reduction.
-	ws.win = grow(ws.win, k)
+	ws.win = mat.Grow(ws.win, k)
 	for stride := 1; stride < p; stride <<= 1 {
 		if c.Rank()%(2*stride) == 0 {
 			partner := c.Rank() + stride
@@ -324,7 +333,7 @@ func (ws *Workspace) selectDist(c *dist.Comm, a source, myCols []int, k int, lab
 				theirs := c.Recv(partner, tagWinners).([]int)
 				// Model the transfer of the partner's winner panel.
 				_ = c.Recv(partner, tagPanel)
-				ws.merge = grow(ws.merge, 2*k)
+				ws.merge = mat.Grow(ws.merge, 2*k)
 				merged := append(append(ws.merge[:0], winners...), theirs...)
 				nnzPanel := a.ColsNNZ(merged)
 				c.Compute(nodeFlops(k, len(merged), nnzPanel), label+"/global")
@@ -374,11 +383,15 @@ func BlockCyclicColumns(n, p, rank, block int) []int {
 	for start := rank * block; start < n; start += p * block {
 		owned += min(block, n-start)
 	}
-	cols := make([]int, 0, owned)
+	return AppendBlockCyclic(make([]int, 0, owned), n, p, rank, block)
+}
+
+// AppendBlockCyclic appends BlockCyclicColumns(n, p, rank, block) to dst.
+func AppendBlockCyclic(dst []int, n, p, rank, block int) []int {
 	for start := rank * block; start < n; start += p * block {
 		for j := start; j < start+block && j < n; j++ {
-			cols = append(cols, j)
+			dst = append(dst, j)
 		}
 	}
-	return cols
+	return dst
 }

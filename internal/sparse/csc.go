@@ -34,14 +34,41 @@ func (a *CSC) ColNNZ(j int) int { return a.ColPtr[j+1] - a.ColPtr[j] }
 
 // ToCSC converts a CSR matrix to CSC in linear time.
 func (a *CSR) ToCSC() *CSC {
-	t := a.Transpose() // CSR of Aᵀ: its rows are A's columns
-	return &CSC{
-		Rows:   a.Rows,
-		Cols:   a.Cols,
-		ColPtr: t.RowPtr,
-		RowIdx: t.ColIdx,
-		Val:    t.Val,
+	c := new(CSC)
+	a.ToCSCInto(c)
+	return c
+}
+
+// ToCSCInto writes A in CSC form into dst, reusing dst's storage (it
+// reallocates only when A outgrows it). It is the one transpose body:
+// ToCSC and Transpose run it on fresh storage.
+func (a *CSR) ToCSCInto(dst *CSC) {
+	nnz := a.NNZ()
+	dst.Rows, dst.Cols = a.Rows, a.Cols
+	dst.ColPtr = mat.Grow(dst.ColPtr, a.Cols+1)
+	dst.RowIdx = mat.Grow(dst.RowIdx, nnz)
+	dst.Val = mat.Grow(dst.Val, nnz)
+	ptr := dst.ColPtr
+	clear(ptr)
+	for _, j := range a.ColIdx {
+		ptr[j+1]++
 	}
+	for j := 0; j < a.Cols; j++ {
+		ptr[j+1] += ptr[j]
+	}
+	// ptr[j] is column j's insertion cursor; after the scatter it points
+	// at column j+1's start, and one shift restores the column starts.
+	for i := 0; i < a.Rows; i++ {
+		cols, vals := a.RowView(i)
+		for k, j := range cols {
+			p := ptr[j]
+			dst.RowIdx[p] = i
+			dst.Val[p] = vals[k]
+			ptr[j]++
+		}
+	}
+	copy(ptr[1:], ptr[:a.Cols])
+	ptr[0] = 0
 }
 
 // ToCSR converts back to CSR in linear time.

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -136,5 +137,58 @@ func TestPermuteColsAllocs(t *testing.T) {
 	perm := rand.New(rand.NewSource(92)).Perm(200)
 	if got := testing.AllocsPerRun(10, func() { a.PermuteCols(perm) }); got > 4 {
 		t.Fatalf("PermuteCols: %v allocs/op, want ≤ 4", got)
+	}
+}
+
+// sameCSR reports whether a and b store the same structure and bitwise
+// the same values.
+func sameCSR(a, b *CSR) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols || a.NNZ() != b.NNZ() {
+		return false
+	}
+	for i := range a.RowPtr {
+		if a.RowPtr[i] != b.RowPtr[i] {
+			return false
+		}
+	}
+	for k := range a.ColIdx {
+		if a.ColIdx[k] != b.ColIdx[k] || math.Float64bits(a.Val[k]) != math.Float64bits(b.Val[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPermuteIntoMatchesTwoPasses reuses one destination over matrices
+// that grow and shrink: the fused P_r·A·P_c must equal PermuteCols then
+// PermuteRows bit for bit, and a warm call allocates nothing.
+func TestPermuteIntoMatchesTwoPasses(t *testing.T) {
+	var dst CSR
+	var csc CSC
+	for i, s := range [][2]int{{40, 30}, {200, 150}, {10, 60}, {120, 90}} {
+		a := randCSR(s[0], s[1], 0.08, int64(70+i))
+		rng := rand.New(rand.NewSource(int64(80 + i)))
+		rp, cp := rng.Perm(s[0]), rng.Perm(s[1])
+		a.PermuteInto(&dst, rp, cp)
+		if !sameCSR(&dst, a.PermuteCols(cp).PermuteRows(rp)) {
+			t.Fatalf("%d×%d: PermuteInto differs from PermuteCols·PermuteRows", s[0], s[1])
+		}
+		a.ToCSCInto(&csc)
+		fresh := a.ToCSC()
+		if !sameCSR(&CSR{Rows: csc.Cols, Cols: csc.Rows, RowPtr: csc.ColPtr, ColIdx: csc.RowIdx, Val: csc.Val},
+			&CSR{Rows: fresh.Cols, Cols: fresh.Rows, RowPtr: fresh.ColPtr, ColIdx: fresh.RowIdx, Val: fresh.Val}) {
+			t.Fatalf("%d×%d: reused ToCSCInto differs from ToCSC", s[0], s[1])
+		}
+		if !csc.ToCSR().Equal(a, 0) {
+			t.Fatalf("%d×%d: ToCSCInto does not round-trip", s[0], s[1])
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	a := randCSR(200, 150, 0.08, 71)
+	rp, cp := rand.New(rand.NewSource(81)).Perm(200), rand.New(rand.NewSource(82)).Perm(150)
+	if got := testing.AllocsPerRun(10, func() { a.PermuteInto(&dst, rp, cp); a.ToCSCInto(&csc) }); got != 0 {
+		t.Fatalf("warm PermuteInto + ToCSCInto: %v allocs/op, want 0", got)
 	}
 }

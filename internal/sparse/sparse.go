@@ -141,9 +141,11 @@ func (a *CSR) MaxAbs() float64 {
 	return m
 }
 
-// ColNorms2 returns the squared Euclidean norm of each column.
-func (a *CSR) ColNorms2() []float64 {
-	out := make([]float64, a.Cols)
+// ColNorms2 returns the squared Euclidean norm of each column, in dst's
+// storage when it has room (a nil dst allocates).
+func (a *CSR) ColNorms2(dst []float64) []float64 {
+	out := mat.Grow(dst, a.Cols)
+	clear(out)
 	for k, j := range a.ColIdx {
 		out[j] += a.Val[k] * a.Val[k]
 	}
@@ -153,28 +155,8 @@ func (a *CSR) ColNorms2() []float64 {
 // Transpose returns Aᵀ as a CSR matrix (equivalently, A reinterpreted in
 // CSC). Linear time in NNZ.
 func (a *CSR) Transpose() *CSR {
-	t := NewCSR(a.Cols, a.Rows)
-	t.ColIdx = make([]int, a.NNZ())
-	t.Val = make([]float64, a.NNZ())
-	// Count entries per column of a.
-	counts := make([]int, a.Cols)
-	for _, j := range a.ColIdx {
-		counts[j]++
-	}
-	for j := 0; j < a.Cols; j++ {
-		t.RowPtr[j+1] = t.RowPtr[j] + counts[j]
-	}
-	next := append([]int(nil), t.RowPtr[:a.Cols]...)
-	for i := 0; i < a.Rows; i++ {
-		cols, vals := a.RowView(i)
-		for k, j := range cols {
-			p := next[j]
-			t.ColIdx[p] = i
-			t.Val[p] = vals[k]
-			next[j]++
-		}
-	}
-	return t
+	c := a.ToCSC()
+	return &CSR{Rows: a.Cols, Cols: a.Rows, RowPtr: c.ColPtr, ColIdx: c.RowIdx, Val: c.Val}
 }
 
 // Parallel thresholds and cache-blocking parameters for the sparse
@@ -806,35 +788,52 @@ func (a *CSR) PermuteRows(perm []int) *CSR {
 // of A. Column indices within each row are re-sorted on pooled scratch,
 // so a call allocates only the result.
 func (a *CSR) PermuteCols(perm []int) *CSR {
-	if len(perm) != a.Cols {
-		panic("sparse: PermuteCols length mismatch")
+	out := new(CSR)
+	a.PermuteInto(out, nil, perm)
+	return out
+}
+
+// PermuteInto writes P_r·A·P_c into dst in one pass, reusing dst's
+// storage: row i of the result is row rowPerm[i] of A (row i when rowPerm
+// is nil) and column j is column colPerm[j] of A. Each row's column
+// indices are re-sorted on pooled scratch, so the result is bitwise
+// a.PermuteCols(colPerm).PermuteRows(rowPerm). dst must not alias a.
+func (a *CSR) PermuteInto(dst *CSR, rowPerm, colPerm []int) {
+	if len(colPerm) != a.Cols || (rowPerm != nil && len(rowPerm) != a.Rows) {
+		panic("sparse: permutation length mismatch")
 	}
-	out := &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: append([]int(nil), a.RowPtr...),
-		ColIdx: make([]int, a.NNZ()), Val: make([]float64, a.NNZ())}
+	dst.Rows, dst.Cols = a.Rows, a.Cols
+	dst.RowPtr = mat.Grow(dst.RowPtr, a.Rows+1)
+	dst.ColIdx = mat.Grow(dst.ColIdx, a.NNZ())
+	dst.Val = mat.Grow(dst.Val, a.NNZ())
+	dst.RowPtr[0] = 0
 	sc := permScratchPool.Get().(*permScratch)
 	// inv maps old column index → new position.
-	if cap(sc.inv) < a.Cols {
-		sc.inv = make([]int, a.Cols)
-	}
-	inv := sc.inv[:a.Cols]
-	for newj, oldj := range perm {
+	sc.inv = mat.Grow(sc.inv, a.Cols)
+	inv := sc.inv
+	for newj, oldj := range colPerm {
 		inv[oldj] = newj
 	}
 	for i := 0; i < a.Rows; i++ {
-		s, e := a.RowPtr[i], a.RowPtr[i+1]
+		src := i
+		if rowPerm != nil {
+			src = rowPerm[i]
+		}
+		s, e := a.RowPtr[src], a.RowPtr[src+1]
+		d := dst.RowPtr[i]
+		dst.RowPtr[i+1] = d + e - s
 		row := sc.row[:0]
 		for k := s; k < e; k++ {
 			row = append(row, colVal{inv[a.ColIdx[k]], a.Val[k]})
 		}
 		slices.SortFunc(row, colVal.cmp)
 		for k, ent := range row {
-			out.ColIdx[s+k] = ent.j
-			out.Val[s+k] = ent.v
+			dst.ColIdx[d+k] = ent.j
+			dst.Val[d+k] = ent.v
 		}
 		sc.row = row
 	}
 	permScratchPool.Put(sc)
-	return out
 }
 
 // colVal is one row entry being re-sorted by column.
@@ -948,28 +947,43 @@ func (a *CSR) ExtractColsDense(cols []int) *mat.Dense {
 	return out
 }
 
-// Threshold splits A into (kept, dropped): entries with |v| < mu move to
-// the dropped matrix (the perturbation matrix T̃ of ILUT_CRTP), everything
-// else stays in kept. mu ≤ 0 returns (A, empty).
-func (a *CSR) Threshold(mu float64) (kept, dropped *CSR) {
-	kept = NewCSR(a.Rows, a.Cols)
-	dropped = NewCSR(a.Rows, a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		cols, vals := a.RowView(i)
-		for k, j := range cols {
-			v := vals[k]
-			if math.Abs(v) < mu {
-				dropped.ColIdx = append(dropped.ColIdx, j)
-				dropped.Val = append(dropped.Val, v)
-			} else {
-				kept.ColIdx = append(kept.ColIdx, j)
-				kept.Val = append(kept.Val, v)
-			}
+// DroppedBelow returns the squared Frobenius norm and the count of the
+// entries with |v| < mu, the ones DropBelow(mu) removes, in one read-only
+// pass. The sum runs in FrobNorm2's order, so it is bitwise FrobNorm2 of
+// the removed entries.
+func (a *CSR) DroppedBelow(mu float64) (norm2 float64, nnz int) {
+	for _, v := range a.Val {
+		if math.Abs(v) < mu {
+			norm2 += v * v
+			nnz++
 		}
-		kept.RowPtr[i+1] = len(kept.Val)
-		dropped.RowPtr[i+1] = len(dropped.Val)
 	}
-	return kept, dropped
+	return norm2, nnz
+}
+
+// DropBelow removes the entries with |v| < mu in place (the ILUT_CRTP
+// thresholding that forms the perturbation T̃), compacting a's own
+// storage. When drop is non-nil it sees every removed entry, in row
+// order. mu ≤ 0 removes nothing.
+func (a *CSR) DropBelow(mu float64, drop func(i, j int, v float64)) {
+	w, s := 0, 0
+	for i := 0; i < a.Rows; i++ {
+		e := a.RowPtr[i+1]
+		for k := s; k < e; k++ {
+			j, v := a.ColIdx[k], a.Val[k]
+			if math.Abs(v) < mu {
+				if drop != nil {
+					drop(i, j, v)
+				}
+				continue
+			}
+			a.ColIdx[w], a.Val[w] = j, v
+			w++
+		}
+		a.RowPtr[i+1] = w
+		s = e
+	}
+	a.ColIdx, a.Val = a.ColIdx[:w], a.Val[:w]
 }
 
 // ThresholdSmallest implements the "aggressive" variant of §VI-A: entries

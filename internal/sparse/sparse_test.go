@@ -293,7 +293,7 @@ func TestNormsMatchDense(t *testing.T) {
 func TestColNorms2(t *testing.T) {
 	a := randCSR(6, 5, 0.5, 24)
 	d := a.ToDense()
-	got := a.ColNorms2()
+	got := a.ColNorms2(nil)
 	for j := 0; j < 5; j++ {
 		var want float64
 		for i := 0; i < 6; i++ {
@@ -305,10 +305,19 @@ func TestColNorms2(t *testing.T) {
 	}
 }
 
+// threshold splits a into the entries DropBelow(mu) keeps and the ones
+// it removes.
+func threshold(a *CSR, mu float64) (kept, dropped *CSR) {
+	kept = a.Clone()
+	b := NewBuilder(a.Rows, a.Cols)
+	kept.DropBelow(mu, func(i, j int, v float64) { b.Add(i, j, v) })
+	return kept, b.ToCSR()
+}
+
 func TestThresholdSplitsExactly(t *testing.T) {
 	a := randCSR(8, 8, 0.5, 25)
 	mu := 0.7
-	kept, dropped := a.Threshold(mu)
+	kept, dropped := threshold(a, mu)
 	// kept + dropped == a exactly.
 	if !Add(1, kept, 1, dropped).Equal(a, 0) {
 		t.Fatal("kept + dropped must reconstruct the original")
@@ -327,9 +336,26 @@ func TestThresholdSplitsExactly(t *testing.T) {
 
 func TestThresholdZeroMuKeepsAll(t *testing.T) {
 	a := randCSR(5, 5, 0.5, 26)
-	kept, dropped := a.Threshold(0)
+	kept, dropped := threshold(a, 0)
 	if dropped.NNZ() != 0 || !kept.Equal(a, 0) {
 		t.Fatal("mu = 0 must keep everything")
+	}
+}
+
+// DroppedBelow's read-only pass must report bitwise the squared norm and
+// exactly the count of what DropBelow removes, and DropBelow's in-place
+// compaction must leave a valid CSR equal to the kept entries.
+func TestDroppedBelowMatchesDropBelow(t *testing.T) {
+	for i, mu := range []float64{0, 0.3, 0.7, 5} {
+		a := randCSR(30, 20, 0.4, int64(60+i))
+		n2, nnz := a.DroppedBelow(mu)
+		kept, dropped := threshold(a, mu)
+		if math.Float64bits(n2) != math.Float64bits(dropped.FrobNorm2()) || nnz != dropped.NNZ() {
+			t.Fatalf("mu=%v: DroppedBelow = (%v, %d), removed entries give (%v, %d)", mu, n2, nnz, dropped.FrobNorm2(), dropped.NNZ())
+		}
+		if kept.RowPtr[kept.Rows] != kept.NNZ() || len(kept.ColIdx) != kept.NNZ() {
+			t.Fatalf("mu=%v: compacted storage inconsistent", mu)
+		}
 	}
 }
 

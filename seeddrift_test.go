@@ -9,6 +9,7 @@
 package sparselr
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -284,4 +285,83 @@ func TestSeedDriftARRF(t *testing.T) {
 	w.u64(uint64(r.Rank))
 	w.u64(uint64(r.Probes))
 	checkDrift(t, "arrf", w.sum(), 0x39fedc1b75b7f084)
+}
+
+// TestSeedDriftLUPaths pins the LU_CRTP/ILUT_CRTP paths the goldens
+// above leave out: the blocked panel QR (k ≥ 48), a truncated last block,
+// StableL, captured threshold matrices, the φ-control undo, column
+// discarding with per-iteration reordering, each on one rank and on
+// three. Beyond the factors it hashes ErrHistory, the thresholding
+// accounting and every rank's virtual-time statistics, so a change that
+// moves a kernel charge or a collective fails here too.
+func TestSeedDriftLUPaths(t *testing.T) {
+	big := driftMatrix(320, 280, 160, 0.93, 43)
+	cases := []struct {
+		name string
+		a    *sparse.CSR
+		opts lucrtp.Options
+		want [2]uint64 // np = 1, np = 3
+	}{
+		{"k8", driftA(), lucrtp.Options{BlockSize: 8, Tol: 1e-3},
+			[2]uint64{0x8e308a47c851f42b, 0x690b91be24d19e63}},
+		{"k64_blocked", big, lucrtp.Options{BlockSize: 64, Tol: 1e-2},
+			[2]uint64{0x30dc6de968e5f083, 0x263e73e28b6c6e68}},
+		{"k64_truncated", driftA(), lucrtp.Options{BlockSize: 64, Tol: 1e-6},
+			[2]uint64{0xf58de13cbcc85680, 0x3c5362fd950efa38}},
+		{"stable_l", driftA(), lucrtp.Options{BlockSize: 8, Tol: 1e-3, StableL: true},
+			[2]uint64{0xf8221aa8d14c29b3, 0xa94e01e1c0cba202}},
+		{"ilut_fixed_capture", driftA(), lucrtp.Options{BlockSize: 8, Tol: 1e-3, Threshold: lucrtp.FixedThreshold, Mu: 1e-4, CaptureDropped: true},
+			[2]uint64{0xc5e2a0af0aad4914, 0xdd937fa7b59b19d1}},
+		{"ilut_aggressive", driftA(), lucrtp.Options{BlockSize: 8, Tol: 1e-3, Threshold: lucrtp.AggressiveThreshold},
+			[2]uint64{0x8d84ee0650e158e9, 0x4dbe96ea413494dd}},
+		{"ilut_control", driftA(), lucrtp.Options{BlockSize: 8, Tol: 1e-3, Threshold: lucrtp.AutoThreshold, Phi: 1e-9},
+			[2]uint64{0x306f96c9a9a67452, 0x1ff1a87d06a4323a}},
+		{"discard_reorder_every", driftA(), lucrtp.Options{BlockSize: 8, Tol: 1e-3, DiscardTol: 1, Reorder: lucrtp.ReorderEvery},
+			[2]uint64{0x5536b728f81ea34d, 0x30b4131c6ba53cf4}},
+	}
+	for _, tc := range cases {
+		for i, p := range []int{1, 3} {
+			r, stats, err := dist.RunRoot(p, dist.DefaultConfig(), func(c *dist.Comm) (*lucrtp.Result, error) {
+				return lucrtp.FactorDist(c, tc.a, tc.opts)
+			})
+			if err != nil {
+				t.Fatalf("%s np=%d: %v", tc.name, p, err)
+			}
+			w := newDriftHash()
+			w.u64(luDriftHash(r))
+			for _, e := range r.ErrHistory {
+				w.u64(math.Float64bits(e))
+			}
+			if r.Dropped != nil {
+				w.csr(r.Dropped)
+			}
+			w.u64(math.Float64bits(r.DroppedNorm1))
+			w.u64(math.Float64bits(r.DroppedNorm2))
+			w.ints([]int{r.DroppedNNZ, r.DiscardedCols, r.Iters})
+			for _, b := range []bool{r.ControlTriggered, r.HitNumRank, r.Converged} {
+				if b {
+					w.u64(1)
+				} else {
+					w.u64(0)
+				}
+			}
+			for _, s := range stats.Ranks {
+				for _, v := range []float64{s.Time, s.CommTime, s.ComputeTime, s.LatencyTime, s.BandwidthTime, s.WaitTime} {
+					w.u64(math.Float64bits(v))
+				}
+				for _, k := range s.KOrder {
+					w.h.Write([]byte(k))
+					w.u64(math.Float64bits(s.Kernels[k]))
+				}
+				w.ints([]int{s.MsgsSent, s.BytesSent, s.MsgsRecv, s.BytesRecv})
+				for _, k := range s.CollOrder {
+					cs := s.Collectives[k]
+					w.h.Write([]byte(k))
+					w.ints([]int{cs.Calls, cs.Msgs, cs.Bytes})
+					w.u64(math.Float64bits(cs.Time))
+				}
+			}
+			checkDrift(t, fmt.Sprintf("%s_np%d", tc.name, p), w.sum(), tc.want[i])
+		}
+	}
 }
