@@ -164,14 +164,22 @@ func (d *Dense) SwapRows(a, b int) {
 
 // T returns a newly allocated transpose of d.
 func (d *Dense) T() *Dense {
-	out := NewDense(d.Cols, d.Rows)
+	return d.TInto(NewDense(d.Cols, d.Rows))
+}
+
+// TInto writes the transpose of d into dst (d.Cols×d.Rows) and returns
+// it: the allocation-free form of T for callers that own a buffer.
+func (d *Dense) TInto(dst *Dense) *Dense {
+	if dst.Rows != d.Cols || dst.Cols != d.Rows {
+		panic(fmt.Sprintf("mat: TInto shape %d×%d for the transpose of %d×%d", dst.Rows, dst.Cols, d.Rows, d.Cols))
+	}
 	for i := 0; i < d.Rows; i++ {
 		row := d.Row(i)
 		for j, v := range row {
-			out.Data[j*out.Stride+i] = v
+			dst.Data[j*dst.Stride+i] = v
 		}
 	}
-	return out
+	return dst
 }
 
 // Scale multiplies every element by s in place.

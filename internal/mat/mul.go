@@ -51,6 +51,29 @@ func MulSub(dst, a, b *Dense) {
 	gemmInto(dst, a, b, -1, true)
 }
 
+// MulTSub subtracts aᵀ·b from dst (dst -= aᵀ·b) without forming the
+// transpose: the packed path lays aᵀ into the A micro-panels on the pack
+// (packATPanels) and the serial path reads a column-wise, so per output
+// element the operations are those of MulSub(dst, a.T(), b), bit for
+// bit, on every path and at every GOMAXPROCS.
+func MulTSub(dst, a, b *Dense) {
+	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
+		panic("mat: MulTSub dimension mismatch")
+	}
+	m, kk, n := a.Cols, a.Rows, b.Cols
+	if m == 0 || n == 0 || kk == 0 {
+		return
+	}
+	if m*kk*n < gemmParallelThreshold {
+		gemmSerialT(dst, a, b, -1)
+		return
+	}
+	gemmPackedDriver(dst, a, true, m, kk, n, true,
+		func(buf []float64, pcc, kcc, jc, nc int) {
+			packBPanels(buf, b, pcc, kcc, jc, nc, -1)
+		})
+}
+
 // MulInto computes dst = a·b, overwriting dst. It is the allocation-free
 // form of Mul for callers that own a destination buffer; the value written
 // is bitwise identical to Mul's.
@@ -87,22 +110,22 @@ func gemmInto(dst, a, b *Dense, alpha float64, accumulate bool) {
 		gemmSerial(dst, a, b, alpha, 0, m)
 		return
 	}
-	gemmPackedDriver(dst, a, m, kk, n, accumulate,
+	gemmPackedDriver(dst, a, false, m, kk, n, accumulate,
 		func(buf []float64, pcc, kcc, jc, nc int) {
 			packBPanels(buf, b, pcc, kcc, jc, nc, alpha)
 		})
 }
 
-// gemmPackedDriver runs the packed multiply dst = (dst +) a·P where P is
+// gemmPackedDriver runs the packed multiply dst = (dst +) A·P where P is
 // whatever kk×n operand the pack callback lays into panels (alpha·B for
-// GEMM, bᵀ for MulBT). For each (jc, kcc) block it packs the shared B
+// GEMM, bᵀ for MulBT) and A is a, or aᵀ when aT is set (MulTSub). For each (jc, kcc) block it packs the shared B
 // slice once — the pack parallelizes internally — then dispatches the
 // worker pool a single time; each worker packs its own A micro-panels and
 // walks every gemmKC depth block of the slice without further barriers.
 // When m is too short to split usefully, the output columns are split
 // across panels instead (disjoint writes, so still bitwise deterministic);
 // the split choice depends only on the shape, never on GOMAXPROCS.
-func gemmPackedDriver(dst, a *Dense, m, kk, n int, accumulate bool,
+func gemmPackedDriver(dst, a *Dense, aT bool, m, kk, n int, accumulate bool,
 	pack func(buf []float64, pcc, kcc, jc, nc int)) {
 	ncMax := min(n, gemmNC)
 	kccMax := min(kk, gemmKCC)
@@ -120,33 +143,37 @@ func gemmPackedDriver(dst, a *Dense, m, kk, n int, accumulate bool,
 			switch {
 			case m >= 2*gemmRowGrain:
 				ParallelFor(m, gemmRowGrain, func(lo, hi int) {
-					gemmBlock(dst, a, buf, jc, nc, pcc, kcc, lo, hi, 0, npan, ow)
+					gemmBlock(dst, a, aT, buf, jc, nc, pcc, kcc, lo, hi, 0, npan, ow)
 				})
 			case npan >= 2*gemmPanelGrain:
 				ParallelFor(npan, gemmPanelGrain, func(lo, hi int) {
-					gemmBlock(dst, a, buf, jc, nc, pcc, kcc, 0, m, lo, hi, ow)
+					gemmBlock(dst, a, aT, buf, jc, nc, pcc, kcc, 0, m, lo, hi, ow)
 				})
 			default:
-				gemmBlock(dst, a, buf, jc, nc, pcc, kcc, 0, m, 0, npan, ow)
+				gemmBlock(dst, a, aT, buf, jc, nc, pcc, kcc, 0, m, 0, npan, ow)
 			}
 		}
 	}
 }
 
 // gemmBlock computes dst rows [i0, i1) × packed column panels [jp0, jp1)
-// of the current (jc, kcc) block: it packs the A rows it owns into
-// micro-panels, then walks the gemmKC depth blocks in ascending order,
+// of the current (jc, kcc) block: it packs the A rows it owns (columns
+// of a when aT is set) into micro-panels, then walks the gemmKC depth blocks in ascending order,
 // running the register micro-kernel per tile (the edge kernel on ragged
 // tiles). ow overwrites the destination on the first depth block of a
 // non-accumulating product.
-func gemmBlock(dst, a *Dense, buf []float64, jc, nc, pcc, kcc, i0, i1, jp0, jp1 int, ow bool) {
+func gemmBlock(dst, a *Dense, aT bool, buf []float64, jc, nc, pcc, kcc, i0, i1, jp0, jp1 int, ow bool) {
 	rows := i1 - i0
 	np := (rows + gemmMR - 1) / gemmMR
 	apb := GetScratch(np * gemmMR * min(kcc, gemmKC))
 	ap := *apb
 	for k0 := 0; k0 < kcc; k0 += gemmKC {
 		kc := min(gemmKC, kcc-k0)
-		packAPanels(ap, a, i0, rows, pcc+k0, kc)
+		if aT {
+			packATPanels(ap, a, i0, rows, pcc+k0, kc)
+		} else {
+			packAPanels(ap, a, i0, rows, pcc+k0, kc)
+		}
 		owk := ow && k0 == 0
 		for ip := 0; ip < rows; ip += gemmMR {
 			mr := min(gemmMR, rows-ip)
@@ -185,6 +212,25 @@ func gemmSerial(dst, a, b *Dense, alpha float64, lo, hi int) {
 		drow := dst.Row(i)
 		arow := a.Row(i)
 		for k, av := range arow {
+			if av == 0 {
+				continue
+			}
+			av *= alpha
+			brow := b.Row(k)
+			for j, bv := range brow {
+				drow[j] += av * bv
+			}
+		}
+	}
+}
+
+// gemmSerialT computes dst += alpha·aᵀ·b with gemmSerial's loop order,
+// reading row i of aᵀ as column i of a.
+func gemmSerialT(dst, a, b *Dense, alpha float64) {
+	for i := 0; i < dst.Rows; i++ {
+		drow := dst.Row(i)
+		for k := 0; k < a.Rows; k++ {
+			av := a.Data[k*a.Stride+i]
 			if av == 0 {
 				continue
 			}
@@ -283,7 +329,7 @@ func MulBT(a, b *Dense) *Dense {
 		mulBTRows(out, a, b, 0, a.Rows)
 		return out
 	}
-	gemmPackedDriver(out, a, m, kk, n, false,
+	gemmPackedDriver(out, a, false, m, kk, n, false,
 		func(buf []float64, pcc, kcc, jc, nc int) {
 			packBTPanels(buf, b, pcc, kcc, jc, nc)
 		})

@@ -118,3 +118,61 @@ func TestPropMulIntoOverwritesDirtyDst(t *testing.T) {
 		PutDense(dst)
 	}
 }
+
+// stridedCopy returns a copy of d as a view inside a wider NaN-filled
+// parent (Stride = Cols + pad), the layout of the solvers' grow-only
+// stores: a kernel that reads past a row's Cols picks up the NaN.
+func stridedCopy(d *Dense, pad int) *Dense {
+	par := NewDense(d.Rows, d.Cols+pad)
+	for i := range par.Data {
+		par.Data[i] = math.NaN()
+	}
+	v := par.View(0, 1, d.Rows, d.Cols)
+	v.CopyFrom(d)
+	return v
+}
+
+// MulTSub must be MulSub on an explicit transpose, bit for bit: on the
+// serial and the packed path, on strided views, across ragged
+// gemmMR/gemmNR edges and at every GOMAXPROCS.
+func TestMulTSubMatchesMulSubTransposed(t *testing.T) {
+	shapes := append(propShapes(t),
+		[3]int{5, 7, 3},     // serial, ragged rows and columns
+		[3]int{37, 300, 41}, // packed row split, ragged rows and columns
+		[3]int{6, 700, 9},   // packed, m too short to split rows
+	)
+	var serial, packed int
+	for _, s := range shapes {
+		m, k, n := s[0], s[1], s[2]
+		if m*k*n < gemmParallelThreshold {
+			serial++
+		} else {
+			packed++
+		}
+		a := randDense(k, m, int64(m*19+k)) // aᵀ is m×k
+		for i := range a.Data {
+			if i%5 == 0 {
+				a.Data[i] = 0 // the serial paths skip zero multipliers
+			}
+		}
+		b := randDense(k, n, int64(k*23+n))
+		base := randDense(m, n, int64(m*29+n))
+		want := base.Clone()
+		MulSub(want, a.T(), b)
+		for _, p := range propProcs() {
+			for _, strided := range []bool{false, true} {
+				as, bs, dst := a, b, base.Clone()
+				if strided {
+					as, bs, dst = stridedCopy(a, 3), stridedCopy(b, 2), stridedCopy(base, 5)
+				}
+				withMaxProcs(p, func() { MulTSub(dst, as, bs) })
+				if !sameBits(dst, want) {
+					t.Fatalf("MulTSub %v (strided %v) at GOMAXPROCS=%d differs bitwise from MulSub(dst, a.T(), b)", s, strided, p)
+				}
+			}
+		}
+	}
+	if serial == 0 || packed == 0 {
+		t.Fatalf("shapes cover %d serial and %d packed products, want both paths", serial, packed)
+	}
+}

@@ -1,7 +1,8 @@
 package mat
 
 // Panel packing and the register-blocked micro-kernel behind the dense
-// multiply kernels (Mul/MulAdd/MulSub/MulInto and the packed MulBT path).
+// multiply kernels (Mul/MulAdd/MulSub/MulInto and the packed MulBT and
+// MulTSub paths).
 //
 // Layout. The shared packed-B buffer holds one jc-slice of alpha·B (or of
 // alpha·bᵀ for MulBT) as a sequence of gemmNR-wide column panels, each
@@ -99,6 +100,28 @@ func packAPanels(buf []float64, a *Dense, i0, rows, pc, kc int) {
 			} else {
 				for k := 0; k < kc; k++ {
 					pan[k*gemmMR+r] = 0
+				}
+			}
+		}
+	}
+}
+
+// packATPanels packs aᵀ[i0:i0+rows, pc:pc+kc] — the columns
+// [i0, i0+rows) of a over its rows [pc, pc+kc) — into the same gemmMR-row
+// k-major panels as packAPanels, so MulTSub's micro-kernel reads exactly
+// the panels MulSub would pack from an explicit transpose.
+func packATPanels(buf []float64, a *Dense, i0, rows, pc, kc int) {
+	np := (rows + gemmMR - 1) / gemmMR
+	for k := 0; k < kc; k++ {
+		src := a.Row(pc + k)[i0 : i0+rows]
+		for p := 0; p < np; p++ {
+			dst := buf[p*kc*gemmMR+k*gemmMR:][:gemmMR]
+			r0 := p * gemmMR
+			for r := 0; r < gemmMR; r++ {
+				if r0+r < rows {
+					dst[r] = src[r0+r]
+				} else {
+					dst[r] = 0
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package mat
 import (
 	"math"
 	"runtime"
+	"sync"
 )
 
 // Blocked-QR tuning. Panels of qrBlock columns are factored with the
@@ -260,29 +261,61 @@ func houseColumn(f *Dense, j, m int, tau, s []float64, n int) {
 	for c := j + 1; c < n; c++ {
 		jrow[c] -= s[c]
 	}
-	rows, width := m-(j+1), n-(j+1)
-	if rows*width >= qrParallelThreshold && runtime.GOMAXPROCS(0) > 1 {
-		ParallelFor(rows, qrRowGrain, func(lo, hi int) {
-			houseUpdateRows(d, st, j, s, j+1+lo, j+1+hi, n)
-		})
-		return
-	}
-	houseUpdateRows(d, st, j, s, j+1, m, n)
+	reflectorUpdate(d, st, j, m, d, st, j+1, n, s)
 }
 
-// houseUpdateRows applies rows [lo, hi) of the rank-1 update F -= v·s for
-// the reflector in column j.
-func houseUpdateRows(d []float64, st, j int, s []float64, lo, hi, n int) {
+// reflectorUpdate runs pass 2 of a reflector application, T -= v·s over
+// rows [j+1, m) and columns [c0, c1) of the target T (data td, stride
+// tst), where v_i is entry (i, j) of the factor (data vd, stride vst) and
+// s is indexed by target column. The update runs row-parallel when the
+// area is large; each row is updated independently from the
+// serially-gathered s, so the result is bitwise identical to the serial
+// path. The parallel path binds its operands to a pooled job, so neither
+// path allocates.
+func reflectorUpdate(vd []float64, vst, j, m int, td []float64, tst, c0, c1 int, s []float64) {
+	rows := m - (j + 1)
+	if rows*(c1-c0) < qrParallelThreshold || runtime.GOMAXPROCS(0) < 2 {
+		reflectorUpdateRows(vd, vst, j, td, tst, c0, c1, s, j+1, m)
+		return
+	}
+	rj := reflectorJobs.Get().(*reflectorJob)
+	rj.vd, rj.vst, rj.j, rj.td, rj.tst, rj.c0, rj.c1, rj.s = vd, vst, j, td, tst, c0, c1, s
+	ParallelFor(rows, qrRowGrain, rj.rows)
+	rj.vd, rj.td, rj.s = nil, nil, nil
+	reflectorJobs.Put(rj)
+}
+
+// reflectorUpdateRows applies rows [lo, hi) of reflectorUpdate.
+func reflectorUpdateRows(vd []float64, vst, j int, td []float64, tst, c0, c1 int, s []float64, lo, hi int) {
+	sc := s[c0:c1]
 	for i := lo; i < hi; i++ {
-		vi := d[i*st+j]
+		vi := vd[i*vst+j]
 		if vi == 0 {
 			continue
 		}
-		row := d[i*st : i*st+n]
-		for c := j + 1; c < n; c++ {
-			row[c] -= s[c] * vi
+		row := td[i*tst+c0 : i*tst+c1]
+		for c, sv := range sc {
+			row[c] -= sv * vi
 		}
 	}
+}
+
+// reflectorJob binds reflectorUpdate's operands to a pooled row body, so
+// the parallel update forms no closure per call.
+type reflectorJob struct {
+	vd, td, s           []float64
+	vst, j, tst, c0, c1 int
+	rows                func(lo, hi int) // updateRows bound once per pooled job
+}
+
+var reflectorJobs = sync.Pool{New: func() any {
+	j := new(reflectorJob)
+	j.rows = j.updateRows
+	return j
+}}
+
+func (rj *reflectorJob) updateRows(lo, hi int) {
+	reflectorUpdateRows(rj.vd, rj.vst, rj.j, rj.td, rj.tst, rj.c0, rj.c1, rj.s, rj.j+1+lo, rj.j+1+hi)
 }
 
 // applyReflector applies (I − τ·v·vᵀ) for reflector j to b in place,
@@ -317,34 +350,7 @@ func (qf *qrFactor) applyReflector(b *Dense, j int, s []float64) {
 	for c := 0; c < w; c++ {
 		jrow[c] -= s[c]
 	}
-	rows := m - (j + 1)
-	if rows*w >= qrParallelThreshold && runtime.GOMAXPROCS(0) > 1 {
-		ParallelFor(rows, qrRowGrain, func(lo, hi int) {
-			qf.reflectorUpdateRows(b, j, s, j+1+lo, j+1+hi)
-		})
-		return
-	}
-	qf.reflectorUpdateRows(b, j, s, j+1, m)
-}
-
-// reflectorUpdateRows runs pass 2 of applyReflector over rows [lo, hi).
-// It is a named method (not a closure inside applyReflector) so the
-// serial path stays allocation-free: a closure created for ParallelFor
-// escapes to the heap even on calls that never reach the parallel branch.
-func (qf *qrFactor) reflectorUpdateRows(b *Dense, j int, s []float64, lo, hi int) {
-	fst := qf.fac.Stride
-	fd := qf.fac.Data
-	w := b.Cols
-	for i := lo; i < hi; i++ {
-		vi := fd[i*fst+j]
-		if vi == 0 {
-			continue
-		}
-		row := b.Row(i)
-		for c := 0; c < w; c++ {
-			row[c] -= s[c] * vi
-		}
-	}
+	reflectorUpdate(fd, fst, j, m, b.Data, b.Stride, 0, w, s)
 }
 
 // wyBlocks returns (building lazily) the compact-WY representation of the
@@ -429,37 +435,27 @@ func (qf *qrFactor) thinQ(k int) *Dense {
 // upper trapezoidal.
 func QR(a *Dense) (q, r *Dense) {
 	m, n := a.Dims()
-	k := m
-	if n < k {
-		k = n
-	}
+	k := min(m, n)
 	qf := houseQR(a)
-	r = NewDense(k, n)
-	for i := 0; i < k; i++ {
-		for j := i; j < n; j++ {
-			r.Set(i, j, qf.fac.At(i, j))
-		}
+	return qf.thinQ(k), UpperRows(qf.fac, k, n)
+}
+
+// UpperRows returns a new r×c matrix holding the upper triangle of f's
+// leading block, zero below the diagonal and in rows past f's: the R
+// factor of a QR or QRCP factored in place, trimmed or zero-padded.
+func UpperRows(f *Dense, r, c int) *Dense {
+	out := NewDense(r, c)
+	for i := 0; i < min(r, f.Rows, c); i++ {
+		copy(out.Row(i)[i:], f.Row(i)[i:c])
 	}
-	q = qf.thinQ(k)
-	return q, r
+	return out
 }
 
 // ROnly computes only the R factor of the thin QR of a (used by the QR_TP
 // tournament reductions, where Q is not needed).
 func ROnly(a *Dense) *Dense {
 	m, n := a.Dims()
-	k := m
-	if n < k {
-		k = n
-	}
-	qf := houseQR(a)
-	r := NewDense(k, n)
-	for i := 0; i < k; i++ {
-		for j := i; j < n; j++ {
-			r.Set(i, j, qf.fac.At(i, j))
-		}
-	}
-	return r
+	return UpperRows(houseQR(a).fac, min(m, n), n)
 }
 
 // Orth returns an orthonormal basis for the range of a, dropping
@@ -514,11 +510,7 @@ func qrcpPivoted(a *Dense) (f *Dense, tau []float64, r *Dense, perm []int) {
 	perm = make([]int, n)
 	tau = make([]float64, k)
 	qrcpFactor(f, tau, make([]float64, n), make([]float64, n), make([]float64, n), perm)
-	r = NewDense(k, n)
-	for i := 0; i < k; i++ {
-		copy(r.Row(i)[i:], f.Row(i)[i:])
-	}
-	return f, tau, r, perm
+	return f, tau, UpperRows(f, k, n), perm
 }
 
 // qrcpFactor runs the Businger–Golub pivoted factorization in place on f

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -63,22 +64,48 @@ func TestQRWorkspaceMatchesQR(t *testing.T) {
 	}
 }
 
+// mallocsPerRun counts fn's heap allocations per call by hand, at the
+// current GOMAXPROCS (testing.AllocsPerRun pins GOMAXPROCS to 1, where
+// every parallel kernel runs inline). The warm-up calls let every P's
+// sync.Pool hold its own pooled jobs, and integer division forgives the
+// rare pooled job a collection drops.
+func mallocsPerRun(runs int, fn func()) uint64 {
+	for i := 0; i < 20; i++ {
+		fn()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
+}
+
 // A warm workspace factors a panel below the blocked-QR cutoff without
-// allocating, at its largest shape and at a smaller one.
+// allocating, at its largest shape and at a smaller one. The 1024×32
+// panel runs at GOMAXPROCS 2, where its reflector updates cross
+// qrParallelThreshold and take the row-parallel path; OrthWorkspace
+// shares those reflectors and must stay allocation-free there too.
 func TestQRWorkspaceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	var ws QRWorkspace
-	for _, s := range [][2]int{{400, 32}, {150, 8}} {
-		a := randDense(s[0], s[1], 77)
-		f := a.Clone()
-		ws.QR(f)
-		if got := testing.AllocsPerRun(20, func() {
-			f.CopyFrom(a)
-			ws.QR(f)
-		}); got != 0 {
-			t.Fatalf("%d×%d: warm QRWorkspace.QR allocates %v times, want 0", s[0], s[1], got)
-		}
+	var ows OrthWorkspace
+	for _, c := range []struct{ m, n, procs int }{{400, 32, 1}, {150, 8, 1}, {1024, 32, 2}} {
+		withMaxProcs(c.procs, func() {
+			a := randDense(c.m, c.n, 77)
+			f := a.Clone()
+			if got := mallocsPerRun(200, func() {
+				f.CopyFrom(a)
+				ws.QR(f)
+			}); got != 0 {
+				t.Fatalf("%d×%d at GOMAXPROCS %d: warm QRWorkspace.QR allocates %v times, want 0", c.m, c.n, c.procs, got)
+			}
+			if got := mallocsPerRun(200, func() { ows.Orth(a) }); got != 0 {
+				t.Fatalf("%d×%d at GOMAXPROCS %d: warm OrthWorkspace.Orth allocates %v times, want 0", c.m, c.n, c.procs, got)
+			}
+		})
 	}
 }

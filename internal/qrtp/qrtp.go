@@ -183,11 +183,7 @@ func (ws *Workspace) finalR11(a source, winners []int, k int) *mat.Dense {
 	a.ExtractColsDenseInto(panel, winners)
 	ws.qr.FactorR(panel)
 	kk := min(k, len(winners), m)
-	r11 := mat.NewDense(kk, kk)
-	for i := 0; i < kk; i++ {
-		copy(r11.Row(i)[i:], panel.Row(i)[i:kk])
-	}
-	return r11
+	return mat.UpperRows(panel, kk, kk)
 }
 
 // SelectColumns runs a sequential tournament over all columns of a and

@@ -142,10 +142,9 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 
 // qbState carries one rank's grow-only factor stores and reusable
 // workspaces of a RandQB_EI run. The rank's row panel of Q_K lives in
-// qData as an mLoc×capK panel (stride capK), the replicated B_K in bData
-// as contiguous K rows of length n, and — only under the power scheme —
-// B_Kᵀ in btData as an n×capK panel, maintained incrementally so no
-// transpose is ever re-materialized in the loop.
+// qData as an mLoc×capK panel (stride capK) and the replicated B_K in
+// bData as contiguous K rows of length n. The power scheme reads B_Kᵀ
+// straight from B_K through mat.MulTSub, so no transpose is stored.
 //
 // Intermediates come from the Buffers at every p: at p == 1 a
 // steady-state block iteration allocates nothing, and at p > 1 the
@@ -166,10 +165,10 @@ type qbState struct {
 	kCur             int     // current K (columns of Q_K)
 	capK             int
 
-	qData, bData, btData []float64
-	qHdr, bHdr, btHdr    mat.Dense // reusable view headers
+	qData, bData []float64
+	qHdr, bHdr   mat.Dense // reusable view headers
 
-	wsQ, wsQh            mat.OrthWorkspace
+	wsQ, wsQh            tsqrWorkspace
 	y, bom, qh, proj, bt mat.Buffer
 	sum                  mat.Buffer // rank 0's dist.SumReduce total
 
@@ -232,13 +231,6 @@ func (st *qbState) ensureCap(k int) {
 	b := make([]float64, newCap*st.n)
 	copy(b, st.bData[:st.kCur*st.n])
 	st.qData, st.bData = q, b
-	if st.opts.Power > 0 {
-		bt := make([]float64, st.n*newCap)
-		for i := 0; i < st.n; i++ {
-			copy(bt[i*newCap:i*newCap+st.kCur], st.btData[i*st.capK:i*st.capK+st.kCur])
-		}
-		st.btData = bt
-	}
 	st.capK = newCap
 }
 
@@ -252,12 +244,6 @@ func (st *qbState) qKView() *mat.Dense {
 func (st *qbState) bKView() *mat.Dense {
 	st.bHdr = mat.Dense{Rows: st.kCur, Cols: st.n, Stride: st.n, Data: st.bData[:st.kCur*st.n]}
 	return &st.bHdr
-}
-
-// btKView returns the n×K view of the Bᵀ store (power scheme only).
-func (st *qbState) btKView() *mat.Dense {
-	st.btHdr = mat.Dense{Rows: st.n, Cols: st.kCur, Stride: st.capK, Data: st.btData}
-	return &st.btHdr
 }
 
 // mulB computes the replicated B_K·x (x is n×w) by splitting the inner
@@ -339,7 +325,7 @@ func (st *qbState) step(iter int) bool {
 		if st.kCur > 0 {
 			proj := st.projQK(qk)
 			c.Compute(2*float64(st.n)/float64(st.p)*float64(st.kCur)*float64(proj.Cols), "GEMM")
-			mat.MulSub(qh, st.btKView(), proj)
+			mat.MulTSub(qh, st.bKView(), proj)
 		}
 		qhat := distTSQR(c, qh, "orth/TSQR", &st.wsQh)
 		// Q_k = orth(A·Q̂ − Q_K(B_K·Q̂)).
@@ -376,11 +362,6 @@ func (st *qbState) step(iter int) bool {
 		btRow := bt.Row(j)
 		for i := 0; i < kc; i++ {
 			st.bData[(st.kCur+i)*st.n+j] = btRow[i]
-		}
-	}
-	if st.opts.Power > 0 {
-		for j := 0; j < st.n; j++ {
-			copy(st.btData[j*st.capK+st.kCur:], bt.Row(j))
 		}
 	}
 	bkNew := mat.Dense{Rows: kc, Cols: st.n, Stride: st.n, Data: st.bData[st.kCur*st.n : (st.kCur+kc)*st.n]}
@@ -458,9 +439,6 @@ func (st *qbState) resume() int {
 	st.kCur = s.bK.Rows
 	st.qKView().CopyFrom(s.qK)
 	copy(st.bData, s.bK.Data)
-	if st.opts.Power > 0 {
-		st.btKView().CopyFrom(s.bK.T())
-	}
 	st.e = s.e
 	res := st.res
 	res.Iters = it

@@ -7,6 +7,19 @@ import (
 	"sparselr/internal/mat"
 )
 
+// tsqrWorkspace is one call site's grow-only storage for distTSQRLocal
+// and distTSQR, so a steady-state orthogonalization allocates only the
+// w×w blocks of the reduction tree. At one rank the rank-revealing orth
+// is the whole factorization; at p > 1 the local block is copied into f
+// and factored there (the caller's block stays intact for the
+// rank-deficient fallback), and the local Q block and the gathered
+// factors land in out and full.
+type tsqrWorkspace struct {
+	orth              mat.OrthWorkspace
+	qr                mat.QRWorkspace
+	f, pad, out, full mat.Buffer
+}
+
 // distTSQRLocal orthogonalizes a row-distributed tall matrix with a real
 // communication-avoiding TSQR across the ranks — the El::qr::ExplicitTS
 // kernel of §V. Each rank passes its own row block yLoc; local blocks are
@@ -21,9 +34,16 @@ import (
 // slice, so column counts stay consistent across ranks.
 //
 // With one rank there is nothing to reduce: yLoc is all of the matrix
-// and ws's rank-revealing Orth (bitwise equal to mat.Orth, without the
-// allocations) is the whole factorization. Its result is a view into ws.
-func distTSQRLocal(c *dist.Comm, yLoc *mat.Dense, mTotal int, kernel string, ws *mat.OrthWorkspace) *mat.Dense {
+// and the rank-revealing Orth (bitwise equal to mat.Orth, without the
+// allocations) is the whole factorization.
+//
+// The result is ws storage, valid until the next call on ws; yLoc is
+// read only and may alias the previous result. At p > 1 the fallback
+// sends ws.f by reference and distTSQR sends the result, so the caller
+// must not call again on ws before a collective that hears from every
+// rank (a Gather followed by a Bcast), as dist.AllgatherRowsInto
+// requires.
+func distTSQRLocal(c *dist.Comm, yLoc *mat.Dense, mTotal int, kernel string, ws *tsqrWorkspace) *mat.Dense {
 	const (
 		tagRUp   = 501
 		tagCarry = 502
@@ -35,13 +55,14 @@ func distTSQRLocal(c *dist.Comm, yLoc *mat.Dense, mTotal int, kernel string, ws 
 	}
 	if p == 1 {
 		c.Compute(2*float64(mTotal)*float64(w)*float64(w), kernel)
-		return ws.Orth(yLoc)
+		return ws.orth.Orth(yLoc)
 	}
-	// Local QR.
+	// Local QR, on a copy: yLoc may be ws.out, written below.
 	c.Compute(2*float64(yLoc.Rows)*float64(w)*float64(w), kernel)
-	qLoc, rLoc := mat.QR(yLoc)
-	rPad := padSquare(rLoc, w)
-	qPad := padCols(qLoc, w)
+	f := ws.f.Shape(yLoc.Rows, w)
+	f.CopyFrom(yLoc)
+	qPad := padCols(ws.qr.QR(f), w, &ws.pad)
+	rPad := mat.UpperRows(f, w, w) // fresh: it may travel up the tree
 
 	// Reduction up the binary tree. Each participating rank remembers
 	// the top/bottom slices of its merge Q factors for the downsweep.
@@ -70,7 +91,7 @@ func distTSQRLocal(c *dist.Comm, yLoc *mat.Dense, mTotal int, kernel string, ws 
 				bot:     q2.View(w, 0, w, q2.Cols).Clone(),
 				partner: partner,
 			})
-			r = padSquare(rr, w)
+			r = rr
 		} else if c.Rank()%(2*stride) == stride {
 			c.Send(c.Rank()-stride, tagRUp, r, 8*w*w)
 			active = false
@@ -94,12 +115,17 @@ func distTSQRLocal(c *dist.Comm, yLoc *mat.Dense, mTotal int, kernel string, ws 
 	deficient = c.Bcast(0, deficient, 1).(bool)
 	if deficient {
 		// Assemble the blocks and fall back to the replicated
-		// rank-revealing Orth; return this rank's slice.
-		full := dist.AllgatherRowsInto(c, mat.NewDense(mTotal, w), yLoc)
+		// rank-revealing Orth; return this rank's slice. The factored
+		// f is free again, so the block travels as a fresh copy in f and
+		// the output never aliases a payload still in flight.
+		f.CopyFrom(yLoc)
+		full := dist.AllgatherRowsInto(c, ws.full.Shape(mTotal, w), f)
 		offset, _ := dist.RowShare(mTotal, p, c.Rank())
 		c.Compute(2*float64(mTotal)*float64(w)*float64(w), kernel)
-		q := mat.Orth(full)
-		return q.View(offset, 0, yLoc.Rows, q.Cols).Clone()
+		q := ws.orth.Orth(full)
+		out := ws.out.Shape(yLoc.Rows, q.Cols)
+		out.CopyFrom(q.View(offset, 0, yLoc.Rows, q.Cols))
+		return out
 	}
 	// Downsweep: root starts with the identity carry; each merge sends
 	// the bottom-half carry to the partner and keeps the top half.
@@ -118,13 +144,16 @@ func distTSQRLocal(c *dist.Comm, yLoc *mat.Dense, mTotal int, kernel string, ws 
 	}
 	// Local thin Q block.
 	c.Compute(2*float64(yLoc.Rows)*float64(w)*float64(w), kernel)
-	return mat.Mul(qPad, carry)
+	out := ws.out.Shape(yLoc.Rows, w)
+	mat.MulInto(out, qPad, carry)
+	return out
 }
 
 // distTSQR orthogonalizes a replicated tall matrix: it slices y by the
-// standard row share, runs distTSQRLocal and allgathers the full factor.
-// With one rank the slice is all of y and the result is a view into ws.
-func distTSQR(c *dist.Comm, y *mat.Dense, kernel string, ws *mat.OrthWorkspace) *mat.Dense {
+// standard row share, runs distTSQRLocal and allgathers the full factor
+// into ws storage (valid until the next call on ws, under the same rule).
+// With one rank the slice is all of y.
+func distTSQR(c *dist.Comm, y *mat.Dense, kernel string, ws *tsqrWorkspace) *mat.Dense {
 	p := c.Size()
 	m, w := y.Dims()
 	if w == 0 {
@@ -135,7 +164,7 @@ func distTSQR(c *dist.Comm, y *mat.Dense, kernel string, ws *mat.OrthWorkspace) 
 	}
 	lo, hi := dist.RowShare(m, p, c.Rank())
 	qLoc := distTSQRLocal(c, y.View(lo, 0, hi-lo, w), m, kernel, ws)
-	return dist.AllgatherRowsInto(c, mat.NewDense(m, qLoc.Cols), qLoc)
+	return dist.AllgatherRowsInto(c, ws.full.Shape(m, qLoc.Cols), qLoc)
 }
 
 // findAbsorber returns the rank that received this rank's R factor in
@@ -144,22 +173,13 @@ func findAbsorber(rank int) int {
 	return rank &^ (rank & -rank)
 }
 
-// padSquare pads an r×w upper-trapezoidal factor to w×w with zero rows.
-func padSquare(r *mat.Dense, w int) *mat.Dense {
-	if r.Rows == w {
-		return r
-	}
-	out := mat.NewDense(w, w)
-	out.View(0, 0, r.Rows, w).CopyFrom(r)
-	return out
-}
-
-// padCols pads a thin Q with zero columns up to width w (short blocks).
-func padCols(q *mat.Dense, w int) *mat.Dense {
+// padCols pads a thin Q with zero columns up to width w (short blocks)
+// in buf.
+func padCols(q *mat.Dense, w int, buf *mat.Buffer) *mat.Dense {
 	if q.Cols == w {
 		return q
 	}
-	out := mat.NewDense(q.Rows, w)
+	out := buf.ShapeZero(q.Rows, w)
 	out.View(0, 0, q.Rows, q.Cols).CopyFrom(q)
 	return out
 }

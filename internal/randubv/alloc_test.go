@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sparselr/internal/dist"
+	"sparselr/internal/mat"
 	"sparselr/internal/sparse"
 )
 
@@ -74,4 +75,66 @@ func TestFactorDistBytesP2(t *testing.T) {
 	if extra := two - 2*one; extra > 2*factors {
 		t.Fatalf("P=2 allocates %.0f B beyond two one-rank runs (%.0f B each), over 2× the %.0f factor bytes", extra, one, factors)
 	}
+}
+
+// A warm RandUBV iteration allocates only what it keeps: the U block
+// (m×uw), R_i (uw×vw) and S_{i+1} (vw'×uw). The test runs a one-rank
+// solve to its rank cap so every buffer, workspace and store has grown,
+// rewinds the iterates to the end of iteration 2 and measures iteration
+// 3 repeatedly. Factoring with mat.QR instead clones both panels and
+// forms two fresh thin Qs, over 2× the kept bytes.
+func TestStepBytesKeptOnly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("byte counts are not meaningful under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const m, n = 300, 240
+	a := randSparse(m, n, 0.05, 31)
+	dist.Run(1, dist.DefaultConfig(), func(c *dist.Comm) {
+		st, err := newUBVState(c, a, rankCappedOpts(64))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := st.begin(); err != nil {
+			t.Error(err)
+			return
+		}
+		for iter := 1; iter <= 2; iter++ {
+			if st.step(iter) {
+				t.Error("solve ended before iteration 3")
+				return
+			}
+		}
+		nb, ku, cols, vw, e := len(st.blocks), st.ku, st.vAll.cols, st.vi.Cols, st.e
+		nh := len(st.res.ErrHistory)
+		for iter := 3; !st.step(iter); iter++ {
+		}
+		rewind := func() {
+			st.blocks, st.ku, st.vAll.cols, st.e = st.blocks[:nb], ku, cols, e
+			st.vi = &mat.Dense{Rows: n, Cols: vw, Stride: st.vAll.capV, Data: st.vAll.data[cols-vw:]}
+			st.res.ErrHistory = st.res.ErrHistory[:nh]
+			st.res.TimeHistory = st.res.TimeHistory[:nh]
+		}
+		const runs = 10
+		var kept, total uint64
+		for r := 0; r < runs; r++ {
+			rewind()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if st.step(3) {
+				t.Error("iteration 3 ended the solve")
+				return
+			}
+			runtime.ReadMemStats(&after)
+			total += after.TotalAlloc - before.TotalAlloc
+			blk := st.blocks[len(st.blocks)-1]
+			kept += 8 * uint64(blk.u.Rows*blk.u.Cols+blk.r.Rows*blk.r.Cols+blk.s.Rows*blk.s.Cols)
+		}
+		// Slack for the three matrix headers and size-class rounding.
+		if perIter := total / runs; perIter > kept/runs+1024 {
+			t.Errorf("warm iteration allocates %d B, want ≤ %d B kept + 1 KiB", perIter, kept/runs)
+		}
+	})
 }

@@ -97,12 +97,61 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 //
 // Kernel labels: SpMM, orth/TSQR, GEMM (reorthogonalization), Bupdate.
 func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
+	st, err := newUBVState(c, a, opts)
+	if err != nil {
+		return nil, err
+	}
+	it, err := st.begin()
+	if err != nil {
+		return nil, err
+	}
+	for iter := it + 1; ; iter++ {
+		if st.step(iter) {
+			break
+		}
+	}
+	return st.finish(), nil
+}
+
+// ubvState carries one rank's iterates and reusable workspaces of a
+// RandUBV run. V₁..ᵢ live in the grow-only store vAll and vi is the
+// newest block (a view of vAll's last columns once the loop has appended
+// one). U is kept as its QR blocks, one per block row of B, and
+// assembled once at the end: the loop only reads the newest one. Block
+// sizes may shrink on deflation, so each block records its widths.
+//
+// The recurrence intermediates come from the Buffers, and A·V and W are
+// factored in place on the two QR workspaces, so a steady-state
+// iteration allocates only what it keeps (U_i, R_i and S_{i+1}), at every
+// p. At p > 1 the collectives move these rank-owned buffers themselves
+// (DESIGN.md §4c).
+type ubvState struct {
+	c       *dist.Comm
+	a, aLoc *sparse.CSR // all of A, and this rank's row block of it
+	opts    Options
+	sk      sketch.Sketcher
+
+	p, m, n, lo, hi, maxRank int
+	nnzLoc, mLoc, normA, e   float64
+
+	vAll   vStore
+	vi     *mat.Dense
+	blocks []blockPair
+	ku     int
+
+	yBuf, locBuf, partBuf, sumBuf, projBuf, tBuf mat.Buffer
+	wsU, wsV                                     mat.QRWorkspace
+
+	res   *Result
+	start time.Time
+}
+
+func newUBVState(c *dist.Comm, a *sparse.CSR, opts Options) (*ubvState, error) {
 	opts.defaults()
 	m, n := a.Dims()
 	if m == 0 || n == 0 {
 		return nil, fmt.Errorf("randubv: empty matrix %d×%d", m, n)
 	}
-	k := opts.BlockSize
 	p := c.Size()
 	maxRank := opts.MaxRank
 	if maxRank <= 0 || maxRank > min(m, n) {
@@ -110,211 +159,211 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 	}
 	sk := sketch.New(opts.Sketch, n, opts.Seed, opts.SketchNNZ)
 	normA := a.FrobNorm()
-	res := &Result{NormA: normA}
 	lo, hi := dist.RowShare(m, p, c.Rank())
 	aLoc := a
 	if p > 1 {
 		aLoc = a.ExtractBlock(lo, hi, 0, n)
 	}
-	nnzLoc := float64(aLoc.NNZ())
-	mLoc := float64(hi - lo)
-	start := time.Now()
-	// Reusable workspaces for the recurrence intermediates: the loop
-	// shapes them each iteration, so only the QR factorizations allocate
-	// in steady state, at every p. At p > 1 the collectives move these
-	// rank-owned buffers themselves (DESIGN.md §4c).
-	var yBuf, locBuf, partBuf, sumBuf, projBuf mat.Buffer
+	return &ubvState{
+		c: c, a: a, aLoc: aLoc, opts: opts, sk: sk,
+		p: p, m: m, n: n, lo: lo, hi: hi, maxRank: maxRank,
+		nnzLoc: float64(aLoc.NNZ()), mLoc: float64(hi - lo),
+		normA: normA, e: normA * normA,
+		vAll:  vStore{n: n, maxCap: maxRank},
+		res:   &Result{NormA: normA},
+		start: time.Now(),
+	}, nil
+}
 
-	// mulRows computes the replicated A·x from the ranks' row blocks,
-	// allgathered straight into yBuf. The Gather/Bcast of the chargeTSQR
-	// that always follows orders every rank's copy of this rank's block
-	// before the next mulRows writes locBuf again.
-	mulRows := func(x *mat.Dense) *mat.Dense {
-		w := x.Cols
-		c.Compute(2*nnzLoc*float64(w), "SpMM")
-		y := yBuf.Shape(m, w)
-		if p == 1 {
-			a.MulDenseInto(y, x)
-			return y
-		}
-		yLoc := locBuf.Shape(hi-lo, w)
-		aLoc.MulDenseInto(yLoc, x)
-		return dist.AllgatherRowsInto(c, y, yLoc)
+// mulRows computes the replicated A·x from the ranks' row blocks,
+// allgathered straight into yBuf. The Gather/Bcast of the chargeTSQR
+// that always follows orders every rank's copy of this rank's block
+// before the next mulRows writes locBuf again.
+func (st *ubvState) mulRows(x *mat.Dense) *mat.Dense {
+	w := x.Cols
+	st.c.Compute(2*st.nnzLoc*float64(w), "SpMM")
+	y := st.yBuf.Shape(st.m, w)
+	if st.p == 1 {
+		st.a.MulDenseInto(y, x)
+		return y
 	}
-	// mulT computes the replicated Aᵀ·x as the sum of the ranks'
-	// A_locᵀ·x_loc partials.
-	mulT := func(x *mat.Dense, kernel string) *mat.Dense {
-		w := x.Cols
-		c.Compute(2*nnzLoc*float64(w), kernel)
-		if p > 1 {
-			x = x.View(lo, 0, hi-lo, w)
-		}
-		out := partBuf.Shape(n, w)
-		aLoc.MulTDenseInto(out, x)
-		return dist.SumReduce(c, out, &sumBuf, kernel)
-	}
-	chargeTSQR := func(rows float64, w int) {
-		c.Compute(2*rows/float64(p)*float64(w)*float64(w), "orth/TSQR")
-		rounds := 0
-		for s := 1; s < p; s <<= 1 {
-			rounds++
-		}
-		for r := 0; r < rounds; r++ {
-			c.Compute(4*float64(w)*float64(w)*float64(w), "orth/TSQR")
-		}
-		if rounds > 0 {
-			c.Gather(0, nil, 8*w*w)
-			c.Bcast(0, nil, 8*w*w)
-		}
-	}
+	yLoc := st.locBuf.Shape(st.hi-st.lo, w)
+	st.aLoc.MulDenseInto(yLoc, x)
+	return dist.AllgatherRowsInto(st.c, y, yLoc)
+}
 
-	e := normA * normA
-	// V₁..ᵢ live in the grow-only store vAll; vi is the newest block.
-	// U is kept as its QR blocks, one per block row of B, and assembled
-	// once at the end: the loop only reads the newest one. Block sizes
-	// may shrink on deflation, so each block records its widths.
-	vAll := vStore{n: n, maxCap: maxRank}
-	var vi *mat.Dense
-	var blocks []blockPair
-	ku := 0
+// mulT computes the replicated Aᵀ·x as the sum of the ranks'
+// A_locᵀ·x_loc partials.
+func (st *ubvState) mulT(x *mat.Dense, kernel string) *mat.Dense {
+	w := x.Cols
+	st.c.Compute(2*st.nnzLoc*float64(w), kernel)
+	if st.p > 1 {
+		x = x.View(st.lo, 0, st.hi-st.lo, w)
+	}
+	out := st.partBuf.Shape(st.n, w)
+	st.aLoc.MulTDenseInto(out, x)
+	return dist.SumReduce(st.c, out, &st.sumBuf, kernel)
+}
 
-	// Resume from the newest complete checkpoint cut, if one exists. The
-	// initial sketch is skipped entirely: the restored iterates already
-	// embed it, so the RNG is not consulted on a resumed run.
-	startIter := 0
-	resumed := false
-	if opts.Checkpoint != nil {
-		if it, states, ok := opts.Checkpoint.Latest(p); ok {
-			s := states[c.Rank()].(*ubvSnapshot)
-			startIter = it
-			resumed = true
-			e = s.e
-			vi = s.vi.Clone()
-			vAll.append(s.v)
-			blocks = cloneBlocks(s.blocks)
-			for _, blk := range blocks {
-				ku += blk.uw
+// chargeTSQR charges an orthogonalization of a rows×w replicated block
+// as a TSQR over the ranks: local QR, the reduction tree's merges and
+// its messages.
+func (st *ubvState) chargeTSQR(rows float64, w int) {
+	c := st.c
+	c.Compute(2*rows/float64(st.p)*float64(w)*float64(w), "orth/TSQR")
+	rounds := 0
+	for s := 1; s < st.p; s <<= 1 {
+		rounds++
+	}
+	for r := 0; r < rounds; r++ {
+		c.Compute(4*float64(w)*float64(w)*float64(w), "orth/TSQR")
+	}
+	if rounds > 0 {
+		c.Gather(0, nil, 8*w*w)
+		c.Bcast(0, nil, 8*w*w)
+	}
+}
+
+// begin resumes from the newest complete checkpoint cut, if one exists,
+// or draws V₁ = orth(Ω), and returns the iteration the loop continues
+// after. A resumed run skips the initial sketch entirely: the restored
+// iterates already embed it, so the RNG is not consulted.
+func (st *ubvState) begin() (int, error) {
+	if st.opts.Checkpoint != nil {
+		if it, states, ok := st.opts.Checkpoint.Latest(st.p); ok {
+			s := states[st.c.Rank()].(*ubvSnapshot)
+			st.e = s.e
+			st.vi = s.vi.Clone()
+			st.vAll.append(s.v, s.v.Cols)
+			st.blocks = cloneBlocks(s.blocks)
+			for _, blk := range st.blocks {
+				st.ku += blk.uw
 			}
+			res := st.res
 			res.Iters = it
 			res.ErrIndicator = s.errIndicator
 			res.ErrHistory = append([]float64(nil), s.errHistory...)
 			res.TimeHistory = append([]time.Duration(nil), s.timeHistory...)
+			return it, nil
 		}
 	}
-	if !resumed {
-		om := sk.Next(min(k, maxRank)).Dense()
-		chargeTSQR(float64(n), om.Cols)
-		vi = mat.Orth(om)
-		if vi.Cols == 0 {
-			return nil, fmt.Errorf("randubv: degenerate initial sketch")
-		}
-		vAll.grow(min(2*k, maxRank))
-		vAll.append(vi)
+	k := st.opts.BlockSize
+	om := st.sk.Next(min(k, st.maxRank)).Dense()
+	st.chargeTSQR(float64(st.n), om.Cols)
+	st.vi = mat.Orth(om)
+	if st.vi.Cols == 0 {
+		return 0, fmt.Errorf("randubv: degenerate initial sketch")
 	}
+	st.vAll.grow(min(2*k, st.maxRank))
+	st.vAll.append(st.vi, st.vi.Cols)
+	return 0, nil
+}
 
-	for iter := startIter + 1; ; iter++ {
-		if c.Tracing() {
-			c.Annotate(fmt.Sprintf("RandUBV iter %d", iter))
+// step runs one iteration of the recurrence and reports whether the loop
+// is done.
+func (st *ubvState) step(iter int) bool {
+	c, m, n, normA, res := st.c, st.m, st.n, st.normA, st.res
+	if c.Tracing() {
+		c.Annotate(fmt.Sprintf("RandUBV iter %d", iter))
+	}
+	vi := st.vi
+	// U_i R_i = qr(A·V_i − U_{i-1}·S_iᵀ).
+	y := st.mulRows(vi)
+	if len(st.blocks) > 0 && st.blocks[len(st.blocks)-1].s != nil {
+		prev := st.blocks[len(st.blocks)-1]
+		c.Compute(2*st.mLoc*float64(prev.u.Cols)*float64(vi.Cols), "GEMM")
+		mat.MulSub(y, prev.u, prev.s.TInto(st.tBuf.Shape(prev.s.Cols, prev.s.Rows)))
+	}
+	st.chargeTSQR(float64(m), y.Cols)
+	// y is factored in place: R_i sits in its upper triangle.
+	uq := st.wsU.QR(y)
+	// Deflation guard: drop numerically-dependent directions.
+	uw := numericalWidth(y, normA)
+	if uw == 0 {
+		return true
+	}
+	ui := uq.View(0, 0, m, uw).Clone()
+	ri := mat.UpperRows(y, uw, y.Cols)
+	st.blocks = append(st.blocks, blockPair{u: ui, r: ri, uw: uw, vw: vi.Cols})
+	st.ku += uw
+	st.e -= ri.FrobNorm2()
+	if st.e < 0 {
+		st.e = 0
+	}
+	ind := math.Sqrt(st.e)
+	res.ErrHistory = append(res.ErrHistory, ind)
+	res.TimeHistory = append(res.TimeHistory, time.Since(st.start))
+	res.Iters = iter
+	res.ErrIndicator = ind
+	if ind < st.opts.Tol*normA {
+		res.Converged = true
+		return true
+	}
+	if st.ku >= st.maxRank || st.vAll.cols >= n || st.ku >= m {
+		return true
+	}
+	// W = Aᵀ·U_i − V_i·R_iᵀ, with one-sided reorthogonalization
+	// against all previous V blocks.
+	w := st.mulT(ui, "Bupdate")
+	c.Compute(2*float64(n)/float64(st.p)*float64(vi.Cols)*float64(ui.Cols), "GEMM")
+	mat.MulSub(w, vi, ri.TInto(st.tBuf.Shape(ri.Cols, ri.Rows)))
+	c.Compute(4*float64(n)/float64(st.p)*float64(st.vAll.cols)*float64(w.Cols), "GEMM")
+	vK := st.vAll.view()
+	proj := st.projBuf.Shape(vK.Cols, w.Cols)
+	mat.MulTInto(proj, vK, w)
+	mat.MulSub(w, vK, proj)
+	st.chargeTSQR(float64(n), w.Cols)
+	// w is factored in place: S_{i+1} sits in its upper triangle.
+	vq := st.wsV.QR(w)
+	vw := numericalWidth(w, normA)
+	if vw == 0 {
+		return true
+	}
+	// Cap the V width so rank never exceeds maxRank.
+	if st.vAll.cols+vw > st.maxRank {
+		vw = st.maxRank - st.vAll.cols
+		if vw <= 0 {
+			return true
 		}
-		// U_i R_i = qr(A·V_i − U_{i-1}·S_iᵀ).
-		y := mulRows(vi)
-		if len(blocks) > 0 && blocks[len(blocks)-1].s != nil {
-			prev := blocks[len(blocks)-1]
-			c.Compute(2*mLoc*float64(prev.u.Cols)*float64(vi.Cols), "GEMM")
-			mat.MulSub(y, prev.u, prev.s.T())
-		}
-		chargeTSQR(float64(m), y.Cols)
-		ui, ri := mat.QR(y)
-		// Deflation guard: drop numerically-dependent directions.
-		uw := numericalWidth(ri, normA)
-		if uw == 0 {
-			break
-		}
-		if uw < ui.Cols {
-			ui = ui.View(0, 0, m, uw).Clone()
-			ri = ri.View(0, 0, uw, ri.Cols).Clone()
-		}
-		blocks = append(blocks, blockPair{u: ui, r: ri, uw: uw, vw: vi.Cols})
-		ku += uw
-		e -= ri.FrobNorm2()
-		if e < 0 {
-			e = 0
-		}
-		ind := math.Sqrt(e)
-		res.ErrHistory = append(res.ErrHistory, ind)
-		res.TimeHistory = append(res.TimeHistory, time.Since(start))
-		res.Iters = iter
+	}
+	sNext := mat.UpperRows(w, vw, w.Cols)
+	st.blocks[len(st.blocks)-1].s = sNext
+	st.e -= sNext.FrobNorm2()
+	if st.e < 0 {
+		st.e = 0
+	}
+	st.vi = st.vAll.append(vq, vw)
+	if st.opts.Checkpoint != nil && st.opts.CheckpointEvery > 0 && iter%st.opts.CheckpointEvery == 0 {
+		st.opts.Checkpoint.Save(iter, c.Rank(), &ubvSnapshot{
+			e:            st.e,
+			vi:           st.vi.Clone(),
+			v:            st.vAll.view().Clone(),
+			blocks:       cloneBlocks(st.blocks),
+			errIndicator: res.ErrIndicator,
+			errHistory:   append([]float64(nil), res.ErrHistory...),
+			timeHistory:  append([]time.Duration(nil), res.TimeHistory...),
+		})
+	}
+	// The superdiagonal block also captures approximation energy:
+	// re-check convergence so a subsequent deflation cannot strand a
+	// converged factorization (A ≈ U·B·Vᵀ already includes S_{i+1}).
+	if ind := math.Sqrt(st.e); ind < st.opts.Tol*normA {
 		res.ErrIndicator = ind
-		if ind < opts.Tol*normA {
-			res.Converged = true
-			break
-		}
-		if ku >= maxRank || vAll.cols >= n || ku >= m {
-			break
-		}
-		// W = Aᵀ·U_i − V_i·R_iᵀ, with one-sided reorthogonalization
-		// against all previous V blocks.
-		w := mulT(ui, "Bupdate")
-		c.Compute(2*float64(n)/float64(p)*float64(vi.Cols)*float64(ui.Cols), "GEMM")
-		mat.MulSub(w, vi, ri.View(0, 0, ri.Rows, vi.Cols).T())
-		c.Compute(4*float64(n)/float64(p)*float64(vAll.cols)*float64(w.Cols), "GEMM")
-		vK := vAll.view()
-		proj := projBuf.Shape(vK.Cols, w.Cols)
-		mat.MulTInto(proj, vK, w)
-		mat.MulSub(w, vK, proj)
-		chargeTSQR(float64(n), w.Cols)
-		vNext, sNext := mat.QR(w)
-		vw := numericalWidth(sNext, normA)
-		if vw == 0 {
-			break
-		}
-		if vw < vNext.Cols {
-			vNext = vNext.View(0, 0, n, vw).Clone()
-			sNext = sNext.View(0, 0, vw, sNext.Cols).Clone()
-		}
-		// Cap the V width so rank never exceeds maxRank.
-		if vAll.cols+vw > maxRank {
-			vw = maxRank - vAll.cols
-			if vw <= 0 {
-				break
-			}
-			vNext = vNext.View(0, 0, n, vw).Clone()
-			sNext = sNext.View(0, 0, vw, sNext.Cols).Clone()
-		}
-		blocks[len(blocks)-1].s = sNext
-		e -= sNext.FrobNorm2()
-		if e < 0 {
-			e = 0
-		}
-		vAll.append(vNext)
-		vi = vNext
-		if opts.Checkpoint != nil && opts.CheckpointEvery > 0 && iter%opts.CheckpointEvery == 0 {
-			opts.Checkpoint.Save(iter, c.Rank(), &ubvSnapshot{
-				e:            e,
-				vi:           vi.Clone(),
-				v:            vAll.view().Clone(),
-				blocks:       cloneBlocks(blocks),
-				errIndicator: res.ErrIndicator,
-				errHistory:   append([]float64(nil), res.ErrHistory...),
-				timeHistory:  append([]time.Duration(nil), res.TimeHistory...),
-			})
-		}
-		// The superdiagonal block also captures approximation energy:
-		// re-check convergence so a subsequent deflation cannot strand a
-		// converged factorization (A ≈ U·B·Vᵀ already includes S_{i+1}).
-		if ind := math.Sqrt(e); ind < opts.Tol*normA {
-			res.ErrIndicator = ind
-			res.ErrHistory[len(res.ErrHistory)-1] = ind
-			res.Converged = true
-			break
-		}
+		res.ErrHistory[len(res.ErrHistory)-1] = ind
+		res.Converged = true
+		return true
 	}
+	return false
+}
 
-	res.U = assembleU(blocks, m, ku)
-	res.B = assembleB(blocks, ku, vAll.cols)
-	res.V = vAll.view().Clone()
-	res.Rank = ku
-	return res, nil
+// finish assembles the factors from the blocks and the V store.
+func (st *ubvState) finish() *Result {
+	res := st.res
+	res.U = assembleU(st.blocks, st.m, st.ku)
+	res.B = assembleB(st.blocks, st.ku, st.vAll.cols)
+	res.V = st.vAll.view().Clone()
+	res.Rank = st.ku
+	return res
 }
 
 // vStore is the grow-only basis V₁..ᵢ: an n×capV panel (stride capV)
@@ -325,7 +374,7 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 type vStore struct {
 	n, cols, capV, maxCap int
 	data                  []float64
-	hdr                   mat.Dense
+	hdr, newest           mat.Dense
 }
 
 // grow makes room for at least k columns, doubling up to maxCap.
@@ -341,13 +390,16 @@ func (s *vStore) grow(k int) {
 	s.data, s.capV = data, newCap
 }
 
-// append copies the n-row block x into the next columns.
-func (s *vStore) append(x *mat.Dense) {
-	s.grow(s.cols + x.Cols)
+// append copies the first w columns of the n-row block x into the next
+// columns and returns a view of them (valid until the next append).
+func (s *vStore) append(x *mat.Dense, w int) *mat.Dense {
+	s.grow(s.cols + w)
 	for i := 0; i < s.n; i++ {
-		copy(s.data[i*s.capV+s.cols:], x.Row(i))
+		copy(s.data[i*s.capV+s.cols:], x.Row(i)[:w])
 	}
-	s.cols += x.Cols
+	s.newest = mat.Dense{Rows: s.n, Cols: w, Stride: s.capV, Data: s.data[s.cols:]}
+	s.cols += w
+	return &s.newest
 }
 
 // view returns the n×cols filled part (valid until the next append).
@@ -431,7 +483,8 @@ func cloneBlocks(blocks []blockPair) []blockPair {
 }
 
 // numericalWidth counts the leading diagonal entries of an upper
-// trapezoidal factor that are numerically significant.
+// trapezoidal factor that are numerically significant. It reads only the
+// diagonal, so a panel factored in place (R above its reflectors) works.
 func numericalWidth(r *mat.Dense, scale float64) int {
 	w := 0
 	lim := min(r.Rows, r.Cols)

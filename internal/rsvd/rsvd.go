@@ -169,10 +169,6 @@ func onePass(a *sparse.CSR, k, oversampling, power int, sk sketch.Sketcher) (u *
 func (r *Result) trim(tol float64) {
 	total := r.NormA * r.NormA
 	var capturedPrefix float64
-	var tail float64
-	for _, s := range r.S {
-		tail += s * s
-	}
 	keep := len(r.S)
 	for i := 0; i < len(r.S); i++ {
 		capturedPrefix += r.S[i] * r.S[i]
@@ -190,17 +186,12 @@ func (r *Result) trim(tol float64) {
 		r.V = r.V.View(0, 0, r.V.Rows, keep).Clone()
 		r.S = r.S[:keep]
 		r.Rank = keep
+		// capturedPrefix summed exactly the kept S in order.
 		rem := total - capturedPrefix
-		_ = rem
-		var kept float64
-		for _, s := range r.S {
-			kept += s * s
+		if rem < 0 {
+			rem = 0
 		}
-		rem2 := total - kept
-		if rem2 < 0 {
-			rem2 = 0
-		}
-		r.ErrIndicator = math.Sqrt(rem2)
+		r.ErrIndicator = math.Sqrt(rem)
 	}
 }
 
