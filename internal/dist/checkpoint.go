@@ -69,14 +69,6 @@ func (s *CheckpointStore) Latest(p int) (iter int, states []interface{}, ok bool
 	return best, states, true
 }
 
-// Snapshots returns the number of iterations with at least one saved
-// per-rank state (an operational gauge; completeness is Latest's job).
-func (s *CheckpointStore) Snapshots() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.snaps)
-}
-
 // Clear drops every snapshot (e.g. after a successful run).
 func (s *CheckpointStore) Clear() {
 	s.mu.Lock()

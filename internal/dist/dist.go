@@ -103,9 +103,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks.
 func (c *Comm) Size() int { return c.world.p }
 
-// Clock returns the rank's current virtual time in seconds.
-func (c *Comm) Clock() float64 { return c.clock }
-
 // CommTime returns the virtual time this rank has spent communicating.
 func (c *Comm) CommTime() float64 { return c.commT }
 

@@ -302,12 +302,6 @@ func SelectColumnsDist(c *dist.Comm, a *sparse.CSC, myCols []int, k int) Result 
 	return new(Workspace).SelectColumnsDist(c, a, myCols, k)
 }
 
-// SelectColumnsDistLabeled is SelectColumnsDist with an explicit kernel
-// label so callers can separate tournaments in the Fig 5 breakdown.
-func SelectColumnsDistLabeled(c *dist.Comm, a *sparse.CSC, myCols []int, k int, label string) Result {
-	return new(Workspace).selectDist(c, a, myCols, k, label)
-}
-
 func (ws *Workspace) selectDist(c *dist.Comm, a source, myCols []int, k int, label string) Result {
 	const (
 		tagWinners = 101

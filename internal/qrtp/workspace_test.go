@@ -209,7 +209,7 @@ func TestWorkspaceDistMatchesFresh(t *testing.T) {
 			})
 			wantStats := dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
 				want[c.Rank()][0] = SelectColumnsDist(c, a, BlockCyclicColumns(a.Cols, p, c.Rank(), k), k)
-				want[c.Rank()][1] = SelectColumnsDistLabeled(c, roundTrip(q), BlockCyclicColumns(q.Rows, p, c.Rank(), k), k, "rowQR_TP")
+				want[c.Rank()][1] = new(Workspace).selectDist(c, roundTrip(q), BlockCyclicColumns(q.Rows, p, c.Rank(), k), k, "rowQR_TP")
 			})
 			for r := 0; r < p; r++ {
 				sameResult(t, "dist columns", got[r][0], want[r][0])

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"sync"
 
 	"sparselr/internal/core"
@@ -9,81 +8,51 @@ import (
 
 // Cache is the content-addressed result cache: completed
 // approximations keyed by Spec.Key, evicted least-recently-used once
-// the estimated resident bytes exceed the budget.
+// the estimated resident bytes exceed the budget. A nil *Cache is an
+// empty, disabled cache.
 type Cache struct {
-	mu        sync.Mutex
-	budget    int64
-	used      int64
-	ll        *list.List // front = most recently used
-	items     map[string]*list.Element
-	evictions uint64
-}
-
-type cacheEntry struct {
-	key   string
-	ap    *core.Approximation
-	bytes int64
+	mu  sync.Mutex
+	idx lru[*core.Approximation]
 }
 
 // NewCache builds a cache with the given byte budget. budget <= 0
 // disables caching (every Get misses, Put is a no-op).
 func NewCache(budget int64) *Cache {
-	return &Cache{budget: budget, ll: list.New(), items: map[string]*list.Element{}}
+	return &Cache{idx: newLRU[*core.Approximation](budget, nil)}
 }
 
 // Get returns the cached approximation for key, refreshing its
 // recency; ok is false on a miss.
 func (c *Cache) Get(key string) (*core.Approximation, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
+	if c == nil {
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).ap, true
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.idx.get(key)
 }
 
 // Put inserts (or refreshes) a completed approximation, then evicts
 // from the LRU tail until the budget holds. An entry larger than the
 // whole budget is not admitted.
 func (c *Cache) Put(key string, ap *core.Approximation) {
-	if c.budget <= 0 || ap == nil {
+	if c == nil || ap == nil {
 		return
 	}
 	size := approxBytes(ap)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.used += size - el.Value.(*cacheEntry).bytes
-		el.Value.(*cacheEntry).ap = ap
-		el.Value.(*cacheEntry).bytes = size
-		c.ll.MoveToFront(el)
-	} else {
-		if size > c.budget {
-			return
-		}
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, ap: ap, bytes: size})
-		c.used += size
-	}
-	for c.used > c.budget {
-		tail := c.ll.Back()
-		if tail == nil {
-			break
-		}
-		e := tail.Value.(*cacheEntry)
-		c.ll.Remove(tail)
-		delete(c.items, e.key)
-		c.used -= e.bytes
-		c.evictions++
-	}
+	c.idx.put(key, ap, size)
 }
 
 // Stats returns (entries, resident bytes, budget, evictions so far).
 func (c *Cache) Stats() (entries int, used, budget int64, evictions uint64) {
+	if c == nil {
+		return 0, 0, 0, 0
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.items), c.used, c.budget, c.evictions
+	return len(c.idx.items), c.idx.used, c.idx.budget, c.idx.evictions
 }
 
 // approxBytes estimates an approximation's resident size: its factors

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"container/list"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,9 +14,11 @@ import (
 // DiskCache is the persistent tier of the result cache: one
 // content-addressed file per spec key (the 64-hex-char SHA-256, no
 // extension) under a directory, framed by EncodeApproximation and
-// evicted least-recently-used against a byte budget. A daemon restarted
-// with the same directory comes back warm: OpenDiskCache re-indexes the
-// surviving files with their mtimes as the initial recency order.
+// evicted least-recently-used against a positive byte budget (the
+// memory Cache's LRU index; an evicted key's file is deleted). A daemon
+// restarted with the same directory comes back warm: OpenDiskCache
+// re-indexes the surviving files with their mtimes as the initial
+// recency order.
 //
 // Writes are crash-safe: a frame is written to a same-directory temp
 // file and atomically renamed over the final name, so a reader (or a
@@ -26,20 +27,12 @@ import (
 // are deleted and logged at open and on read; they never fail daemon
 // boot and never surface as results.
 type DiskCache struct {
-	mu     sync.Mutex
-	dir    string
-	budget int64
-	used   int64
-	ll     *list.List // front = most recently used
-	items  map[string]*list.Element
-	logf   func(format string, args ...interface{})
+	mu   sync.Mutex
+	dir  string
+	idx  lru[struct{}] // file name → file size
+	logf func(format string, args ...interface{})
 
-	hits, misses, writes, evictions, dropped uint64
-}
-
-type diskEntry struct {
-	key   string
-	bytes int64
+	hits, misses, writes, dropped uint64
 }
 
 // diskTmpPattern marks in-progress writes; leftovers are swept at open.
@@ -49,10 +42,13 @@ const diskTmpPattern = ".tmp-*"
 // temp-file leftovers, validates every entry's frame checksum —
 // deleting and logging the corrupt ones — and evicts oldest-first until
 // the surviving bytes fit the budget. logf (nil = discard) receives one
-// line per recovered-from problem. The only errors are environmental
-// (directory not creatable/readable): cache content can never fail the
-// open.
+// line per recovered-from problem. The errors are a non-positive budget
+// (which would evict every file) and environmental ones (directory not
+// creatable/readable): cache content can never fail the open.
 func OpenDiskCache(dir string, budget int64, logf func(format string, args ...interface{})) (*DiskCache, error) {
+	if budget <= 0 {
+		return nil, fmt.Errorf("serve: disk cache budget must be positive, got %d", budget)
+	}
 	if logf == nil {
 		logf = func(string, ...interface{}) {}
 	}
@@ -63,13 +59,8 @@ func OpenDiskCache(dir string, budget int64, logf func(format string, args ...in
 	if err != nil {
 		return nil, fmt.Errorf("serve: disk cache dir: %w", err)
 	}
-	c := &DiskCache{
-		dir:    dir,
-		budget: budget,
-		ll:     list.New(),
-		items:  map[string]*list.Element{},
-		logf:   logf,
-	}
+	c := &DiskCache{dir: dir, logf: logf}
+	c.idx = newLRU[struct{}](budget, func(key string) { os.Remove(filepath.Join(dir, key)) })
 	type found struct {
 		key   string
 		bytes int64
@@ -105,13 +96,15 @@ func OpenDiskCache(dir string, budget int64, logf func(format string, args ...in
 		}
 		ok = append(ok, found{key: name, bytes: info.Size(), mtime: info.ModTime().UnixNano()})
 	}
-	// Oldest first, so PushFront leaves the newest file most recent.
+	// Oldest first, so the newest file ends most recent and the oldest
+	// are the ones evicted if the survivors overflow the budget.
 	sort.Slice(ok, func(i, j int) bool { return ok[i].mtime < ok[j].mtime })
 	for _, f := range ok {
-		c.items[f.key] = c.ll.PushFront(&diskEntry{key: f.key, bytes: f.bytes})
-		c.used += f.bytes
+		if !c.idx.put(f.key, struct{}{}, f.bytes) { // larger than the whole budget
+			os.Remove(filepath.Join(dir, f.key))
+			c.idx.evictions++
+		}
 	}
-	c.evictLocked()
 	return c, nil
 }
 
@@ -171,8 +164,7 @@ func (c *DiskCache) ReadFrame(key string) ([]byte, bool) {
 // success and dropping the entry (file included, logged) on any
 // read/decode failure. Caller holds c.mu.
 func (c *DiskCache) readLocked(key string) ([]byte, *core.Approximation, bool) {
-	el, ok := c.items[key]
-	if !ok {
+	if _, ok := c.idx.get(key); !ok {
 		c.misses++
 		return nil, nil, false
 	}
@@ -180,16 +172,13 @@ func (c *DiskCache) readLocked(key string) ([]byte, *core.Approximation, bool) {
 	if err == nil {
 		var ap *core.Approximation
 		if ap, err = DecodeApproximation(bytes.NewReader(b)); err == nil {
-			c.ll.MoveToFront(el)
 			c.hits++
 			return b, ap, true
 		}
 	}
 	// Unreadable or corrupt underneath us: drop the entry.
 	os.Remove(filepath.Join(c.dir, key))
-	c.ll.Remove(el)
-	delete(c.items, key)
-	c.used -= el.Value.(*diskEntry).bytes
+	c.idx.remove(key)
 	c.dropped++
 	c.misses++
 	c.logf("serve: disk cache: dropped corrupt entry %s on read: %v", key, err)
@@ -229,12 +218,11 @@ func (c *DiskCache) PutFrame(key string, frame []byte) {
 // storeFrame writes one frame via temp-file + atomic rename and
 // updates the LRU index, evicting down to budget.
 func (c *DiskCache) storeFrame(key string, frame []byte) {
-	size := int64(len(frame))
-	if c.budget > 0 && size > c.budget {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if !c.idx.fits(int64(len(frame))) {
+		return
+	}
 	tmp, err := os.CreateTemp(c.dir, ".tmp-"+key[:16]+"-*")
 	if err != nil {
 		c.logf("serve: disk cache: temp file for %s: %v", key, err)
@@ -257,35 +245,7 @@ func (c *DiskCache) storeFrame(key string, frame []byte) {
 		return
 	}
 	c.writes++
-	if el, ok := c.items[key]; ok {
-		c.used += size - el.Value.(*diskEntry).bytes
-		el.Value.(*diskEntry).bytes = size
-		c.ll.MoveToFront(el)
-	} else {
-		c.items[key] = c.ll.PushFront(&diskEntry{key: key, bytes: size})
-		c.used += size
-	}
-	c.evictLocked()
-}
-
-// evictLocked removes LRU-tail entries (and their files) until the
-// resident bytes fit the budget. Caller holds c.mu.
-func (c *DiskCache) evictLocked() {
-	if c.budget <= 0 {
-		return
-	}
-	for c.used > c.budget {
-		tail := c.ll.Back()
-		if tail == nil {
-			break
-		}
-		e := tail.Value.(*diskEntry)
-		c.ll.Remove(tail)
-		delete(c.items, e.key)
-		c.used -= e.bytes
-		c.evictions++
-		os.Remove(filepath.Join(c.dir, e.key))
-	}
+	c.idx.put(key, struct{}{}, int64(len(frame)))
 }
 
 // Dir returns the cache directory.
@@ -312,13 +272,13 @@ func (c *DiskCache) Stats() DiskStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return DiskStats{
-		Entries:   len(c.items),
-		Bytes:     c.used,
-		Budget:    c.budget,
+		Entries:   len(c.idx.items),
+		Bytes:     c.idx.used,
+		Budget:    c.idx.budget,
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Writes:    c.writes,
-		Evictions: c.evictions,
+		Evictions: c.idx.evictions,
 		Dropped:   c.dropped,
 	}
 }
@@ -330,9 +290,5 @@ func (c *DiskCache) Keys() []string {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	keys := make([]string, 0, len(c.items))
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*diskEntry).key)
-	}
-	return keys
+	return c.idx.keys()
 }

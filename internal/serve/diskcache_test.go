@@ -320,3 +320,22 @@ func TestDiskCacheEvictionRacesReads(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenDiskCacheRejectsNonPositiveBudget: a budget ≤ 0 is an error,
+// not an unbounded tier and not a reason to evict every file at open.
+func TestOpenDiskCacheRejectsNonPositiveBudget(t *testing.T) {
+	dir := t.TempDir()
+	c, err := OpenDiskCache(dir, 1<<20, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Put(testKey(1), testAp(1))
+	for _, budget := range []int64{0, -1} {
+		if _, err := OpenDiskCache(dir, budget, nil); err == nil {
+			t.Fatalf("budget %d: open succeeded", budget)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, testKey(1))); err != nil {
+		t.Fatalf("entry gone after the refused opens: %v", err)
+	}
+}

@@ -32,9 +32,13 @@
 //     (checksum-validated, then installed into both tiers) so a dead
 //     owner's keys stay warm on its replicas.
 //
-// Admission order is memory cache → singleflight → disk tier → queue;
-// peer fill runs worker-side, after a job is admitted and started, and
-// replication runs after a fresh solve settles.
+// Admission order is memory cache → singleflight → disk tier → queue,
+// on one path: a Submit is a one-member admission of the all-or-nothing
+// path SubmitBatch runs, never grouped with other work. The queue holds
+// runs, and one function executes them: a Submit is a run of one, a
+// batch's small fresh members share one run solved as one kernel-pool
+// submission. Peer fill runs worker-side, after a job is admitted and
+// started, and replication runs after a fresh solve settles.
 //
 // Admission is a bounded queue: when it is full, Submit fails with
 // ErrQueueFull and the HTTP layer answers 429 with a Retry-After hint;

@@ -57,17 +57,14 @@ type Job struct {
 	err        error
 
 	done chan struct{}
-
-	// batch is set only on a carrier job: the member jobs a worker
-	// executes as one kernel-pool submission (see Scheduler.SubmitBatch).
-	// Carriers never appear in the id or singleflight maps.
-	batch []*Job
 }
 
-func newJob(id string, spec *Spec, now time.Time, deadline time.Time) *Job {
+// newJob builds a queued job; key is spec.Key(), hashed once by the
+// caller.
+func newJob(id, key string, spec *Spec, now time.Time, deadline time.Time) *Job {
 	return &Job{
 		ID:         id,
-		Key:        spec.Key(),
+		Key:        key,
 		Spec:       spec,
 		EnqueuedAt: now,
 		Deadline:   deadline,

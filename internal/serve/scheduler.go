@@ -129,7 +129,7 @@ type SchedulerConfig struct {
 // in-flight work.
 type Scheduler struct {
 	cfg     SchedulerConfig
-	queue   chan *Job
+	queue   chan run
 	wg      sync.WaitGroup
 	metrics *Metrics
 
@@ -162,7 +162,7 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	}
 	s := &Scheduler{
 		cfg:      cfg,
-		queue:    make(chan *Job, cfg.QueueDepth),
+		queue:    make(chan run, cfg.QueueDepth),
 		metrics:  cfg.Metrics,
 		inflight: map[string]*Job{},
 		jobs:     map[string]*Job{},
@@ -177,7 +177,8 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 // Workers returns the configured worker-slot count.
 func (s *Scheduler) Workers() int { return s.cfg.Workers }
 
-// QueueDepth returns (queued jobs, queue capacity).
+// QueueDepth returns (queued runs, queue capacity); a batch's shared
+// run counts once.
 func (s *Scheduler) QueueDepth() (int, int) { return len(s.queue), s.cfg.QueueDepth }
 
 // Inflight returns the number of jobs currently being solved.
@@ -196,62 +197,19 @@ func (s *Scheduler) Draining() bool {
 
 // Submit applies admission control to a validated spec and returns the
 // job that will satisfy it (already terminal for a cache hit) plus the
-// admission outcome. Errors: ErrDraining, ErrQueueFull.
+// admission outcome: a one-member admission, never grouped with other
+// work. Errors: ErrDraining, ErrQueueFull.
 func (s *Scheduler) Submit(spec *Spec) (*Job, Outcome, error) {
-	key := spec.Key()
-	now := time.Now()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	// Result cache first: a hit needs no queue slot even while full.
-	if s.cfg.Cache != nil {
-		if ap, ok := s.cfg.Cache.Get(key); ok {
-			j := s.doneJobLocked(spec, ap, now)
-			s.metrics.CacheHits.Inc()
-			return j, CacheHit, nil
-		}
-	}
-	// Singleflight: join an identical queued-or-running job.
-	if flight, ok := s.inflight[key]; ok {
-		s.metrics.SingleflightHits.Inc()
-		return flight, Joined, nil
-	}
-	// Disk tier last: a restarted daemon serves its pre-restart keys
-	// from the cache directory without re-solving. The hit is promoted
-	// into the memory tier so the file is read at most once per warmup.
-	if s.cfg.Disk != nil {
-		if ap, ok := s.cfg.Disk.Get(key); ok {
-			if s.cfg.Cache != nil {
-				s.cfg.Cache.Put(key, ap)
-			}
-			j := s.doneJobLocked(spec, ap, now)
-			s.metrics.DiskCacheHits.Inc()
-			return j, CacheHit, nil
-		}
-	}
-	if s.draining {
-		s.metrics.DrainRejections.Inc()
-		return nil, "", ErrDraining
-	}
-	j := newJob(nextJobID(), spec, now, spec.Deadline(now, s.cfg.Deadline))
-	select {
-	case s.queue <- j:
-	default:
-		s.metrics.QueueRejections.Inc()
-		return nil, "", ErrQueueFull
-	}
-	s.inflight[key] = j
-	s.rememberLocked(j)
-	s.metrics.CacheMisses.Inc()
-	return j, Enqueued, nil
+	var job [1]*Job
+	var outcome [1]Outcome
+	err := s.admit([]*Spec{spec}, job[:], outcome[:], false)
+	return job[0], outcome[0], err
 }
 
-// SubmitBatch admits many specs at once, all-or-nothing. Admission per
-// member mirrors Submit — result cache first, then singleflight (joins
-// work across the batch too: duplicate keys within one batch share a
-// job) — but members that need a fresh solve and are Spec.BatchEligible
-// are grouped onto a single carrier job that a worker executes as one
+// SubmitBatch admits many specs at once, all-or-nothing, on the same
+// admission path as Submit — duplicate keys within one batch share a
+// job — but members that need a fresh solve and are Spec.BatchEligible
+// are grouped onto a single run that a worker executes as one
 // kernel-pool submission (mat.BatchRun), so N concurrent small solves
 // cost one dispatch instead of N. Fresh members that are not eligible
 // are enqueued individually, exactly as Submit would.
@@ -263,122 +221,141 @@ func (s *Scheduler) SubmitBatch(specs []*Spec) ([]*Job, []Outcome, error) {
 	if len(specs) == 0 {
 		return nil, nil, errors.New("serve: empty batch")
 	}
+	jobs := make([]*Job, len(specs))
+	outcomes := make([]Outcome, len(specs))
+	if err := s.admit(specs, jobs, outcomes, true); err != nil {
+		return nil, nil, err
+	}
+	return jobs, outcomes, nil
+}
+
+// admission is one member's plan: how admit will satisfy it.
+type admission struct {
+	key   string
+	how   Outcome
+	ap    *core.Approximation // CacheHit: the cached result
+	disk  bool                // CacheHit from the disk tier
+	join  *Job                // Joined: the in-flight job; nil when joining member dup
+	dup   int
+	group bool // Enqueued onto the shared run
+}
+
+// admit is the one admission path. Each spec is planned in turn against
+// the memory cache, the singleflight table (earlier members of the same
+// call included) and the disk tier; if any member then needs a fresh
+// solve, a draining scheduler rejects the call with ErrDraining and a
+// queue without room for every new run with ErrQueueFull. The plan pass
+// changes nothing, so a rejection leaves no trace; otherwise the commit
+// pass fills jobs[i] and outcomes[i] for every spec. With group, the
+// BatchEligible fresh members share one run; without it every fresh
+// member is a run of one.
+func (s *Scheduler) admit(specs []*Spec, jobs []*Job, outcomes []Outcome, group bool) error {
+	var one [1]admission
+	plan := one[:]
+	if len(specs) > 1 {
+		plan = make([]admission, len(specs))
+	}
+	for i, spec := range specs {
+		plan[i].key = spec.Key()
+	}
 	now := time.Now()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	// Plan pass: classify every member without mutating scheduler state,
-	// so rejection leaves no trace.
-	const (
-		planCache = iota
-		planJoin
-		planLocalDup
-		planFreshBatch
-		planFreshSolo
-	)
-	kinds := make([]int, len(specs))
-	aps := make([]*core.Approximation, len(specs))
-	disk := make([]bool, len(specs))
-	flights := make([]*Job, len(specs))
-	dups := make([]int, len(specs))
-	keys := make([]string, len(specs))
-	firstByKey := map[string]int{}
-	slotsNeeded, batchFresh := 0, 0
+	fresh := map[string]int{} // key → first fresh member
+	runs, grouped := 0, 0
 	for i, spec := range specs {
-		keys[i] = spec.Key()
-		if s.cfg.Cache != nil {
-			if ap, ok := s.cfg.Cache.Get(keys[i]); ok {
-				kinds[i], aps[i] = planCache, ap
-				continue
-			}
-		}
-		if flight, ok := s.inflight[keys[i]]; ok {
-			kinds[i], flights[i] = planJoin, flight
+		p := &plan[i]
+		// Result cache first: a hit needs no queue slot even while full.
+		if ap, ok := s.cfg.Cache.Get(p.key); ok {
+			p.how, p.ap = CacheHit, ap
 			continue
 		}
-		if s.cfg.Disk != nil {
-			if ap, ok := s.cfg.Disk.Get(keys[i]); ok {
-				kinds[i], aps[i], disk[i] = planCache, ap, true
-				continue
-			}
-		}
-		if first, ok := firstByKey[keys[i]]; ok {
-			kinds[i], dups[i] = planLocalDup, first
+		// Singleflight: join an identical queued-or-running job.
+		if flight, ok := s.inflight[p.key]; ok {
+			p.how, p.join = Joined, flight
 			continue
 		}
-		firstByKey[keys[i]] = i
-		if spec.BatchEligible() {
-			kinds[i] = planFreshBatch
-			batchFresh++
+		// Disk tier last: a restarted daemon serves its pre-restart keys
+		// from the cache directory without re-solving.
+		if ap, ok := s.cfg.Disk.Get(p.key); ok {
+			p.how, p.ap, p.disk = CacheHit, ap, true
+			continue
+		}
+		if first, ok := fresh[p.key]; ok {
+			p.how, p.dup = Joined, first
+			continue
+		}
+		fresh[p.key] = i
+		p.how = Enqueued
+		if p.group = group && spec.BatchEligible(); p.group {
+			grouped++
 		} else {
-			kinds[i] = planFreshSolo
-			slotsNeeded++
+			runs++
 		}
 	}
-	if batchFresh > 0 {
-		slotsNeeded++ // the carrier
+	if grouped > 0 {
+		runs++ // the shared run
 	}
-	if slotsNeeded > 0 {
+	if runs > 0 {
 		if s.draining {
 			s.metrics.DrainRejections.Inc()
-			return nil, nil, ErrDraining
+			return ErrDraining
 		}
 		// Producers serialize on s.mu and workers only free slots, so
 		// this capacity check cannot race with another submitter.
-		if free := cap(s.queue) - len(s.queue); free < slotsNeeded {
+		if free := cap(s.queue) - len(s.queue); free < runs {
 			s.metrics.QueueRejections.Inc()
-			return nil, nil, ErrQueueFull
+			return ErrQueueFull
 		}
 	}
 
 	// Commit pass: every enqueue below is guaranteed to succeed.
-	jobs := make([]*Job, len(specs))
-	outcomes := make([]Outcome, len(specs))
-	var members []*Job
+	var shared []*Job
 	for i, spec := range specs {
-		switch kinds[i] {
-		case planCache:
-			j := s.doneJobLocked(spec, aps[i], now)
-			if disk[i] {
-				if s.cfg.Cache != nil {
-					s.cfg.Cache.Put(keys[i], aps[i])
-				}
+		p := &plan[i]
+		switch p.how {
+		case CacheHit:
+			jobs[i] = s.doneJobLocked(spec, p.key, p.ap, now)
+			if p.disk {
+				// Promote into the memory tier so the file is read at
+				// most once per warmup.
+				s.cfg.Cache.Put(p.key, p.ap)
 				s.metrics.DiskCacheHits.Inc()
 			} else {
 				s.metrics.CacheHits.Inc()
 			}
-			jobs[i], outcomes[i] = j, CacheHit
-		case planJoin:
+		case Joined:
 			s.metrics.SingleflightHits.Inc()
-			jobs[i], outcomes[i] = flights[i], Joined
-		case planLocalDup:
-			s.metrics.SingleflightHits.Inc()
-			jobs[i], outcomes[i] = jobs[dups[i]], Joined
+			if jobs[i] = p.join; p.join == nil {
+				jobs[i] = jobs[p.dup]
+			}
 		default:
-			j := newJob(nextJobID(), spec, now, spec.Deadline(now, s.cfg.Deadline))
-			s.inflight[keys[i]] = j
+			j := newJob(nextJobID(), p.key, spec, now, spec.Deadline(now, s.cfg.Deadline))
+			s.inflight[p.key] = j
 			s.rememberLocked(j)
 			s.metrics.CacheMisses.Inc()
-			jobs[i], outcomes[i] = j, Enqueued
-			if kinds[i] == planFreshBatch {
-				members = append(members, j)
+			jobs[i] = j
+			if p.group {
+				shared = append(shared, j)
 			} else {
-				s.queue <- j
+				s.queue <- run{jobs: []*Job{j}}
 			}
 		}
+		outcomes[i] = p.how
 	}
-	if len(members) > 0 {
-		s.queue <- &Job{batch: members}
+	if len(shared) > 0 {
+		s.queue <- run{jobs: shared, batched: true}
 		s.metrics.Batches.Inc()
 	}
-	return jobs, outcomes, nil
+	return nil
 }
 
 // doneJobLocked builds, remembers and returns an already-terminal job
 // carrying a cached result. Caller holds s.mu.
-func (s *Scheduler) doneJobLocked(spec *Spec, ap *core.Approximation, now time.Time) *Job {
-	j := newJob(nextJobID(), spec, now, time.Time{})
+func (s *Scheduler) doneJobLocked(spec *Spec, key string, ap *core.Approximation, now time.Time) *Job {
+	j := newJob(nextJobID(), key, spec, now, time.Time{})
 	j.cached = true
 	j.status = StatusDone
 	j.ap = ap
@@ -439,16 +416,19 @@ func (s *Scheduler) clearFlight(j *Job) {
 	s.mu.Unlock()
 }
 
-// worker drains the queue: carrier jobs fan out over the kernel pool,
-// everything else solves inline on this worker.
+// run is one queue entry: the jobs a worker executes as one kernel-pool
+// submission. A Submit admission is a run of one; SubmitBatch puts its
+// BatchEligible fresh members on one batched run.
+type run struct {
+	jobs    []*Job
+	batched bool // counted by the lowrankd_batch* series
+}
+
+// worker drains the queue, executing one run at a time.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
-	for j := range s.queue {
-		if len(j.batch) > 0 {
-			s.runBatch(j.batch)
-			continue
-		}
-		s.runOne(j)
+	for r := range s.queue {
+		s.execute(r)
 	}
 }
 
@@ -477,12 +457,8 @@ func (s *Scheduler) startable(j *Job, now time.Time) bool {
 // waiters, singleflight. A nil err is success.
 func (s *Scheduler) settle(j *Job, ap *core.Approximation, err error, wall time.Duration, store *dist.CheckpointStore) {
 	if err == nil {
-		if s.cfg.Cache != nil {
-			s.cfg.Cache.Put(j.Key, ap)
-		}
-		if s.cfg.Disk != nil {
-			s.cfg.Disk.Put(j.Key, ap)
-		}
+		s.cfg.Cache.Put(j.Key, ap)
+		s.cfg.Disk.Put(j.Key, ap)
 		if s.cfg.Resume != nil && store != nil {
 			s.cfg.Resume.Release(j.Key)
 		}
@@ -516,9 +492,7 @@ func (s *Scheduler) peerFill(j *Job) bool {
 		return false
 	}
 	s.metrics.PeerFillHits.Inc()
-	if s.cfg.Cache != nil {
-		s.cfg.Cache.Put(j.Key, ap)
-	}
+	s.cfg.Cache.Put(j.Key, ap)
 	j.markCached()
 	j.finish(StatusDone, ap, nil, time.Now())
 	s.metrics.Jobs.Inc(string(StatusDone))
@@ -526,67 +500,53 @@ func (s *Scheduler) peerFill(j *Job) bool {
 	return true
 }
 
-// runOne solves a single job on the calling worker.
-func (s *Scheduler) runOne(j *Job) {
-	if !s.startable(j, time.Now()) {
-		return
-	}
-	if s.peerFill(j) {
-		return
-	}
-	s.mu.Lock()
-	s.running++
-	s.mu.Unlock()
-
-	var store *dist.CheckpointStore
-	if s.cfg.Resume != nil && j.Spec.Checkpointed() {
-		store = s.cfg.Resume.Acquire(j.Key)
-	}
-	start := time.Now()
-	ap, err := s.cfg.Solve(j.Spec, store)
-	wall := time.Since(start)
-	s.settle(j, ap, err, wall, store)
-
-	s.mu.Lock()
-	s.running--
-	s.mu.Unlock()
-}
-
-// runBatch solves the still-startable members of a carrier as one
-// kernel-pool submission: the batch is the parallel dimension, so many
-// sub-threshold solves share one dispatch instead of thrashing the
-// kernels' serial thresholds one job at a time. Members are
-// BatchEligible by construction (Procs ≤ 1), so none is checkpointed.
-func (s *Scheduler) runBatch(members []*Job) {
+// execute solves the members of a run that are still startable and
+// that peer fill does not satisfy as one kernel-pool submission: the run
+// is the parallel dimension, so many sub-threshold solves share one
+// dispatch, and mat.BatchRun solves a run of one inline on this worker.
+// Checkpointed jobs (never batched: they are distributed) get their
+// retained checkpoint store.
+func (s *Scheduler) execute(r run) {
 	now := time.Now()
-	run := make([]*Job, 0, len(members))
-	for _, j := range members {
+	jobs := r.jobs[:0]
+	for _, j := range r.jobs {
 		if s.startable(j, now) && !s.peerFill(j) {
-			run = append(run, j)
+			jobs = append(jobs, j)
 		}
 	}
-	if len(run) == 0 {
+	if len(jobs) == 0 {
 		return
 	}
 	s.mu.Lock()
-	s.running += len(run)
+	s.running += len(jobs)
 	s.mu.Unlock()
-	s.metrics.BatchExecuted(len(run))
+	if r.batched {
+		s.metrics.BatchExecuted(len(jobs))
+	}
 
-	aps := make([]*core.Approximation, len(run))
-	errs := make([]error, len(run))
-	walls := make([]time.Duration, len(run))
-	mat.BatchRun(len(run), func(i int) {
+	type solved struct {
+		ap    *core.Approximation
+		err   error
+		wall  time.Duration
+		store *dist.CheckpointStore
+	}
+	out := make([]solved, len(jobs))
+	for i, j := range jobs {
+		if s.cfg.Resume != nil && j.Spec.Checkpointed() {
+			out[i].store = s.cfg.Resume.Acquire(j.Key)
+		}
+	}
+	mat.BatchRun(len(jobs), func(i int) {
 		start := time.Now()
-		aps[i], errs[i] = s.cfg.Solve(run[i].Spec, nil)
-		walls[i] = time.Since(start)
+		out[i].ap, out[i].err = s.cfg.Solve(jobs[i].Spec, out[i].store)
+		out[i].wall = time.Since(start)
 	})
-	for i, j := range run {
-		s.settle(j, aps[i], errs[i], walls[i], nil)
+	for i, j := range jobs {
+		s.settle(j, out[i].ap, out[i].err, out[i].wall, out[i].store)
 	}
 
 	s.mu.Lock()
-	s.running -= len(run)
+	s.running -= len(jobs)
 	s.mu.Unlock()
 }
 

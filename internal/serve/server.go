@@ -164,38 +164,30 @@ type submitResponse struct {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := s.parseSubmit(r)
+	wait, err := parseWait(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := spec.Validate(); err != nil {
+	body, err := s.readBody(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	spec, err := ParseSubmitBody(r.Header.Get("Content-Type"), body, r.URL.Query())
+	if err == nil {
+		err = spec.Validate()
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	job, outcome, err := s.sched.Submit(spec)
-	switch {
-	case err == ErrQueueFull:
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter))
-		writeError(w, http.StatusTooManyRequests, err)
-		return
-	case err == ErrDraining:
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
+	if err != nil {
+		s.writeAdmitError(w, err)
 		return
 	}
-	if wait := r.URL.Query().Get("wait"); wait != "" && !job.Status().Terminal() {
-		d, perr := time.ParseDuration(wait)
-		if perr != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad wait duration %q: %v", wait, perr))
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), d)
-		job.Wait(ctx)
-		cancel()
-	}
+	awaitJobs(r.Context(), wait, job)
 	code := http.StatusAccepted
 	v := job.view()
 	if v.Status.Terminal() {
@@ -225,13 +217,14 @@ type batchResponse struct {
 // 503. ?wait=dur blocks until every member is terminal or the duration
 // expires.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.maxBody+1))
+	wait, err := parseWait(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: reading body: %v", err))
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if int64(len(body)) > s.maxBody {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: request body exceeds %d bytes", s.maxBody))
+	body, err := s.readBody(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	var req batchRequest
@@ -254,32 +247,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	jobs, outcomes, err := s.sched.SubmitBatch(req.Jobs)
-	switch {
-	case err == ErrQueueFull:
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter))
-		writeError(w, http.StatusTooManyRequests, err)
-		return
-	case err == ErrDraining:
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
+	if err != nil {
+		s.writeAdmitError(w, err)
 		return
 	}
-	if wait := r.URL.Query().Get("wait"); wait != "" {
-		d, perr := time.ParseDuration(wait)
-		if perr != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad wait duration %q: %v", wait, perr))
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), d)
-		for _, job := range jobs {
-			if job.Wait(ctx) == context.DeadlineExceeded {
-				break
-			}
-		}
-		cancel()
-	}
+	awaitJobs(r.Context(), wait, jobs...)
 	resp := batchResponse{Jobs: make([]submitResponse, len(jobs))}
 	for i, job := range jobs {
 		resp.Jobs[i] = submitResponse{View: job.view(), Outcome: outcomes[i]}
@@ -287,9 +259,57 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, resp)
 }
 
-// parseSubmit accepts either an application/json Spec or a raw
-// MatrixMarket body with the solver knobs in the query string.
-func (s *Server) parseSubmit(r *http.Request) (*Spec, error) {
+// writeAdmitError answers a rejected admission: 429 with a Retry-After
+// hint for a full queue, 503 while draining, 500 otherwise.
+func (s *Server) writeAdmitError(w http.ResponseWriter, err error) {
+	code := http.StatusInternalServerError
+	switch err {
+	case ErrQueueFull:
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter))
+		code = http.StatusTooManyRequests
+	case ErrDraining:
+		code = http.StatusServiceUnavailable
+	}
+	writeError(w, code, err)
+}
+
+// parseWait reads the ?wait=dur query parameter (0 when absent). The
+// submit handlers call it before admission, so a malformed value admits
+// nothing.
+func parseWait(r *http.Request) (time.Duration, error) {
+	wait := r.URL.Query().Get("wait")
+	if wait == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(wait)
+	if err != nil {
+		return 0, fmt.Errorf("serve: bad wait duration %q: %v", wait, err)
+	}
+	return d, nil
+}
+
+// awaitJobs blocks until every job is terminal or d has passed since
+// the first wait began.
+func awaitJobs(ctx context.Context, d time.Duration, jobs ...*Job) {
+	if d <= 0 {
+		return
+	}
+	var deadline context.Context
+	for _, j := range jobs {
+		if j.Status().Terminal() {
+			continue
+		}
+		if deadline == nil {
+			var cancel context.CancelFunc
+			deadline, cancel = context.WithTimeout(ctx, d)
+			defer cancel()
+		}
+		j.Wait(deadline)
+	}
+}
+
+// readBody reads a request body of at most maxBody bytes.
+func (s *Server) readBody(r *http.Request) ([]byte, error) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, s.maxBody+1))
 	if err != nil {
 		return nil, fmt.Errorf("serve: reading body: %v", err)
@@ -297,7 +317,7 @@ func (s *Server) parseSubmit(r *http.Request) (*Spec, error) {
 	if int64(len(body)) > s.maxBody {
 		return nil, fmt.Errorf("serve: request body exceeds %d bytes", s.maxBody)
 	}
-	return ParseSubmitBody(r.Header.Get("Content-Type"), body, r.URL.Query())
+	return body, nil
 }
 
 // ParseSubmitBody interprets a POST /v1/jobs payload — an
@@ -371,16 +391,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown job %q", r.PathValue("id")))
 		return
 	}
-	if wait := r.URL.Query().Get("wait"); wait != "" && !job.Status().Terminal() {
-		d, perr := time.ParseDuration(wait)
-		if perr != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad wait duration %q: %v", wait, perr))
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), d)
-		job.Wait(ctx)
-		cancel()
+	wait, err := parseWait(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
+	awaitJobs(r.Context(), wait, job)
 	writeJSON(w, http.StatusOK, job.view())
 }
 
@@ -450,12 +466,10 @@ func (s *Server) handleCacheFetch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: malformed cache key %q", key))
 		return
 	}
-	if s.cache != nil {
-		if ap, ok := s.cache.Get(key); ok {
-			w.Header().Set("Content-Type", "application/octet-stream")
-			EncodeApproximation(w, ap)
-			return
-		}
+	if ap, ok := s.cache.Get(key); ok {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		EncodeApproximation(w, ap)
+		return
 	}
 	if frame, ok := s.disk.ReadFrame(key); ok {
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -480,15 +494,10 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: malformed cache key %q", key))
 		return
 	}
-	frame, err := io.ReadAll(io.LimitReader(r.Body, s.maxBody+1))
+	frame, err := s.readBody(r)
 	if err != nil {
 		s.metrics.ReplicaStoreRejects.Inc()
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: reading frame: %v", err))
-		return
-	}
-	if int64(len(frame)) > s.maxBody {
-		s.metrics.ReplicaStoreRejects.Inc()
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: frame exceeds %d bytes", s.maxBody))
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	ap, err := DecodeApproximation(bytes.NewReader(frame))
@@ -497,9 +506,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad frame: %v", err))
 		return
 	}
-	if s.cache != nil {
-		s.cache.Put(key, ap)
-	}
+	s.cache.Put(key, ap)
 	s.disk.PutFrame(key, frame)
 	s.metrics.ReplicaStores.Inc()
 	w.WriteHeader(http.StatusNoContent)
@@ -523,12 +530,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Draining:      s.sched.Draining(),
 		ResumeStores:  s.resume.Len(),
 	}
-	if s.cache != nil {
-		g.CacheEntries, g.CacheBytes, g.CacheBudget, g.CacheEvictions = s.cache.Stats()
-	}
-	if s.disk != nil {
-		g.Disk = s.disk.Stats()
-	}
+	g.CacheEntries, g.CacheBytes, g.CacheBudget, g.CacheEvictions = s.cache.Stats()
+	g.Disk = s.disk.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.metrics.WriteProm(w, g) // a failed write means the scraper hung up
 }

@@ -22,16 +22,19 @@
 #      tests a result field (`.LU != nil`, `.QB != nil`, ...), so
 #      core.Approximation.Factors stays the one code that knows each
 #      method's factors
-#  10. daemon smoke test: build cmd/lowrankd, boot it on an ephemeral
+#  10. LRU gate: container/list is imported only by
+#      internal/serve/lru.go, so the memory and disk cache tiers keep
+#      one byte-budgeted LRU
+#  11. daemon smoke test: build cmd/lowrankd, boot it on an ephemeral
 #      port, submit a workload twice (cold solve then cache hit),
 #      SIGTERM-drain cleanly -> BENCH_serve.json (cold vs cached
 #      latency, cached requests/sec)
-#  11. fleet smoke test: build cmd/lowrankd + cmd/lowrank-gateway, boot
+#  12. fleet smoke test: build cmd/lowrankd + cmd/lowrank-gateway, boot
 #      a two-shard fleet behind the gateway, assert exactly-once
 #      fleet-wide dedup, peer cache fill, kill-mid-wave rerouting and
 #      warm restart from -cachedir -> gateway req/s and peer-fill hit
 #      rate merged into BENCH_serve.json
-#  12. kernel micro-benchmarks -> BENCH_kernels.json (ns/op, bytes/op and
+#  13. kernel micro-benchmarks -> BENCH_kernels.json (ns/op, bytes/op and
 #      allocs/op per kernel); the GOMAXPROCS=1 twins
 #      KernelQRTournamentSerial, KernelSolveLUCRTPSerial,
 #      KernelSolveILUTCRTPSerial, KernelSolveRandQBEISerial and
@@ -40,18 +43,18 @@
 #      the committed file on any CPU count, and KernelSpMMT must stay
 #      within 0.9x of its serial twin on the medians of 5 alternating
 #      runs of both
-#  13. dist collective micro-benchmarks (traced vs untraced) -> BENCH_dist.json
-#  14. sketch micro-benchmarks -> BENCH_sketch.json (ns/op + allocs/op),
+#  14. dist collective micro-benchmarks (traced vs untraced) -> BENCH_dist.json
+#  15. sketch micro-benchmarks -> BENCH_sketch.json (ns/op + allocs/op),
 #      asserting SparseSign apply >= 3x faster than Gaussian and
 #      0 allocs/op on the Gaussian/SparseSign apply paths
-#  15. skeleton-method gate: re-run the internal/cur fixed-precision
+#  16. skeleton-method gate: re-run the internal/cur fixed-precision
 #      acceptance test (all three variants reach tau on Table I with the
 #      exact streamed residual), then the CUR/ID2/ACA-vs-RandQB_EI
 #      micro-benchmarks -> BENCH_cur.json (ns/op + resident factor
 #      bytes). The factor-bytes ratio gates unconditionally (CUR must
 #      stay >= 4x below the dense QB frame — it is deterministic);
 #      wall-clock ratios gate only on >= 4-CPU machines
-#  16. (-soak / SOAK=1 only) chaos soak: 3 lowrankd shards with
+#  17. (-soak / SOAK=1 only) chaos soak: 3 lowrankd shards with
 #      owner-set replication (R=2) behind the gateway, a seeded
 #      ChaosPlan SIGKILLing/restarting shards under a duplicate-heavy
 #      workload; asserts zero client-visible 5xx, exactly-once solving
@@ -62,10 +65,10 @@
 #      the soak adds the real-process run.
 #
 # Environment knobs:
-#   SKIP_BENCH=1    skip steps 10-15
-#   SOAK=1          run step 16 (also enabled by a -soak argument)
-#   BENCHTIME=...   per-benchmark budget for steps 12-15 (default 200ms)
-#   TESTTIMEOUT=... watchdog for steps 4-6, 10-11 and 16 (default 10m)
+#   SKIP_BENCH=1    skip steps 11-16
+#   SOAK=1          run step 17 (also enabled by a -soak argument)
+#   BENCHTIME=...   per-benchmark budget for steps 13-16 (default 200ms)
+#   TESTTIMEOUT=... watchdog for steps 4-6, 11-12 and 17 (default 10m)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -143,6 +146,15 @@ if [[ -n "$layout" ]]; then
     exit 1
 fi
 echo "factor layout OK"
+
+echo "== LRU gate (container/list only in the shared cache LRU)"
+lists=$(grep -rln --include='*.go' '"container/list"' . | grep -v '^\./internal/serve/lru\.go$' || true)
+if [[ -n "$lists" ]]; then
+    echo "container/list imported outside internal/serve/lru.go (use the shared lru index):"
+    echo "$lists"
+    exit 1
+fi
+echo "LRU OK"
 
 if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
     echo "== daemon smoke test (cold solve -> cache hit -> clean drain)"
