@@ -11,6 +11,7 @@ import (
 	"log"
 	"math"
 
+	"sparselr/internal/core"
 	"sparselr/internal/gen"
 	"sparselr/internal/lucrtp"
 )
@@ -64,8 +65,8 @@ func main() {
 		ilut.DroppedNNZ, math.Sqrt(ilut.DroppedNorm2), math.Sqrt(ilut.DroppedNorm2) < ilut.Phi)
 	fmt.Printf("control triggered (undo):   %v\n", ilut.ControlTriggered)
 
-	teLU := lucrtp.TrueError(a, lu)
-	teIL := lucrtp.TrueError(a, ilut)
+	teLU := (&core.Approximation{LU: lu}).TrueError(a)
+	teIL := (&core.Approximation{LU: ilut}).TrueError(a)
 	fmt.Printf("\nerror vs estimator (§VI-A):\n")
 	fmt.Printf("  LU_CRTP:   true %.4g vs indicator %.4g (identical up to roundoff)\n", teLU, lu.ErrIndicator)
 	fmt.Printf("  ILUT_CRTP: true %.4g vs estimator %.4g (+‖T‖ slack %.3g)\n",

@@ -47,7 +47,7 @@ func TestUniformTerminationContract(t *testing.T) {
 	// below τ‖A‖_F whenever Converged is set.
 	a := gen.ShapeSpectrum(gen.Economic(200, 5), 6, 0, 1, 15)
 	tol := 3e-2
-	minRank := tsvd.MinRankForMatrix(a, tol)
+	minRank := tsvd.MinRankCurve(a, []float64{tol})[0]
 	for _, m := range []core.Method{core.RandQBEI, core.RandUBV, core.LUCRTP, core.ILUTCRTP, core.RSVDRestart} {
 		ap, err := core.Approximate(a, core.Options{Method: m, BlockSize: 8, Tol: tol, Seed: 10})
 		if err != nil {

@@ -44,16 +44,6 @@ type Result struct {
 	Probes int
 }
 
-// ResidualNorm computes ‖A − QQᵀA‖_F exactly (for verification) by
-// streaming the CSR rows of A against L = Q and R = QᵀA — neither A nor
-// the m×m projector is ever densified.
-func ResidualNorm(a *sparse.CSR, r *Result) float64 {
-	if r.Q.Cols == 0 {
-		return a.FrobNorm()
-	}
-	return a.ResidualFrobNorm(r.Q, a.MulTDense(r.Q).T())
-}
-
 // Factor grows the adaptive basis on a.
 func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 	opts.defaults()
@@ -155,11 +145,4 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 	res.Q = q
 	res.Rank = len(qCols)
 	return res, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

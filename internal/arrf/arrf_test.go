@@ -46,7 +46,7 @@ func TestFactorMeetsTarget(t *testing.T) {
 	// The probabilistic bound targets the spectral norm of the residual;
 	// the Frobenius residual is within √rank of it — verify the exact
 	// Frobenius residual is in a credible range of the target.
-	if rn := ResidualNorm(a, res); rn > tol*res.NormA {
+	if rn := a.ResidualFrobNorm(res.Q, a.MulTDense(res.Q).T()); rn > tol*res.NormA {
 		// The bound is an overestimate with high probability, so the
 		// exact residual should sit below the target.
 		t.Fatalf("residual %v above target %v", rn, tol*res.NormA)

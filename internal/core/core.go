@@ -149,53 +149,6 @@ type Approximation struct {
 	CUR *cur.Result
 }
 
-// TrueError evaluates the exact approximation error ‖·‖_F against a.
-func (ap *Approximation) TrueError(a *sparse.CSR) float64 {
-	switch {
-	case ap.LU != nil:
-		return lucrtp.TrueError(a, ap.LU)
-	case ap.QB != nil:
-		return randqb.TrueError(a, ap.QB)
-	case ap.UBV != nil:
-		return randubv.TrueError(a, ap.UBV)
-	case ap.SVD != nil:
-		us := ap.SVD.U.Clone()
-		for j := 0; j < len(ap.SVD.S); j++ {
-			for i := 0; i < us.Rows; i++ {
-				us.Set(i, j, us.At(i, j)*ap.SVD.S[j])
-			}
-		}
-		return a.ResidualFrobNorm(us, ap.SVD.V.T())
-	case ap.RS != nil:
-		return rsvd.TrueError(a, ap.RS)
-	case ap.ARRF != nil:
-		return arrf.ResidualNorm(a, ap.ARRF)
-	case ap.CUR != nil:
-		return cur.TrueError(a, ap.CUR)
-	}
-	return 0
-}
-
-// Reconstruct forms the dense approximation (for inspection at small
-// sizes; O(m·n) memory).
-func (ap *Approximation) Reconstruct() *mat.Dense {
-	switch {
-	case ap.LU != nil:
-		return sparse.SpGEMM(ap.LU.L, ap.LU.U).ToDense()
-	case ap.QB != nil:
-		return ap.QB.Approx()
-	case ap.UBV != nil:
-		return ap.UBV.Approx()
-	case ap.SVD != nil:
-		return ap.SVD.Approx()
-	case ap.RS != nil:
-		return ap.RS.Approx()
-	case ap.CUR != nil:
-		return ap.CUR.Approx()
-	}
-	return nil
-}
-
 // FixedRank runs the method in fixed-rank mode (§I of the paper
 // distinguishes fixed-rank from fixed-precision problems): the rank k is
 // prescribed and no tolerance-based stop applies. Converged is not

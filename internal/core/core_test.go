@@ -55,22 +55,23 @@ func TestTSVDRankIsLowerBound(t *testing.T) {
 	}
 }
 
+// Reconstruct forms the factor table's product in A's coordinates for
+// every method but ARRF, so ‖A − Reconstruct()‖_F is TrueError.
 func TestReconstructMatchesTrueError(t *testing.T) {
 	a := testMatrix(3)
-	for _, m := range []Method{RandQBEI, LUCRTP} {
+	for m := RandQBEI; m <= ACA; m++ {
 		ap, err := Approximate(a, Options{Method: m, BlockSize: 8, Tol: 1e-2, Seed: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := ap.Reconstruct()
-		var want *sparse.CSR
-		if m == LUCRTP {
-			// Reconstruct returns the product in permuted coordinates.
-			want = a.PermuteRows(ap.LU.RowPerm).PermuteCols(ap.LU.ColPerm)
-		} else {
-			want = a
+		if m == ARRF {
+			if rec != nil {
+				t.Fatal("ARRF: Reconstruct must be nil (its product needs A)")
+			}
+			continue
 		}
-		diff := want.ToDense()
+		diff := a.ToDense()
 		diff.Sub(rec)
 		if math.Abs(diff.FrobNorm()-ap.TrueError(a)) > 1e-9*ap.NormA {
 			t.Fatalf("%v: Reconstruct inconsistent with TrueError", m)

@@ -9,4 +9,10 @@
 // uniform telemetry (iterations, rank, factor nonzeros, error history,
 // wall time, and — for the loop solvers, at every rank count — modeled
 // parallel time and per-kernel breakdowns).
+//
+// Approximation.Factors is the one table of a result's factors, and it
+// is the whole product in order (P_rᵀ·L·U·P_cᵀ, Q·B, U·B·Vᵀ, U·S·Vᵀ,
+// C·U·R). TrueError, Reconstruct, the cache cost and lowrankd's factor
+// exports all read it; ARRF, whose product Q·Qᵀ·A needs A, is the one
+// exception.
 package core

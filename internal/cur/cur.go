@@ -85,23 +85,6 @@ type Result struct {
 	ErrHistory []float64
 }
 
-// Approx forms the dense C·U·R (inspection at small sizes; O(m·n)).
-func (r *Result) Approx() *mat.Dense {
-	if r.Rank == 0 {
-		return mat.NewDense(r.C.Rows, r.R.Cols)
-	}
-	return mat.Mul(r.C.MulDense(r.U), r.R.ToDense())
-}
-
-// TrueError evaluates the exact ‖A − CUR‖_F by the streamed residual
-// kernel: O(nnz + mk + kn) intermediates, A is never densified.
-func TrueError(a *sparse.CSR, r *Result) float64 {
-	if r.Rank == 0 {
-		return a.FrobNorm()
-	}
-	return a.ResidualFrobNorm(r.C.MulDense(r.U), r.R.ToDense())
-}
-
 // rowSeedSalt decorrelates the row-selection sketch stream from the
 // column-selection stream drawn from the same user seed.
 const rowSeedSalt = 0x6a09e667f3bcc909
@@ -285,11 +268,4 @@ func coreSkeleton(cd *mat.Dense, rows []int) (*mat.Dense, error) {
 		copy(s.Row(p), cd.Row(i))
 	}
 	return mat.Solve(s, mat.Identity(k))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -53,7 +53,7 @@ func TestFactorConvergesAllVariants(t *testing.T) {
 		if !res.Converged {
 			t.Fatalf("%v: did not converge (indicator %g, bound %g)", v, res.ErrIndicator, tol*res.NormA)
 		}
-		te := TrueError(a, res)
+		te := a.ResidualFrobNorm(res.C.MulDense(res.U), res.R.ToDense())
 		if te > tol*res.NormA {
 			t.Fatalf("%v: true error %g above τ‖A‖ = %g", v, te, tol*res.NormA)
 		}
@@ -118,7 +118,7 @@ func TestTableIFixedPrecision(t *testing.T) {
 				t.Errorf("%s %v: unconverged at rank %d", pm.Label, v, res.Rank)
 				continue
 			}
-			if te := TrueError(a, res); te > tol*res.NormA {
+			if te := a.ResidualFrobNorm(res.C.MulDense(res.U), res.R.ToDense()); te > tol*res.NormA {
 				t.Errorf("%s %v: true error %g above τ‖A‖ %g", pm.Label, v, te, tol*res.NormA)
 			}
 		}
@@ -193,7 +193,7 @@ func TestZeroMatrix(t *testing.T) {
 		if !res.Converged || res.Rank != 0 {
 			t.Fatalf("%v: zero matrix: converged=%v rank=%d", v, res.Converged, res.Rank)
 		}
-		if got := TrueError(a, res); got != 0 {
+		if got := a.ResidualFrobNorm(res.C.MulDense(res.U), res.R.ToDense()); got != 0 {
 			t.Fatalf("%v: zero matrix true error %g", v, got)
 		}
 	}
@@ -215,7 +215,7 @@ func TestACAEmptyRows(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("unconverged: indicator %g", res.ErrIndicator)
 	}
-	if te := TrueError(a, res); te > 1e-10*res.NormA {
+	if te := a.ResidualFrobNorm(res.C.MulDense(res.U), res.R.ToDense()); te > 1e-10*res.NormA {
 		t.Fatalf("true error %g", te)
 	}
 	for _, i := range res.RowIdx {
@@ -231,13 +231,9 @@ func TestApproxMatchesFactors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap := res.Approx()
-	want := mat.Mul(res.C.MulDense(res.U), res.R.ToDense())
-	if !ap.Equal(want, 0) {
-		t.Fatal("Approx disagrees with explicit C·U·R")
-	}
+	// The dense residual of the explicit C·U·R is the indicator.
 	diff := a.ToDense()
-	diff.Sub(ap)
+	diff.Sub(mat.Mul(res.C.MulDense(res.U), res.R.ToDense()))
 	if math.Abs(diff.FrobNorm()-res.ErrIndicator) > 1e-9*res.NormA {
 		t.Fatalf("dense residual %g vs indicator %g", diff.FrobNorm(), res.ErrIndicator)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"sparselr/internal/core"
 	"sparselr/internal/gen"
 	"sparselr/internal/lucrtp"
 )
@@ -129,11 +130,11 @@ func RunFig1LeftAt(cfg Config, tol float64) Fig1LeftSummary {
 					sum.AggressiveRatioBetter++
 				}
 			}
-			if te := lucrtp.TrueError(sm.A, agr); te >= tol*agr.NormA && !agr.HitNumRank {
+			if te := (&core.Approximation{LU: agr}).TrueError(sm.A); te >= tol*agr.NormA && !agr.HitNumRank {
 				sum.AggressiveErrOverTol++
 			}
 		}
-		trueErr := lucrtp.TrueError(sm.A, ilut)
+		trueErr := (&core.Approximation{LU: ilut}).TrueError(sm.A)
 		bound := tol * ilut.NormA
 		c.ErrWithinTol = trueErr < bound || ilut.HitNumRank
 		// Estimator agreement: the indicator must not understate the

@@ -115,7 +115,7 @@ func TestPerturbationBudgetEq22(t *testing.T) {
 	// bound on ‖T⁽ⁱ⁾‖_F is the triangle sum Σ‖T̃⁽ʲ⁾‖_F; the paper's
 	// eq 22 quantity √(Σ‖T̃⁽ʲ⁾‖²) is a practical proxy that can be
 	// exceeded by a small factor when perturbation supports interact.
-	te := TrueError(a, ilut)
+	te := trueError(a, ilut)
 	rigorous := ilut.ErrIndicator + ilut.DroppedNorm1
 	if te > rigorous*(1+1e-10) {
 		t.Fatalf("true error %v exceeds the §III-D triangle bound %v", te, rigorous)

@@ -39,7 +39,7 @@ func TestFactorDistMatchesSequential(t *testing.T) {
 		if math.Abs(got.ErrIndicator-seq.ErrIndicator) > 1e-9*seq.NormA {
 			t.Fatalf("p=%d: indicator %v vs %v", p, got.ErrIndicator, seq.ErrIndicator)
 		}
-		if te := TrueError(a, got); math.Abs(te-got.ErrIndicator) > 1e-8*got.NormA {
+		if te := trueError(a, got); math.Abs(te-got.ErrIndicator) > 1e-8*got.NormA {
 			t.Fatalf("p=%d: distributed factors wrong (true error %v vs indicator %v)", p, te, got.ErrIndicator)
 		}
 	}
@@ -84,7 +84,7 @@ func TestFactorDistILUT(t *testing.T) {
 	if got == nil || !got.Converged {
 		t.Fatal("distributed ILUT did not converge")
 	}
-	te := TrueError(a, got)
+	te := trueError(a, got)
 	if te >= 1.05*tol*got.NormA {
 		t.Fatalf("true error %v above bound", te)
 	}
@@ -144,7 +144,7 @@ func TestFactorDistColumnDiscarding(t *testing.T) {
 	if got == nil || !got.Converged {
 		t.Fatal("discarding dist run did not converge")
 	}
-	if te := TrueError(a, got); te >= 1.01*tol*got.NormA {
+	if te := trueError(a, got); te >= 1.01*tol*got.NormA {
 		t.Fatalf("true error %v above bound", te)
 	}
 	if got.DiscardedCols == 0 {
@@ -207,7 +207,7 @@ func TestFactorDistReorderEvery(t *testing.T) {
 	if slices.Equal(first.ColPerm, every.ColPerm) && first.U.Equal(every.U, 0) {
 		t.Fatal("ReorderEvery at P=2 produced ReorderFirst's factors")
 	}
-	if te := TrueError(a, every); math.Abs(te-every.ErrIndicator) > 1e-8*every.NormA {
+	if te := trueError(a, every); math.Abs(te-every.ErrIndicator) > 1e-8*every.NormA {
 		t.Fatalf("ReorderEvery factors wrong: true error %v vs indicator %v", te, every.ErrIndicator)
 	}
 }

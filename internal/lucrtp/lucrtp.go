@@ -721,14 +721,6 @@ func identity(n int) []int {
 	return p
 }
 
-// TrueError computes ‖P_r·A·P_c − L·U‖_F exactly (eq 5 / eq 25), the
-// quantity the error indicator estimates.
-func TrueError(a *sparse.CSR, res *Result) float64 {
-	perm := a.PermuteRows(res.RowPerm).PermuteCols(res.ColPerm)
-	lu := sparse.SpGEMM(res.L, res.U)
-	return sparse.Add(1, perm, -1, lu).FrobNorm()
-}
-
 // MaxFill returns the maximum per-iteration density of the Schur
 // complements, the fill statistic of Fig 1 (left, green lines).
 func (r *Result) MaxFill() float64 {

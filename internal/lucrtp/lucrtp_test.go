@@ -82,7 +82,7 @@ func TestFactorConvergesAndErrorAgrees(t *testing.T) {
 	if res.ErrIndicator >= tol*res.NormA {
 		t.Fatal("indicator above bound despite convergence")
 	}
-	trueErr := TrueError(a, res)
+	trueErr := trueError(a, res)
 	// For exact LU_CRTP the indicator equals the true error (eq 9).
 	if math.Abs(trueErr-res.ErrIndicator) > 1e-8*res.NormA {
 		t.Fatalf("indicator %v disagrees with true error %v", res.ErrIndicator, trueErr)
@@ -143,7 +143,7 @@ func TestExactRankRecovery(t *testing.T) {
 	if res.Rank > 16 {
 		t.Fatalf("rank %d far above true rank 12", res.Rank)
 	}
-	if te := TrueError(a, res); te > 1e-8*res.NormA {
+	if te := trueError(a, res); te > 1e-8*res.NormA {
 		t.Fatalf("true error %v should be ~0 at full numerical rank", te)
 	}
 }
@@ -156,7 +156,7 @@ func TestFullFactorizationIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if te := TrueError(a, res); te > 1e-9*res.NormA {
+	if te := trueError(a, res); te > 1e-9*res.NormA {
 		t.Fatalf("full factorization true error %v", te)
 	}
 }
@@ -186,7 +186,7 @@ func TestReorderModesAllConverge(t *testing.T) {
 		if !res.Converged {
 			t.Fatalf("mode %v did not converge", mode)
 		}
-		if te := TrueError(a, res); te >= 1.01e-3*res.NormA {
+		if te := trueError(a, res); te >= 1.01e-3*res.NormA {
 			t.Fatalf("mode %v true error %v", mode, te)
 		}
 	}
@@ -201,7 +201,7 @@ func TestStableLConverges(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("StableL run did not converge")
 	}
-	if te := TrueError(a, res); te >= 1.01e-3*res.NormA {
+	if te := trueError(a, res); te >= 1.01e-3*res.NormA {
 		t.Fatalf("StableL true error %v above bound", te)
 	}
 }
@@ -242,7 +242,7 @@ func TestILUTReducesNNZAndKeepsQuality(t *testing.T) {
 		t.Fatal("auto threshold was never set")
 	}
 	// §VI-A: error smaller than τ‖A‖_F and agreeing with the estimator.
-	te := TrueError(a, ilut)
+	te := trueError(a, ilut)
 	if te >= tol*ilut.NormA*1.05 {
 		t.Fatalf("ILUT true error %v above τ‖A‖ = %v", te, tol*ilut.NormA)
 	}
@@ -285,7 +285,7 @@ func TestAggressiveThresholding(t *testing.T) {
 	if math.Sqrt(res.DroppedNorm2) >= res.Phi {
 		t.Fatal("aggressive thresholding violated the φ budget")
 	}
-	te := TrueError(a, res)
+	te := trueError(a, res)
 	if te >= 1.1e-2*res.NormA {
 		t.Fatalf("aggressive ILUT true error %v too large", te)
 	}
@@ -306,7 +306,7 @@ func TestThresholdControlTriggersOnHugeMu(t *testing.T) {
 		t.Fatal("μ must be zeroed after the control fires")
 	}
 	// With thresholding undone the result must match plain LU_CRTP.
-	te := TrueError(a, res)
+	te := trueError(a, res)
 	if math.Abs(te-res.ErrIndicator) > 1e-8*res.NormA {
 		t.Fatal("after undo, indicator must equal the true error again")
 	}
@@ -369,7 +369,7 @@ func TestTallAndWideMatrices(t *testing.T) {
 		if !res.Converged {
 			t.Fatalf("%v did not converge", dims)
 		}
-		if te := TrueError(a, res); te >= 1.01e-3*res.NormA {
+		if te := trueError(a, res); te >= 1.01e-3*res.NormA {
 			t.Fatalf("%v true error %v", dims, te)
 		}
 	}
@@ -415,7 +415,7 @@ func TestColumnDiscardingPreservesQuality(t *testing.T) {
 	if !pruned.Converged {
 		t.Fatal("discarding run did not converge")
 	}
-	if te := TrueError(a, pruned); te >= 1.01*tol*pruned.NormA {
+	if te := trueError(a, pruned); te >= 1.01*tol*pruned.NormA {
 		t.Fatalf("discarding run true error %v above bound", te)
 	}
 	if pruned.DiscardedCols == 0 {
@@ -470,4 +470,11 @@ func TestFactorAgainstDenseSVDQuality(t *testing.T) {
 	if res.Rank > 3*optRank+8 {
 		t.Fatalf("rank %d far above optimal %d", res.Rank, optRank)
 	}
+}
+
+// trueError is ‖P_r·A·P_c − L·U‖_F (eq 5 / eq 25), the quantity the
+// error indicator estimates, formed from sparse products.
+func trueError(a *sparse.CSR, res *Result) float64 {
+	perm := a.PermuteRows(res.RowPerm).PermuteCols(res.ColPerm)
+	return sparse.Add(1, perm, -1, sparse.SpGEMM(res.L, res.U)).FrobNorm()
 }

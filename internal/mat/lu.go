@@ -207,53 +207,3 @@ func SolveUpper(r, b *Dense) (*Dense, error) {
 	}
 	return x, nil
 }
-
-// SolveUpperRight solves X·r = b for upper-triangular r (X = b·r⁻¹) by
-// forward substitution over columns.
-func SolveUpperRight(b, r *Dense) (*Dense, error) {
-	n, c := r.Dims()
-	if n != c || b.Cols != n {
-		panic("mat: SolveUpperRight dimension mismatch")
-	}
-	x := b.Clone()
-	for j := 0; j < n; j++ {
-		d := r.At(j, j)
-		if d == 0 {
-			return nil, ErrSingular
-		}
-		for i := 0; i < x.Rows; i++ {
-			xrow := x.Row(i)
-			s := xrow[j]
-			for k := 0; k < j; k++ {
-				s -= xrow[k] * r.At(k, j)
-			}
-			xrow[j] = s / d
-		}
-	}
-	return x, nil
-}
-
-// SolveLowerUnit solves l·X = b for unit-lower-triangular l (diagonal
-// entries are taken as 1 regardless of storage).
-func SolveLowerUnit(l, b *Dense) *Dense {
-	n := l.Rows
-	if b.Rows != n {
-		panic("mat: SolveLowerUnit dimension mismatch")
-	}
-	x := b.Clone()
-	for i := 1; i < n; i++ {
-		xrow := x.Row(i)
-		lrow := l.Row(i)
-		for k := 0; k < i; k++ {
-			lv := lrow[k]
-			if lv == 0 {
-				continue
-			}
-			krow := x.Row(k)
-			for c := range xrow {
-				xrow[c] -= lv * krow[c]
-			}
-		}
-	}
-	return x
-}

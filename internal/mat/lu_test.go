@@ -92,40 +92,6 @@ func TestSolveUpperSingular(t *testing.T) {
 	}
 }
 
-func TestSolveUpperRight(t *testing.T) {
-	r := NewDenseFrom(3, 3, []float64{2, 1, -1, 0, 3, 2, 0, 0, 4})
-	x := randDense(4, 3, 68)
-	b := Mul(x, r)
-	got, err := SolveUpperRight(b, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(x, 1e-12) {
-		t.Fatal("SolveUpperRight wrong")
-	}
-}
-
-func TestSolveLowerUnit(t *testing.T) {
-	l := NewDenseFrom(3, 3, []float64{
-		1, 0, 0,
-		2, 1, 0,
-		-1, 3, 1,
-	})
-	x := randDense(3, 2, 69)
-	b := Mul(l, x)
-	got := SolveLowerUnit(l, b)
-	if !got.Equal(x, 1e-12) {
-		t.Fatal("SolveLowerUnit wrong")
-	}
-	// Diagonal values in storage must be ignored (treated as 1).
-	lBad := l.Clone()
-	lBad.Set(0, 0, 99)
-	got2 := SolveLowerUnit(lBad, b)
-	if !got2.Equal(x, 1e-12) {
-		t.Fatal("SolveLowerUnit must treat the diagonal as unit")
-	}
-}
-
 func TestSolveRightSingularPropagates(t *testing.T) {
 	a := NewDense(3, 3)
 	if err := SolveRightInPlace(randDense(2, 3, 70), a); err == nil {

@@ -392,25 +392,6 @@ func MulVec(a *Dense, x []float64) []float64 {
 	return out
 }
 
-// MulTVec returns aᵀ·x.
-func MulTVec(a *Dense, x []float64) []float64 {
-	if a.Rows != len(x) {
-		panic("mat: MulTVec dimension mismatch")
-	}
-	out := make([]float64, a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for j, v := range row {
-			out[j] += v * xi
-		}
-	}
-	return out
-}
-
 // Dot returns the inner product of two vectors.
 func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {

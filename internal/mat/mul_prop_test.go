@@ -100,14 +100,14 @@ func TestPropMulFamilyBitwiseAcrossProcs(t *testing.T) {
 // MulInto must fully overwrite a dirty destination: seed it with NaN
 // poison (any surviving NaN propagates and fails bitwise equality with
 // the freshly allocated Mul result). This is the contract that lets
-// MulInto-style callers use GetDenseNoZero.
+// MulInto-style callers reuse a workspace without zeroing it.
 func TestPropMulIntoOverwritesDirtyDst(t *testing.T) {
 	for _, s := range propShapes(t) {
 		m, k, n := s[0], s[1], s[2]
 		a := randDense(m, k, int64(m*3+k))
 		b := randDense(k, n, int64(k*5+n))
 		want := Mul(a, b)
-		dst := GetDenseNoZero(m, n)
+		dst := NewDense(m, n)
 		for i := range dst.Data {
 			dst.Data[i] = math.NaN()
 		}
@@ -115,7 +115,6 @@ func TestPropMulIntoOverwritesDirtyDst(t *testing.T) {
 		if !bitwiseEqual(dst, want) {
 			t.Fatalf("MulInto %v: dirty destination leaked into the result", s)
 		}
-		PutDense(dst)
 	}
 }
 

@@ -114,14 +114,6 @@ func TestMulVecAndMulTVec(t *testing.T) {
 			t.Fatal("MulVec wrong")
 		}
 	}
-	y := []float64{2, 0, -1, 3}
-	gotT := MulTVec(a, y)
-	wantT := MulVec(a.T(), y)
-	for i := range gotT {
-		if math.Abs(gotT[i]-wantT[i]) > 1e-14 {
-			t.Fatal("MulTVec wrong")
-		}
-	}
 }
 
 func TestDotAxpyNrm2(t *testing.T) {

@@ -178,35 +178,6 @@ func GetScratch(n int) *[]float64 {
 // PutScratch returns a slice obtained from GetScratch to the pool.
 func PutScratch(p *[]float64) { scratchPool.Put(p) }
 
-var densePool = sync.Pool{New: func() any { return new(Dense) }}
-
-// GetDense returns a pooled, zeroed r×c matrix. Release it with PutDense
-// when done; the matrix must not be retained past that call. Callers
-// that accumulate into the matrix (scatter-add partials, += updates)
-// need this zeroing; callers that fully overwrite it should use
-// GetDenseNoZero and skip the extra pass.
-func GetDense(r, c int) *Dense {
-	d := GetDenseNoZero(r, c)
-	d.Zero()
-	return d
-}
-
-// GetDenseNoZero returns a pooled r×c matrix with unspecified contents,
-// for callers that overwrite every element (MulInto-style destinations).
-// Release it with PutDense when done.
-func GetDenseNoZero(r, c int) *Dense {
-	d := densePool.Get().(*Dense)
-	if cap(d.Data) < r*c {
-		d.Data = make([]float64, r*c)
-	}
-	d.Rows, d.Cols, d.Stride = r, c, c
-	d.Data = d.Data[:r*c]
-	return d
-}
-
-// PutDense returns a matrix obtained from GetDense to the pool.
-func PutDense(d *Dense) { densePool.Put(d) }
-
 // Buffer is a grow-only scratch matrix for per-iteration solver
 // workspaces: Shape reuses the buffer's backing storage as a compact r×c
 // matrix, reallocating only when the requested size first exceeds the

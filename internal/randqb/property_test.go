@@ -70,7 +70,7 @@ func TestIndicatorNeverUnderestimates(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		te := TrueError(a, r)
+		te := a.ResidualFrobNorm(r.Q, r.B)
 		return te <= r.ErrIndicator+1e-8*r.NormA
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

@@ -70,16 +70,6 @@ type Result struct {
 	OrthLossLast  float64 // ... after the final iteration
 }
 
-// Approx reconstructs the dense approximation Q_K·B_K.
-func (r *Result) Approx() *mat.Dense { return mat.Mul(r.Q, r.B) }
-
-// TrueError computes ‖A − Q_K·B_K‖_F exactly (eq 3) by streaming the CSR
-// rows of A against the factors — O(nnz + mk) extra memory, A is never
-// densified.
-func TrueError(a *sparse.CSR, r *Result) float64 {
-	return a.ResidualFrobNorm(r.Q, r.B)
-}
-
 // MinRank returns the smallest rank r ≤ K such that the best rank-r
 // truncation of Q_K·B_K satisfies the tolerance — the "approximated
 // minimum rank" of Figs 2–3, determined at small cost from the singular

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sparselr/internal/dist"
+	"sparselr/internal/mat"
 )
 
 func TestFactorDistMatchesSequential(t *testing.T) {
@@ -38,8 +39,8 @@ func TestFactorDistMatchesSequential(t *testing.T) {
 		}
 		// The approximation (not the individual factors, which may pick
 		// equivalent bases) must agree to roundoff.
-		diff := seq.Approx()
-		diff.Sub(got.Approx())
+		diff := mat.MulBT(mat.Mul(seq.U, seq.B), seq.V)
+		diff.Sub(mat.MulBT(mat.Mul(got.U, got.B), got.V))
 		if diff.FrobNorm() > 1e-8*seq.NormA {
 			t.Fatalf("p=%d: approximations diverge by %v", p, diff.FrobNorm())
 		}
@@ -63,7 +64,7 @@ func TestFactorDistConvergesAndVerifies(t *testing.T) {
 	if got == nil || !got.Converged {
 		t.Fatal("did not converge")
 	}
-	if te := TrueError(a, got); te >= 1.01*tol*got.NormA {
+	if te := a.ResidualFrobNorm(mat.Mul(got.U, got.B), got.V.T()); te >= 1.01*tol*got.NormA {
 		t.Fatalf("true error %v", te)
 	}
 	for _, kernel := range []string{"SpMM", "orth/TSQR", "Bupdate"} {
@@ -105,7 +106,7 @@ func TestFactorDistIndicatorAgreesWithTruth(t *testing.T) {
 	if got == nil {
 		t.Fatal("no result")
 	}
-	te := TrueError(a, got)
+	te := a.ResidualFrobNorm(mat.Mul(got.U, got.B), got.V.T())
 	if math.Abs(te-got.ErrIndicator) > 1e-6*got.NormA {
 		t.Fatalf("indicator %v vs true error %v", got.ErrIndicator, te)
 	}

@@ -53,18 +53,6 @@ type Result struct {
 	TimeHistory  []time.Duration
 }
 
-// Approx reconstructs U·B·Vᵀ.
-func (r *Result) Approx() *mat.Dense {
-	return mat.MulBT(mat.Mul(r.U, r.B), r.V)
-}
-
-// TrueError computes ‖A − U·B·Vᵀ‖_F exactly by streaming the CSR rows of
-// A against the compact factors L = U·B (m×K) and R = Vᵀ (K×n) — A is
-// never densified.
-func TrueError(a *sparse.CSR, r *Result) float64 {
-	return a.ResidualFrobNorm(mat.Mul(r.U, r.B), r.V.T())
-}
-
 // Factor runs the randomized block bidiagonalization on a: the SPMD body
 // of FactorDist on a one-rank world, where A·V needs no allgather and
 // Aᵀ·U no reduction.

@@ -64,7 +64,7 @@ func TestFactorConvergesIndicatorAgrees(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
-	te := TrueError(a, res)
+	te := a.ResidualFrobNorm(mat.Mul(res.U, res.B), res.V.T())
 	if te >= 1.01*tol*res.NormA {
 		t.Fatalf("true error %v above τ‖A‖", te)
 	}
@@ -118,7 +118,7 @@ func TestExactRankStops(t *testing.T) {
 	if res.Rank > 24 {
 		t.Fatalf("rank %d far above true rank 10", res.Rank)
 	}
-	if te := TrueError(a, res); te > 1e-7*res.NormA {
+	if te := a.ResidualFrobNorm(mat.Mul(res.U, res.B), res.V.T()); te > 1e-7*res.NormA {
 		t.Fatalf("true error %v should be negligible", te)
 	}
 }
@@ -193,7 +193,7 @@ func TestWideAndTall(t *testing.T) {
 		if !res.Converged {
 			t.Fatalf("%v did not converge", dims)
 		}
-		if te := TrueError(a, res); te >= 1.01e-3*res.NormA {
+		if te := a.ResidualFrobNorm(mat.Mul(res.U, res.B), res.V.T()); te >= 1.01e-3*res.NormA {
 			t.Fatalf("%v true error %v", dims, te)
 		}
 	}

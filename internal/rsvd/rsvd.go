@@ -52,30 +52,6 @@ type Result struct {
 	RankHistory  []int // attempted k per restart
 }
 
-// Approx reconstructs U·diag(S)·Vᵀ.
-func (r *Result) Approx() *mat.Dense {
-	us := r.U.Clone()
-	for j := 0; j < len(r.S); j++ {
-		for i := 0; i < us.Rows; i++ {
-			us.Set(i, j, us.At(i, j)*r.S[j])
-		}
-	}
-	return mat.MulBT(us, r.V)
-}
-
-// TrueError computes ‖A − U·S·Vᵀ‖_F exactly by streaming the CSR rows of
-// A against the compact factors L = U·diag(S) and R = Vᵀ — A is never
-// densified.
-func TrueError(a *sparse.CSR, r *Result) float64 {
-	us := r.U.Clone()
-	for j := 0; j < len(r.S); j++ {
-		for i := 0; i < us.Rows; i++ {
-			us.Set(i, j, us.At(i, j)*r.S[j])
-		}
-	}
-	return a.ResidualFrobNorm(us, r.V.T())
-}
-
 // Factor runs the restart loop on a.
 func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 	opts.defaults()
@@ -193,11 +169,4 @@ func (r *Result) trim(tol float64) {
 		}
 		r.ErrIndicator = math.Sqrt(rem)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

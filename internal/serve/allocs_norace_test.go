@@ -29,16 +29,18 @@ func TestRecordingAllocs(t *testing.T) {
 	}
 }
 
-// TestFactorAccountingAllocs: on a real QB result, listing the factor
-// names allocates only the returned slice and charging the cache cost
-// allocates nothing.
+// TestFactorAccountingAllocs: on a real QB result and on LU's
+// four-factor table, listing the factor names allocates only the
+// returned slice and charging the cache cost allocates nothing.
 func TestFactorAccountingAllocs(t *testing.T) {
-	ap := solveSmall(t, "M3", core.RandQBEI)
-	if n := testing.AllocsPerRun(100, func() { factorNames(ap) }); n > 1 {
-		t.Errorf("factorNames: %v allocs per call, want ≤ 1", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { approxBytes(ap) }); n != 0 {
-		t.Errorf("approxBytes: %v allocs per call, want 0", n)
+	for _, m := range []core.Method{core.RandQBEI, core.LUCRTP} {
+		ap := solveSmall(t, "M3", m)
+		if n := testing.AllocsPerRun(100, func() { factorNames(ap) }); n > 1 {
+			t.Errorf("%v factorNames: %v allocs per call, want ≤ 1", m, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { approxBytes(ap) }); n != 0 {
+			t.Errorf("%v approxBytes: %v allocs per call, want 0", m, n)
+		}
 	}
 }
 

@@ -236,7 +236,7 @@ func resultView(ap *core.Approximation) *ResultView {
 // factorNames lists the factors a completed approximation exposes via
 // GET /v1/jobs/{id}/factors/{name}.
 func factorNames(ap *core.Approximation) []string {
-	var buf [3]core.Factor
+	var buf [core.MaxFactors]core.Factor
 	fs := ap.Factors(buf[:0])
 	if len(fs) == 0 {
 		return nil

@@ -14,6 +14,7 @@ import (
 
 	"sparselr/internal/core"
 	"sparselr/internal/mat"
+	"sparselr/internal/sparse"
 )
 
 // Config sizes a Server. Zero values get the SchedulerConfig defaults
@@ -584,35 +585,44 @@ func writeError(w http.ResponseWriter, code int, err error) {
 }
 
 // writeFactor serializes one factor of a completed approximation as
-// JSON ({"rows","cols","data"} row-major, or {"values"} for the
-// singular-value vector) or MatrixMarket (coordinate for the sparse
-// L/U and C/R factors, dense array format otherwise).
+// JSON ({"rows","cols","data"} row-major, {"values"} for the
+// singular-value vector, {"perm"} for a permutation's index vector) or
+// MatrixMarket (coordinate for the sparse L/U and C/R factors and for a
+// permutation matrix as it enters the product, dense array format
+// otherwise). Â is the product of the listed factors in order, with V
+// entering transposed.
 func writeFactor(w http.ResponseWriter, ap *core.Approximation, name, format string) error {
 	if format != "json" && format != "mm" {
 		return fmt.Errorf("serve: unknown factor format %q (want json or mm)", format)
 	}
 	var f core.Factor
-	var buf [3]core.Factor
+	var buf [core.MaxFactors]core.Factor
 	for _, g := range ap.Factors(buf[:0]) {
 		if g.Name == name {
 			f = g
 		}
 	}
-	if f.Dense == nil && f.Sparse == nil && f.Values == nil {
+	if f.Name == "" {
 		return fmt.Errorf("serve: method %s has no factor %q (available: %v)",
 			ap.Method, name, factorNames(ap))
 	}
 	d := f.Dense
 	switch {
+	case f.Perm != nil && format == "json":
+		writeJSON(w, http.StatusOK, map[string]interface{}{"name": name, "perm": f.Perm})
+		return nil
+	case f.Perm != nil:
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		return permMatrix(f).WriteMatrixMarket(w)
 	case f.Sparse != nil && format == "mm":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		return f.Sparse.WriteMatrixMarket(w)
 	case f.Sparse != nil:
 		d = f.Sparse.ToDense()
-	case f.Values != nil && format == "json":
+	case f.Dense == nil && format == "json":
 		writeJSON(w, http.StatusOK, map[string]interface{}{"name": name, "values": f.Values})
 		return nil
-	case f.Values != nil:
+	case f.Dense == nil:
 		// A vector is an n×1 array in MatrixMarket.
 		d = &mat.Dense{Rows: len(f.Values), Cols: 1, Stride: 1, Data: f.Values}
 	}
@@ -637,4 +647,21 @@ func writeFactor(w http.ResponseWriter, ap *core.Approximation, name, format str
 		"name": name, "rows": d.Rows, "cols": d.Cols, "data": data,
 	})
 	return nil
+}
+
+// permMatrix is a permutation factor as it enters the product: P with
+// P[i][Perm[i]] = 1, or its transpose when the factor is transposed.
+func permMatrix(f core.Factor) *sparse.CSR {
+	n := len(f.Perm)
+	p := sparse.NewCSR(n, n)
+	p.ColIdx, p.Val = make([]int, n), make([]float64, n)
+	for i, j := range f.Perm {
+		p.RowPtr[i+1], p.Val[i] = i+1, 1
+		if f.Transposed {
+			p.ColIdx[j] = i
+		} else {
+			p.ColIdx[i] = j
+		}
+	}
+	return p
 }

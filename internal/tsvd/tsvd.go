@@ -20,17 +20,6 @@ type Result struct {
 	TailNorm float64
 }
 
-// Approx reconstructs the truncated approximation densely.
-func (r *Result) Approx() *mat.Dense {
-	us := r.U.Clone()
-	for j := 0; j < len(r.S); j++ {
-		for i := 0; i < us.Rows; i++ {
-			us.Set(i, j, us.At(i, j)*r.S[j])
-		}
-	}
-	return mat.MulBT(us, r.V)
-}
-
 // FixedRank returns the best rank-k approximation of a.
 func FixedRank(a *sparse.CSR, k int) (*Result, error) {
 	m, n := a.Dims()
@@ -97,13 +86,6 @@ func MinRank(sv []float64, normA, tol float64) int {
 		r--
 	}
 	return r
-}
-
-// MinRankForMatrix computes the minimum rank directly from a, the
-// "minimum rank required" circles of Figs 2–3.
-func MinRankForMatrix(a *sparse.CSR, tol float64) int {
-	sv := mat.SingularValues(a.ToDense())
-	return MinRank(sv, a.FrobNorm(), tol)
 }
 
 // MinRankCurve evaluates the minimum rank for a set of tolerances using
