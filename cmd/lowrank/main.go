@@ -1,7 +1,7 @@
 // Command lowrank computes a fixed-precision low-rank approximation of a
 // sparse matrix with any of the methods from the paper and reports rank,
-// iterations, error, factor nonzeros and (for the loop solvers, at any
-// -np) the modeled parallel runtime with its per-kernel breakdown.
+// iterations, error, factor nonzeros and the modeled parallel runtime
+// with its per-kernel breakdown (a run at -np 1 is a one-rank world).
 //
 // The input is either a Table I analog (-matrix M1..M6) or a MatrixMarket
 // file (-matrix path/to/file.mtx).
@@ -44,8 +44,8 @@ func main() {
 		seed    = flag.Int64("seed", 1, "PRNG seed")
 		maxRank = flag.Int("maxrank", 0, "rank cap (0 = min(m,n))")
 		verify  = flag.Bool("verify", true, "evaluate the exact error ‖A−Â‖_F as a cross-check")
-		brk     = flag.Bool("breakdown", false, "loop solvers: trace the run and print per-rank time splits, collective histograms and the critical path")
-		traceF  = flag.String("trace", "", "loop solvers: write the run's Chrome trace_event JSON to this file (implies tracing)")
+		brk     = flag.Bool("breakdown", false, "trace the run and print per-rank time splits, collective histograms and the critical path")
+		traceF  = flag.String("trace", "", "write the run's Chrome trace_event JSON to this file (implies tracing)")
 		sketchK = flag.String("sketch", "gaussian", "sketching operator for the randomized methods: gaussian|sparsesign|srtt")
 		sketchN = flag.Int("sketchnnz", 0, "sparsesign nonzeros per Ω row (0 = default)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -55,7 +55,6 @@ func main() {
 	m, sketchKind, err := validateFlags(flagValues{
 		matrix: *matrix, scale: *scale, method: *method, k: *k, tol: *tol,
 		power: *power, np: *np, maxRank: *maxRank, sketch: *sketchK, sketchNNZ: *sketchN,
-		traced: *brk || *traceF != "",
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lowrank:", err)
@@ -98,26 +97,24 @@ func main() {
 	fmt.Printf("indicator     %.6g  (bound τ‖A‖_F = %.6g)\n", ap.ErrIndicator, *tol*ap.NormA)
 	fmt.Printf("factor nnz    %d\n", ap.NNZFactors)
 	fmt.Printf("wall time     %v\n", ap.WallTime)
-	if ap.Dist != nil {
-		fmt.Printf("modeled time  %.6g s on %d ranks (comm %.3g s)\n", ap.VirtualTime, len(ap.Dist.Ranks), ap.CommTime)
-		names := make([]string, 0, len(ap.KernelTimes))
-		for n := range ap.KernelTimes {
-			names = append(names, n)
+	fmt.Printf("modeled time  %.6g s on %d ranks (comm %.3g s)\n", ap.VirtualTime, len(ap.Dist.Ranks), ap.CommTime)
+	names := make([]string, 0, len(ap.KernelTimes))
+	for n := range ap.KernelTimes {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		fmt.Printf("  kernel %-20s %.6g s\n", n, ap.KernelTimes[n])
+	}
+	if *brk {
+		printDistBreakdown(ap.Dist, tr)
+	}
+	if *traceF != "" {
+		if err := writeTrace(*traceF, tr); err != nil {
+			fmt.Fprintln(os.Stderr, "lowrank: trace export:", err)
+			os.Exit(1)
 		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Printf("  kernel %-20s %.6g s\n", n, ap.KernelTimes[n])
-		}
-		if *brk {
-			printDistBreakdown(ap.Dist, tr)
-		}
-		if *traceF != "" {
-			if err := writeTrace(*traceF, tr); err != nil {
-				fmt.Fprintln(os.Stderr, "lowrank: trace export:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("trace         %s (%d events; open in chrome://tracing or ui.perfetto.dev)\n", *traceF, tr.Len())
-		}
+		fmt.Printf("trace         %s (%d events; open in chrome://tracing or ui.perfetto.dev)\n", *traceF, tr.Len())
 	}
 	if *verify {
 		te := ap.TrueError(a)
@@ -131,12 +128,11 @@ type flagValues struct {
 	k, power, np, maxRank         int
 	sketchNNZ                     int
 	tol                           float64
-	traced                        bool // -breakdown or -trace
 }
 
 // validateFlags rejects inconsistent flag combinations up front — a
 // bad tolerance, an unknown sketch, -sketchnnz without the sparsesign
-// sketch, a distributed or traced run of a sequential-only method — so
+// sketch, a distributed run of a method with one-rank bodies only — so
 // the run fails with a usage message instead of a late panic or a
 // silent fallback. It returns the resolved method and sketch kind.
 func validateFlags(f flagValues) (core.Method, sketch.Kind, error) {
@@ -173,9 +169,6 @@ func validateFlags(f flagValues) (core.Method, sketch.Kind, error) {
 	}
 	if f.np > 1 && !m.DistCapable() {
 		return 0, 0, fmt.Errorf("%v has no distributed implementation; use -np 1", m)
-	}
-	if f.traced && !m.DistCapable() {
-		return 0, 0, fmt.Errorf("%v has no distributed implementation to trace; drop -breakdown and -trace", m)
 	}
 	if f.sketchNNZ < 0 {
 		return 0, 0, fmt.Errorf("-sketchnnz must be nonnegative, got %d", f.sketchNNZ)

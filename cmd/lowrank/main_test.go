@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"sparselr/internal/core"
 	"sparselr/internal/dist"
 	"sparselr/internal/gen"
 	"sparselr/internal/lucrtp"
@@ -93,8 +94,7 @@ func TestValidateFlags(t *testing.T) {
 		"power out of range":    mutate(func(v *flagValues) { v.power = 4 }),
 		"negative np":           mutate(func(v *flagValues) { v.np = -2 }),
 		"tsvd distributed":      mutate(func(v *flagValues) { v.method = "tsvd"; v.np = 4 }),
-		"tsvd traced":           mutate(func(v *flagValues) { v.method = "tsvd"; v.traced = true }),
-		"cur traced at np 0":    mutate(func(v *flagValues) { v.method = "cur"; v.np = 0; v.traced = true }),
+		"cur distributed":       mutate(func(v *flagValues) { v.method = "cur"; v.np = 2 }),
 		"sketchnnz w/ gaussian": mutate(func(v *flagValues) { v.sketchNNZ = 4 }),
 		"negative sketchnnz":    mutate(func(v *flagValues) { v.sketch = "sparsesign"; v.sketchNNZ = -1 }),
 	}
@@ -103,9 +103,14 @@ func TestValidateFlags(t *testing.T) {
 			t.Errorf("%s: accepted %+v", name, v)
 		}
 	}
-	// A loop solver traces at one rank too.
-	if _, _, err := validateFlags(mutate(func(v *flagValues) { v.traced = true })); err != nil {
-		t.Fatalf("traced LU_CRTP at -np 1 rejected: %v", err)
+	// Every method runs on a one-rank world, so -np 0 and 1 are legal
+	// for all ten.
+	for _, mi := range core.Methods() {
+		for _, np := range []int{0, 1} {
+			if _, _, err := validateFlags(mutate(func(v *flagValues) { v.method = mi.Name; v.np = np })); err != nil {
+				t.Fatalf("%s at -np %d rejected: %v", mi.Name, np, err)
+			}
+		}
 	}
 	// Zero tol with a rank cap is the legal fixed-rank mode.
 	fr := mutate(func(v *flagValues) { v.tol = 0; v.maxRank = 8 })

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"sparselr/internal/dist"
 	"sparselr/internal/mat"
 	"sparselr/internal/sketch"
 	"sparselr/internal/sparse"
@@ -44,8 +45,9 @@ type Result struct {
 	Probes int
 }
 
-// Factor grows the adaptive basis on a.
-func Factor(a *sparse.CSR, opts Options) (*Result, error) {
+// Factor grows the adaptive basis on a, charging every probe and every
+// Gram–Schmidt pass to c.
+func Factor(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 	opts.defaults()
 	m, n := a.Dims()
 	if m == 0 || n == 0 {
@@ -56,6 +58,7 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 		maxRank = min(m, n)
 	}
 	sk := sketch.New(opts.Sketch, n, opts.Seed, opts.SketchNNZ)
+	nnz := float64(a.NNZ())
 	normA := a.FrobNorm()
 	res := &Result{NormA: normA}
 	target := opts.Tol
@@ -73,6 +76,7 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 	// default Gaussian probes are bit-identical.
 	probe := func() []float64 {
 		blk := sk.Next(1)
+		c.Compute(blk.CostCSR(nnz, m), "SpMM")
 		y := mat.NewDense(m, 1)
 		blk.MulCSRInto(y, a)
 		res.Probes++
@@ -88,9 +92,10 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 	basisDot := func(v []float64) {
 		// v ← (I − QQᵀ)v with one pass of classical Gram–Schmidt
 		// against the current basis.
+		c.Compute(4*float64(m)*float64(len(qCols)), "orth")
 		for _, q := range qCols {
-			c := mat.Dot(q, v)
-			mat.Axpy(-c, q, v)
+			d := mat.Dot(q, v)
+			mat.Axpy(-d, q, v)
 		}
 	}
 	for {
@@ -132,9 +137,10 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 		w := probe()
 		basisDot(w)
 		window = append(window, w)
+		c.Compute(4*float64(m)*float64(len(window)-1), "orth")
 		for _, y := range window[:len(window)-1] {
-			c := mat.Dot(q, y)
-			mat.Axpy(-c, q, y)
+			d := mat.Dot(q, y)
+			mat.Axpy(-d, q, y)
 		}
 	}
 	// Pack the basis.

@@ -4,9 +4,18 @@ import (
 	"math/rand"
 	"testing"
 
+	"sparselr/internal/dist"
 	"sparselr/internal/mat"
 	"sparselr/internal/sparse"
 )
+
+// factor runs Factor on a one-rank world, as core.Approximate does.
+func factor(a *sparse.CSR, opts Options) (*Result, error) {
+	r, _, err := dist.RunRoot(1, dist.DefaultConfig(), func(c *dist.Comm) (*Result, error) {
+		return Factor(c, a, opts)
+	})
+	return r, err
+}
 
 func decayMatrix(m, n, r int, rate float64, seed int64) *sparse.CSR {
 	rng := rand.New(rand.NewSource(seed))
@@ -36,7 +45,7 @@ func decayMatrix(m, n, r int, rate float64, seed int64) *sparse.CSR {
 func TestFactorMeetsTarget(t *testing.T) {
 	a := decayMatrix(60, 50, 25, 0.6, 1)
 	tol := 1e-3
-	res, err := Factor(a, Options{Tol: tol, RelativeToFrob: true, Seed: 2})
+	res, err := factor(a, Options{Tol: tol, RelativeToFrob: true, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +64,7 @@ func TestFactorMeetsTarget(t *testing.T) {
 
 func TestBasisOrthonormal(t *testing.T) {
 	a := decayMatrix(40, 40, 15, 0.7, 3)
-	res, err := Factor(a, Options{Tol: 1e-4, RelativeToFrob: true, Seed: 4})
+	res, err := factor(a, Options{Tol: 1e-4, RelativeToFrob: true, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +80,11 @@ func TestBasisOrthonormal(t *testing.T) {
 
 func TestRankTracksDifficulty(t *testing.T) {
 	a := decayMatrix(60, 60, 40, 0.8, 5)
-	loose, err := Factor(a, Options{Tol: 1e-1, RelativeToFrob: true, Seed: 6})
+	loose, err := factor(a, Options{Tol: 1e-1, RelativeToFrob: true, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := Factor(a, Options{Tol: 1e-4, RelativeToFrob: true, Seed: 6})
+	tight, err := factor(a, Options{Tol: 1e-4, RelativeToFrob: true, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +95,7 @@ func TestRankTracksDifficulty(t *testing.T) {
 
 func TestExactRankStops(t *testing.T) {
 	a := decayMatrix(40, 40, 8, 0.9, 7)
-	res, err := Factor(a, Options{Tol: 1e-10, RelativeToFrob: true, Seed: 8})
+	res, err := factor(a, Options{Tol: 1e-10, RelativeToFrob: true, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +108,7 @@ func TestExactRankStops(t *testing.T) {
 
 func TestMaxRankCap(t *testing.T) {
 	a := decayMatrix(50, 50, 40, 0.95, 9)
-	res, err := Factor(a, Options{Tol: 1e-14, RelativeToFrob: true, MaxRank: 12, Seed: 10})
+	res, err := factor(a, Options{Tol: 1e-14, RelativeToFrob: true, MaxRank: 12, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +119,7 @@ func TestMaxRankCap(t *testing.T) {
 
 func TestProbesAccounting(t *testing.T) {
 	a := decayMatrix(40, 40, 10, 0.8, 11)
-	res, err := Factor(a, Options{Tol: 1e-6, RelativeToFrob: true, Window: 6, Seed: 12})
+	res, err := factor(a, Options{Tol: 1e-6, RelativeToFrob: true, Window: 6, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +131,7 @@ func TestProbesAccounting(t *testing.T) {
 }
 
 func TestEmptyMatrix(t *testing.T) {
-	if _, err := Factor(sparse.NewCSR(3, 0), Options{Tol: 1e-2}); err == nil {
+	if _, err := factor(sparse.NewCSR(3, 0), Options{Tol: 1e-2}); err == nil {
 		t.Fatal("expected error")
 	}
 }

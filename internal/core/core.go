@@ -87,13 +87,13 @@ type Options struct {
 	DiscardTol          float64 // >0 enables Cayrols-style column discarding
 	StopAtNumericalRank bool
 
-	// Procs is the number of virtual ranks the loop solvers run their
-	// SPMD body on (RandQB_EI, LU_CRTP, ILUT_CRTP, and — as this
-	// library's implementation of the paper's stated future work —
-	// RandUBV). Procs ≤ 1 is a one-rank world: the sequential run, which
-	// still reports the modeled single-rank time, the baseline of the
-	// scaling curves. The other methods are sequential-only and reject
-	// Procs > 1.
+	// Procs is the number of virtual ranks the method's body runs on.
+	// Procs ≤ 1 is a one-rank world: the sequential run of any method,
+	// which still reports the modeled single-rank time, the baseline of
+	// the scaling curves. Only the loop solvers (RandQB_EI, LU_CRTP,
+	// ILUT_CRTP, and — as this library's implementation of the paper's
+	// stated future work — RandUBV) are SPMD bodies that accept
+	// Procs > 1; the other six methods reject it.
 	Procs      int
 	DistConfig *dist.Config // nil → dist.DefaultConfig()
 
@@ -126,16 +126,17 @@ type Approximation struct {
 	NNZFactors int
 
 	WallTime time.Duration
-	// Modeled-time telemetry of the loop solvers at every Procs (zero
-	// for the sequential-only methods).
+	// Modeled-time telemetry of every method at every Procs: the
+	// slowest rank's virtual time, its communication share, and the
+	// per-kernel compute time (max over ranks) under the labels of
+	// DESIGN.md §4c.
 	VirtualTime float64
 	CommTime    float64
 	KernelTimes map[string]float64
-	// Dist holds the full per-rank virtual-time statistics of a loop
-	// solver's run, one rank for a sequential run (nil for the
-	// sequential-only methods). To additionally record an event trace,
-	// attach a dist.Tracer (e.g. dist.NewTrace()) to
-	// Options.DistConfig.Tracer before calling Approximate.
+	// Dist holds the full per-rank virtual-time statistics of the run,
+	// one rank for a sequential run; it is never nil. To additionally
+	// record an event trace, attach a dist.Tracer (e.g. dist.NewTrace())
+	// to Options.DistConfig.Tracer before calling Approximate.
 	Dist *dist.Result
 
 	LU   *lucrtp.Result
@@ -163,84 +164,123 @@ func FixedRank(a *sparse.CSR, method Method, k int, opts Options) (*Approximatio
 	return Approximate(a, opts)
 }
 
-// Approximate runs the selected fixed-precision method on a.
+// Approximate runs the selected fixed-precision method on a: every
+// method's body runs on max(Procs, 1) virtual ranks, and the result
+// carries the modeled-time telemetry of that world. The error rule is
+// dist.RunRoot's: at one rank a body's own error comes back unwrapped,
+// and a panic or an injected fault is a *dist.RankError.
 func Approximate(a *sparse.CSR, opts Options) (*Approximation, error) {
 	if opts.Tol <= 0 && !opts.StopAtNumericalRank && opts.MaxRank <= 0 {
 		return nil, fmt.Errorf("core: need a positive tolerance, a MaxRank cap, or StopAtNumericalRank")
 	}
-	if opts.Method.DistCapable() {
-		return approximateDist(a, opts)
+	mi, known := methodInfo(opts.Method)
+	if !known {
+		return nil, fmt.Errorf("core: unknown method %v", opts.Method)
 	}
-	if _, known := methodInfo(opts.Method); known && opts.Procs > 1 {
+	if opts.Procs > 1 && !mi.Dist {
 		return nil, fmt.Errorf("core: %v has no distributed implementation; use Procs ≤ 1", opts.Method)
 	}
+	cfg := dist.DefaultConfig()
+	if opts.DistConfig != nil {
+		cfg = *opts.DistConfig
+	}
 	start := time.Now()
-	ap := &Approximation{Method: opts.Method}
-	switch opts.Method {
-	case TSVD:
-		var r *tsvd.Result
-		var err error
-		if opts.Tol <= 0 && opts.MaxRank > 0 {
-			r, err = tsvd.FixedRank(a, opts.MaxRank)
-		} else {
-			r, err = tsvd.FixedPrecision(a, opts.Tol)
-		}
-		if err != nil {
-			return nil, err
-		}
-		ap.SVD = r
-		ap.Rank, ap.NormA = r.Rank, r.NormA
-		ap.ErrIndicator = r.TailNorm
-		ap.Converged = opts.Tol > 0 && r.TailNorm < opts.Tol*r.NormA
-	case RSVDRestart:
-		r, err := rsvd.Factor(a, rsvd.Options{
-			InitialRank: opts.BlockSize, Tol: opts.Tol, Power: opts.Power,
-			MaxRank: opts.MaxRank, Seed: opts.Seed,
-			Sketch: opts.Sketch, SketchNNZ: opts.SketchNNZ,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ap.RS = r
-		ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Restarts, r.NormA
-		ap.ErrIndicator, ap.Converged = r.ErrIndicator, r.Converged
-	case ARRF:
-		r, err := arrf.Factor(a, arrf.Options{
-			Tol: opts.Tol, RelativeToFrob: true,
-			MaxRank: opts.MaxRank, Seed: opts.Seed,
-			Sketch: opts.Sketch, SketchNNZ: opts.SketchNNZ,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ap.ARRF = r
-		ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Probes, r.NormA
-		ap.ErrIndicator, ap.Converged = r.ErrBound, r.Converged
-	case CUR, TwoSidedID, ACA:
-		variant := cur.CUR
-		switch opts.Method {
-		case TwoSidedID:
-			variant = cur.ID2
-		case ACA:
-			variant = cur.ACA
-		}
-		r, err := cur.Factor(a, cur.Options{
-			Variant: variant, BlockSize: opts.BlockSize, Tol: opts.Tol,
-			MaxRank: opts.MaxRank, Seed: opts.Seed,
-			Sketch: opts.Sketch, SketchNNZ: opts.SketchNNZ,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ap.CUR = r
-		ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
-		ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
-	default:
-		return nil, fmt.Errorf("core: unknown method %v", opts.Method)
+	ap, res, err := dist.RunRoot(max(opts.Procs, 1), cfg, func(c *dist.Comm) (*Approximation, error) {
+		return solve(c, a, opts)
+	})
+	if err != nil {
+		return nil, err
 	}
 	ap.NNZFactors = ap.factorEntries()
 	ap.WallTime = time.Since(start)
+	ap.Dist = res
+	ap.VirtualTime = res.MaxTime()
+	ap.KernelTimes = res.MaxKernels()
+	for _, s := range res.Ranks {
+		ap.CommTime = max(ap.CommTime, s.CommTime)
+	}
 	return ap, nil
+}
+
+// solve is the one dispatch: it runs the method's body as rank c and
+// fills the uniform result fields from the method's own result.
+func solve(c *dist.Comm, a *sparse.CSR, opts Options) (*Approximation, error) {
+	ap := &Approximation{Method: opts.Method}
+	var err error
+	switch opts.Method {
+	case RandQBEI:
+		var r *randqb.Result
+		if r, err = randqb.FactorDist(c, a, qbOptions(opts)); err == nil {
+			ap.QB = r
+			ap.set(r.Rank, r.Iters, r.NormA, r.ErrIndicator, r.Converged, r.ErrHistory)
+		}
+	case RandUBV:
+		var r *randubv.Result
+		if r, err = randubv.FactorDist(c, a, ubvOptions(opts)); err == nil {
+			ap.UBV = r
+			ap.set(r.Rank, r.Iters, r.NormA, r.ErrIndicator, r.Converged, r.ErrHistory)
+		}
+	case LUCRTP, ILUTCRTP:
+		var r *lucrtp.Result
+		if r, err = lucrtp.FactorDist(c, a, luOptions(opts)); err == nil {
+			ap.LU = r
+			ap.set(r.Rank, r.Iters, r.NormA, r.ErrIndicator, r.Converged, r.ErrHistory)
+		}
+	case TSVD:
+		var r *tsvd.Result
+		if opts.Tol <= 0 && opts.MaxRank > 0 {
+			r, err = tsvd.FixedRank(c, a, opts.MaxRank)
+		} else {
+			r, err = tsvd.FixedPrecision(c, a, opts.Tol)
+		}
+		if err == nil {
+			ap.SVD = r
+			ap.set(r.Rank, 0, r.NormA, r.TailNorm, opts.Tol > 0 && r.TailNorm < opts.Tol*r.NormA, nil)
+		}
+	case RSVDRestart:
+		var r *rsvd.Result
+		if r, err = rsvd.Factor(c, a, rsvd.Options{
+			InitialRank: opts.BlockSize, Tol: opts.Tol, Power: opts.Power,
+			MaxRank: opts.MaxRank, Seed: opts.Seed,
+			Sketch: opts.Sketch, SketchNNZ: opts.SketchNNZ,
+		}); err == nil {
+			ap.RS = r
+			ap.set(r.Rank, r.Restarts, r.NormA, r.ErrIndicator, r.Converged, nil)
+		}
+	case ARRF:
+		var r *arrf.Result
+		if r, err = arrf.Factor(c, a, arrf.Options{
+			Tol: opts.Tol, RelativeToFrob: true,
+			MaxRank: opts.MaxRank, Seed: opts.Seed,
+			Sketch: opts.Sketch, SketchNNZ: opts.SketchNNZ,
+		}); err == nil {
+			ap.ARRF = r
+			ap.set(r.Rank, r.Probes, r.NormA, r.ErrBound, r.Converged, nil)
+		}
+	case CUR, TwoSidedID, ACA:
+		var r *cur.Result
+		if r, err = cur.Factor(c, a, cur.Options{
+			Variant: curVariant[opts.Method], BlockSize: opts.BlockSize, Tol: opts.Tol,
+			MaxRank: opts.MaxRank, Seed: opts.Seed,
+			Sketch: opts.Sketch, SketchNNZ: opts.SketchNNZ,
+		}); err == nil {
+			ap.CUR = r
+			ap.set(r.Rank, r.Iters, r.NormA, r.ErrIndicator, r.Converged, r.ErrHistory)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return ap, nil
+}
+
+// curVariant maps the skeleton methods onto internal/cur's variants.
+var curVariant = map[Method]cur.Variant{CUR: cur.CUR, TwoSidedID: cur.ID2, ACA: cur.ACA}
+
+// set fills the uniform result fields.
+func (ap *Approximation) set(rank, iters int, normA, indicator float64, converged bool, history []float64) {
+	ap.Rank, ap.Iters, ap.NormA = rank, iters, normA
+	ap.ErrIndicator, ap.Converged, ap.ErrHistory = indicator, converged, history
 }
 
 // FailureClass partitions the errors a run can produce into the
@@ -322,63 +362,6 @@ func ClassifyFailure(err error) FailureClass {
 	return FailureOther
 }
 
-// approximateDist runs a loop solver's SPMD body on max(Procs, 1)
-// virtual ranks and fills the modeled-time telemetry. The error rule is
-// dist.RunRoot's: at one rank a solver's own error comes back unwrapped.
-func approximateDist(a *sparse.CSR, opts Options) (*Approximation, error) {
-	cfg := dist.DefaultConfig()
-	if opts.DistConfig != nil {
-		cfg = *opts.DistConfig
-	}
-	p := max(opts.Procs, 1)
-	ap := &Approximation{Method: opts.Method}
-	start := time.Now()
-	var res *dist.Result
-	var err error
-	switch opts.Method {
-	case RandQBEI:
-		var r *randqb.Result
-		if r, res, err = dist.RunRoot(p, cfg, func(c *dist.Comm) (*randqb.Result, error) {
-			return randqb.FactorDist(c, a, qbOptions(opts))
-		}); err == nil {
-			ap.setQB(r)
-		}
-	case RandUBV:
-		var r *randubv.Result
-		if r, res, err = dist.RunRoot(p, cfg, func(c *dist.Comm) (*randubv.Result, error) {
-			return randubv.FactorDist(c, a, ubvOptions(opts))
-		}); err == nil {
-			ap.setUBV(r)
-		}
-	case LUCRTP, ILUTCRTP:
-		var r *lucrtp.Result
-		if r, res, err = dist.RunRoot(p, cfg, func(c *dist.Comm) (*lucrtp.Result, error) {
-			return lucrtp.FactorDist(c, a, luOptions(opts))
-		}); err == nil {
-			ap.setLU(r)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	ap.NNZFactors = ap.factorEntries()
-	ap.WallTime = time.Since(start)
-	ap.Dist = res
-	ap.VirtualTime = res.MaxTime()
-	ap.KernelTimes = map[string]float64{}
-	for _, name := range res.KernelNames() {
-		ap.KernelTimes[name] = res.MaxKernel(name)
-	}
-	var comm float64
-	for _, s := range res.Ranks {
-		if s.CommTime > comm {
-			comm = s.CommTime
-		}
-	}
-	ap.CommTime = comm
-	return ap, nil
-}
-
 // qbOptions, ubvOptions and luOptions translate the run options into each
 // solver's own.
 func qbOptions(o Options) randqb.Options {
@@ -417,24 +400,4 @@ func luOptions(o Options) lucrtp.Options {
 		}
 	}
 	return lo
-}
-
-// setQB, setUBV and setLU fill the uniform result fields from each
-// solver's result.
-func (ap *Approximation) setQB(r *randqb.Result) {
-	ap.QB = r
-	ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
-	ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
-}
-
-func (ap *Approximation) setUBV(r *randubv.Result) {
-	ap.UBV = r
-	ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
-	ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
-}
-
-func (ap *Approximation) setLU(r *lucrtp.Result) {
-	ap.LU = r
-	ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
-	ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
 }

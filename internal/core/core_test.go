@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"sparselr/internal/dist"
 	"sparselr/internal/gen"
 	"sparselr/internal/sparse"
 )
@@ -100,9 +102,30 @@ func TestDistributedRunsFillTelemetry(t *testing.T) {
 
 func TestSequentialOnlyMethodsRejectProcs(t *testing.T) {
 	a := testMatrix(7)
-	for _, m := range []Method{TSVD, RSVDRestart, ARRF} {
-		if _, err := Approximate(a, Options{Method: m, Tol: 1e-2, Procs: 4}); err == nil {
-			t.Fatalf("%v should reject Procs > 1", m)
+	for _, mi := range Methods() {
+		if mi.Dist {
+			continue
+		}
+		if _, err := Approximate(a, Options{Method: mi.Method, Tol: 1e-2, Procs: 4}); err == nil {
+			t.Fatalf("%v should reject Procs > 1", mi.Method)
+		}
+	}
+}
+
+// At τ ≥ 1 the empty approximation already meets the tolerance: TSVD
+// keeps no singular triplet, and both errors are ‖A‖_F.
+func TestTSVDRankZero(t *testing.T) {
+	a := testMatrix(12)
+	ap, err := Approximate(a, Options{Method: TSVD, Tol: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ap.Rank != 0 || !ap.Converged || ap.NNZFactors != 0 {
+		t.Fatalf("TSVD at τ = 2: rank %d, converged %v, %d factor entries; want 0, true, 0", ap.Rank, ap.Converged, ap.NNZFactors)
+	}
+	for name, e := range map[string]float64{"ErrIndicator": ap.ErrIndicator, "TrueError": ap.TrueError(a)} {
+		if math.Abs(e-ap.NormA) > 1e-12*ap.NormA {
+			t.Fatalf("TSVD at τ = 2: %s %v, want ‖A‖_F = %v", name, e, ap.NormA)
 		}
 	}
 }
@@ -229,30 +252,42 @@ func TestStopAtNumericalRankOption(t *testing.T) {
 	}
 }
 
-// loopMethods are the methods that run as an SPMD body on virtual ranks.
-var loopMethods = []Method{RandQBEI, RandUBV, LUCRTP, ILUTCRTP}
-
-// A sequential run is a one-rank world: Procs 0 and Procs 1 compute the
-// same factors bit for bit and both report the modeled kernel times.
+// A sequential run of any method is a one-rank world: Procs 0 and
+// Procs 1 compute the same factors bit for bit and both report the
+// modeled kernel times.
 func TestProcsZeroIsOneRankWorld(t *testing.T) {
+	mats := map[string]*sparse.CSR{"60×50": testMatrix(1)}
 	for _, label := range []string{"M1", "M2", "M3"} {
 		pm, err := gen.ByLabel(label, gen.Small)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range loopMethods {
+		mats[label] = pm.A
+	}
+	for _, label := range []string{"60×50", "M1", "M2", "M3"} {
+		a := mats[label]
+		for _, mi := range Methods() {
+			m := mi.Method
+			if m == TSVD && label != "60×50" {
+				// Its dense Jacobi SVD takes 1.5 s on a small Table I
+				// matrix, and 30 s under -race.
+				continue
+			}
 			opts := Options{Method: m, BlockSize: 16, Tol: 1e-2, Power: 1, Seed: 1}
-			seq, err := Approximate(pm.A, opts)
+			seq, err := Approximate(a, opts)
 			if err != nil {
 				t.Fatalf("%s %v Procs 0: %v", label, m, err)
 			}
 			opts.Procs = 1
-			one, err := Approximate(pm.A, opts)
+			one, err := Approximate(a, opts)
 			if err != nil {
 				t.Fatalf("%s %v Procs 1: %v", label, m, err)
 			}
-			if seq.Dist == nil || len(seq.Dist.Ranks) != 1 || len(seq.KernelTimes) == 0 {
-				t.Fatalf("%s %v Procs 0: no one-rank telemetry (Dist %v, %d kernels)", label, m, seq.Dist, len(seq.KernelTimes))
+			for procs, ap := range []*Approximation{seq, one} {
+				if ap.Dist == nil || len(ap.Dist.Ranks) != 1 || ap.VirtualTime <= 0 || len(ap.KernelTimes) == 0 {
+					t.Fatalf("%s %v Procs %d: no one-rank telemetry (Dist %v, virtual time %v, %d kernels)",
+						label, m, procs, ap.Dist, ap.VirtualTime, len(ap.KernelTimes))
+				}
 			}
 			if seq.Rank != one.Rank || seq.Iters != one.Iters || seq.NNZFactors != one.NNZFactors ||
 				!sameBits(seq.ErrIndicator, one.ErrIndicator) || !sameBits(seq.VirtualTime, one.VirtualTime) {
@@ -263,7 +298,7 @@ func TestProcsZeroIsOneRankWorld(t *testing.T) {
 			if !slices.EqualFunc(seq.ErrHistory, one.ErrHistory, sameBits) {
 				t.Fatalf("%s %v: ErrHistory differs between Procs 0 and 1", label, m)
 			}
-			if !slices.EqualFunc(seq.Reconstruct().Data, one.Reconstruct().Data, sameBits) {
+			if !slices.EqualFunc(product(seq), product(one), sameBits) {
 				t.Fatalf("%s %v: Reconstruct differs between Procs 0 and 1", label, m)
 			}
 			if !maps.EqualFunc(seq.KernelTimes, one.KernelTimes, sameBits) {
@@ -273,11 +308,13 @@ func TestProcsZeroIsOneRankWorld(t *testing.T) {
 	}
 }
 
-// At one rank a solver's own error is returned unwrapped, whether Procs
-// is 0 or 1; at Procs 2 it stays a rank crash.
+// At one rank a method's own error is returned unwrapped, whether Procs
+// is 0 or 1; at Procs 2 it stays a rank crash for a loop solver, and the
+// other methods reject Procs 2 before running.
 func TestOneRankErrorClass(t *testing.T) {
 	empty := sparse.NewCSR(0, 5)
-	for _, m := range loopMethods {
+	for _, mi := range Methods() {
+		m := mi.Method
 		for _, procs := range []int{0, 1} {
 			_, err := Approximate(empty, Options{Method: m, BlockSize: 4, Tol: 1e-2, Seed: 1, Procs: procs})
 			if c := ClassifyFailure(err); c != FailureOther || strings.Contains(fmt.Sprint(err), "dist: rank 0") {
@@ -286,8 +323,12 @@ func TestOneRankErrorClass(t *testing.T) {
 			}
 		}
 		_, err := Approximate(empty, Options{Method: m, BlockSize: 4, Tol: 1e-2, Seed: 1, Procs: 2})
-		if c := ClassifyFailure(err); c != FailureRankCrash {
-			t.Fatalf("%v Procs 2 on a 0×5 matrix: class %v, error %v; want %v", m, c, err, FailureRankCrash)
+		want := FailureRankCrash
+		if !mi.Dist {
+			want = FailureOther
+		}
+		if c := ClassifyFailure(err); c != want {
+			t.Fatalf("%v Procs 2 on a 0×5 matrix: class %v, error %v; want %v", m, c, err, want)
 		}
 	}
 	// An out-of-range Power panics inside the rank body at every Procs.
@@ -295,6 +336,35 @@ func TestOneRankErrorClass(t *testing.T) {
 	if c := ClassifyFailure(err); c != FailureRankCrash {
 		t.Fatalf("RandQB_EI Power 4: class %v, error %v; want %v", c, err, FailureRankCrash)
 	}
+	// A rank-1 matrix at fixed rank 2: CUR's second column is zero, so
+	// its least-squares core is singular, an unwrapped breakdown.
+	b := sparse.NewBuilder(6, 6)
+	b.Add(0, 0, 1)
+	_, err = FixedRank(b.ToCSR(), CUR, 2, Options{Seed: 1})
+	if c := ClassifyFailure(err); c != FailureBreakdown || strings.Contains(fmt.Sprint(err), "dist: rank 0") {
+		t.Fatalf("CUR on a singular skeleton: class %v, error %v; want %v without a rank prefix", c, err, FailureBreakdown)
+	}
+	// A crash injected halfway through a CUR solve's modeled time.
+	opts := Options{Method: CUR, BlockSize: 8, Tol: 1e-2, Seed: 1}
+	clean, err := Approximate(testMatrix(9), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := dist.DefaultConfig()
+	cfg.Fault = &dist.FaultPlan{Crashes: []dist.Crash{{Rank: 0, At: clean.VirtualTime / 2}}}
+	opts.DistConfig = &cfg
+	_, err = Approximate(testMatrix(9), opts)
+	if c := ClassifyFailure(err); c != FailureRankCrash || !errors.Is(err, dist.ErrInjectedCrash) {
+		t.Fatalf("CUR with an injected crash: class %v, error %v; want %v", c, err, FailureRankCrash)
+	}
+}
+
+// product returns Â's entries, or ARRF's Q, whose product needs A.
+func product(ap *Approximation) []float64 {
+	if rec := ap.Reconstruct(); rec != nil {
+		return rec.Data
+	}
+	return ap.ARRF.Q.Data
 }
 
 func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }

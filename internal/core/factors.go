@@ -218,7 +218,7 @@ func denseProduct(fs []Factor) (left, right *mat.Dense) {
 		left, mid = fs[0].Sparse.MulDense(mid[0].Dense), mid[1:]
 	}
 	for _, f := range mid {
-		if f.Values == nil {
+		if f.Dense != nil {
 			left = mat.Mul(left, f.Dense)
 			continue
 		}

@@ -8,7 +8,7 @@ import (
 )
 
 // The fault plan and checkpoint store thread from Options through
-// approximateDist into the solvers: a crash surfaces as a *RankError and
+// Approximate into the solvers: a crash surfaces as a *RankError and
 // a rerun against the surviving checkpoints matches the clean run.
 func TestApproximateDistFaultAndRestart(t *testing.T) {
 	a := testMatrix(3)

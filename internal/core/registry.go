@@ -7,8 +7,8 @@ import (
 
 // MethodInfo is one row of the method registry: the single source of
 // truth for a method's canonical (paper-style) name, the spellings the
-// CLIs and the serving daemon accept, and whether a distributed
-// implementation exists. cmd/lowrank usage text, serve.Spec validation
+// CLIs and the serving daemon accept, and whether it runs on more than
+// one rank. cmd/lowrank usage text, serve.Spec validation
 // and core dispatch all derive from this table, so adding a method in
 // one place cannot skew flag validation, usage text and 422
 // classification against each other.
@@ -16,7 +16,7 @@ type MethodInfo struct {
 	Method  Method
 	Name    string   // canonical name, as the paper writes it
 	Aliases []string // additional accepted spellings
-	Dist    bool     // runs as an SPMD body on max(Procs, 1) virtual ranks
+	Dist    bool     // accepts Procs > 1 (every method runs on a one-rank world)
 }
 
 // methodTable is ordered as the methods appear in docs and usage text.
@@ -55,9 +55,8 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", int(m))
 }
 
-// DistCapable reports whether the method runs as an SPMD body on
-// virtual ranks: it accepts Procs > 1 and reports its modeled times at
-// every Procs.
+// DistCapable reports whether the method accepts Procs > 1. Every
+// method reports its modeled times at Procs ≤ 1.
 func (m Method) DistCapable() bool {
 	mi, ok := methodInfo(m)
 	return ok && mi.Dist

@@ -3,6 +3,7 @@ package cur
 import (
 	"math"
 
+	"sparselr/internal/dist"
 	"sparselr/internal/mat"
 	"sparselr/internal/sparse"
 )
@@ -14,6 +15,7 @@ import (
 // downdate (exact in exact arithmetic; the driver re-verifies against
 // the streamed residual before declaring convergence).
 type acaState struct {
+	c       *dist.Comm
 	a, aT   *sparse.CSR
 	us, vs  [][]float64 // accepted crosses: u_l ∈ ℝ^m, v_l ∈ ℝ^n
 	rowIdx  []int
@@ -35,10 +37,11 @@ const pivotFloorRel = 1e-15
 // indicator clears τ‖A‖_F, then verifies with the exact streamed
 // residual, resuming the pivot walk if roundoff left the true error
 // above the target.
-func acaFactor(a *sparse.CSR, opts Options, normA float64, maxRank int) (*Result, error) {
+func acaFactor(c *dist.Comm, a *sparse.CSR, opts Options, normA float64, maxRank int) (*Result, error) {
 	m, n := a.Dims()
+	c.Compute(2*float64(a.NNZ()), "select") // the heaviest row
 	st := &acaState{
-		a: a, aT: a.Transpose(),
+		c: c, a: a, aT: a.Transpose(),
 		usedRow: make([]bool, m), usedCol: make([]bool, n),
 		e2:   normA * normA,
 		rrow: make([]float64, n), rcol: make([]float64, m),
@@ -82,7 +85,10 @@ func (st *acaState) pivotTo(target2 float64, maxRank int, floor float64, res *Re
 			v[t] = x / delta
 		}
 		// Exact downdate: ‖Res − u·vᵀ‖² = ‖Res‖² − 2·uᵀ(Res·v) + ‖u‖²‖v‖².
+		st.c.Compute(2*float64(st.a.NNZ()), "SpMM")
 		rv := st.a.MulVec(v)
+		m, n := float64(len(u)), float64(len(v))
+		st.c.Compute(2*(m+n)*float64(len(st.us))+4*m+2*n, "select")
 		for l := range st.us {
 			mat.Axpy(-mat.Dot(st.vs[l], v), st.us[l], rv)
 		}
@@ -141,26 +147,29 @@ func (st *acaState) finalize(res *Result, tol, normA float64) error {
 		uf.SetCol(l, st.us[l])
 		vf.SetCol(l, st.vs[l])
 	}
+	c := st.c
 	cd := st.a.ExtractColsDense(res.ColIdx)
 	rd := res.R.ToDense()
-	qc, rc := mat.QR(cd)
-	qr2, rr := mat.QR(rd.T())
-	x, err := mat.SolveUpper(rc, mat.MulT(qc, uf))
+	qc, rc := qr(c, cd)
+	qr2, rr := qr(c, rd.T())
+	x, err := solveUpper(c, rc, mulT(c, qc, uf))
 	if err != nil {
 		return err
 	}
-	y, err := mat.SolveUpper(rr, mat.MulT(qr2, vf))
+	y, err := solveUpper(c, rr, mulT(c, qr2, vf))
 	if err != nil {
 		return err
 	}
+	c.Compute(2*float64(k)*float64(k)*float64(k), "GEMM")
 	res.U = mat.MulBT(x, y)
-	res.ErrIndicator = st.a.ResidualFrobNorm(res.C.MulDense(res.U), rd)
+	res.ErrIndicator = residual(c, st.a, res.C, res.U, rd)
 	res.Converged = tol > 0 && res.ErrIndicator <= tol*normA
 	return nil
 }
 
 // resRow evaluates residual row i into st.rrow: A(i,:) − Σ u_l(i)·v_l.
 func (st *acaState) resRow(i int) {
+	st.c.Compute(2*float64(len(st.rrow))*float64(len(st.us)), "select")
 	for t := range st.rrow {
 		st.rrow[t] = 0
 	}
@@ -177,6 +186,7 @@ func (st *acaState) resRow(i int) {
 
 // resCol evaluates residual column j into st.rcol: A(:,j) − Σ v_l(j)·u_l.
 func (st *acaState) resCol(j int) {
+	st.c.Compute(2*float64(len(st.rcol))*float64(len(st.us)), "select")
 	for t := range st.rcol {
 		st.rcol[t] = 0
 	}

@@ -3,6 +3,7 @@ package cur
 import (
 	"fmt"
 
+	"sparselr/internal/dist"
 	"sparselr/internal/mat"
 	"sparselr/internal/sketch"
 	"sparselr/internal/sparse"
@@ -93,7 +94,8 @@ const rowSeedSalt = 0x6a09e667f3bcc909
 // the selected variant. Identical options produce bit-identical factors
 // regardless of GOMAXPROCS: the sketch streams are seeded, QRCP pivoting
 // is deterministic, and ACA pivot walks break ties by lowest index.
-func Factor(a *sparse.CSR, opts Options) (*Result, error) {
+// Every kernel is charged to c.
+func Factor(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 	if a == nil || a.Rows == 0 || a.Cols == 0 {
 		return nil, fmt.Errorf("cur: empty matrix")
 	}
@@ -113,7 +115,7 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 		return zeroRank(a, opts.Variant), nil
 	}
 	if opts.Variant == ACA {
-		return acaFactor(a, opts, normA, maxRank)
+		return acaFactor(c, a, opts, normA, maxRank)
 	}
 
 	k := opts.BlockSize
@@ -128,7 +130,7 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 	res := &Result{Variant: opts.Variant, NormA: normA}
 	for {
 		res.Iters++
-		tr, err := skeletonTrial(a, aT, opts, k)
+		tr, err := skeletonTrial(c, a, aT, opts, k)
 		if err != nil {
 			return nil, err
 		}
@@ -173,7 +175,7 @@ type trial struct {
 // skeletonTrial selects a size-k skeleton, solves the core, and
 // evaluates the exact residual. aT is A's transpose, shared across
 // restarts.
-func skeletonTrial(a, aT *sparse.CSR, opts Options, k int) (trial, error) {
+func skeletonTrial(c *dist.Comm, a, aT *sparse.CSR, opts Options, k int) (trial, error) {
 	p := opts.Oversample
 	if p <= 0 {
 		p = 8
@@ -185,23 +187,23 @@ func skeletonTrial(a, aT *sparse.CSR, opts Options, k int) (trial, error) {
 
 	// Column selection: QRCP the row-space sketch Y = ΩᵀA (l×n), drawn
 	// as Y = (AᵀΩ)ᵀ so the CSR transpose feeds the sketch apply kernel.
-	cols := pivotIndices(sketchApply(aT, opts, opts.Seed, l), k)
+	cols := pivotIndices(c, sketchApply(c, aT, opts, opts.Seed, l), k)
 
 	var rows []int
 	switch opts.Variant {
 	case CUR:
 		// Row selection mirrors the column side on a decorrelated
 		// column-space sketch W = AΩ (m×l).
-		rows = pivotIndices(sketchApply(a, opts, opts.Seed^rowSeedSalt, l), k)
+		rows = pivotIndices(c, sketchApply(c, a, opts, opts.Seed^rowSeedSalt, l), k)
 	case ID2:
 		// Two-sided ID: a second QRCP pass on Cᵀ — the rows that best
 		// span the selected columns' row space.
-		rows = pivotIndices(a.ExtractColsDense(cols).T(), k)
+		rows = pivotIndices(c, a.ExtractColsDense(cols).T(), k)
 	default:
 		return trial{}, fmt.Errorf("cur: unknown variant %v", opts.Variant)
 	}
 
-	c := a.ExtractCols(cols)
+	cs := a.ExtractCols(cols)
 	r := a.ExtractRows(rows)
 	cd := a.ExtractColsDense(cols)
 	rd := r.ToDense()
@@ -209,32 +211,34 @@ func skeletonTrial(a, aT *sparse.CSR, opts Options, k int) (trial, error) {
 	var u *mat.Dense
 	var err error
 	if opts.Variant == ID2 {
-		u, err = coreSkeleton(cd, rows)
+		u, err = coreSkeleton(c, cd, rows)
 		if err != nil {
 			// Singular skeleton: fall back to the least-squares core,
 			// which is defined whenever C and R have full rank.
-			u, err = coreLS(a, cd, rd)
+			u, err = coreLS(c, a, cd, rd)
 		}
 	} else {
-		u, err = coreLS(a, cd, rd)
+		u, err = coreLS(c, a, cd, rd)
 	}
 	if err != nil {
 		return trial{}, fmt.Errorf("cur: rank-%d skeleton is numerically rank-deficient: %w", k, err)
 	}
-	exact := a.ResidualFrobNorm(c.MulDense(u), rd)
-	return trial{rows: rows, cols: cols, c: c, r: r, u: u, err: exact}, nil
+	exact := residual(c, a, cs, u, rd)
+	return trial{rows: rows, cols: cols, c: cs, r: r, u: u, err: exact}, nil
 }
 
 // sketchApply draws an l-column sketch block over x's column count and
 // returns (X·Ω)ᵀ — the l×rows matrix whose QRCP pivots rank x's rows
 // (columns of the original operand when x is the transpose).
-func sketchApply(x *sparse.CSR, opts Options, seed int64, l int) *mat.Dense {
-	sk := sketch.New(opts.Sketch, x.Cols, seed, opts.SketchNNZ)
-	return sk.Next(l).MulCSR(x).T()
+func sketchApply(c *dist.Comm, x *sparse.CSR, opts Options, seed int64, l int) *mat.Dense {
+	blk := sketch.New(opts.Sketch, x.Cols, seed, opts.SketchNNZ).Next(l)
+	c.Compute(blk.CostCSR(float64(x.NNZ()), x.Rows), "SpMM")
+	return blk.MulCSR(x).T()
 }
 
 // pivotIndices returns the first k QRCP pivot columns of y.
-func pivotIndices(y *mat.Dense, k int) []int {
+func pivotIndices(c *dist.Comm, y *mat.Dense, k int) []int {
+	c.Compute(mat.QRFlops(y.Dims()), "select")
 	_, perm := mat.QRCPSelect(y)
 	out := make([]int, k)
 	copy(out, perm[:k])
@@ -244,15 +248,16 @@ func pivotIndices(y *mat.Dense, k int) []int {
 // coreLS solves the CUR core U = C⁺AR⁺ by least squares: with thin QRs
 // C = Q_c·R_c and Rᵀ = Q_r·R_r, U = R_c⁻¹·(Q_cᵀ A Q_r)·R_r⁻ᵀ. The k×k
 // middle factor needs one sparse×dense product; A stays sparse.
-func coreLS(a *sparse.CSR, cd, rd *mat.Dense) (*mat.Dense, error) {
-	qc, rc := mat.QR(cd)
-	qr2, rr := mat.QR(rd.T())
-	h := mat.MulT(qc, a.MulDense(qr2))
-	h1, err := mat.SolveUpper(rc, h)
+func coreLS(c *dist.Comm, a *sparse.CSR, cd, rd *mat.Dense) (*mat.Dense, error) {
+	qc, rc := qr(c, cd)
+	qr2, rr := qr(c, rd.T())
+	c.Compute(2*float64(a.NNZ())*float64(qr2.Cols), "SpMM")
+	h := mulT(c, qc, a.MulDense(qr2))
+	h1, err := solveUpper(c, rc, h)
 	if err != nil {
 		return nil, err
 	}
-	ut, err := mat.SolveUpper(rr, h1.T())
+	ut, err := solveUpper(c, rr, h1.T())
 	if err != nil {
 		return nil, err
 	}
@@ -261,11 +266,44 @@ func coreLS(a *sparse.CSR, cd, rd *mat.Dense) (*mat.Dense, error) {
 
 // coreSkeleton inverts the skeleton submatrix: U = A(I,J)⁻¹, where cd
 // already holds the selected columns so A(I,J) is a row gather.
-func coreSkeleton(cd *mat.Dense, rows []int) (*mat.Dense, error) {
+func coreSkeleton(c *dist.Comm, cd *mat.Dense, rows []int) (*mat.Dense, error) {
 	k := len(rows)
 	s := mat.NewDense(k, k)
 	for p, i := range rows {
 		copy(s.Row(p), cd.Row(i))
 	}
+	// LU (2k³/3) and k right-hand sides (2k³).
+	c.Compute(8*float64(k)*float64(k)*float64(k)/3, "core")
 	return mat.Solve(s, mat.Identity(k))
+}
+
+// qr is mat.QR charged as a thin QR with Q formed.
+func qr(c *dist.Comm, x *mat.Dense) (q, r *mat.Dense) {
+	c.Compute(mat.OrthFlops(x.Dims()), "orth")
+	return mat.QR(x)
+}
+
+// mulT is mat.MulT (xᵀ·y) charged as a GEMM.
+func mulT(c *dist.Comm, x, y *mat.Dense) *mat.Dense {
+	c.Compute(2*float64(x.Rows)*float64(x.Cols)*float64(y.Cols), "GEMM")
+	return mat.MulT(x, y)
+}
+
+// solveUpper is mat.SolveUpper charged as back substitution: k² flops
+// per right-hand side.
+func solveUpper(c *dist.Comm, r, b *mat.Dense) (*mat.Dense, error) {
+	c.Compute(float64(r.Rows)*float64(r.Rows)*float64(b.Cols), "core")
+	return mat.SolveUpper(r, b)
+}
+
+// residual is the exact streamed ‖A − (C·U)·R‖_F of a skeleton, with R
+// given dense: the sparse C·U product, then 2·m·n·(k+1) + nnz(A) flops
+// to form and square every residual row.
+func residual(c *dist.Comm, a, cs *sparse.CSR, u, rd *mat.Dense) float64 {
+	k := float64(u.Cols)
+	c.Compute(2*float64(cs.NNZ())*k, "SpMM")
+	cu := cs.MulDense(u)
+	m, n := a.Dims()
+	c.Compute(2*float64(m)*float64(n)*(k+1)+float64(a.NNZ()), "residual")
+	return a.ResidualFrobNorm(cu, rd)
 }

@@ -24,5 +24,7 @@
 // GOMAXPROCS), fixed-precision stopping against τ·‖A‖_F verified by an
 // exact streamed residual (sparse.CSR.ResidualFrobNorm — A is never
 // densified), and a Result shape mirroring randqb/rsvd so core can
-// expose it uniformly.
+// expose it uniformly. Factor runs on a one-rank dist world and charges
+// every kernel (sketch apply, pivot selection, QRs, core solves, the
+// exact residual) to its Comm.
 package cur

@@ -67,30 +67,30 @@ type waiter struct {
 // slot per rank suffices.
 type network struct {
 	mu      sync.Mutex
-	conds   []*sync.Cond
-	pending [][]message
-	waiters []waiter
-	done    []bool
-	failed  []bool
+	ranks   []mailbox
 	live    int
 	blocked int
 	stuck   bool
 	report  *DeadlockError
 }
 
-func newNetwork(p int) *network {
-	n := &network{
-		conds:   make([]*sync.Cond, p),
-		pending: make([][]message, p),
-		waiters: make([]waiter, p),
-		done:    make([]bool, p),
-		failed:  make([]bool, p),
-		live:    p,
+// mailbox is one rank's share of the network: its wakeup, its queue,
+// its waiter slot and whether its body has exited (and failed).
+type mailbox struct {
+	cond    sync.Cond
+	pending []message
+	waiter  waiter
+	done    bool
+	failed  bool
+}
+
+// init sizes the network for p ranks.
+func (n *network) init(p int) {
+	n.ranks = make([]mailbox, p)
+	for i := range n.ranks {
+		n.ranks[i].cond.L = &n.mu
 	}
-	for i := range n.conds {
-		n.conds[i] = sync.NewCond(&n.mu)
-	}
-	return n
+	n.live = p
 }
 
 // put delivers a message to dst's queue. If dst is blocked on a matching
@@ -98,22 +98,23 @@ func newNetwork(p int) *network {
 // rank with a deliverable message is never counted as blocked.
 func (n *network) put(dst int, m message) {
 	n.mu.Lock()
-	n.pending[dst] = append(n.pending[dst], m)
-	w := &n.waiters[dst]
+	mb := &n.ranks[dst]
+	mb.pending = append(mb.pending, m)
+	w := &mb.waiter
 	if w.active && !w.woken && w.src == m.src && w.tag == m.tag {
 		w.woken = true
 		n.blocked--
-		n.conds[dst].Signal()
+		mb.cond.Signal()
 	}
 	n.mu.Unlock()
 }
 
 // take pops the first pending message for (src, tag), if any.
 func (n *network) take(rank, src, tag int) (message, bool) {
-	q := n.pending[rank]
-	for i, m := range q {
+	mb := &n.ranks[rank]
+	for i, m := range mb.pending {
 		if m.src == src && m.tag == tag {
-			n.pending[rank] = append(q[:i], q[i+1:]...)
+			mb.pending = append(mb.pending[:i], mb.pending[i+1:]...)
 			return m, true
 		}
 	}
@@ -133,14 +134,15 @@ func (n *network) get(rank, src, tag int, clock float64) message {
 		if n.stuck {
 			panic(abortSignal{err: fmt.Errorf("%w: rank %d blocked receiving from rank %d (tag %d)", ErrAborted, rank, src, tag)})
 		}
-		w := &n.waiters[rank]
+		mb := &n.ranks[rank]
+		w := &mb.waiter
 		w.active, w.woken, w.src, w.tag, w.clock = true, false, src, tag, clock
 		n.blocked++
 		if n.blocked == n.live {
 			n.declareStuckLocked()
 		}
 		for !w.woken && !n.stuck {
-			n.conds[rank].Wait()
+			mb.cond.Wait()
 		}
 		w.active = false
 		if !w.woken {
@@ -158,8 +160,8 @@ func (n *network) get(rank, src, tag int, clock float64) message {
 // re-checked here too.
 func (n *network) rankExit(rank int, failed bool) {
 	n.mu.Lock()
-	n.done[rank] = true
-	n.failed[rank] = failed
+	n.ranks[rank].done = true
+	n.ranks[rank].failed = failed
 	n.live--
 	if n.live > 0 && n.blocked == n.live && !n.stuck {
 		n.declareStuckLocked()
@@ -171,22 +173,23 @@ func (n *network) rankExit(rank int, failed bool) {
 // stuck and wakes every blocked rank so it can unwind. Caller holds mu.
 func (n *network) declareStuckLocked() {
 	rep := &DeadlockError{}
-	for r := range n.waiters {
+	for r := range n.ranks {
+		mb := &n.ranks[r]
 		switch {
-		case n.done[r] && n.failed[r]:
+		case mb.done && mb.failed:
 			rep.Failed = append(rep.Failed, r)
-		case n.done[r]:
+		case mb.done:
 			rep.Done = append(rep.Done, r)
-		case n.waiters[r].active && !n.waiters[r].woken:
-			w := n.waiters[r]
+		case mb.waiter.active && !mb.waiter.woken:
+			w := mb.waiter
 			rep.Waits = append(rep.Waits, WaitFor{Rank: r, On: w.src, Tag: w.tag, Since: w.clock})
 		}
 	}
 	sort.Slice(rep.Waits, func(i, j int) bool { return rep.Waits[i].Rank < rep.Waits[j].Rank })
 	n.report = rep
 	n.stuck = true
-	for _, c := range n.conds {
-		c.Broadcast()
+	for r := range n.ranks {
+		n.ranks[r].cond.Broadcast()
 	}
 }
 

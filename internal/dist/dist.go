@@ -51,7 +51,8 @@ type message struct {
 type World struct {
 	p   int
 	cfg Config
-	net *network
+	net network
+	wg  sync.WaitGroup
 }
 
 // pairKey indexes per-(peer, tag) message sequence counters.
@@ -95,6 +96,11 @@ type Comm struct {
 	// lazily and only when a tracer is attached.
 	sendSeq map[pairKey]int
 	recvSeq map[pairKey]int
+
+	// How the body ended, set by run: its failure (error, panic or
+	// injected crash) or its unwinding at a Recv that could never
+	// complete.
+	err, abort *RankError
 }
 
 // Rank returns this rank's id in [0, Size).
@@ -350,6 +356,9 @@ func (c *Comm) endCollective(top bool) {
 	}
 	st, ok := c.colls[c.collName]
 	if !ok {
+		if c.colls == nil {
+			c.colls = map[string]*CollectiveStats{}
+		}
 		st = &CollectiveStats{}
 		c.colls[c.collName] = st
 		c.collOrder = append(c.collOrder, c.collName)
@@ -409,7 +418,7 @@ type Stats struct {
 	MsgsRecv  int // point-to-point messages received
 	BytesRecv int // payload bytes received
 
-	Collectives map[string]CollectiveStats // per-collective-kind histogram
+	Collectives map[string]CollectiveStats // per-collective-kind histogram (nil when the rank ran none)
 	CollOrder   []string                   // collective kinds in first-use order
 }
 
@@ -454,20 +463,15 @@ func (r *Result) MaxKernel(name string) float64 {
 	return m
 }
 
-// KernelNames returns the union of kernel names across ranks, in rank-0
-// first-use order followed by any extras.
-func (r *Result) KernelNames() []string {
-	seen := map[string]bool{}
-	var names []string
+// MaxKernels maps every kernel any rank charged to its MaxKernel time.
+func (r *Result) MaxKernels() map[string]float64 {
+	m := map[string]float64{}
 	for _, s := range r.Ranks {
-		for _, k := range s.KOrder {
-			if !seen[k] {
-				seen[k] = true
-				names = append(names, k)
-			}
+		for name, t := range s.Kernels {
+			m[name] = max(m[name], t)
 		}
 	}
-	return names
+	return m
 }
 
 // CollectiveNames returns the union of collective kinds across ranks, in
@@ -505,7 +509,9 @@ func Run(p int, cfg Config, body func(*Comm)) *Result {
 	return res
 }
 
-// RunE executes body on p ranks, where rank bodies return errors. It
+// RunE executes body on p ranks, where rank bodies return errors. Each
+// rank runs on its own goroutine, so the call stacks of a solve (and of
+// its sampled heap profiles) start at the rank, whatever the caller. It
 // blocks until every rank has returned or unwound and always returns the
 // per-rank statistics (partial for failed ranks, whose clocks stop at
 // the failure).
@@ -527,8 +533,9 @@ func RunE(p int, cfg Config, body func(*Comm) error) (*Result, error) {
 	if p < 1 {
 		panic("dist: need at least one rank")
 	}
-	w := &World{p: p, cfg: cfg, net: newNetwork(p)}
-	comms := make([]*Comm, p)
+	w := &World{p: p, cfg: cfg}
+	w.net.init(p)
+	comms := make([]Comm, p)
 	for i := range comms {
 		alpha, beta, gamma := cfg.Alpha, cfg.Beta, cfg.Gamma
 		if cfg.Fault != nil {
@@ -537,55 +544,28 @@ func RunE(p int, cfg Config, body func(*Comm) error) (*Result, error) {
 			beta *= commScale
 			gamma *= compScale
 		}
-		comms[i] = &Comm{
+		comms[i] = Comm{
 			world: w, rank: i, tracer: cfg.Tracer,
 			alpha: alpha, beta: beta, gamma: gamma,
 			fault:   cfg.Fault.faultsFor(i),
 			kernels: map[string]float64{},
-			colls:   map[string]*CollectiveStats{},
+			korder:  make([]string, 0, 8),
 		}
 	}
-	var wg sync.WaitGroup
-	errs := make([]*RankError, p)
-	aborts := make([]*RankError, p)
-	for i := 0; i < p; i++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c := comms[rank]
-			var rerr, rabort *RankError
-			func() {
-				defer func() {
-					r := recover()
-					if r == nil {
-						return
-					}
-					switch v := r.(type) {
-					case crashSignal:
-						rerr = &RankError{Rank: rank, VirtualTime: c.clock, Phase: v.phase, Err: ErrInjectedCrash}
-					case abortSignal:
-						rabort = &RankError{Rank: rank, VirtualTime: c.clock, Phase: c.p2pName("recv"), Err: v.err}
-					case *RankError:
-						rerr = v
-					default:
-						rerr = &RankError{Rank: rank, VirtualTime: c.clock, Phase: "body", Err: fmt.Errorf("panic: %v", v), panicVal: v}
-					}
-				}()
-				if err := body(c); err != nil {
-					rerr = &RankError{Rank: rank, VirtualTime: c.clock, Phase: "body", Err: err}
-				}
-			}()
-			errs[rank] = rerr
-			aborts[rank] = rabort
-			w.net.rankExit(rank, rerr != nil)
-		}(i)
+	w.wg.Add(p)
+	for i := range comms {
+		go comms[i].run(body)
 	}
-	wg.Wait()
+	w.wg.Wait()
 	res := &Result{Ranks: make([]Stats, p)}
-	for i, c := range comms {
-		colls := make(map[string]CollectiveStats, len(c.colls))
-		for name, st := range c.colls {
-			colls[name] = *st
+	for i := range comms {
+		c := &comms[i]
+		var colls map[string]CollectiveStats
+		if len(c.colls) > 0 {
+			colls = make(map[string]CollectiveStats, len(c.colls))
+			for name, st := range c.colls {
+				colls[name] = *st
+			}
 		}
 		res.Ranks[i] = Stats{
 			Rank: i, Time: c.clock, CommTime: c.commT,
@@ -598,7 +578,8 @@ func RunE(p int, cfg Config, body func(*Comm) error) (*Result, error) {
 		}
 	}
 	var primary *RankError
-	for _, e := range errs {
+	for i := range comms {
+		e := comms[i].err
 		if e == nil {
 			continue
 		}
@@ -613,12 +594,40 @@ func RunE(p int, cfg Config, body func(*Comm) error) (*Result, error) {
 	if rep := w.net.stuckReport(); rep != nil {
 		return res, rep
 	}
-	for _, a := range aborts {
-		if a != nil {
+	for i := range comms {
+		if a := comms[i].abort; a != nil {
 			return res, a
 		}
 	}
 	return res, nil
+}
+
+// run executes body as this rank, records how it ended in c.err or
+// c.abort, and marks the rank's exit on the network.
+func (c *Comm) run(body func(*Comm) error) {
+	defer c.world.wg.Done()
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				return
+			}
+			switch v := r.(type) {
+			case crashSignal:
+				c.err = &RankError{Rank: c.rank, VirtualTime: c.clock, Phase: v.phase, Err: ErrInjectedCrash}
+			case abortSignal:
+				c.abort = &RankError{Rank: c.rank, VirtualTime: c.clock, Phase: c.p2pName("recv"), Err: v.err}
+			case *RankError:
+				c.err = v
+			default:
+				c.err = &RankError{Rank: c.rank, VirtualTime: c.clock, Phase: "body", Err: fmt.Errorf("panic: %v", v), panicVal: v}
+			}
+		}()
+		if err := body(c); err != nil {
+			c.err = &RankError{Rank: c.rank, VirtualTime: c.clock, Phase: "body", Err: err}
+		}
+	}()
+	c.world.net.rankExit(c.rank, c.err != nil)
 }
 
 // RunRoot runs an SPMD solver body on p ranks and returns rank 0's
@@ -629,19 +638,21 @@ func RunE(p int, cfg Config, body func(*Comm) error) (*Result, error) {
 // written once as an SPMD body serves both its sequential entry point
 // and a run on many ranks.
 func RunRoot[T any](p int, cfg Config, body func(*Comm) (T, error)) (T, *Result, error) {
-	var out T
-	var err error
+	var root struct { // rank 0's return values
+		out T
+		err error
+	}
 	res, runErr := RunE(p, cfg, func(c *Comm) error {
 		r, e := body(c)
 		if c.Rank() == 0 {
-			out, err = r, e
+			root.out, root.err = r, e
 		}
 		return e
 	})
-	if p == 1 && err != nil {
-		return out, res, err
+	if p == 1 && root.err != nil {
+		return root.out, res, root.err
 	}
-	return out, res, runErr
+	return root.out, res, runErr
 }
 
 // TotalMessages returns the point-to-point message count across ranks.

@@ -350,9 +350,12 @@ func TestKernelAttribution(t *testing.T) {
 	if got := res.MaxKernel("gemm"); math.Abs(got-2e-3) > 1e-12 {
 		t.Fatalf("gemm kernel time %v", got)
 	}
-	names := res.KernelNames()
+	names := res.Ranks[0].KOrder
 	if len(names) != 2 || names[0] != "gemm" || names[1] != "qr" {
 		t.Fatalf("kernel names %v", names)
+	}
+	if got := res.MaxKernels(); len(got) != 2 || got["gemm"] != res.MaxKernel("gemm") || got["qr"] != res.MaxKernel("qr") {
+		t.Fatalf("MaxKernels %v", got)
 	}
 }
 
@@ -372,5 +375,28 @@ func TestGuardPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestOneRankWorldAllocs pins the fixed cost every solve pays for its
+// one-rank world: RunE's setup and teardown, then one map entry and one
+// order slot per kernel label on first use.
+func TestOneRankWorldAllocs(t *testing.T) {
+	conf := DefaultConfig()
+	labels := []string{"SpMM", "GEMM", "orth", "select", "core"}
+	for _, tc := range []struct {
+		labels []string
+		max    float64
+	}{{nil, 10}, {labels, 11}} {
+		body := func(c *Comm) (int, error) {
+			for _, l := range tc.labels {
+				c.Compute(1, l)
+			}
+			return 0, nil
+		}
+		got := testing.AllocsPerRun(100, func() { RunRoot(1, conf, body) })
+		if got > tc.max {
+			t.Errorf("RunRoot(1) charging %d labels: %v allocs, want ≤ %v", len(tc.labels), got, tc.max)
+		}
 	}
 }

@@ -5,13 +5,19 @@ import (
 	"math/rand"
 	"testing"
 
+	"sparselr/internal/dist"
 	"sparselr/internal/mat"
 	"sparselr/internal/qrtp"
 	"sparselr/internal/sparse"
 )
 
+// qrtpSelectAmong plays the column tournament over cand on a one-rank
+// world, where rank 0 owns every candidate.
 func qrtpSelectAmong(a *sparse.CSR, cand []int, k int) []int {
-	return qrtp.SelectColumnsAmong(a.ToCSC(), cand, k, qrtp.Binary).Winners
+	r, _, _ := dist.RunRoot(1, dist.DefaultConfig(), func(c *dist.Comm) (qrtp.Result, error) {
+		return qrtp.SelectColumnsDist(c, a.ToCSC(), cand, k), nil
+	})
+	return r.Winners
 }
 
 func randSparse(m, n int, density float64, seed int64) *sparse.CSR {

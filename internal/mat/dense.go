@@ -77,7 +77,9 @@ func (d *Dense) View(i, j, r, c int) *Dense {
 		panic(fmt.Sprintf("mat: view (%d,%d,%d,%d) out of range %d×%d", i, j, r, c, d.Rows, d.Cols))
 	}
 	if r == 0 || c == 0 {
-		return &Dense{Rows: r, Cols: c, Stride: d.Stride}
+		// An empty view owns no elements: it is laid out as NewDense(r, c)
+		// would be, so Row, Clone and CopyFrom work on it for every row.
+		return &Dense{Rows: r, Cols: c, Stride: c}
 	}
 	return &Dense{
 		Rows:   r,

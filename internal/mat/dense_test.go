@@ -110,6 +110,25 @@ func TestViewEmpty(t *testing.T) {
 	}
 }
 
+// A zero-width view of a tall matrix (TSVD's rank-0 truncation takes
+// one) still has rows: Row, Clone and CopyFrom must work on every one.
+func TestZeroWidthViewRows(t *testing.T) {
+	d := randDense(196, 196, 5)
+	for _, v := range []*Dense{d.View(0, 0, d.Rows, 0), d.View(3, 7, 0, 5), d.View(0, 196, 196, 0)} {
+		for i := 0; i < v.Rows; i++ {
+			if len(v.Row(i)) != 0 {
+				t.Fatalf("%d×%d view: row %d has %d entries", v.Rows, v.Cols, i, len(v.Row(i)))
+			}
+		}
+		c := v.Clone()
+		if c.Rows != v.Rows || c.Cols != v.Cols || len(c.Data) != 0 {
+			t.Fatalf("clone of a %d×%d view is %d×%d with %d values", v.Rows, v.Cols, c.Rows, c.Cols, len(c.Data))
+		}
+		NewDense(v.Rows, v.Cols).CopyFrom(v)
+		v.CopyFrom(c)
+	}
+}
+
 func TestCloneCompactsViews(t *testing.T) {
 	d := randDense(5, 5, 3)
 	v := d.View(1, 1, 3, 3)

@@ -212,34 +212,9 @@ func (ws *Workspace) SelectColumnsAmong(a *sparse.CSC, cand []int, k int, tree T
 	return Result{Winners: winners, R11: ws.finalR11(a, winners, k)}
 }
 
-// SelectRowsDense runs a tournament on the rows of a dense matrix q (used
-// by LU_CRTP on Q_kᵀ to obtain the row permutation P_r): it selects the k
-// most linearly independent rows of q. The rows are gathered straight
-// from q; the result owns its storage.
-func (ws *Workspace) SelectRowsDense(q *mat.Dense, k int) []int {
-	if k <= 0 {
-		panic(fmt.Sprintf("qrtp: non-positive k = %d", k))
-	}
-	winners := ws.identity(q.Rows)
-	if len(winners) > k {
-		winners = ws.tournament(rowsOf{q}, winners, k, Binary, nil)
-	}
-	return append([]int(nil), winners...)
-}
-
 // SelectColumns runs SelectColumns on a fresh workspace.
 func SelectColumns(a *sparse.CSC, k int, tree Tree) Result {
 	return new(Workspace).SelectColumns(a, k, tree)
-}
-
-// SelectColumnsAmong runs SelectColumnsAmong on a fresh workspace.
-func SelectColumnsAmong(a *sparse.CSC, cand []int, k int, tree Tree) Result {
-	return new(Workspace).SelectColumnsAmong(a, cand, k, tree)
-}
-
-// SelectRowsDense runs SelectRowsDense on a fresh workspace.
-func SelectRowsDense(q *mat.Dense, k int) []int {
-	return new(Workspace).SelectRowsDense(q, k)
 }
 
 // Permutation expands a winner list into a full column permutation of an

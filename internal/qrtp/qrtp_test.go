@@ -12,6 +12,15 @@ import (
 	"sparselr/internal/sparse"
 )
 
+// oneRank runs a tournament on a one-rank world, where rank 0 owns
+// every candidate.
+func oneRank(body func(*dist.Comm) Result) Result {
+	r, _, _ := dist.RunRoot(1, dist.DefaultConfig(), func(c *dist.Comm) (Result, error) {
+		return body(c), nil
+	})
+	return r
+}
+
 func randCSR(r, c int, density float64, seed int64) *sparse.CSR {
 	rng := rand.New(rand.NewSource(seed))
 	b := sparse.NewBuilder(r, c)
@@ -187,7 +196,9 @@ func TestSelectRowsDense(t *testing.T) {
 			d.Set(i, j, v)
 		}
 	}
-	rows := SelectRowsDense(d, 3)
+	rows := oneRank(func(c *dist.Comm) Result {
+		return new(Workspace).SelectRowsDist(c, d, BlockCyclicColumns(d.Rows, 1, 0, 3), 3)
+	}).Winners
 	if len(rows) != 3 {
 		t.Fatalf("want 3 rows, got %d", len(rows))
 	}

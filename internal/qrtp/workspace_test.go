@@ -167,13 +167,18 @@ func adversarialQ(m, k int, seed int64) *mat.Dense {
 // gathered straight from q: qᵀ through a sparse round trip.
 func roundTrip(q *mat.Dense) *sparse.CSC { return sparse.FromDense(q.T(), 0).ToCSC() }
 
+// On one rank the row tournament is the sequential binary tournament
+// over all rows.
 func TestSelectRowsDenseMatchesRoundTrip(t *testing.T) {
 	var ws Workspace
 	for _, k := range []int{1, 4, 8} {
 		for i, m := range []int{90, 33, 2 * k, k, 1} {
 			q := adversarialQ(m, k, int64(10*k+i))
 			want := SelectColumns(roundTrip(q), k, Binary).Winners
-			if got := ws.SelectRowsDense(q, k); !reflect.DeepEqual(got, want) {
+			got := oneRank(func(c *dist.Comm) Result {
+				return ws.SelectRowsDist(c, q, BlockCyclicColumns(m, 1, 0, k), k)
+			}).Winners
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("k=%d m=%d: rows %v, want %v", k, m, got, want)
 			}
 		}

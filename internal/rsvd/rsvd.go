@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"sparselr/internal/dist"
 	"sparselr/internal/mat"
 	"sparselr/internal/sketch"
 	"sparselr/internal/sparse"
@@ -52,8 +53,8 @@ type Result struct {
 	RankHistory  []int // attempted k per restart
 }
 
-// Factor runs the restart loop on a.
-func Factor(a *sparse.CSR, opts Options) (*Result, error) {
+// Factor runs the restart loop on a, charging every kernel to c.
+func Factor(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 	opts.defaults()
 	m, n := a.Dims()
 	if m == 0 || n == 0 {
@@ -75,7 +76,7 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 		}
 		res.Restarts++
 		res.RankHistory = append(res.RankHistory, k)
-		u, s, v, captured := onePass(a, k, opts.Oversampling, opts.Power, sk)
+		u, s, v, captured := onePass(c, a, k, opts.Oversampling, opts.Power, sk)
 		// Frobenius indicator: ‖A − QB‖²_F = ‖A‖²_F − ‖B‖²_F.
 		rem := normA*normA - captured
 		if rem < 0 {
@@ -102,23 +103,29 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 
 // onePass computes one randomized SVD attempt at rank k and returns the
 // factors plus the captured spectral mass Σ‖B‖²_F.
-func onePass(a *sparse.CSR, k, oversampling, power int, sk sketch.Sketcher) (u *mat.Dense, s []float64, v *mat.Dense, captured float64) {
+func onePass(c *dist.Comm, a *sparse.CSR, k, oversampling, power int, sk sketch.Sketcher) (u *mat.Dense, s []float64, v *mat.Dense, captured float64) {
 	m, n := a.Dims()
+	nnz := float64(a.NNZ())
 	w := k + oversampling
 	if w > min(m, n) {
 		w = min(m, n)
 	}
 	blk := sk.Next(w)
+	c.Compute(blk.CostCSR(nnz, m), "SpMM")
 	y := blk.MulCSR(a)
-	q := mat.Orth(y)
+	q := orth(c, y)
 	for r := 0; r < power; r++ {
+		c.Compute(2*nnz*float64(q.Cols), "SpMM")
 		z := a.MulTDense(q)
-		qz := mat.Orth(z)
+		qz := orth(c, z)
+		c.Compute(2*nnz*float64(qz.Cols), "SpMM")
 		y = a.MulDense(qz)
-		q = mat.Orth(y)
+		q = orth(c, y)
 	}
 	// B = Qᵀ·A (small dense), SVD of B.
+	c.Compute(2*nnz*float64(q.Cols), "SpMM")
 	b := a.MulTDense(q).T()
+	c.Compute(mat.SVDFlops(b.Dims()), "SVD")
 	ub, sb, vb := mat.SVD(b)
 	captured = 0
 	for _, sv := range sb {
@@ -129,6 +136,7 @@ func onePass(a *sparse.CSR, k, oversampling, power int, sk sketch.Sketcher) (u *
 	if kk > len(sb) {
 		kk = len(sb)
 	}
+	c.Compute(2*float64(m)*float64(q.Cols)*float64(kk), "GEMM")
 	u = mat.Mul(q, ub.View(0, 0, ub.Rows, kk).Clone())
 	s = append([]float64(nil), sb[:kk]...)
 	v = vb.View(0, 0, vb.Rows, kk).Clone()
@@ -138,6 +146,12 @@ func onePass(a *sparse.CSR, k, oversampling, power int, sk sketch.Sketcher) (u *
 		captured -= sb[i] * sb[i]
 	}
 	return u, s, v, captured
+}
+
+// orth is mat.Orth charged as a thin QR with Q formed.
+func orth(c *dist.Comm, y *mat.Dense) *mat.Dense {
+	c.Compute(mat.OrthFlops(y.Dims()), "orth")
+	return mat.Orth(y)
 }
 
 // trim reduces the converged factors to the minimum rank that still

@@ -5,9 +5,18 @@ import (
 	"math/rand"
 	"testing"
 
+	"sparselr/internal/dist"
 	"sparselr/internal/randqb"
 	"sparselr/internal/sparse"
 )
+
+// factor runs Factor on a one-rank world, as core.Approximate does.
+func factor(a *sparse.CSR, opts Options) (*Result, error) {
+	r, _, err := dist.RunRoot(1, dist.DefaultConfig(), func(c *dist.Comm) (*Result, error) {
+		return Factor(c, a, opts)
+	})
+	return r, err
+}
 
 func decayMatrix(m, n, r int, rate float64, seed int64) *sparse.CSR {
 	rng := rand.New(rand.NewSource(seed))
@@ -37,7 +46,7 @@ func decayMatrix(m, n, r int, rate float64, seed int64) *sparse.CSR {
 func TestFactorConverges(t *testing.T) {
 	a := decayMatrix(60, 50, 30, 0.6, 1)
 	tol := 1e-3
-	res, err := Factor(a, Options{InitialRank: 4, Tol: tol, Power: 1, Seed: 2})
+	res, err := factor(a, Options{InitialRank: 4, Tol: tol, Power: 1, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +70,7 @@ func TestFactorConverges(t *testing.T) {
 
 func TestRankHistoryDoubles(t *testing.T) {
 	a := decayMatrix(60, 60, 40, 0.8, 3)
-	res, err := Factor(a, Options{InitialRank: 4, Tol: 1e-4, Power: 1, Seed: 4})
+	res, err := factor(a, Options{InitialRank: 4, Tol: 1e-4, Power: 1, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +84,7 @@ func TestRankHistoryDoubles(t *testing.T) {
 func TestTrimMinimizesRank(t *testing.T) {
 	a := decayMatrix(50, 50, 25, 0.6, 5)
 	tol := 1e-2
-	res, err := Factor(a, Options{InitialRank: 32, Tol: tol, Power: 1, Seed: 6})
+	res, err := factor(a, Options{InitialRank: 32, Tol: tol, Power: 1, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +116,7 @@ func TestCostlyComparedToIncrementalQB(t *testing.T) {
 	// count is > 1 where QB converged incrementally.
 	a := decayMatrix(70, 70, 45, 0.8, 7)
 	tol := 1e-3
-	r, err := Factor(a, Options{InitialRank: 4, Tol: tol, Power: 0, Seed: 8})
+	r, err := factor(a, Options{InitialRank: 4, Tol: tol, Power: 0, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +134,7 @@ func TestCostlyComparedToIncrementalQB(t *testing.T) {
 
 func TestSingularValueAccuracy(t *testing.T) {
 	a := decayMatrix(40, 40, 12, 0.7, 9)
-	res, err := Factor(a, Options{InitialRank: 16, Tol: 1e-8, Power: 2, Seed: 10})
+	res, err := factor(a, Options{InitialRank: 16, Tol: 1e-8, Power: 2, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +177,7 @@ func largestSV(a *sparse.CSR) float64 {
 
 func TestMaxRankCapStopsLoop(t *testing.T) {
 	a := decayMatrix(50, 50, 40, 0.95, 11)
-	res, err := Factor(a, Options{InitialRank: 4, Tol: 1e-14, MaxRank: 16, Seed: 12})
+	res, err := factor(a, Options{InitialRank: 4, Tol: 1e-14, MaxRank: 16, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +190,7 @@ func TestMaxRankCapStopsLoop(t *testing.T) {
 }
 
 func TestEmptyMatrix(t *testing.T) {
-	if _, err := Factor(sparse.NewCSR(0, 2), Options{Tol: 1e-2}); err == nil {
+	if _, err := factor(sparse.NewCSR(0, 2), Options{Tol: 1e-2}); err == nil {
 		t.Fatal("expected error")
 	}
 }

@@ -89,7 +89,7 @@ func NewMetrics() *Metrics {
 	m.HTTPRequests = r.CounterVec("lowrankd_http_requests_total", "HTTP responses by status code.", "code")
 	m.Solves = r.CounterVec("lowrankd_solves_total", "Fresh solves by algorithm.", "method")
 	m.solveSeconds = r.Histogram("lowrankd_solve_seconds", "Solve wall latency by algorithm.", "method", []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10})
-	m.virtual = r.CounterVec("lowrankd_dist_virtual_seconds_total", "Modeled runtime of the loop-solver solves (one-rank and distributed) by algorithm.", "method")
+	m.virtual = r.CounterVec("lowrankd_dist_virtual_seconds_total", "Modeled runtime of the solves (one-rank and distributed) by algorithm.", "method")
 	return m
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"sparselr/internal/dist"
 	"sparselr/internal/mat"
 	"sparselr/internal/sparse"
 )
@@ -20,8 +21,9 @@ type Result struct {
 	TailNorm float64
 }
 
-// FixedRank returns the best rank-k approximation of a.
-func FixedRank(a *sparse.CSR, k int) (*Result, error) {
+// FixedRank returns the best rank-k approximation of a. It charges the
+// dense SVD to c.
+func FixedRank(c *dist.Comm, a *sparse.CSR, k int) (*Result, error) {
 	m, n := a.Dims()
 	if m == 0 || n == 0 {
 		return nil, fmt.Errorf("tsvd: empty matrix %d×%d", m, n)
@@ -29,7 +31,7 @@ func FixedRank(a *sparse.CSR, k int) (*Result, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("tsvd: negative rank %d", k)
 	}
-	u, s, v := mat.SVD(a.ToDense())
+	u, s, v := svd(c, a)
 	if k > len(s) {
 		k = len(s)
 	}
@@ -38,8 +40,8 @@ func FixedRank(a *sparse.CSR, k int) (*Result, error) {
 
 // FixedPrecision returns the minimum-rank truncation with
 // ‖A − Â_K‖_F < τ‖A‖_F — the optimum every fixed-precision method in the
-// paper is compared against.
-func FixedPrecision(a *sparse.CSR, tol float64) (*Result, error) {
+// paper is compared against. It charges the dense SVD to c.
+func FixedPrecision(c *dist.Comm, a *sparse.CSR, tol float64) (*Result, error) {
 	m, n := a.Dims()
 	if m == 0 || n == 0 {
 		return nil, fmt.Errorf("tsvd: empty matrix %d×%d", m, n)
@@ -47,9 +49,15 @@ func FixedPrecision(a *sparse.CSR, tol float64) (*Result, error) {
 	if tol <= 0 {
 		return nil, fmt.Errorf("tsvd: non-positive tolerance %g", tol)
 	}
-	u, s, v := mat.SVD(a.ToDense())
+	u, s, v := svd(c, a)
 	k := MinRank(s, a.FrobNorm(), tol)
 	return truncate(a, u, s, v, k), nil
+}
+
+// svd is the full SVD of a densified a, charged to c.
+func svd(c *dist.Comm, a *sparse.CSR) (*mat.Dense, []float64, *mat.Dense) {
+	c.Compute(mat.SVDFlops(a.Dims()), "SVD")
+	return mat.SVD(a.ToDense())
 }
 
 func truncate(a *sparse.CSR, u *mat.Dense, s []float64, v *mat.Dense, k int) *Result {

@@ -6,9 +6,25 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sparselr/internal/dist"
 	"sparselr/internal/mat"
 	"sparselr/internal/sparse"
 )
+
+// oneRank runs an entry point on a one-rank world, as core.Approximate
+// does.
+func oneRank(body func(*dist.Comm) (*Result, error)) (*Result, error) {
+	r, _, err := dist.RunRoot(1, dist.DefaultConfig(), body)
+	return r, err
+}
+
+func fixedRank(a *sparse.CSR, k int) (*Result, error) {
+	return oneRank(func(c *dist.Comm) (*Result, error) { return FixedRank(c, a, k) })
+}
+
+func fixedPrecision(a *sparse.CSR, tol float64) (*Result, error) {
+	return oneRank(func(c *dist.Comm) (*Result, error) { return FixedPrecision(c, a, tol) })
+}
 
 func randSparse(m, n int, density float64, seed int64) *sparse.CSR {
 	rng := rand.New(rand.NewSource(seed))
@@ -25,7 +41,7 @@ func randSparse(m, n int, density float64, seed int64) *sparse.CSR {
 
 func TestFixedRankErrorMatchesTail(t *testing.T) {
 	a := randSparse(20, 15, 0.5, 1)
-	res, err := FixedRank(a, 5)
+	res, err := fixedRank(a, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +66,7 @@ func TestFixedPrecisionMeetsTolerance(t *testing.T) {
 			return true
 		}
 		tol := 0.3
-		res, err := FixedPrecision(a, tol)
+		res, err := fixedPrecision(a, tol)
 		if err != nil {
 			return false
 		}
@@ -64,7 +80,7 @@ func TestFixedPrecisionMeetsTolerance(t *testing.T) {
 func TestFixedPrecisionIsMinimal(t *testing.T) {
 	a := randSparse(20, 20, 0.5, 3)
 	tol := 0.2
-	res, err := FixedPrecision(a, tol)
+	res, err := fixedPrecision(a, tol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +88,7 @@ func TestFixedPrecisionIsMinimal(t *testing.T) {
 		t.Fatal("rank 0 cannot satisfy a 0.2 tolerance on a nonzero matrix")
 	}
 	// One rank less must violate the tolerance.
-	prev, err := FixedRank(a, res.Rank-1)
+	prev, err := fixedRank(a, res.Rank-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,21 +125,21 @@ func TestMinRankCurveMonotone(t *testing.T) {
 }
 
 func TestErrorsOnBadInput(t *testing.T) {
-	if _, err := FixedRank(sparse.NewCSR(0, 3), 2); err == nil {
+	if _, err := fixedRank(sparse.NewCSR(0, 3), 2); err == nil {
 		t.Fatal("expected error for empty matrix")
 	}
 	a := randSparse(5, 5, 0.5, 5)
-	if _, err := FixedRank(a, -1); err == nil {
+	if _, err := fixedRank(a, -1); err == nil {
 		t.Fatal("expected error for negative rank")
 	}
-	if _, err := FixedPrecision(a, 0); err == nil {
+	if _, err := fixedPrecision(a, 0); err == nil {
 		t.Fatal("expected error for zero tolerance")
 	}
 }
 
 func TestFixedRankBeyondFullRank(t *testing.T) {
 	a := randSparse(6, 4, 0.6, 6)
-	res, err := FixedRank(a, 99)
+	res, err := fixedRank(a, 99)
 	if err != nil {
 		t.Fatal(err)
 	}

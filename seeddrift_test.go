@@ -178,11 +178,21 @@ func TestSeedDriftRandUBVDist(t *testing.T) {
 	checkDrift(t, "randubv_dist3", w.sum(), 0xa5e50e8fc66c7e94)
 }
 
-func TestSeedDriftRSVD(t *testing.T) {
-	r, err := rsvd.Factor(driftA(), rsvd.Options{InitialRank: 8, Tol: 1e-2, Power: 1, Seed: 3})
+// oneRank runs a solver body on a one-rank world, as core.Approximate
+// does, and fails the test on an error.
+func oneRank[T any](t *testing.T, body func(*dist.Comm) (T, error)) T {
+	t.Helper()
+	r, _, err := dist.RunRoot(1, dist.DefaultConfig(), body)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+func TestSeedDriftRSVD(t *testing.T) {
+	r := oneRank(t, func(c *dist.Comm) (*rsvd.Result, error) {
+		return rsvd.Factor(c, driftA(), rsvd.Options{InitialRank: 8, Tol: 1e-2, Power: 1, Seed: 3})
+	})
 	w := newDriftHash()
 	w.dense(r.U)
 	for _, s := range r.S {
@@ -209,26 +219,23 @@ func curDriftHash(r *cur.Result) uint64 {
 }
 
 func TestSeedDriftCUR(t *testing.T) {
-	r, err := cur.Factor(driftA(), cur.Options{Variant: cur.CUR, BlockSize: 8, Tol: 1e-2, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := oneRank(t, func(c *dist.Comm) (*cur.Result, error) {
+		return cur.Factor(c, driftA(), cur.Options{Variant: cur.CUR, BlockSize: 8, Tol: 1e-2, Seed: 11})
+	})
 	checkDrift(t, "cur", curDriftHash(r), 0xb4be37236eb1c007)
 }
 
 func TestSeedDriftTwoSidedID(t *testing.T) {
-	r, err := cur.Factor(driftA(), cur.Options{Variant: cur.ID2, BlockSize: 8, Tol: 1e-2, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := oneRank(t, func(c *dist.Comm) (*cur.Result, error) {
+		return cur.Factor(c, driftA(), cur.Options{Variant: cur.ID2, BlockSize: 8, Tol: 1e-2, Seed: 11})
+	})
 	checkDrift(t, "id2", curDriftHash(r), 0x7a53e977d332afa5)
 }
 
 func TestSeedDriftACA(t *testing.T) {
-	r, err := cur.Factor(driftA(), cur.Options{Variant: cur.ACA, BlockSize: 8, Tol: 1e-2, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := oneRank(t, func(c *dist.Comm) (*cur.Result, error) {
+		return cur.Factor(c, driftA(), cur.Options{Variant: cur.ACA, BlockSize: 8, Tol: 1e-2, Seed: 11})
+	})
 	checkDrift(t, "aca", curDriftHash(r), 0x2f6d311477ce8a22)
 }
 
@@ -276,10 +283,9 @@ func TestSeedDriftLUCRTPDist(t *testing.T) {
 }
 
 func TestSeedDriftARRF(t *testing.T) {
-	r, err := arrf.Factor(driftA(), arrf.Options{Tol: 1e-2, RelativeToFrob: true, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := oneRank(t, func(c *dist.Comm) (*arrf.Result, error) {
+		return arrf.Factor(c, driftA(), arrf.Options{Tol: 1e-2, RelativeToFrob: true, Seed: 9})
+	})
 	w := newDriftHash()
 	w.dense(r.Q)
 	w.u64(uint64(r.Rank))

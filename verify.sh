@@ -26,16 +26,19 @@
 #  10. LRU gate: container/list is imported only by
 #      internal/serve/lru.go, so the memory and disk cache tiers keep
 #      one byte-budgeted LRU
-#  11. daemon smoke test: build cmd/lowrankd, boot it on an ephemeral
+#  11. run-path gate: internal/core calls dist.RunRoot in exactly one
+#      non-test place, so every method keeps going through the one
+#      dispatch in core.Approximate and no second run path comes back
+#  12. daemon smoke test: build cmd/lowrankd, boot it on an ephemeral
 #      port, submit a workload twice (cold solve then cache hit),
 #      SIGTERM-drain cleanly -> BENCH_serve.json (cold vs cached
 #      latency, cached requests/sec)
-#  12. fleet smoke test: build cmd/lowrankd + cmd/lowrank-gateway, boot
+#  13. fleet smoke test: build cmd/lowrankd + cmd/lowrank-gateway, boot
 #      a two-shard fleet behind the gateway, assert exactly-once
 #      fleet-wide dedup, peer cache fill, kill-mid-wave rerouting and
 #      warm restart from -cachedir -> gateway req/s and peer-fill hit
 #      rate merged into BENCH_serve.json
-#  13. kernel micro-benchmarks -> BENCH_kernels.json (ns/op, bytes/op and
+#  14. kernel micro-benchmarks -> BENCH_kernels.json (ns/op, bytes/op and
 #      allocs/op per kernel); the GOMAXPROCS=1 twins
 #      KernelQRTournamentSerial, KernelSolveLUCRTPSerial,
 #      KernelSolveILUTCRTPSerial, KernelSolveRandQBEISerial and
@@ -44,18 +47,18 @@
 #      the committed file on any CPU count, and KernelSpMMT must stay
 #      within 0.9x of its serial twin on the medians of 5 alternating
 #      runs of both
-#  14. dist collective micro-benchmarks (traced vs untraced) -> BENCH_dist.json
-#  15. sketch micro-benchmarks -> BENCH_sketch.json (ns/op + allocs/op),
+#  15. dist collective micro-benchmarks (traced vs untraced) -> BENCH_dist.json
+#  16. sketch micro-benchmarks -> BENCH_sketch.json (ns/op + allocs/op),
 #      asserting SparseSign apply >= 3x faster than Gaussian and
 #      0 allocs/op on the Gaussian/SparseSign apply paths
-#  16. skeleton-method gate: re-run the internal/cur fixed-precision
+#  17. skeleton-method gate: re-run the internal/cur fixed-precision
 #      acceptance test (all three variants reach tau on Table I with the
 #      exact streamed residual), then the CUR/ID2/ACA-vs-RandQB_EI
 #      micro-benchmarks -> BENCH_cur.json (ns/op + resident factor
 #      bytes). The factor-bytes ratio gates unconditionally (CUR must
 #      stay >= 4x below the dense QB frame — it is deterministic);
 #      wall-clock ratios gate only on >= 4-CPU machines
-#  17. (-soak / SOAK=1 only) chaos soak: 3 lowrankd shards with
+#  18. (-soak / SOAK=1 only) chaos soak: 3 lowrankd shards with
 #      owner-set replication (R=2) behind the gateway, a seeded
 #      ChaosPlan SIGKILLing/restarting shards under a duplicate-heavy
 #      workload; asserts zero client-visible 5xx, exactly-once solving
@@ -66,10 +69,10 @@
 #      the soak adds the real-process run.
 #
 # Environment knobs:
-#   SKIP_BENCH=1    skip steps 11-16
-#   SOAK=1          run step 17 (also enabled by a -soak argument)
-#   BENCHTIME=...   per-benchmark budget for steps 13-16 (default 200ms)
-#   TESTTIMEOUT=... watchdog for steps 4-6, 11-12 and 17 (default 10m)
+#   SKIP_BENCH=1    skip steps 12-17
+#   SOAK=1          run step 18 (also enabled by a -soak argument)
+#   BENCHTIME=...   per-benchmark budget for steps 14-17 (default 200ms)
+#   TESTTIMEOUT=... watchdog for steps 4-6, 12-13 and 18 (default 10m)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -156,6 +159,15 @@ if [[ -n "$lists" ]]; then
     exit 1
 fi
 echo "LRU OK"
+
+echo "== run-path gate (internal/core calls dist.RunRoot in exactly one place)"
+runs=$(grep -rn --include='*.go' 'dist\.RunRoot(' internal/core | grep -v '_test\.go:' || true)
+if [[ $(grep -c . <<<"$runs") != 1 ]]; then
+    echo "internal/core must call dist.RunRoot exactly once (core.Approximate's one run path), found:"
+    echo "${runs:-none}"
+    exit 1
+fi
+echo "run path OK"
 
 if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
     echo "== daemon smoke test (cold solve -> cache hit -> clean drain)"
