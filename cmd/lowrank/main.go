@@ -39,7 +39,7 @@ func main() {
 		method  = flag.String("method", "LU_CRTP", "approximation method: "+core.MethodUsage())
 		k       = flag.Int("k", 16, "block size")
 		tol     = flag.Float64("tol", 1e-2, "tolerance τ of the fixed-precision problem")
-		power   = flag.Int("power", 1, "RandQB_EI power parameter p (0..3)")
+		power   = flag.Int("power", 1, "power parameter p (0..3) of RandQB_EI, RSVD and the RandQB_EI basis CUR and ID2 select from")
 		np      = flag.Int("np", 1, "virtual ranks (>1 runs the distributed implementation)")
 		seed    = flag.Int64("seed", 1, "PRNG seed")
 		maxRank = flag.Int("maxrank", 0, "rank cap (0 = min(m,n))")

@@ -42,13 +42,14 @@ const (
 	// ARRF is Halko's Adaptive Randomized Range Finder (Alg 4.2), the
 	// vector-at-a-time fixed-precision progenitor of RandQB_EI.
 	ARRF
-	// CUR is the randomized CUR decomposition: sketch-then-QRCP skeleton
-	// selection on both sides with the least-squares core U = C⁺AR⁺
-	// (internal/cur). Its C and R factors are actual columns/rows of A.
+	// CUR is the randomized CUR decomposition: QRCP skeleton selection
+	// from RandQB_EI's basis (columns from B_K, rows from Q_Kᵀ) with the
+	// least-squares core U = C⁺AR⁺ (internal/cur). Its C and R factors
+	// are actual columns/rows of A.
 	CUR
 	// TwoSidedID is the two-sided interpolative decomposition ("ID2"):
-	// sketched column selection, a second QRCP pass on the selected
-	// columns for the rows, and the skeleton-inverse core A(I,J)⁻¹.
+	// CUR's column selection, a second QRCP pass on the selected columns
+	// for the rows, and the skeleton-inverse core A(I,J)⁻¹.
 	TwoSidedID
 	// ACA is adaptive cross approximation with partial pivoting: a
 	// sketch-free skeleton method walking CSR residual rows and columns.
@@ -66,15 +67,18 @@ type Options struct {
 	Tol       float64 // τ
 	MaxRank   int     // cap on K (0 = min(m,n))
 
-	// Randomized-method knobs. RandQB_EI rejects a Power outside [0,3]
-	// by panicking inside its rank body, which Approximate returns as a
-	// *dist.RankError at every Procs.
-	Power int   // RandQB_EI power parameter p ∈ [0,3]
+	// Randomized-method knobs. Power is the power parameter p ∈ [0,3]
+	// of every RandQB_EI sweep, including the basis CUR and ID2 select
+	// their skeletons from, and of RSVD's range finder. RandQB_EI
+	// rejects a Power outside [0,3] by panicking inside its rank body,
+	// which Approximate returns as a *dist.RankError at every Procs.
+	Power int
 	Seed  int64 // PRNG seed
 	// Sketch selects the sketching operator of the randomized methods
-	// (RandQB_EI, RandUBV, RSVD, ARRF); the default Gaussian reproduces
-	// historical results bit-for-bit. SketchNNZ sets the per-row nonzero
-	// count of the SparseSign sketch (0 → sketch.DefaultSparseNNZ).
+	// (RandQB_EI, RandUBV, RSVD, ARRF, CUR, ID2); the default Gaussian
+	// reproduces historical results bit-for-bit. SketchNNZ sets the
+	// per-row nonzero count of the SparseSign sketch (0 →
+	// sketch.DefaultSparseNNZ).
 	Sketch    sketch.Kind
 	SketchNNZ int
 
@@ -210,7 +214,7 @@ func solve(c *dist.Comm, a *sparse.CSR, opts Options) (*Approximation, error) {
 	switch opts.Method {
 	case RandQBEI:
 		var r *randqb.Result
-		if r, err = randqb.FactorDist(c, a, qbOptions(opts)); err == nil {
+		if r, err = randqb.FactorDist(c, a, qbOptions(opts), nil); err == nil {
 			ap.QB = r
 			ap.set(r.Rank, r.Iters, r.NormA, r.ErrIndicator, r.Converged, r.ErrHistory)
 		}
@@ -259,11 +263,7 @@ func solve(c *dist.Comm, a *sparse.CSR, opts Options) (*Approximation, error) {
 		}
 	case CUR, TwoSidedID, ACA:
 		var r *cur.Result
-		if r, err = cur.Factor(c, a, cur.Options{
-			Variant: curVariant[opts.Method], BlockSize: opts.BlockSize, Tol: opts.Tol,
-			MaxRank: opts.MaxRank, Seed: opts.Seed,
-			Sketch: opts.Sketch, SketchNNZ: opts.SketchNNZ,
-		}); err == nil {
+		if r, err = cur.Factor(c, a, curVariant[opts.Method], qbOptions(opts)); err == nil {
 			ap.CUR = r
 			ap.set(r.Rank, r.Iters, r.NormA, r.ErrIndicator, r.Converged, r.ErrHistory)
 		}

@@ -11,6 +11,7 @@ import (
 
 	"sparselr/internal/dist"
 	"sparselr/internal/gen"
+	"sparselr/internal/mat"
 	"sparselr/internal/sparse"
 )
 
@@ -336,13 +337,19 @@ func TestOneRankErrorClass(t *testing.T) {
 	if c := ClassifyFailure(err); c != FailureRankCrash {
 		t.Fatalf("RandQB_EI Power 4: class %v, error %v; want %v", c, err, FailureRankCrash)
 	}
-	// A rank-1 matrix at fixed rank 2: CUR's second column is zero, so
-	// its least-squares core is singular, an unwrapped breakdown.
+	// One nonzero column at fixed rank 2: the QB basis keeps a rounding
+	// direction as its second column, B_K's second pivot is a zero column
+	// of A, and the core is singular, an unwrapped breakdown.
 	b := sparse.NewBuilder(6, 6)
-	b.Add(0, 0, 1)
-	_, err = FixedRank(b.ToCSR(), CUR, 2, Options{Seed: 1})
-	if c := ClassifyFailure(err); c != FailureBreakdown || strings.Contains(fmt.Sprint(err), "dist: rank 0") {
-		t.Fatalf("CUR on a singular skeleton: class %v, error %v; want %v without a rank prefix", c, err, FailureBreakdown)
+	for i := 0; i < 6; i++ {
+		b.Add(i, 0, 0.3+0.17*float64(i))
+	}
+	for _, m := range []Method{CUR, TwoSidedID} {
+		_, err = FixedRank(b.ToCSR(), m, 2, Options{Seed: 1})
+		if c := ClassifyFailure(err); c != FailureBreakdown || !errors.Is(err, mat.ErrSingular) ||
+			strings.Contains(fmt.Sprint(err), "dist: rank 0") {
+			t.Fatalf("%v on a singular skeleton: class %v, error %v; want %v without a rank prefix", m, c, err, FailureBreakdown)
+		}
 	}
 	// A crash injected halfway through a CUR solve's modeled time.
 	opts := Options{Method: CUR, BlockSize: 8, Tol: 1e-2, Seed: 1}

@@ -9,7 +9,9 @@ import (
 // small matrix, recorded when each method still rebuilt its own product
 // (randqb/randubv/rsvd/cur.TrueError, arrf.ResidualNorm, TSVD's U·diag(S)
 // scaling in core, lucrtp.TrueError). The one product rule must perform
-// the same operations in the same order.
+// the same operations in the same order. The CUR and ID2 rows were
+// re-recorded when their skeletons came to be selected from RandQB_EI's
+// basis, which changes the factors themselves.
 func TestTrueErrorBitsPinned(t *testing.T) {
 	a := testMatrix(3)
 	for _, c := range []struct {
@@ -24,8 +26,8 @@ func TestTrueErrorBitsPinned(t *testing.T) {
 		{TSVD, 12, 0x3fac58e2ae7ab1a5},
 		{RSVDRestart, 12, 0x3fac5c7d36fe9bc9},
 		{ARRF, 23, 0x3f6870382b81e09b},
-		{CUR, 16, 0x3f9aa18122d46c0a},
-		{TwoSidedID, 16, 0x3f9df723c53450cd},
+		{CUR, 16, 0x3fa2a3a147ac4b4e},
+		{TwoSidedID, 16, 0x3fa0dd4c4654f71a},
 		{ACA, 18, 0x3fae5e49a6dbd384},
 	} {
 		ap, err := Approximate(a, Options{Method: c.method, BlockSize: 8, Tol: 1e-2, Seed: 4})

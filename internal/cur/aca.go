@@ -37,7 +37,7 @@ const pivotFloorRel = 1e-15
 // indicator clears τ‖A‖_F, then verifies with the exact streamed
 // residual, resuming the pivot walk if roundoff left the true error
 // above the target.
-func acaFactor(c *dist.Comm, a *sparse.CSR, opts Options, normA float64, maxRank int) (*Result, error) {
+func acaFactor(c *dist.Comm, a *sparse.CSR, tol, normA float64, maxRank int) (*Result, error) {
 	m, n := a.Dims()
 	c.Compute(2*float64(a.NNZ()), "select") // the heaviest row
 	st := &acaState{
@@ -49,13 +49,13 @@ func acaFactor(c *dist.Comm, a *sparse.CSR, opts Options, normA float64, maxRank
 	}
 	res := &Result{Variant: ACA, NormA: normA}
 	floor := pivotFloorRel * normA
-	target2 := opts.Tol * opts.Tol * normA * normA
+	target2 := tol * tol * normA * normA
 	for {
 		st.pivotTo(target2, maxRank, floor, res)
-		if err := st.finalize(res, opts.Tol, normA); err != nil {
+		if err := st.finalize(res, tol, normA); err != nil {
 			return nil, err
 		}
-		if res.Converged || res.Rank >= maxRank || st.next < 0 || opts.Tol == 0 {
+		if res.Converged || res.Rank >= maxRank || st.next < 0 || tol == 0 {
 			return res, nil
 		}
 		// The incremental estimate cleared τ but the exact residual did

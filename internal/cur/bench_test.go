@@ -30,7 +30,7 @@ func benchVariant(b *testing.B, v Variant) {
 	var last *Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := factor(a, Options{Variant: v, BlockSize: 16, Tol: benchTol, Seed: 1})
+		r, err := factor(a, v, randqb.Options{BlockSize: 16, Tol: benchTol, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

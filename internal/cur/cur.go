@@ -5,7 +5,7 @@ import (
 
 	"sparselr/internal/dist"
 	"sparselr/internal/mat"
-	"sparselr/internal/sketch"
+	"sparselr/internal/randqb"
 	"sparselr/internal/sparse"
 )
 
@@ -13,11 +13,11 @@ import (
 type Variant int
 
 const (
-	// CUR selects columns and rows independently by sketch-then-QRCP and
-	// solves the core U = C⁺AR⁺ by least squares through two blocked
-	// Householder QRs.
+	// CUR selects columns by QRCP on RandQB_EI's B_K and rows by QRCP on
+	// Q_Kᵀ, and solves the core U = C⁺AR⁺ by least squares through two
+	// blocked Householder QRs.
 	CUR Variant = iota
-	// ID2 is the two-sided interpolative decomposition: sketched column
+	// ID2 is the two-sided interpolative decomposition: CUR's column
 	// selection, row selection from a second QRCP pass on the selected
 	// columns, and the skeleton-inverse core U = A(I,J)⁻¹.
 	ID2
@@ -40,26 +40,6 @@ func (v Variant) String() string {
 	return fmt.Sprintf("Variant(%d)", int(v))
 }
 
-// Options configures a skeleton factorization. Zero values give
-// sensible defaults (BlockSize 8, Oversample 8, Gaussian sketch).
-type Options struct {
-	Variant Variant
-
-	// BlockSize is the initial skeleton size k₀ of the fixed-precision
-	// restart loop (doubled until τ‖A‖_F holds); 0 → 8. ACA ignores it —
-	// its rank grows one cross per pivot step.
-	BlockSize int
-	Tol       float64 // τ: stop when ‖A − CUR‖_F ≤ τ‖A‖_F
-	MaxRank   int     // cap on the skeleton size (0 = min(m,n))
-
-	// Oversample is the sketch surplus p: a size-k selection QRCPs a
-	// (k+p)-row sketch of A (0 → 8). Ignored by ACA.
-	Oversample int
-	Seed       int64
-	Sketch     sketch.Kind
-	SketchNNZ  int
-}
-
 // Result is a skeleton factorization A ≈ C·U·R. C and R are actual
 // columns and rows of A kept in CSR form, so the resident footprint of
 // a rank-k result is O(nnz(C)+nnz(R)+k²) — not two dense panels. All
@@ -74,30 +54,35 @@ type Result struct {
 	U      *mat.Dense  // k×k core
 
 	Rank  int
-	Iters int // restarts (CUR/ID2) or pivot steps (ACA)
+	Iters int // selections (CUR/ID2) or pivot steps (ACA)
 	NormA float64
 
 	// ErrIndicator is the exact residual ‖A − CUR‖_F of the returned
 	// factors, evaluated by the streamed kernel (A is never densified).
 	ErrIndicator float64
 	Converged    bool
-	// ErrHistory records the indicator after every restart (CUR/ID2) or
-	// every accepted cross (ACA: the running incremental estimate).
+	// ErrHistory records the exact residual of every selection (CUR/ID2)
+	// or the indicator after every accepted cross (ACA: the running
+	// incremental estimate).
 	ErrHistory []float64
 }
 
-// rowSeedSalt decorrelates the row-selection sketch stream from the
-// column-selection stream drawn from the same user seed.
-const rowSeedSalt = 0x6a09e667f3bcc909
-
 // Factor computes the fixed-precision skeleton approximation of a with
-// the selected variant. Identical options produce bit-identical factors
-// regardless of GOMAXPROCS: the sketch streams are seeded, QRCP pivoting
-// is deterministic, and ACA pivot walks break ties by lowest index.
-// Every kernel is charged to c.
-func Factor(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
+// variant v. CUR and ID2 grow a RandQB_EI basis to τ under opts (every
+// field, Power included, means what it means to RandQB_EI), select a
+// K-skeleton from the final Q_K and B_K, and accept it when the exact
+// streamed residual is ≤ τ‖A‖_F; on a miss the basis grows by one block
+// and selection runs again. Tol 0 is fixed-rank mode: one selection at
+// K = MaxRank. ACA reads only Tol and MaxRank. Identical options produce
+// bit-identical factors regardless of GOMAXPROCS: the sketch stream is
+// seeded, QRCP pivoting is deterministic, and ACA pivot walks break ties
+// by lowest index. Every kernel is charged to c.
+func Factor(c *dist.Comm, a *sparse.CSR, v Variant, opts randqb.Options) (*Result, error) {
 	if a == nil || a.Rows == 0 || a.Cols == 0 {
 		return nil, fmt.Errorf("cur: empty matrix")
+	}
+	if v != CUR && v != ID2 && v != ACA {
+		return nil, fmt.Errorf("cur: unknown variant %v", v)
 	}
 	if opts.Tol < 0 {
 		return nil, fmt.Errorf("cur: tolerance must be nonnegative, got %g", opts.Tol)
@@ -105,52 +90,36 @@ func Factor(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 	if opts.Tol == 0 && opts.MaxRank <= 0 {
 		return nil, fmt.Errorf("cur: need Tol > 0 or MaxRank > 0")
 	}
-	minDim := min(a.Rows, a.Cols)
-	maxRank := opts.MaxRank
-	if maxRank <= 0 || maxRank > minDim {
-		maxRank = minDim
-	}
 	normA := a.FrobNorm()
 	if normA == 0 {
-		return zeroRank(a, opts.Variant), nil
+		return zeroRank(a, v), nil
 	}
-	if opts.Variant == ACA {
-		return acaFactor(c, a, opts, normA, maxRank)
+	if v == ACA {
+		maxRank := opts.MaxRank
+		if maxRank <= 0 || maxRank > min(a.Rows, a.Cols) {
+			maxRank = min(a.Rows, a.Cols)
+		}
+		return acaFactor(c, a, opts.Tol, normA, maxRank)
 	}
 
-	k := opts.BlockSize
-	if k <= 0 {
-		k = 8
-	}
-	if k > maxRank || opts.Tol == 0 {
-		// Fixed-rank mode (Tol 0) runs one trial at the cap.
-		k = maxRank
-	}
-	aT := a.Transpose()
-	res := &Result{Variant: opts.Variant, NormA: normA}
-	for {
+	res := &Result{Variant: v, NormA: normA}
+	var selErr error
+	accept := func(q, b *mat.Dense) bool {
 		res.Iters++
-		tr, err := skeletonTrial(c, a, aT, opts, k)
-		if err != nil {
-			return nil, err
+		if selErr = res.selectSkeleton(c, a, q, b); selErr != nil {
+			return true
 		}
-		res.RowIdx, res.ColIdx = tr.rows, tr.cols
-		res.C, res.R, res.U = tr.c, tr.r, tr.u
-		res.Rank = k
-		res.ErrIndicator = tr.err
-		res.ErrHistory = append(res.ErrHistory, tr.err)
-		if opts.Tol > 0 && tr.err <= opts.Tol*normA {
-			res.Converged = true
-			return res, nil
-		}
-		if k >= maxRank {
-			return res, nil
-		}
-		k *= 2
-		if k > maxRank {
-			k = maxRank
-		}
+		res.ErrHistory = append(res.ErrHistory, res.ErrIndicator)
+		res.Converged = opts.Tol > 0 && res.ErrIndicator <= opts.Tol*normA
+		return opts.Tol == 0 || res.Converged
 	}
+	if _, err := randqb.FactorDist(c, a, opts, accept); err != nil {
+		return nil, err
+	}
+	if selErr != nil {
+		return nil, selErr
+	}
+	return res, nil
 }
 
 // zeroRank is the exact factorization of the zero matrix.
@@ -164,53 +133,28 @@ func zeroRank(a *sparse.CSR, v Variant) *Result {
 	}
 }
 
-// trial is one restart of the CUR/ID2 loop at a fixed skeleton size.
-type trial struct {
-	rows, cols []int
-	c, r       *sparse.CSR
-	u          *mat.Dense
-	err        float64
-}
-
-// skeletonTrial selects a size-k skeleton, solves the core, and
-// evaluates the exact residual. aT is A's transpose, shared across
-// restarts.
-func skeletonTrial(c *dist.Comm, a, aT *sparse.CSR, opts Options, k int) (trial, error) {
-	p := opts.Oversample
-	if p <= 0 {
-		p = 8
-	}
-	l := k + p
-	if d := min(a.Rows, a.Cols); l > d {
-		l = d
-	}
-
-	// Column selection: QRCP the row-space sketch Y = ΩᵀA (l×n), drawn
-	// as Y = (AᵀΩ)ᵀ so the CSR transpose feeds the sketch apply kernel.
-	cols := pivotIndices(c, sketchApply(c, aT, opts, opts.Seed, l), k)
-
+// selectSkeleton picks a K-skeleton from a QB basis (q m×K, b K×n),
+// solves the core and stores the skeleton and its exact residual in res.
+// The columns J are the first K QRCP pivots of B_K; CUR takes its rows
+// from the QRCP of Q_Kᵀ and ID2 from a QRCP pass on A(:,J)ᵀ, the rows
+// that best span the selected columns' row space.
+func (res *Result) selectSkeleton(c *dist.Comm, a *sparse.CSR, q, b *mat.Dense) error {
+	k := b.Rows
+	cols := pivotIndices(c, b, k)
+	cd := a.ExtractColsDense(cols)
 	var rows []int
-	switch opts.Variant {
-	case CUR:
-		// Row selection mirrors the column side on a decorrelated
-		// column-space sketch W = AΩ (m×l).
-		rows = pivotIndices(c, sketchApply(c, a, opts, opts.Seed^rowSeedSalt, l), k)
-	case ID2:
-		// Two-sided ID: a second QRCP pass on Cᵀ — the rows that best
-		// span the selected columns' row space.
-		rows = pivotIndices(c, a.ExtractColsDense(cols).T(), k)
-	default:
-		return trial{}, fmt.Errorf("cur: unknown variant %v", opts.Variant)
+	if res.Variant == CUR {
+		rows = pivotIndices(c, q.T(), k)
+	} else {
+		rows = pivotIndices(c, cd.T(), k)
 	}
-
 	cs := a.ExtractCols(cols)
 	r := a.ExtractRows(rows)
-	cd := a.ExtractColsDense(cols)
 	rd := r.ToDense()
 
 	var u *mat.Dense
 	var err error
-	if opts.Variant == ID2 {
+	if res.Variant == ID2 {
 		u, err = coreSkeleton(c, cd, rows)
 		if err != nil {
 			// Singular skeleton: fall back to the least-squares core,
@@ -221,19 +165,13 @@ func skeletonTrial(c *dist.Comm, a, aT *sparse.CSR, opts Options, k int) (trial,
 		u, err = coreLS(c, a, cd, rd)
 	}
 	if err != nil {
-		return trial{}, fmt.Errorf("cur: rank-%d skeleton is numerically rank-deficient: %w", k, err)
+		return fmt.Errorf("cur: rank-%d skeleton is numerically rank-deficient: %w", k, err)
 	}
-	exact := residual(c, a, cs, u, rd)
-	return trial{rows: rows, cols: cols, c: cs, r: r, u: u, err: exact}, nil
-}
-
-// sketchApply draws an l-column sketch block over x's column count and
-// returns (X·Ω)ᵀ — the l×rows matrix whose QRCP pivots rank x's rows
-// (columns of the original operand when x is the transpose).
-func sketchApply(c *dist.Comm, x *sparse.CSR, opts Options, seed int64, l int) *mat.Dense {
-	blk := sketch.New(opts.Sketch, x.Cols, seed, opts.SketchNNZ).Next(l)
-	c.Compute(blk.CostCSR(float64(x.NNZ()), x.Rows), "SpMM")
-	return blk.MulCSR(x).T()
+	res.RowIdx, res.ColIdx = rows, cols
+	res.C, res.R, res.U = cs, r, u
+	res.Rank = k
+	res.ErrIndicator = residual(c, a, cs, u, rd)
+	return nil
 }
 
 // pivotIndices returns the first k QRCP pivot columns of y.

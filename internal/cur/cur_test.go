@@ -9,6 +9,7 @@ import (
 	"sparselr/internal/dist"
 	"sparselr/internal/gen"
 	"sparselr/internal/mat"
+	"sparselr/internal/randqb"
 	"sparselr/internal/sketch"
 	"sparselr/internal/sparse"
 )
@@ -42,9 +43,9 @@ func decayMatrix(m, n, r int, rate float64, seed int64) *sparse.CSR {
 }
 
 // factor runs Factor on a one-rank world, as core.Approximate does.
-func factor(a *sparse.CSR, opts Options) (*Result, error) {
+func factor(a *sparse.CSR, v Variant, opts randqb.Options) (*Result, error) {
 	r, _, err := dist.RunRoot(1, dist.DefaultConfig(), func(c *dist.Comm) (*Result, error) {
-		return Factor(c, a, opts)
+		return Factor(c, a, v, opts)
 	})
 	return r, err
 }
@@ -55,7 +56,7 @@ func TestFactorConvergesAllVariants(t *testing.T) {
 	a := decayMatrix(90, 70, 40, 0.6, 3)
 	tol := 1e-3
 	for _, v := range variants() {
-		res, err := factor(a, Options{Variant: v, BlockSize: 8, Tol: tol, Seed: 7})
+		res, err := factor(a, v, randqb.Options{BlockSize: 8, Tol: tol, Seed: 7})
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -80,7 +81,7 @@ func TestFactorConvergesAllVariants(t *testing.T) {
 func TestFactorsAreActualRowsAndCols(t *testing.T) {
 	a := decayMatrix(60, 50, 25, 0.65, 11)
 	for _, v := range variants() {
-		res, err := factor(a, Options{Variant: v, BlockSize: 4, Tol: 1e-2, Seed: 1})
+		res, err := factor(a, v, randqb.Options{BlockSize: 4, Tol: 1e-2, Seed: 1})
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -119,7 +120,7 @@ func TestTableIFixedPrecision(t *testing.T) {
 	for _, pm := range gen.TableI(gen.Small) {
 		a := pm.A
 		for _, v := range variants() {
-			res, err := factor(a, Options{Variant: v, BlockSize: 16, Tol: tol, Seed: 1})
+			res, err := factor(a, v, randqb.Options{BlockSize: 16, Tol: tol, Seed: 1})
 			if err != nil {
 				t.Fatalf("%s %v: %v", pm.Label, v, err)
 			}
@@ -138,12 +139,12 @@ func TestDeterminism(t *testing.T) {
 	a := decayMatrix(80, 60, 30, 0.6, 5)
 	for _, v := range variants() {
 		for _, kind := range []sketch.Kind{sketch.Gaussian, sketch.SparseSign, sketch.SRTT} {
-			o := Options{Variant: v, BlockSize: 8, Tol: 1e-3, Seed: 42, Sketch: kind}
-			r1, err := factor(a, o)
+			o := randqb.Options{BlockSize: 8, Tol: 1e-3, Seed: 42, Sketch: kind}
+			r1, err := factor(a, v, o)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", v, kind, err)
 			}
-			r2, err := factor(a, o)
+			r2, err := factor(a, v, o)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", v, kind, err)
 			}
@@ -163,7 +164,7 @@ func TestDeterminism(t *testing.T) {
 func TestFixedRankMode(t *testing.T) {
 	a := decayMatrix(70, 60, 30, 0.7, 9)
 	for _, v := range variants() {
-		res, err := factor(a, Options{Variant: v, MaxRank: 12, Seed: 3})
+		res, err := factor(a, v, randqb.Options{MaxRank: 12, Seed: 3})
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -179,7 +180,7 @@ func TestFixedRankMode(t *testing.T) {
 func TestMaxRankCapUnconverged(t *testing.T) {
 	a := decayMatrix(60, 50, 40, 0.95, 13) // slow decay: rank 4 cannot reach 1e-6
 	for _, v := range variants() {
-		res, err := factor(a, Options{Variant: v, BlockSize: 4, Tol: 1e-6, MaxRank: 4, Seed: 2})
+		res, err := factor(a, v, randqb.Options{BlockSize: 4, Tol: 1e-6, MaxRank: 4, Seed: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -195,7 +196,7 @@ func TestMaxRankCapUnconverged(t *testing.T) {
 func TestZeroMatrix(t *testing.T) {
 	a := sparse.NewCSR(10, 8)
 	for _, v := range variants() {
-		res, err := factor(a, Options{Variant: v, Tol: 1e-2})
+		res, err := factor(a, v, randqb.Options{Tol: 1e-2})
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -217,7 +218,7 @@ func TestACAEmptyRows(t *testing.T) {
 	b.Add(4, 2, 2.0)
 	b.Add(6, 0, 0.5)
 	a := b.ToCSR()
-	res, err := factor(a, Options{Variant: ACA, Tol: 1e-10})
+	res, err := factor(a, ACA, randqb.Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestACAEmptyRows(t *testing.T) {
 
 func TestApproxMatchesFactors(t *testing.T) {
 	a := decayMatrix(40, 30, 20, 0.6, 21)
-	res, err := factor(a, Options{Variant: CUR, BlockSize: 4, Tol: 1e-3, Seed: 8})
+	res, err := factor(a, CUR, randqb.Options{BlockSize: 4, Tol: 1e-3, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,13 +251,35 @@ func TestApproxMatchesFactors(t *testing.T) {
 
 func TestOptionValidation(t *testing.T) {
 	a := decayMatrix(10, 10, 5, 0.5, 1)
-	if _, err := factor(nil, Options{Tol: 1e-2}); err == nil {
+	if _, err := factor(nil, CUR, randqb.Options{Tol: 1e-2}); err == nil {
 		t.Fatal("nil matrix accepted")
 	}
-	if _, err := factor(a, Options{}); err == nil {
+	if _, err := factor(a, CUR, randqb.Options{}); err == nil {
 		t.Fatal("no Tol and no MaxRank accepted")
 	}
-	if _, err := factor(a, Options{Tol: -1}); err == nil {
+	if _, err := factor(a, CUR, randqb.Options{Tol: -1}); err == nil {
 		t.Fatal("negative Tol accepted")
+	}
+}
+
+// Where the first selection from RandQB_EI's basis meets τ, CUR and ID2
+// keep RandQB_EI's rank and select once.
+func TestSelectionKeepsQBRank(t *testing.T) {
+	opts := randqb.Options{BlockSize: 16, Tol: 1e-3, Power: 1, Seed: 1}
+	for _, pm := range gen.TableI(gen.Small) {
+		qb, err := randqb.Factor(pm.A, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []Variant{CUR, ID2} {
+			res, err := factor(pm.A, v, opts)
+			if err != nil {
+				t.Fatalf("%s %v: %v", pm.Label, v, err)
+			}
+			if !res.Converged || res.Rank != qb.Rank || res.Iters != 1 {
+				t.Errorf("%s %v: converged %v at rank %d after %d selections; want rank %d (RandQB_EI) after 1",
+					pm.Label, v, res.Converged, res.Rank, res.Iters, qb.Rank)
+			}
+		}
 	}
 }

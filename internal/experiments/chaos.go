@@ -12,12 +12,11 @@ import (
 	"fmt"
 	"math"
 
+	"sparselr/internal/core"
 	"sparselr/internal/dist"
 	"sparselr/internal/gen"
 	"sparselr/internal/lucrtp"
 	"sparselr/internal/qrtp"
-	"sparselr/internal/randqb"
-	"sparselr/internal/randubv"
 )
 
 // ChaosRow is one cell of the survival table.
@@ -50,6 +49,23 @@ func fpInts(h uint64, xs []int) uint64 {
 	return h
 }
 
+// fpFactors fingerprints every stored entry of an approximation's
+// factor table.
+func fpFactors(ap *core.Approximation) uint64 {
+	h := uint64(14695981039346656037)
+	for _, f := range ap.Factors(nil) {
+		switch {
+		case f.Dense != nil:
+			h = fpFloats(h, f.Dense.Data)
+		case f.Sparse != nil:
+			h = fpFloats(fpInts(h, f.Sparse.ColIdx), f.Sparse.Val)
+		default:
+			h = fpInts(fpFloats(h, f.Values), f.Perm)
+		}
+	}
+	return h
+}
+
 func chaosAlgos(seed int64) []struct {
 	name       string
 	checkpoint bool
@@ -57,62 +73,29 @@ func chaosAlgos(seed int64) []struct {
 } {
 	a := gen.RandLowRank(60, 50, 30, 0.7, 4, seed)
 	csc := a.ToCSC()
+	// solver runs a loop solver through core.Approximate on chaosProcs
+	// ranks with the cell's fault plan and checkpoint store.
+	solver := func(m core.Method) chaosRun {
+		return func(cfg dist.Config, store *dist.CheckpointStore, every int) (uint64, *dist.Result, error) {
+			ap, err := core.Approximate(a, core.Options{
+				Method: m, BlockSize: 4, Tol: 1e-6, Seed: seed, Reorder: lucrtp.ReorderOff,
+				Procs: chaosProcs, DistConfig: &cfg,
+				CheckpointEvery: every, CheckpointStore: store,
+			})
+			if err != nil {
+				return 0, nil, err
+			}
+			return fpFactors(ap), ap.Dist, nil
+		}
+	}
 	return []struct {
 		name       string
 		checkpoint bool
 		run        chaosRun
 	}{
-		{"LU_CRTP", true, func(cfg dist.Config, store *dist.CheckpointStore, every int) (uint64, *dist.Result, error) {
-			var fp uint64
-			res, err := dist.RunE(chaosProcs, cfg, func(c *dist.Comm) error {
-				r, err := lucrtp.FactorDist(c, a, lucrtp.Options{
-					BlockSize: 4, Tol: 1e-6, Reorder: lucrtp.ReorderOff,
-					CheckpointEvery: every, Checkpoint: store,
-				})
-				if err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					fp = fpInts(fpFloats(fpFloats(14695981039346656037, r.L.Val), r.U.Val), r.RowPerm)
-				}
-				return nil
-			})
-			return fp, res, err
-		}},
-		{"RandQB_EI", true, func(cfg dist.Config, store *dist.CheckpointStore, every int) (uint64, *dist.Result, error) {
-			var fp uint64
-			res, err := dist.RunE(chaosProcs, cfg, func(c *dist.Comm) error {
-				r, err := randqb.FactorDist(c, a, randqb.Options{
-					BlockSize: 4, Tol: 1e-6, Seed: seed,
-					CheckpointEvery: every, Checkpoint: store,
-				})
-				if err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					fp = fpFloats(fpFloats(14695981039346656037, r.Q.Data), r.B.Data)
-				}
-				return nil
-			})
-			return fp, res, err
-		}},
-		{"RandUBV", true, func(cfg dist.Config, store *dist.CheckpointStore, every int) (uint64, *dist.Result, error) {
-			var fp uint64
-			res, err := dist.RunE(chaosProcs, cfg, func(c *dist.Comm) error {
-				r, err := randubv.FactorDist(c, a, randubv.Options{
-					BlockSize: 4, Tol: 1e-6, Seed: seed,
-					CheckpointEvery: every, Checkpoint: store,
-				})
-				if err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					fp = fpFloats(fpFloats(fpFloats(14695981039346656037, r.U.Data), r.B.Data), r.V.Data)
-				}
-				return nil
-			})
-			return fp, res, err
-		}},
+		{"LU_CRTP", true, solver(core.LUCRTP)},
+		{"RandQB_EI", true, solver(core.RandQBEI)},
+		{"RandUBV", true, solver(core.RandUBV)},
 		{"QR_TP", false, func(cfg dist.Config, store *dist.CheckpointStore, every int) (uint64, *dist.Result, error) {
 			var fp uint64
 			res, err := dist.RunE(chaosProcs, cfg, func(c *dist.Comm) error {

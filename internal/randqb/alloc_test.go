@@ -95,7 +95,7 @@ func solveBytes(t *testing.T, a *sparse.CSR, p int, opts Options) float64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run := func() error {
 		_, err := dist.RunE(p, dist.DefaultConfig(), func(c *dist.Comm) error {
-			_, err := FactorDist(c, a, opts)
+			_, err := FactorDist(c, a, opts, nil)
 			return err
 		})
 		return err

@@ -17,7 +17,7 @@ func TestFactorDistMatchesSequential(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		var got *Result
 		dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
-			r, err := FactorDist(c, a, opts)
+			r, err := FactorDist(c, a, opts, nil)
 			if err != nil {
 				t.Errorf("p=%d: %v", p, err)
 				return
@@ -53,7 +53,7 @@ func TestFactorDistMatchesSequential(t *testing.T) {
 func TestFactorDistKernels(t *testing.T) {
 	a := randSparse(80, 80, 0.1, 32)
 	res := dist.Run(4, dist.DefaultConfig(), func(c *dist.Comm) {
-		if _, err := FactorDist(c, a, Options{BlockSize: 8, Tol: 1e-1, Power: 2, Seed: 5}); err != nil {
+		if _, err := FactorDist(c, a, Options{BlockSize: 8, Tol: 1e-1, Power: 2, Seed: 5}, nil); err != nil {
 			t.Error(err)
 		}
 	})
@@ -70,7 +70,7 @@ func TestFactorDistScalesBetterThanDeterministicStall(t *testing.T) {
 	a := randSparse(160, 160, 0.08, 33)
 	timeFor := func(p int) float64 {
 		res := dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
-			if _, err := FactorDist(c, a, Options{BlockSize: 8, Tol: 2e-1, Seed: 6}); err != nil {
+			if _, err := FactorDist(c, a, Options{BlockSize: 8, Tol: 2e-1, Seed: 6}, nil); err != nil {
 				t.Error(err)
 			}
 		})
@@ -89,7 +89,7 @@ func TestFactorDistILUTComparableQuality(t *testing.T) {
 	tol := 1e-2
 	var got *Result
 	dist.Run(2, dist.DefaultConfig(), func(c *dist.Comm) {
-		r, err := FactorDist(c, a, Options{BlockSize: 8, Tol: tol, Seed: 7})
+		r, err := FactorDist(c, a, Options{BlockSize: 8, Tol: tol, Seed: 7}, nil)
 		if err != nil {
 			t.Error(err)
 			return

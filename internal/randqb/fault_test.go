@@ -18,7 +18,7 @@ func faultOpts() Options {
 func TestFactorDistInjectedCrash(t *testing.T) {
 	a := decayMatrix(60, 50, 30, 0.6, 101)
 	base, err := dist.RunE(4, distCfg(), func(c *dist.Comm) error {
-		_, err := FactorDist(c, a, faultOpts())
+		_, err := FactorDist(c, a, faultOpts(), nil)
 		return err
 	})
 	if err != nil {
@@ -28,7 +28,7 @@ func TestFactorDistInjectedCrash(t *testing.T) {
 	cfg := distCfg()
 	cfg.Fault = &dist.FaultPlan{Crashes: []dist.Crash{{Rank: 2, At: crashAt}}}
 	_, err = dist.RunE(4, cfg, func(c *dist.Comm) error {
-		_, err := FactorDist(c, a, faultOpts())
+		_, err := FactorDist(c, a, faultOpts(), nil)
 		return err
 	})
 	var re *dist.RankError
@@ -59,7 +59,7 @@ func checkRestartBitIdentical(t *testing.T, a *sparse.CSR, p int, mkOpts func() 
 	run := func(opts Options, cfg dist.Config) (*Result, *dist.Result, error) {
 		var out *Result
 		st, err := dist.RunE(p, cfg, func(c *dist.Comm) error {
-			r, err := FactorDist(c, a, opts)
+			r, err := FactorDist(c, a, opts, nil)
 			if err != nil {
 				return err
 			}

@@ -99,7 +99,7 @@ func (r *Result) MinRank(tol float64) int {
 // block of A is all of A.
 func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 	opts.defaults() // an invalid Power panics here, in the caller
-	r, _, err := dist.RunRoot(1, dist.DefaultConfig(), func(c *dist.Comm) (*Result, error) { return FactorDist(c, a, opts) })
+	r, _, err := dist.RunRoot(1, dist.DefaultConfig(), func(c *dist.Comm) (*Result, error) { return FactorDist(c, a, opts, nil) })
 	return r, err
 }
 
@@ -117,13 +117,26 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 //
 // Kernel labels (Fig 6): SpMM (sparse A times dense blocks), orth/TSQR,
 // GEMM (projection corrections), Bupdate (B_k = Q_kᵀA plus its reduce).
-func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
+//
+// A nil accept runs Algorithm 1 as written. Otherwise, once the loop
+// stops, accept sees this rank's Q_K panel and the replicated B_K (views
+// into the factor stores, valid only during the call); while it refuses
+// and K < MaxRank, the basis grows by one more block from the same
+// sketch stream and accept is asked again. A block that adds no column
+// ends the growth.
+func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options, accept func(q, b *mat.Dense) bool) (*Result, error) {
 	st, err := newQBState(c, a, opts)
 	if err != nil {
 		return nil, err
 	}
-	for iter := st.resume() + 1; ; iter++ {
-		if st.step(iter) {
+	iter := st.resume() + 1
+	for !st.step(iter) {
+		iter++
+	}
+	for accept != nil && !accept(st.qKView(), st.bKView()) && st.kCur < st.maxRank {
+		iter++
+		k := st.kCur
+		if st.step(iter); st.kCur == k {
 			break
 		}
 	}

@@ -404,39 +404,59 @@ func TestServerEndToEndSolve(t *testing.T) {
 }
 
 // A TSVD job at τ ≥ 1 keeps no singular triplet: the job finishes at
-// rank 0 and its empty factors still export.
+// rank 0 and its empty factors still export, with the empty diagonal S
+// as "values": [] both fresh and as a hit on a reopened disk cache.
 func TestServerTSVDRankZero(t *testing.T) {
-	srv := NewServer(Config{Workers: 1, QueueDepth: 4})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	defer srv.Drain(context.Background())
-
-	resp, err := http.Post(ts.URL+"/v1/jobs?wait=60s", "application/json",
-		strings.NewReader(`{"matrix":"M1","scale":"small","method":"TSVD","tol":2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sr submitResponse
-	json.NewDecoder(resp.Body).Decode(&sr)
-	resp.Body.Close()
-	if sr.Status != StatusDone || sr.Result == nil || sr.Result.Rank != 0 || !sr.Result.Converged {
-		t.Fatalf("TSVD at τ = 2: %+v, want done at rank 0 and converged", sr.View)
-	}
-	if len(sr.Result.Factors) != 3 {
-		t.Fatalf("TSVD factors %v, want U, S, V", sr.Result.Factors)
-	}
-	for _, name := range sr.Result.Factors {
-		for _, q := range []string{"", "?format=mm"} {
-			fr, err := http.Get(ts.URL + "/v1/jobs/" + sr.ID + "/factors/" + name + q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			io.Copy(io.Discard, fr.Body)
-			fr.Body.Close()
-			if fr.StatusCode != http.StatusOK {
-				t.Fatalf("factor %s%s: status %d", name, q, fr.StatusCode)
+	dir := t.TempDir()
+	for _, run := range []string{"fresh", "disk hit"} {
+		dc, err := OpenDiskCache(dir, 1<<20, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(Config{Workers: 1, QueueDepth: 4, Disk: dc})
+		ts := httptest.NewServer(srv)
+		resp, err := http.Post(ts.URL+"/v1/jobs?wait=60s", "application/json",
+			strings.NewReader(`{"matrix":"M1","scale":"small","method":"TSVD","tol":2}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sr submitResponse
+		json.NewDecoder(resp.Body).Decode(&sr)
+		resp.Body.Close()
+		if sr.Status != StatusDone || sr.Result == nil || sr.Result.Rank != 0 || !sr.Result.Converged {
+			t.Fatalf("%s: TSVD at τ = 2: %+v, want done at rank 0 and converged", run, sr.View)
+		}
+		if sr.Cached != (run == "disk hit") {
+			t.Fatalf("%s: cached = %v", run, sr.Cached)
+		}
+		if len(sr.Result.Factors) != 3 {
+			t.Fatalf("%s: TSVD factors %v, want U, S, V", run, sr.Result.Factors)
+		}
+		for _, name := range sr.Result.Factors {
+			for _, q := range []string{"", "?format=mm"} {
+				fr, err := http.Get(ts.URL + "/v1/jobs/" + sr.ID + "/factors/" + name + q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(fr.Body)
+				fr.Body.Close()
+				if fr.StatusCode != http.StatusOK {
+					t.Fatalf("%s: factor %s%s: status %d", run, name, q, fr.StatusCode)
+				}
+				if q != "" {
+					continue
+				}
+				var doc map[string]json.RawMessage
+				if err := json.Unmarshal(body, &doc); err != nil {
+					t.Fatalf("%s: factor %s: %v", run, name, err)
+				}
+				if name == "S" && string(doc["values"]) != "[]" {
+					t.Errorf("%s: factor S exports values %s, want []", run, doc["values"])
+				}
 			}
 		}
+		ts.Close()
+		srv.Drain(context.Background())
 	}
 }
 

@@ -620,7 +620,13 @@ func writeFactor(w http.ResponseWriter, ap *core.Approximation, name, format str
 	case f.Sparse != nil:
 		d = f.Sparse.ToDense()
 	case f.Dense == nil && format == "json":
-		writeJSON(w, http.StatusOK, map[string]interface{}{"name": name, "values": f.Values})
+		// A rank-0 diagonal is nil (gob decodes an empty slice as nil),
+		// but it exports as [] like the empty dense factors beside it.
+		vals := f.Values
+		if vals == nil {
+			vals = []float64{}
+		}
+		writeJSON(w, http.StatusOK, map[string]interface{}{"name": name, "values": vals})
 		return nil
 	case f.Dense == nil:
 		// A vector is an n×1 array in MatrixMarket.

@@ -26,7 +26,7 @@ type Spec struct {
 	Method    string  `json:"method"`               // core.ParseMethod spellings
 	Tol       float64 `json:"tol,omitempty"`        // τ (0 needs MaxRank > 0)
 	BlockSize int     `json:"block,omitempty"`      // k (0 = 16)
-	Power     int     `json:"power,omitempty"`      // RandQB_EI power p ∈ [0,3]
+	Power     int     `json:"power,omitempty"`      // power p ∈ [0,3] of RandQB_EI, RSVD, CUR and ID2
 	MaxRank   int     `json:"max_rank,omitempty"`   // rank cap (0 = min(m,n))
 	Seed      int64   `json:"seed,omitempty"`       // PRNG seed
 	Sketch    string  `json:"sketch,omitempty"`     // gaussian|sparsesign|srtt

@@ -128,7 +128,7 @@ func TestSeedDriftRandQBSerial(t *testing.T) {
 func TestSeedDriftRandQBDist(t *testing.T) {
 	var r *randqb.Result
 	dist.Run(4, dist.DefaultConfig(), func(c *dist.Comm) {
-		rr, err := randqb.FactorDist(c, driftA(), randqb.Options{BlockSize: 8, Tol: 1e-3, Power: 1, Seed: 7})
+		rr, err := randqb.FactorDist(c, driftA(), randqb.Options{BlockSize: 8, Tol: 1e-3, Power: 1, Seed: 7}, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -220,21 +220,21 @@ func curDriftHash(r *cur.Result) uint64 {
 
 func TestSeedDriftCUR(t *testing.T) {
 	r := oneRank(t, func(c *dist.Comm) (*cur.Result, error) {
-		return cur.Factor(c, driftA(), cur.Options{Variant: cur.CUR, BlockSize: 8, Tol: 1e-2, Seed: 11})
+		return cur.Factor(c, driftA(), cur.CUR, randqb.Options{BlockSize: 8, Tol: 1e-2, Seed: 11})
 	})
-	checkDrift(t, "cur", curDriftHash(r), 0xb4be37236eb1c007)
+	checkDrift(t, "cur", curDriftHash(r), 0x8216d146936065db)
 }
 
 func TestSeedDriftTwoSidedID(t *testing.T) {
 	r := oneRank(t, func(c *dist.Comm) (*cur.Result, error) {
-		return cur.Factor(c, driftA(), cur.Options{Variant: cur.ID2, BlockSize: 8, Tol: 1e-2, Seed: 11})
+		return cur.Factor(c, driftA(), cur.ID2, randqb.Options{BlockSize: 8, Tol: 1e-2, Seed: 11})
 	})
-	checkDrift(t, "id2", curDriftHash(r), 0x7a53e977d332afa5)
+	checkDrift(t, "id2", curDriftHash(r), 0x11e18c7872baf581)
 }
 
 func TestSeedDriftACA(t *testing.T) {
 	r := oneRank(t, func(c *dist.Comm) (*cur.Result, error) {
-		return cur.Factor(c, driftA(), cur.Options{Variant: cur.ACA, BlockSize: 8, Tol: 1e-2, Seed: 11})
+		return cur.Factor(c, driftA(), cur.ACA, randqb.Options{BlockSize: 8, Tol: 1e-2, Seed: 11})
 	})
 	checkDrift(t, "aca", curDriftHash(r), 0x2f6d311477ce8a22)
 }

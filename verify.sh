@@ -29,16 +29,20 @@
 #  11. run-path gate: internal/core calls dist.RunRoot in exactly one
 #      non-test place, so every method keeps going through the one
 #      dispatch in core.Approximate and no second run path comes back
-#  12. daemon smoke test: build cmd/lowrankd, boot it on an ephemeral
+#  12. range-finder gate: no non-test Go file in internal/cur
+#      references the sketch package (`sketch.`), so CUR and ID2 keep
+#      taking their basis from RandQB_EI's one loop and no second range
+#      finder comes back
+#  13. daemon smoke test: build cmd/lowrankd, boot it on an ephemeral
 #      port, submit a workload twice (cold solve then cache hit),
 #      SIGTERM-drain cleanly -> BENCH_serve.json (cold vs cached
 #      latency, cached requests/sec)
-#  13. fleet smoke test: build cmd/lowrankd + cmd/lowrank-gateway, boot
+#  14. fleet smoke test: build cmd/lowrankd + cmd/lowrank-gateway, boot
 #      a two-shard fleet behind the gateway, assert exactly-once
 #      fleet-wide dedup, peer cache fill, kill-mid-wave rerouting and
 #      warm restart from -cachedir -> gateway req/s and peer-fill hit
 #      rate merged into BENCH_serve.json
-#  14. kernel micro-benchmarks -> BENCH_kernels.json (ns/op, bytes/op and
+#  15. kernel micro-benchmarks -> BENCH_kernels.json (ns/op, bytes/op and
 #      allocs/op per kernel); the GOMAXPROCS=1 twins
 #      KernelQRTournamentSerial, KernelSolveLUCRTPSerial,
 #      KernelSolveILUTCRTPSerial, KernelSolveRandQBEISerial and
@@ -47,18 +51,18 @@
 #      the committed file on any CPU count, and KernelSpMMT must stay
 #      within 0.9x of its serial twin on the medians of 5 alternating
 #      runs of both
-#  15. dist collective micro-benchmarks (traced vs untraced) -> BENCH_dist.json
-#  16. sketch micro-benchmarks -> BENCH_sketch.json (ns/op + allocs/op),
+#  16. dist collective micro-benchmarks (traced vs untraced) -> BENCH_dist.json
+#  17. sketch micro-benchmarks -> BENCH_sketch.json (ns/op + allocs/op),
 #      asserting SparseSign apply >= 3x faster than Gaussian and
 #      0 allocs/op on the Gaussian/SparseSign apply paths
-#  17. skeleton-method gate: re-run the internal/cur fixed-precision
+#  18. skeleton-method gate: re-run the internal/cur fixed-precision
 #      acceptance test (all three variants reach tau on Table I with the
 #      exact streamed residual), then the CUR/ID2/ACA-vs-RandQB_EI
 #      micro-benchmarks -> BENCH_cur.json (ns/op + resident factor
 #      bytes). The factor-bytes ratio gates unconditionally (CUR must
 #      stay >= 4x below the dense QB frame — it is deterministic);
 #      wall-clock ratios gate only on >= 4-CPU machines
-#  18. (-soak / SOAK=1 only) chaos soak: 3 lowrankd shards with
+#  19. (-soak / SOAK=1 only) chaos soak: 3 lowrankd shards with
 #      owner-set replication (R=2) behind the gateway, a seeded
 #      ChaosPlan SIGKILLing/restarting shards under a duplicate-heavy
 #      workload; asserts zero client-visible 5xx, exactly-once solving
@@ -69,10 +73,10 @@
 #      the soak adds the real-process run.
 #
 # Environment knobs:
-#   SKIP_BENCH=1    skip steps 12-17
-#   SOAK=1          run step 18 (also enabled by a -soak argument)
-#   BENCHTIME=...   per-benchmark budget for steps 14-17 (default 200ms)
-#   TESTTIMEOUT=... watchdog for steps 4-6, 12-13 and 18 (default 10m)
+#   SKIP_BENCH=1    skip steps 13-18
+#   SOAK=1          run step 19 (also enabled by a -soak argument)
+#   BENCHTIME=...   per-benchmark budget for steps 15-18 (default 200ms)
+#   TESTTIMEOUT=... watchdog for steps 4-6, 13-14 and 19 (default 10m)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -168,6 +172,15 @@ if [[ $(grep -c . <<<"$runs") != 1 ]]; then
     exit 1
 fi
 echo "run path OK"
+
+echo "== range-finder gate (internal/cur draws no sketch of its own)"
+sketches=$(grep -rn --include='*.go' 'sketch\.' internal/cur | grep -v '_test\.go:' || true)
+if [[ -n "$sketches" ]]; then
+    echo "internal/cur references the sketch package (CUR/ID2 take their basis from randqb.FactorDist):"
+    echo "$sketches"
+    exit 1
+fi
+echo "range finder OK"
 
 if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
     echo "== daemon smoke test (cold solve -> cache hit -> clean drain)"
