@@ -263,9 +263,12 @@ func BenchmarkKernelQRTall2048x256(b *testing.B) {
 	for i := range d.Data {
 		d.Data[i] = float64((i*2654435761)%1000)/500 - 1
 	}
+	f := d.Clone()
+	var ws mat.QRWorkspace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mat.ROnly(d)
+		f.CopyFrom(d)
+		ws.FactorR(f)
 	}
 }
 

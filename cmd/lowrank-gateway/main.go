@@ -15,10 +15,10 @@
 // so multiple gateways don't probe in lockstep), evicts a shard from
 // the ring after consecutive failures (its keys reroute to the
 // survivors), readmits it on recovery, spills 429/503 backpressure
-// over to the next shard, coalesces concurrent identical submissions
-// onto one upstream flight, rides out fleet-wide dial failures with a
+// over to the next shard, rides out fleet-wide dial failures with a
 // jittered-backoff retry budget, and exposes its routing counters on
-// /metrics.
+// /metrics. Identical submissions route to the same shard, whose
+// singleflight solves them once.
 package main
 
 import (

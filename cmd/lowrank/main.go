@@ -226,15 +226,15 @@ func exitOnRunError(err error) {
 }
 
 // classifyRunError maps a failed run onto (message, exit code): 2 for a
-// numerical breakdown (ErrBreakdown — retry with a smaller block size, a
-// looser τ, or the StableL formulation), 3 for a structured
+// numerical breakdown (ErrBreakdown — retry with a smaller block size or
+// a looser τ), 3 for a structured
 // distributed-runtime failure (rank crash, deadlock, poisoned
 // collective), 1 otherwise.
 func classifyRunError(err error) (string, int) {
 	class := core.ClassifyFailure(err)
 	switch class {
 	case core.FailureBreakdown:
-		return fmt.Sprintf("lowrank: numerical breakdown: %v\nlowrank: try a smaller -k, a looser -tol, or the StableL formulation", err), class.ExitCode()
+		return fmt.Sprintf("lowrank: numerical breakdown: %v\nlowrank: try a smaller -k or a looser -tol", err), class.ExitCode()
 	case core.FailureRankCrash:
 		var re *dist.RankError
 		errors.As(err, &re)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -105,10 +106,10 @@ func TestValidateFlags(t *testing.T) {
 	}
 	// Every method runs on a one-rank world, so -np 0 and 1 are legal
 	// for all ten.
-	for _, mi := range core.Methods() {
+	for _, name := range strings.Split(core.MethodUsage(), " | ") {
 		for _, np := range []int{0, 1} {
-			if _, _, err := validateFlags(mutate(func(v *flagValues) { v.method = mi.Name; v.np = np })); err != nil {
-				t.Fatalf("%s at -np %d rejected: %v", mi.Name, np, err)
+			if _, _, err := validateFlags(mutate(func(v *flagValues) { v.method = name; v.np = np })); err != nil {
+				t.Fatalf("%s at -np %d rejected: %v", name, np, err)
 			}
 		}
 	}
@@ -141,5 +142,11 @@ func TestClassifyRunError(t *testing.T) {
 		if code != c.code || !strings.Contains(msg, c.want) {
 			t.Errorf("classifyRunError(%v) = %q, %d; want code %d containing %q", c.err, msg, code, c.code, c.want)
 		}
+	}
+	// The breakdown advice names only remedies a flag reaches.
+	msg, _ := classifyRunError(lucrtp.ErrBreakdown)
+	advice := msg[strings.LastIndex(msg, "\n")+1:]
+	if got := regexp.MustCompile(`-[a-z]+`).FindAllString(advice, -1); strings.Join(got, " ") != "-k -tol" || strings.Contains(advice, "StableL") {
+		t.Errorf("breakdown advice %q names %v, want only -k and -tol", advice, got)
 	}
 }

@@ -10,10 +10,13 @@ import (
 	"sparselr/internal/sparse"
 )
 
+// probeWindow is r, the number of pending probes whose norms the
+// stopping test reads.
+const probeWindow = 10
+
 // Options configures an ARRF run.
 type Options struct {
-	Tol     float64 // target: ‖A − QQᵀA‖₂ ≲ Tol·‖A‖_F (see Scale note)
-	Window  int     // r, the probe-window size (default 10)
+	Tol     float64 // target: ‖A − QQᵀA‖₂ ≲ Tol·‖A‖_F, relative like every method's
 	MaxRank int     // cap (0 = min(m,n))
 	Seed    int64
 	// Sketch selects the operator drawing the probe vectors (default
@@ -21,15 +24,6 @@ type Options struct {
 	// configures SparseSign.
 	Sketch    sketch.Kind
 	SketchNNZ int
-	// RelativeToFrob interprets Tol against ‖A‖_F (matching the other
-	// methods' termination); false interprets it as an absolute bound.
-	RelativeToFrob bool
-}
-
-func (o *Options) defaults() {
-	if o.Window <= 0 {
-		o.Window = 10
-	}
 }
 
 // Result is the adaptive range basis.
@@ -48,7 +42,6 @@ type Result struct {
 // Factor grows the adaptive basis on a, charging every probe and every
 // Gram–Schmidt pass to c.
 func Factor(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
-	opts.defaults()
 	m, n := a.Dims()
 	if m == 0 || n == 0 {
 		return nil, fmt.Errorf("arrf: empty matrix %d×%d", m, n)
@@ -61,14 +54,10 @@ func Factor(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 	nnz := float64(a.NNZ())
 	normA := a.FrobNorm()
 	res := &Result{NormA: normA}
-	target := opts.Tol
-	if opts.RelativeToFrob {
-		target = opts.Tol * normA
-	}
 	// The stopping test compares the window maximum against
-	// target / (10·√(2/π)).
-	threshold := target / (10 * math.Sqrt(2/math.Pi))
-	r := opts.Window
+	// Tol·‖A‖_F / (10·√(2/π)).
+	threshold := opts.Tol * normA / (10 * math.Sqrt(2/math.Pi))
+	r := probeWindow
 
 	// probe draws one sketch column ω and returns y = A·ω as a fresh
 	// vector (the window owns its probes). An m×1 product accumulates per

@@ -87,8 +87,6 @@ type Options struct {
 	Mu                  float64 // fixed threshold (0 → automatic via eq 24)
 	Aggressive          bool    // aggressive sorted-drop thresholding (§VI-A)
 	Reorder             lucrtp.ReorderMode
-	StableL             bool
-	DiscardTol          float64 // >0 enables Cayrols-style column discarding
 	StopAtNumericalRank bool
 
 	// Procs is the number of virtual ranks the method's body runs on.
@@ -254,8 +252,7 @@ func solve(c *dist.Comm, a *sparse.CSR, opts Options) (*Approximation, error) {
 	case ARRF:
 		var r *arrf.Result
 		if r, err = arrf.Factor(c, a, arrf.Options{
-			Tol: opts.Tol, RelativeToFrob: true,
-			MaxRank: opts.MaxRank, Seed: opts.Seed,
+			Tol: opts.Tol, MaxRank: opts.MaxRank, Seed: opts.Seed,
 			Sketch: opts.Sketch, SketchNNZ: opts.SketchNNZ,
 		}); err == nil {
 			ap.ARRF = r
@@ -385,7 +382,6 @@ func luOptions(o Options) lucrtp.Options {
 	lo := lucrtp.Options{
 		BlockSize: o.BlockSize, Tol: o.Tol, MaxRank: o.MaxRank,
 		EstIters: o.EstIters, Mu: o.Mu, Reorder: o.Reorder,
-		StableL: o.StableL, DiscardTol: o.DiscardTol,
 		StopAtNumericalRank: o.StopAtNumericalRank, CheckpointEvery: o.CheckpointEvery,
 		Checkpoint: o.CheckpointStore,
 	}

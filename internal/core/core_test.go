@@ -103,7 +103,7 @@ func TestDistributedRunsFillTelemetry(t *testing.T) {
 
 func TestSequentialOnlyMethodsRejectProcs(t *testing.T) {
 	a := testMatrix(7)
-	for _, mi := range Methods() {
+	for _, mi := range methodTable {
 		if mi.Dist {
 			continue
 		}
@@ -267,7 +267,7 @@ func TestProcsZeroIsOneRankWorld(t *testing.T) {
 	}
 	for _, label := range []string{"60×50", "M1", "M2", "M3"} {
 		a := mats[label]
-		for _, mi := range Methods() {
+		for _, mi := range methodTable {
 			m := mi.Method
 			if m == TSVD && label != "60×50" {
 				// Its dense Jacobi SVD takes 1.5 s on a small Table I
@@ -314,7 +314,7 @@ func TestProcsZeroIsOneRankWorld(t *testing.T) {
 // other methods reject Procs 2 before running.
 func TestOneRankErrorClass(t *testing.T) {
 	empty := sparse.NewCSR(0, 5)
-	for _, mi := range Methods() {
+	for _, mi := range methodTable {
 		m := mi.Method
 		for _, procs := range []int{0, 1} {
 			_, err := Approximate(empty, Options{Method: m, BlockSize: 4, Tol: 1e-2, Seed: 1, Procs: procs})

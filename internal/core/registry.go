@@ -33,10 +33,6 @@ var methodTable = []MethodInfo{
 	{ACA, "ACA", []string{"aca"}, false},
 }
 
-// Methods returns the registry rows in display order. The slice is
-// shared; callers must not mutate it.
-func Methods() []MethodInfo { return methodTable }
-
 // methodInfo looks m up in the registry.
 func methodInfo(m Method) (MethodInfo, bool) {
 	for _, mi := range methodTable {

@@ -25,12 +25,15 @@ func benchFactorBytes(r *Result) float64 {
 	return float64(b)
 }
 
+// benchVariant runs at Power 1, as BenchmarkCURBaselineQB does, so the
+// CUR/ID2-over-QB wall ratio is what selection costs on top of the same
+// RandQB_EI sweep.
 func benchVariant(b *testing.B, v Variant) {
 	a := benchA()
 	var last *Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := factor(a, v, randqb.Options{BlockSize: 16, Tol: benchTol, Seed: 1})
+		r, err := factor(a, v, randqb.Options{BlockSize: 16, Tol: benchTol, Power: 1, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,17 +11,19 @@ type discardTracer struct{}
 
 func (discardTracer) TraceEvent(Event) {}
 
-func collectiveRound(conf Config) {
+// collectiveRound runs 8 rounds of an allreduce (Reduce + Bcast), a
+// Bcast and an empty Allgather on 4 ranks.
+func collectiveRound(b *testing.B, conf Config) {
 	payload := make([]float64, 128)
-	Run(4, conf, func(c *Comm) {
+	mustRun(b, 4, conf, func(c *Comm) {
 		for rep := 0; rep < 8; rep++ {
-			c.AllreduceSum(payload)
+			allreduceSum(c, payload)
 			var d interface{}
 			if c.Rank() == 0 {
 				d = payload
 			}
 			c.Bcast(0, d, 8*len(payload))
-			c.Barrier()
+			c.Allgather(nil, 0)
 		}
 	})
 }
@@ -29,7 +31,7 @@ func collectiveRound(conf Config) {
 func benchCollectives(b *testing.B, conf Config) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		collectiveRound(conf)
+		collectiveRound(b, conf)
 	}
 }
 
@@ -49,13 +51,13 @@ func BenchmarkDistCollectivesTraced(b *testing.B) {
 	conf.Tracer = tr
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		collectiveRound(conf)
+		collectiveRound(b, conf)
 		tr.Reset()
 	}
 }
 
 func BenchmarkDistComputeUntraced(b *testing.B) {
-	Run(1, cfg(), func(c *Comm) {
+	mustRun(b, 1, cfg(), func(c *Comm) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c.Compute(100, "k")
@@ -66,7 +68,7 @@ func BenchmarkDistComputeUntraced(b *testing.B) {
 func BenchmarkDistComputeTraced(b *testing.B) {
 	conf := cfg()
 	conf.Tracer = discardTracer{}
-	Run(1, conf, func(c *Comm) {
+	mustRun(b, 1, conf, func(c *Comm) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c.Compute(100, "k")
@@ -78,7 +80,7 @@ func BenchmarkDistChromeExport(b *testing.B) {
 	tr := NewTrace()
 	conf := cfg()
 	conf.Tracer = tr
-	collectiveRound(conf)
+	collectiveRound(b, conf)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := tr.WriteChromeTrace(discardWriter{}); err != nil {

@@ -68,10 +68,3 @@ func (s *CheckpointStore) Latest(p int) (iter int, states []interface{}, ok bool
 	}
 	return best, states, true
 }
-
-// Clear drops every snapshot (e.g. after a successful run).
-func (s *CheckpointStore) Clear() {
-	s.mu.Lock()
-	s.snaps = map[int]map[int]interface{}{}
-	s.mu.Unlock()
-}

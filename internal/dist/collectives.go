@@ -6,24 +6,12 @@ package dist
 // collide.
 
 const (
-	tagBarrier = 1<<20 + iota
+	_ = 1<<20 + iota // reserved, so the tags below keep their values
 	tagBcast
 	tagReduce
 	tagGather
 	tagAllgather
-	tagScatter
 )
-
-// Barrier synchronizes all ranks: no rank leaves before every rank has
-// entered. Clocks converge to at least the maximum entry time plus the
-// tree traversal cost.
-func (c *Comm) Barrier() {
-	top := c.beginCollective("Barrier")
-	// Reduce an empty payload to rank 0, then broadcast it back.
-	c.reduceTree(0, tagBarrier, nil, 0, nil)
-	c.bcastTree(0, tagBarrier, nil, 0)
-	c.endCollective(top)
-}
 
 // Bcast distributes root's data to every rank and returns it. bytes is
 // the payload size for the cost model; non-root ranks may pass nil data.
@@ -126,49 +114,6 @@ func (c *Comm) reduceTree(root, tag int, data interface{}, bytes int, combine Re
 	return acc
 }
 
-// ReduceSum element-wise sums float64 slices at the root; non-root ranks
-// receive nil.
-func (c *Comm) ReduceSum(root int, x []float64) []float64 {
-	out := c.Reduce(root, append([]float64(nil), x...), 8*len(x), func(a, b interface{}) interface{} {
-		av := a.([]float64)
-		bv := b.([]float64)
-		for i := range av {
-			av[i] += bv[i]
-		}
-		return av
-	})
-	if out == nil {
-		return nil
-	}
-	return out.([]float64)
-}
-
-// AllreduceSum element-wise sums float64 slices across all ranks and
-// returns the result everywhere.
-func (c *Comm) AllreduceSum(x []float64) []float64 {
-	top := c.beginCollective("Allreduce")
-	defer c.endCollective(top)
-	s := c.ReduceSum(0, x)
-	res := c.Bcast(0, s, 8*len(x))
-	return res.([]float64)
-}
-
-// AllreduceMax returns the maximum of one scalar across all ranks.
-func (c *Comm) AllreduceMax(x float64) float64 {
-	top := c.beginCollective("Allreduce")
-	defer c.endCollective(top)
-	out := c.Reduce(0, []float64{x}, 8, func(a, b interface{}) interface{} {
-		av := a.([]float64)
-		bv := b.([]float64)
-		if bv[0] > av[0] {
-			av[0] = bv[0]
-		}
-		return av
-	})
-	res := c.Bcast(0, out, 8)
-	return res.([]float64)[0]
-}
-
 // Gather collects every rank's payload at the root in rank order;
 // non-root ranks return nil.
 func (c *Comm) Gather(root int, data interface{}, bytes int) []interface{} {
@@ -198,25 +143,4 @@ func (c *Comm) Allgather(data interface{}, bytes int) []interface{} {
 	total := bytes * c.Size()
 	res := c.Bcast(0, parts, total)
 	return res.([]interface{})
-}
-
-// Scatter sends parts[r] to each rank r from the root and returns this
-// rank's part. bytesEach is the per-part payload size.
-func (c *Comm) Scatter(root int, parts []interface{}, bytesEach int) interface{} {
-	top := c.beginCollective("Scatter")
-	defer c.endCollective(top)
-	p := c.Size()
-	if c.rank == root {
-		if len(parts) != p {
-			panic("dist: Scatter needs one part per rank")
-		}
-		for r := 0; r < p; r++ {
-			if r == root {
-				continue
-			}
-			c.Send(r, tagScatter, parts[r], bytesEach)
-		}
-		return parts[root]
-	}
-	return c.Recv(root, tagScatter)
 }

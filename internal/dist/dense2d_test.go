@@ -30,7 +30,7 @@ func TestRowShare(t *testing.T) {
 func TestSumReduceAndAllgatherRowsReuseBuffers(t *testing.T) {
 	const m, n, w, calls = 11, 7, 3, 20
 	for _, p := range []int{1, 3, 4} {
-		Run(p, cfg(), func(c *Comm) {
+		mustRun(t, p, cfg(), func(c *Comm) {
 			lo, hi := RowShare(m, p, c.Rank())
 			var part, sum, loc, full mat.Buffer
 			for call := 0; call < calls; call++ {

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 )
@@ -87,7 +86,7 @@ type Comm struct {
 	colls     map[string]*CollectiveStats
 	collOrder []string
 	collName  string  // innermost-entered top-level collective
-	collDepth int     // nesting depth (Allreduce calls Reduce+Bcast)
+	collDepth int     // nesting depth (Allgather calls Gather+Bcast)
 	collStart float64 // clock at top-level entry
 	collMsgs  int
 	collBytes int
@@ -297,42 +296,8 @@ func (c *Comm) recvFull(src, tag int) message {
 	return m
 }
 
-// SendFloats sends a float64 slice, deriving the byte count.
-func (c *Comm) SendFloats(dst, tag int, x []float64) { c.Send(dst, tag, x, 8*len(x)) }
-
-// RecvFloats receives a float64 slice. A message with a different
-// payload type fails the rank with a descriptive *RankError (wrapping
-// ErrTypeMismatch, naming the peer, tag and both types) instead of a
-// bare interface-assertion panic.
-func (c *Comm) RecvFloats(src, tag int) []float64 {
-	m := c.Recv(src, tag)
-	v, ok := m.([]float64)
-	if !ok {
-		panic(c.typeMismatch(src, tag, "[]float64", m))
-	}
-	return v
-}
-
-// RecvInts receives an int slice with the same checked-type contract as
-// RecvFloats.
-func (c *Comm) RecvInts(src, tag int) []int {
-	m := c.Recv(src, tag)
-	v, ok := m.([]int)
-	if !ok {
-		panic(c.typeMismatch(src, tag, "[]int", m))
-	}
-	return v
-}
-
-func (c *Comm) typeMismatch(src, tag int, want string, got interface{}) *RankError {
-	return &RankError{
-		Rank: c.rank, VirtualTime: c.clock, Phase: c.p2pName("recv"),
-		Err: fmt.Errorf("%w: receive from rank %d tag %d got %T, want %s", ErrTypeMismatch, src, tag, got, want),
-	}
-}
-
 // beginCollective enters a named collective region. It returns true for
-// the outermost entry; nested collectives (Allreduce's internal Reduce
+// the outermost entry; nested collectives (Allgather's internal Gather
 // and Bcast) keep the outer attribution.
 func (c *Comm) beginCollective(name string) bool {
 	c.collDepth++
@@ -451,19 +416,9 @@ func (r *Result) MakespanRank() int {
 	return best
 }
 
-// MaxKernel returns the maximum over ranks of the time attributed to the
-// named kernel (the "maximum time among processes" of Fig 5).
-func (r *Result) MaxKernel(name string) float64 {
-	var m float64
-	for _, s := range r.Ranks {
-		if v := s.Kernels[name]; v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// MaxKernels maps every kernel any rank charged to its MaxKernel time.
+// MaxKernels maps every kernel any rank charged to the maximum over
+// ranks of the time attributed to it (the "maximum time among
+// processes" of Fig 5).
 func (r *Result) MaxKernels() map[string]float64 {
 	m := map[string]float64{}
 	for _, s := range r.Ranks {
@@ -490,25 +445,6 @@ func (r *Result) CollectiveNames() []string {
 	return names
 }
 
-// Run executes body on p ranks and returns the per-rank virtual-time
-// statistics. It blocks until every rank returns. Panics in rank bodies
-// propagate to the caller; a deadlock or injected fault panics with the
-// structured error RunE would have returned.
-func Run(p int, cfg Config, body func(*Comm)) *Result {
-	res, err := RunE(p, cfg, func(c *Comm) error {
-		body(c)
-		return nil
-	})
-	if err != nil {
-		var re *RankError
-		if errors.As(err, &re) && re.panicVal != nil {
-			panic(fmt.Sprintf("dist: rank %d panicked: %v", re.Rank, re.panicVal))
-		}
-		panic(err)
-	}
-	return res
-}
-
 // RunE executes body on p ranks, where rank bodies return errors. Each
 // rank runs on its own goroutine, so the call stacks of a solve (and of
 // its sampled heap profiles) start at the rank, whatever the caller. It
@@ -517,8 +453,8 @@ func Run(p int, cfg Config, body func(*Comm)) *Result {
 // the failure).
 //
 // Failure semantics:
-//   - A body error, a recovered panic, an injected crash, a typed-recv
-//     mismatch or a CheckNumerics violation becomes a *RankError carrying
+//   - A body error, a recovered panic, an injected crash or a
+//     CheckNumerics violation becomes a *RankError carrying
 //     the rank, its virtual time and the failure phase.
 //   - Once a rank can no longer send, peers whose blocking Recv can
 //     never be satisfied unwind deterministically at that Recv instead of
@@ -620,7 +556,7 @@ func (c *Comm) run(body func(*Comm) error) {
 			case *RankError:
 				c.err = v
 			default:
-				c.err = &RankError{Rank: c.rank, VirtualTime: c.clock, Phase: "body", Err: fmt.Errorf("panic: %v", v), panicVal: v}
+				c.err = &RankError{Rank: c.rank, VirtualTime: c.clock, Phase: "body", Err: fmt.Errorf("panic: %v", v)}
 			}
 		}()
 		if err := body(c); err != nil {

@@ -3,13 +3,46 @@ package dist
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
 func cfg() Config { return Config{Alpha: 1e-6, Beta: 1e-9, Gamma: 1e-9} }
 
+// mustRun runs body on p ranks through RunE and fails tb on a run error.
+func mustRun(tb testing.TB, p int, conf Config, body func(*Comm)) *Result {
+	tb.Helper()
+	res, err := RunE(p, conf, func(c *Comm) error { body(c); return nil })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+func sendFloats(c *Comm, dst, tag int, x []float64) { c.Send(dst, tag, x, 8*len(x)) }
+
+func recvFloats(c *Comm, src, tag int) []float64 { return c.Recv(src, tag).([]float64) }
+
+// sumFloats is a Reduce combine that adds float64 slices element-wise
+// into a fresh slice, leaving both payloads untouched.
+func sumFloats(a, b interface{}) interface{} {
+	av, bv := a.([]float64), b.([]float64)
+	out := make([]float64, len(av))
+	for i := range out {
+		out[i] = av[i] + bv[i]
+	}
+	return out
+}
+
+// allreduceSum is the test programs' allreduce: Reduce to rank 0, then
+// Bcast.
+func allreduceSum(c *Comm, x []float64) []float64 {
+	s := c.Reduce(0, x, 8*len(x), sumFloats)
+	return c.Bcast(0, s, 8*len(x)).([]float64)
+}
+
 func TestRunSingleRank(t *testing.T) {
-	res := Run(1, cfg(), func(c *Comm) {
+	res := mustRun(t, 1, cfg(), func(c *Comm) {
 		if c.Rank() != 0 || c.Size() != 1 {
 			t.Error("bad rank/size")
 		}
@@ -18,7 +51,7 @@ func TestRunSingleRank(t *testing.T) {
 	if got := res.MaxTime(); math.Abs(got-1e-3) > 1e-12 {
 		t.Fatalf("virtual time = %v, want 1e-3", got)
 	}
-	if got := res.MaxKernel("work"); math.Abs(got-1e-3) > 1e-12 {
+	if got := res.MaxKernels()["work"]; math.Abs(got-1e-3) > 1e-12 {
 		t.Fatalf("kernel time = %v", got)
 	}
 }
@@ -31,7 +64,7 @@ func TestRunRoot(t *testing.T) {
 		c.Compute(1e6, "work")
 		return c.Size() + 41, nil
 	})
-	if got != 42 || err != nil || len(res.Ranks) != 1 || res.MaxKernel("work") <= 0 {
+	if got != 42 || err != nil || len(res.Ranks) != 1 || res.MaxKernels()["work"] <= 0 {
 		t.Fatalf("RunRoot = %v, %+v, %v; want 42, a one-rank result with a work kernel, nil", got, res, err)
 	}
 	got, res, err = RunRoot(3, cfg(), func(c *Comm) (int, error) { return 10 * c.Rank(), nil })
@@ -55,13 +88,13 @@ func TestRunRoot(t *testing.T) {
 
 func TestSendRecvTransfersData(t *testing.T) {
 	for _, p := range []int{2, 3, 5} {
-		Run(p, cfg(), func(c *Comm) {
+		mustRun(t, p, cfg(), func(c *Comm) {
 			if c.Rank() == 0 {
 				for r := 1; r < c.Size(); r++ {
-					c.SendFloats(r, 7, []float64{float64(r), 42})
+					sendFloats(c, r, 7, []float64{float64(r), 42})
 				}
 			} else {
-				got := c.RecvFloats(0, 7)
+				got := recvFloats(c, 0, 7)
 				if got[0] != float64(c.Rank()) || got[1] != 42 {
 					t.Errorf("rank %d got %v", c.Rank(), got)
 				}
@@ -73,12 +106,12 @@ func TestSendRecvTransfersData(t *testing.T) {
 func TestRecvClockPropagation(t *testing.T) {
 	// Rank 0 computes for 1 ms then sends; rank 1's receive must not
 	// complete before rank 0's send started.
-	res := Run(2, cfg(), func(c *Comm) {
+	res := mustRun(t, 2, cfg(), func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Compute(1e6, "w") // 1 ms
-			c.SendFloats(1, 1, []float64{1})
+			sendFloats(c, 1, 1, []float64{1})
 		} else {
-			c.RecvFloats(0, 1)
+			recvFloats(c, 0, 1)
 		}
 	})
 	r1 := res.Ranks[1].Time
@@ -88,14 +121,14 @@ func TestRecvClockPropagation(t *testing.T) {
 }
 
 func TestTagMatchingOutOfOrder(t *testing.T) {
-	Run(2, cfg(), func(c *Comm) {
+	mustRun(t, 2, cfg(), func(c *Comm) {
 		if c.Rank() == 0 {
-			c.SendFloats(1, 1, []float64{1})
-			c.SendFloats(1, 2, []float64{2})
+			sendFloats(c, 1, 1, []float64{1})
+			sendFloats(c, 1, 2, []float64{2})
 		} else {
 			// Receive in reverse tag order.
-			b := c.RecvFloats(0, 2)
-			a := c.RecvFloats(0, 1)
+			b := recvFloats(c, 0, 2)
+			a := recvFloats(c, 0, 1)
 			if a[0] != 1 || b[0] != 2 {
 				t.Error("tag matching failed")
 			}
@@ -103,17 +136,17 @@ func TestTagMatchingOutOfOrder(t *testing.T) {
 	})
 }
 
-func TestBarrierSynchronizesClocks(t *testing.T) {
-	res := Run(4, cfg(), func(c *Comm) {
-		// Rank 2 is slow before the barrier.
+func TestAllgatherSynchronizesClocks(t *testing.T) {
+	res := mustRun(t, 4, cfg(), func(c *Comm) {
+		// Rank 2 is slow before the allgather.
 		if c.Rank() == 2 {
 			c.Compute(5e6, "slow") // 5 ms
 		}
-		c.Barrier()
+		c.Allgather(nil, 0)
 	})
 	for _, s := range res.Ranks {
 		if s.Time < 5e-3 {
-			t.Fatalf("rank %d left the barrier at %v, before the slow rank entered", s.Rank, s.Time)
+			t.Fatalf("rank %d left the allgather at %v, before the slow rank entered", s.Rank, s.Time)
 		}
 	}
 }
@@ -121,7 +154,7 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 func TestBcastAllRanksReceive(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 7, 8} {
 		for root := 0; root < p; root += 3 {
-			Run(p, cfg(), func(c *Comm) {
+			mustRun(t, p, cfg(), func(c *Comm) {
 				var payload interface{}
 				if c.Rank() == root {
 					payload = []float64{3.14, float64(root)}
@@ -137,13 +170,13 @@ func TestBcastAllRanksReceive(t *testing.T) {
 
 func TestReduceSum(t *testing.T) {
 	for _, p := range []int{1, 2, 5, 8} {
-		Run(p, cfg(), func(c *Comm) {
+		mustRun(t, p, cfg(), func(c *Comm) {
 			x := []float64{float64(c.Rank()), 1}
-			got := c.ReduceSum(0, x)
+			got := c.Reduce(0, x, 16, sumFloats)
 			if c.Rank() == 0 {
 				wantSum := float64(p*(p-1)) / 2
-				if got[0] != wantSum || got[1] != float64(p) {
-					t.Errorf("p=%d reduce got %v", p, got)
+				if v := got.([]float64); v[0] != wantSum || v[1] != float64(p) {
+					t.Errorf("p=%d reduce got %v", p, v)
 				}
 			} else if got != nil {
 				t.Error("non-root should get nil")
@@ -152,34 +185,21 @@ func TestReduceSum(t *testing.T) {
 	}
 }
 
+// Reduce hands the payloads to the combine untouched: with a combine
+// that builds a fresh result, no rank's input changes.
 func TestReduceDoesNotClobberInput(t *testing.T) {
-	Run(4, cfg(), func(c *Comm) {
+	mustRun(t, 4, cfg(), func(c *Comm) {
 		x := []float64{1}
-		c.ReduceSum(0, x)
+		c.Reduce(0, x, 8, sumFloats)
 		if x[0] != 1 {
-			t.Error("ReduceSum must not modify the caller's slice")
+			t.Error("Reduce must not modify the caller's slice")
 		}
 	})
 }
 
-func TestAllreduceSumAndMax(t *testing.T) {
-	for _, p := range []int{1, 3, 6} {
-		Run(p, cfg(), func(c *Comm) {
-			s := c.AllreduceSum([]float64{1})
-			if s[0] != float64(p) {
-				t.Errorf("AllreduceSum got %v want %d", s[0], p)
-			}
-			m := c.AllreduceMax(float64(c.Rank()))
-			if m != float64(p-1) {
-				t.Errorf("AllreduceMax got %v want %d", m, p-1)
-			}
-		})
-	}
-}
-
 func TestGatherOrder(t *testing.T) {
 	p := 5
-	Run(p, cfg(), func(c *Comm) {
+	mustRun(t, p, cfg(), func(c *Comm) {
 		parts := c.Gather(2, []float64{float64(c.Rank() * 10)}, 8)
 		if c.Rank() != 2 {
 			if parts != nil {
@@ -197,7 +217,7 @@ func TestGatherOrder(t *testing.T) {
 
 func TestAllgather(t *testing.T) {
 	p := 4
-	Run(p, cfg(), func(c *Comm) {
+	mustRun(t, p, cfg(), func(c *Comm) {
 		parts := c.Allgather([]float64{float64(c.Rank())}, 8)
 		for r := 0; r < p; r++ {
 			if parts[r].([]float64)[0] != float64(r) {
@@ -207,30 +227,14 @@ func TestAllgather(t *testing.T) {
 	})
 }
 
-func TestScatter(t *testing.T) {
-	p := 4
-	Run(p, cfg(), func(c *Comm) {
-		var parts []interface{}
-		if c.Rank() == 1 {
-			for r := 0; r < p; r++ {
-				parts = append(parts, []float64{float64(r * r)})
-			}
-		}
-		mine := c.Scatter(1, parts, 8).([]float64)
-		if mine[0] != float64(c.Rank()*c.Rank()) {
-			t.Errorf("scatter rank %d got %v", c.Rank(), mine)
-		}
-	})
-}
-
 func TestVirtualTimeCommCost(t *testing.T) {
 	// One 8-byte message: sender pays α+8β; receiver at least that.
 	conf := Config{Alpha: 1e-3, Beta: 1e-6, Gamma: 0}
-	res := Run(2, conf, func(c *Comm) {
+	res := mustRun(t, 2, conf, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.SendFloats(1, 9, []float64{1})
+			sendFloats(c, 1, 9, []float64{1})
 		} else {
-			c.RecvFloats(0, 9)
+			recvFloats(c, 0, 9)
 		}
 	})
 	want := 1e-3 + 8e-6
@@ -250,7 +254,7 @@ func TestBcastCostGrowsLogarithmically(t *testing.T) {
 	// roughly with it, not with P.
 	conf := Config{Alpha: 1e-3, Beta: 0, Gamma: 0}
 	timeFor := func(p int) float64 {
-		res := Run(p, conf, func(c *Comm) {
+		res := mustRun(t, p, conf, func(c *Comm) {
 			var d interface{}
 			if c.Rank() == 0 {
 				d = []float64{1}
@@ -273,17 +277,17 @@ func TestBcastCostGrowsLogarithmically(t *testing.T) {
 func TestDeterministicVirtualTime(t *testing.T) {
 	prog := func(c *Comm) {
 		c.Compute(float64(c.Rank()+1)*1e5, "w")
-		c.AllreduceSum([]float64{1, 2, 3})
+		allreduceSum(c, []float64{1, 2, 3})
 		if c.Rank() == 0 {
-			c.SendFloats(c.Size()-1, 4, []float64{9})
+			sendFloats(c, c.Size()-1, 4, []float64{9})
 		}
 		if c.Rank() == c.Size()-1 {
-			c.RecvFloats(0, 4)
+			recvFloats(c, 0, 4)
 		}
-		c.Barrier()
+		c.Allgather(nil, 0)
 	}
-	a := Run(6, cfg(), prog)
-	b := Run(6, cfg(), prog)
+	a := mustRun(t, 6, cfg(), prog)
+	b := mustRun(t, 6, cfg(), prog)
 	for i := range a.Ranks {
 		if a.Ranks[i].Time != b.Ranks[i].Time {
 			t.Fatal("virtual time must be deterministic across runs")
@@ -291,27 +295,28 @@ func TestDeterministicVirtualTime(t *testing.T) {
 	}
 }
 
+// A panicking rank ends the run with a *RankError naming the rank and
+// the panic value; its peer returns instead of waiting on it.
 func TestRunPanicPropagates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected rank panic to propagate")
-		}
-	}()
-	Run(2, cfg(), func(c *Comm) {
+	_, _, err := RunRoot(2, cfg(), func(c *Comm) (int, error) {
 		if c.Rank() == 1 {
 			panic("boom")
 		}
-		// Rank 0 must not deadlock waiting; it just returns.
+		return 0, nil
 	})
+	var re *RankError
+	if !errors.As(err, &re) || re.Rank != 1 || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("RunRoot = %v, want rank 1's *RankError carrying the panic", err)
+	}
 }
 
 func TestMessageAccounting(t *testing.T) {
-	res := Run(3, cfg(), func(c *Comm) {
+	res := mustRun(t, 3, cfg(), func(c *Comm) {
 		if c.Rank() == 0 {
-			c.SendFloats(1, 5, []float64{1, 2}) // 16 bytes
-			c.SendFloats(2, 5, []float64{3})    // 8 bytes
+			sendFloats(c, 1, 5, []float64{1, 2}) // 16 bytes
+			sendFloats(c, 2, 5, []float64{3})    // 8 bytes
 		} else {
-			c.RecvFloats(0, 5)
+			recvFloats(c, 0, 5)
 		}
 	})
 	if res.Ranks[0].MsgsSent != 2 || res.Ranks[0].BytesSent != 24 {
@@ -324,7 +329,7 @@ func TestMessageAccounting(t *testing.T) {
 
 func TestCollectiveMessageCountsScaleLogarithmically(t *testing.T) {
 	msgsFor := func(p int) int {
-		res := Run(p, cfg(), func(c *Comm) {
+		res := mustRun(t, p, cfg(), func(c *Comm) {
 			var d interface{}
 			if c.Rank() == 0 {
 				d = []float64{1}
@@ -342,39 +347,43 @@ func TestCollectiveMessageCountsScaleLogarithmically(t *testing.T) {
 }
 
 func TestKernelAttribution(t *testing.T) {
-	res := Run(2, cfg(), func(c *Comm) {
+	res := mustRun(t, 2, cfg(), func(c *Comm) {
 		c.Compute(1e6, "gemm")
 		c.Compute(2e6, "qr")
 		c.Compute(1e6, "gemm")
 	})
-	if got := res.MaxKernel("gemm"); math.Abs(got-2e-3) > 1e-12 {
-		t.Fatalf("gemm kernel time %v", got)
+	got := res.MaxKernels()
+	if math.Abs(got["gemm"]-2e-3) > 1e-12 || math.Abs(got["qr"]-2e-3) > 1e-12 || len(got) != 2 {
+		t.Fatalf("MaxKernels %v, want gemm and qr at 2e-3", got)
 	}
 	names := res.Ranks[0].KOrder
 	if len(names) != 2 || names[0] != "gemm" || names[1] != "qr" {
 		t.Fatalf("kernel names %v", names)
 	}
-	if got := res.MaxKernels(); len(got) != 2 || got["gemm"] != res.MaxKernel("gemm") || got["qr"] != res.MaxKernel("qr") {
-		t.Fatalf("MaxKernels %v", got)
-	}
 }
 
+// A world without ranks panics in the caller; a guard that trips inside
+// a rank panics there and ends the run as that rank's *RankError.
 func TestGuardPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"zero ranks":     func() { Run(0, cfg(), func(*Comm) {}) },
-		"negative flops": func() { Run(1, cfg(), func(c *Comm) { c.Compute(-1, "x") }) },
-		"negative time":  func() { Run(1, cfg(), func(c *Comm) { c.Elapse(-1, "x") }) },
-		"bad send rank":  func() { Run(1, cfg(), func(c *Comm) { c.Send(5, 1, nil, 0) }) },
-		"bad recv rank":  func() { Run(1, cfg(), func(c *Comm) { c.Recv(-1, 1) }) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic", name)
-				}
-			}()
-			f()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("zero ranks: expected panic")
+			}
 		}()
+		RunE(0, cfg(), func(*Comm) error { return nil })
+	}()
+	for name, body := range map[string]func(*Comm){
+		"negative flops": func(c *Comm) { c.Compute(-1, "x") },
+		"negative time":  func(c *Comm) { c.Elapse(-1, "x") },
+		"bad send rank":  func(c *Comm) { c.Send(5, 1, nil, 0) },
+		"bad recv rank":  func(c *Comm) { c.Recv(-1, 1) },
+	} {
+		_, err := RunE(1, cfg(), func(c *Comm) error { body(c); return nil })
+		var re *RankError
+		if !errors.As(err, &re) || !strings.Contains(err.Error(), "panic") {
+			t.Fatalf("%s: got %v, want a *RankError from the guard's panic", name, err)
+		}
 	}
 }
 

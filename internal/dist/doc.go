@@ -22,14 +22,12 @@
 // Trace collector records per-rank event timelines and can
 //
 //   - export them in the Chrome trace_event JSON format
-//     (Trace.WriteChromeTrace) for chrome://tracing or Perfetto,
-//   - aggregate them into per-rank compute/comm/wait splits
-//     (Trace.Breakdowns), and
+//     (Trace.WriteChromeTrace) for chrome://tracing or Perfetto, and
 //   - walk the recorded message edges backwards from the slowest rank to
 //     produce a critical-path explanation of the virtual makespan
 //     (Trace.CriticalPath).
 //
-// Independent of tracing, every Run returns per-rank Stats with the
+// Independent of tracing, every RunE returns per-rank Stats with the
 // total clock split into compute, latency (α), bandwidth (β·bytes) and
 // wait (max-propagation idle) components, message/byte counters for both
 // directions, per-kernel compute attribution and a per-collective-kind

@@ -31,11 +31,6 @@ var ErrAborted = errors.New("dist: rank aborted; blocking receive can never comp
 // an infinity.
 var ErrNumericalPoison = errors.New("dist: non-finite value in collective payload")
 
-// ErrTypeMismatch marks a *RankError raised by the typed receive helpers
-// (RecvFloats, RecvInts) when the matched message carries a payload of a
-// different type.
-var ErrTypeMismatch = errors.New("dist: typed receive payload mismatch")
-
 // RankError is the structured failure of one rank inside RunE: which
 // rank failed, at what virtual time, in which phase (kernel, collective
 // or "body"), and why. It unwraps to the underlying cause so callers can
@@ -45,10 +40,6 @@ type RankError struct {
 	VirtualTime float64
 	Phase       string
 	Err         error
-
-	// panicVal preserves the raw recovered value so Run can keep its
-	// historical panic contract on top of RunE.
-	panicVal interface{}
 }
 
 func (e *RankError) Error() string {

@@ -146,42 +146,6 @@ func (t *Trace) spans(rank int) []Event {
 	return out
 }
 
-// RankBreakdown is one rank's trace-derived time split. Compute + Comm +
-// Wait equals the rank's final virtual clock (End) up to roundoff.
-type RankBreakdown struct {
-	Rank    int
-	Compute float64 // EvCompute span time
-	Comm    float64 // send/recv span time excluding propagation waits
-	Wait    float64 // max-propagation idle inside receives
-	End     float64 // final virtual clock (last span end)
-}
-
-// Breakdowns aggregates the recorded spans into per-rank compute/comm/
-// wait totals — the "real trace data" behind the experiment drivers'
-// breakdown output.
-func (t *Trace) Breakdowns() []RankBreakdown {
-	var out []RankBreakdown
-	for _, r := range t.Ranks() {
-		b := RankBreakdown{Rank: r}
-		for _, e := range t.spans(r) {
-			switch e.Kind {
-			case EvCompute:
-				b.Compute += e.Duration()
-			case EvSend:
-				b.Comm += e.Duration()
-			case EvRecv:
-				b.Comm += e.Duration() - e.Waited
-				b.Wait += e.Waited
-			}
-			if e.End > b.End {
-				b.End = e.End
-			}
-		}
-		out = append(out, b)
-	}
-	return out
-}
-
 // chromeEvent is one trace_event entry; see the Trace Event Format spec
 // (docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
 type chromeEvent struct {

@@ -13,12 +13,12 @@ import (
 func traceProg(c *Comm) {
 	c.Annotate("start")
 	c.Compute(float64(c.Rank()+1)*1e5, "gemm")
-	c.AllreduceSum([]float64{1, 2, 3})
+	allreduceSum(c, []float64{1, 2, 3})
 	if c.Rank() == 0 {
-		c.SendFloats(c.Size()-1, 4, []float64{9, 8})
+		sendFloats(c, c.Size()-1, 4, []float64{9, 8})
 	}
 	if c.Rank() == c.Size()-1 {
-		c.RecvFloats(0, 4)
+		recvFloats(c, 0, 4)
 	}
 	c.Allgather([]float64{float64(c.Rank())}, 8)
 	c.Compute(2e5, "schur")
@@ -27,7 +27,7 @@ func traceProg(c *Comm) {
 		d = []float64{1}
 	}
 	c.Bcast(1, d, 8)
-	c.Barrier()
+	c.Allgather(nil, 0)
 }
 
 func tracedRun(t *testing.T, p int) (*Result, *Trace) {
@@ -35,7 +35,7 @@ func tracedRun(t *testing.T, p int) (*Result, *Trace) {
 	tr := NewTrace()
 	conf := cfg()
 	conf.Tracer = tr
-	res := Run(p, conf, traceProg)
+	res := mustRun(t, p, conf, traceProg)
 	return res, tr
 }
 
@@ -53,7 +53,7 @@ func TestTraceDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestTracingDoesNotPerturbClocks(t *testing.T) {
-	plain := Run(5, cfg(), traceProg)
+	plain := mustRun(t, 5, cfg(), traceProg)
 	traced, _ := tracedRun(t, 5)
 	for i := range plain.Ranks {
 		if plain.Ranks[i].Time != traced.Ranks[i].Time {
@@ -65,7 +65,7 @@ func TestTracingDoesNotPerturbClocks(t *testing.T) {
 
 func TestStatsReconcileWithClock(t *testing.T) {
 	for _, p := range []int{1, 2, 5, 8} {
-		res := Run(p, cfg(), traceProg)
+		res := mustRun(t, p, cfg(), traceProg)
 		for _, s := range res.Ranks {
 			sum := s.ComputeTime + s.LatencyTime + s.BandwidthTime + s.WaitTime
 			if math.Abs(sum-s.Time) > 1e-9 {
@@ -97,43 +97,59 @@ func TestTraceTimelineContiguous(t *testing.T) {
 	}
 }
 
+// The recorded spans reconcile with the runtime's counters: compute
+// spans sum to ComputeTime, receive waits to WaitTime, the rest of the
+// send/recv spans to the α and β time, and the last span ends at the
+// rank's clock.
 func TestTraceBreakdownMatchesStats(t *testing.T) {
 	res, tr := tracedRun(t, 6)
-	bds := tr.Breakdowns()
-	if len(bds) != 6 {
-		t.Fatalf("expected 6 rank breakdowns, got %d", len(bds))
+	if len(tr.Ranks()) != 6 {
+		t.Fatalf("expected 6 traced ranks, got %d", len(tr.Ranks()))
 	}
-	for _, b := range bds {
-		s := res.Ranks[b.Rank]
-		if math.Abs(b.Compute-s.ComputeTime) > 1e-9 {
-			t.Fatalf("rank %d: trace compute %v != stats %v", b.Rank, b.Compute, s.ComputeTime)
+	for _, r := range tr.Ranks() {
+		var compute, comm, wait, end float64
+		for _, e := range tr.spans(r) {
+			switch e.Kind {
+			case EvCompute:
+				compute += e.Duration()
+			case EvSend:
+				comm += e.Duration()
+			case EvRecv:
+				comm += e.Duration() - e.Waited
+				wait += e.Waited
+			}
+			end = max(end, e.End)
 		}
-		if math.Abs(b.Wait-s.WaitTime) > 1e-9 {
-			t.Fatalf("rank %d: trace wait %v != stats %v", b.Rank, b.Wait, s.WaitTime)
+		s := res.Ranks[r]
+		if math.Abs(compute-s.ComputeTime) > 1e-9 {
+			t.Fatalf("rank %d: trace compute %v != stats %v", r, compute, s.ComputeTime)
 		}
-		if math.Abs(b.Comm-(s.LatencyTime+s.BandwidthTime)) > 1e-9 {
-			t.Fatalf("rank %d: trace comm %v != stats %v", b.Rank, b.Comm, s.LatencyTime+s.BandwidthTime)
+		if math.Abs(wait-s.WaitTime) > 1e-9 {
+			t.Fatalf("rank %d: trace wait %v != stats %v", r, wait, s.WaitTime)
 		}
-		if math.Abs(b.End-s.Time) > 1e-12 {
-			t.Fatalf("rank %d: trace end %v != clock %v", b.Rank, b.End, s.Time)
+		if math.Abs(comm-(s.LatencyTime+s.BandwidthTime)) > 1e-9 {
+			t.Fatalf("rank %d: trace comm %v != stats %v", r, comm, s.LatencyTime+s.BandwidthTime)
+		}
+		if math.Abs(end-s.Time) > 1e-12 {
+			t.Fatalf("rank %d: trace end %v != clock %v", r, end, s.Time)
 		}
 	}
 }
 
 func TestCollectiveHistogram(t *testing.T) {
 	p := 4
-	res := Run(p, cfg(), func(c *Comm) {
+	res := mustRun(t, p, cfg(), func(c *Comm) {
 		var d interface{}
 		if c.Rank() == 0 {
 			d = []float64{1}
 		}
 		c.Bcast(0, d, 8)
-		c.AllreduceSum([]float64{1})
-		c.Barrier()
+		c.Allgather([]float64{1}, 8)
+		c.Reduce(0, []float64{1}, 8, sumFloats)
 	})
 	totalBcastMsgs := 0
 	for _, s := range res.Ranks {
-		for _, kind := range []string{"Bcast", "Allreduce", "Barrier"} {
+		for _, kind := range []string{"Bcast", "Allgather", "Reduce"} {
 			if s.Collectives[kind].Calls != 1 {
 				t.Fatalf("rank %d: %s calls = %d, want 1", s.Rank, kind, s.Collectives[kind].Calls)
 			}
@@ -141,10 +157,10 @@ func TestCollectiveHistogram(t *testing.T) {
 				t.Fatalf("rank %d: negative %s time", s.Rank, kind)
 			}
 		}
-		// The nested Reduce/Bcast inside Allreduce must not surface as
+		// The nested Gather/Bcast inside Allgather must not surface as
 		// their own kinds.
-		if _, ok := s.Collectives["Reduce"]; ok {
-			t.Fatalf("rank %d: nested Reduce escaped Allreduce attribution", s.Rank)
+		if _, ok := s.Collectives["Gather"]; ok {
+			t.Fatalf("rank %d: nested Gather escaped Allgather attribution", s.Rank)
 		}
 		totalBcastMsgs += s.Collectives["Bcast"].Msgs
 	}
@@ -160,7 +176,7 @@ func TestCollectiveHistogram(t *testing.T) {
 
 func TestNilTracerComputeAllocatesNothing(t *testing.T) {
 	var c *Comm
-	Run(1, cfg(), func(cc *Comm) {
+	mustRun(t, 1, cfg(), func(cc *Comm) {
 		cc.Compute(1, "warm") // create the kernel bucket outside the measurement
 		c = cc
 	})
@@ -233,13 +249,13 @@ func TestCriticalPathNamesMakespanRank(t *testing.T) {
 	tr := NewTrace()
 	conf := cfg()
 	conf.Tracer = tr
-	res := Run(3, conf, func(c *Comm) {
+	res := mustRun(t, 3, conf, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
 			c.Compute(5e6, "long")
-			c.SendFloats(1, 1, []float64{1})
+			sendFloats(c, 1, 1, []float64{1})
 		case 1:
-			c.RecvFloats(0, 1)
+			recvFloats(c, 0, 1)
 			c.Compute(1e6, "tail")
 		case 2:
 			c.Compute(1e5, "idle")

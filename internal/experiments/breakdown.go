@@ -20,24 +20,18 @@ func tracedDistConfig() (*dist.Config, *dist.Trace) {
 	return &cfg, tr
 }
 
-// traceBreakdownLine renders one run's compute/comm/wait split derived
-// from recorded trace events — not from the runtime's counters — for the
-// rank that bounds the makespan, plus the critical path's dominant
-// contributors.
-func traceBreakdownLine(np int, tr *dist.Trace) string {
-	var worst dist.RankBreakdown
-	for _, b := range tr.Breakdowns() {
-		if b.End > worst.End {
-			worst = b
-		}
-	}
-	if worst.End == 0 {
+// traceBreakdownLine renders one run's compute/comm/wait split for the
+// rank that bounds the makespan, read from the runtime's counters, plus
+// the recorded trace's critical-path dominant contributors.
+func traceBreakdownLine(np int, res *dist.Result, tr *dist.Trace) string {
+	s := res.Ranks[res.MakespanRank()]
+	if s.Time == 0 {
 		return fmt.Sprintf("    np=%-4d breakdown: empty trace", np)
 	}
 	cp := tr.CriticalPath()
-	pct := func(v float64) float64 { return 100 * v / worst.End }
+	pct := func(v float64) float64 { return 100 * v / s.Time }
 	return fmt.Sprintf("    np=%-4d breakdown rank %d: compute %.1f%% comm %.1f%% wait %.1f%% of %.3g s | critical path rank %d: %s (%d rank switches)",
-		np, worst.Rank, pct(worst.Compute), pct(worst.Comm), pct(worst.Wait), worst.End,
+		np, s.Rank, pct(s.ComputeTime), pct(s.LatencyTime+s.BandwidthTime), pct(s.WaitTime), s.Time,
 		cp.MakespanRank, topPathContributors(cp, 2), cp.Switches)
 }
 

@@ -70,7 +70,7 @@ func RunFig4(cfg Config) []ScalingSeries {
 					series.Times = append(series.Times, ap.VirtualTime)
 					if tr != nil {
 						if cfg.Breakdown {
-							extra = append(extra, traceBreakdownLine(np, tr))
+							extra = append(extra, traceBreakdownLine(np, ap.Dist, tr))
 						}
 						if cfg.TraceDir != "" {
 							writeTraceFile(w, cfg.TraceDir,

@@ -82,7 +82,7 @@ func runKernelBreakdown(cfg Config, title string, methods []core.Method, powers 
 						printBreakdown(w, kb)
 						if tr != nil && kb.OK {
 							if cfg.Breakdown {
-								fmt.Fprintln(w, traceBreakdownLine(np, tr))
+								fmt.Fprintln(w, traceBreakdownLine(np, ap.Dist, tr))
 							}
 							if cfg.TraceDir != "" {
 								writeTraceFile(w, cfg.TraceDir, fmt.Sprintf("%s_%s_np%d_k%d_p%d.json",

@@ -16,10 +16,10 @@
 //     to compute the content key, forwards to the ring owner
 //     (preserving ?wait, batch and backpressure semantics), retries
 //     the next ring node on dial errors, spills over on 429/503,
-//     coalesces concurrent identical submits onto one upstream
-//     flight, spends a jittered-backoff retry budget when every
-//     candidate dial-fails, and pins job ids to the shard that
-//     admitted them.
+//     spends a jittered-backoff retry budget when every candidate
+//     dial-fails, and pins job ids to the shard that admitted them.
+//     It does not coalesce identical submits: they reach the same
+//     shard, whose singleflight solves each key once.
 //   - PeerClient + Health: shards peer-fill finished factors from the
 //     key's owner set (GET /v1/cache/{key}, primary first then the
 //     replica owners, best-effort) before solving locally, and with

@@ -69,11 +69,8 @@ const maxRetryBackoff = time.Second
 //   - budget exhausted → 502, or the last backpressure response is
 //     relayed so the client sees the shard's Retry-After.
 //
-// Identical submissions racing through the gateway coalesce: a
-// fleet-level singleflight keyed by the spec's content key holds
-// followers on the leader's forwarded flight, so N clients hitting the
-// same cold key produce one upstream request even across reroutes (the
-// shard's own singleflight then dedups across gateways).
+// Identical submissions are not coalesced here: they route to the same
+// shard, whose singleflight joins them onto one job.
 type Gateway struct {
 	ring    *Ring
 	health  *Health
@@ -96,15 +93,6 @@ type Gateway struct {
 	mu         sync.Mutex
 	routes     map[string]string // job id → backend
 	routeOrder []string
-	flights    map[string]*submitFlight // spec key → in-flight submit
-}
-
-// submitFlight is one coalesced submit: followers block on done, then
-// relay the leader's buffered result (or its error).
-type submitFlight struct {
-	done chan struct{}
-	res  *forwardResult
-	err  error
 }
 
 // NewGateway builds the gateway and its health checker. Call Start to
@@ -125,7 +113,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		retryBudget: cfg.RetryBudget,
 		retryBase:   cfg.RetryBase,
 		logf:        cfg.Logf,
-		flights:     map[string]*submitFlight{},
 	}
 	for _, b := range cfg.Backends {
 		g.fullRing.Add(b)
@@ -355,9 +342,7 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	return body, true
 }
 
-// handleSubmit routes one job to its content key's ring owner,
-// coalescing concurrent identical submissions onto one upstream
-// flight.
+// handleSubmit routes one job to its content key's ring owner.
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, ok := g.readBody(w, r)
 	if !ok {
@@ -372,33 +357,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	key := spec.Key()
-
-	fl, leader := g.joinFlight(key)
-	if !leader {
-		// Follower: ride the leader's flight. The leader's ?wait (and
-		// deadline) governs the shared upstream call; since identical
-		// specs resolve to the same job, the relayed view is what this
-		// client's own forward would have returned. Leader failure
-		// (502) is relayed too — the client retries, now likely as a
-		// leader.
-		g.metrics.Coalesced.Inc()
-		select {
-		case <-fl.done:
-		case <-r.Context().Done():
-			writeError(w, http.StatusBadGateway, fmt.Errorf("fleet: canceled waiting on coalesced flight: %w", r.Context().Err()))
-			return
-		}
-		if fl.err != nil {
-			writeError(w, http.StatusBadGateway, fl.err)
-			return
-		}
-		relay(w, fl.res)
-		return
-	}
-
-	res, err := g.submitOnce(r, key, body)
-	g.finishFlight(key, fl, res, err)
+	res, err := g.submitOnce(r, spec.Key(), body)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, err)
 		return
@@ -435,28 +394,6 @@ func (g *Gateway) submitOnce(r *http.Request, key string, body []byte) (*forward
 		}
 	}
 	return res, nil
-}
-
-// joinFlight returns the submit flight for key, creating it (leader =
-// true) if none is in progress.
-func (g *Gateway) joinFlight(key string) (*submitFlight, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if fl, ok := g.flights[key]; ok {
-		return fl, false
-	}
-	fl := &submitFlight{done: make(chan struct{})}
-	g.flights[key] = fl
-	return fl, true
-}
-
-// finishFlight publishes the leader's outcome and releases followers.
-func (g *Gateway) finishFlight(key string, fl *submitFlight, res *forwardResult, err error) {
-	fl.res, fl.err = res, err
-	g.mu.Lock()
-	delete(g.flights, key)
-	g.mu.Unlock()
-	close(fl.done)
 }
 
 // batchEnvelope mirrors serve's batch request/response shapes closely

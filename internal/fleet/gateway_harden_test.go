@@ -8,6 +8,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sparselr/internal/core"
+	"sparselr/internal/dist"
+	"sparselr/internal/serve"
 )
 
 // stubShard is a raw counting backend for gateway-mechanism tests: it
@@ -32,68 +36,99 @@ func stubShard(t *testing.T, gate chan struct{}, cached bool) (*httptest.Server,
 	return ts, &submits
 }
 
-// TestGatewayCoalescesSubmits: N clients racing the same cold key must
-// produce exactly one upstream submit; the followers relay the
-// leader's reply and count as coalesce hits.
-func TestGatewayCoalescesSubmits(t *testing.T) {
-	gate := make(chan struct{})
-	stub, submits := stubShard(t, gate, false)
-	g, err := NewGateway(GatewayConfig{Backends: []string{stub.URL}})
+// TestGatewayDuplicateBurstSolvesOnce: a burst of identical cold
+// submits through the gateway solves exactly once fleet-wide, with no
+// gateway-side coalescing: every member forwards to the key's shard,
+// whose own singleflight joins them onto one job. The second case runs
+// the same burst after the key's primary shard is closed, so every
+// member reroutes to the next shard in the key's ring sequence and
+// dedupes there.
+func TestGatewayDuplicateBurstSolvesOnce(t *testing.T) {
+	a := newCountingBackend(t)
+	b := newCountingBackend(t)
+	g, err := NewGateway(GatewayConfig{Backends: []string{a.ts.URL, b.ts.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gw := httptest.NewServer(g)
 	defer gw.Close()
 
-	const clients = 6
-	var wg sync.WaitGroup
-	bodies := make([]string, clients)
-	codes := make([]int, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, v := postJob(t, gw.URL, specJSON(t, 1), "10s")
-			codes[i] = resp.StatusCode
-			bodies[i], _ = v["id"].(string)
-		}(i)
+	const clients = 8
+	burst := func(seed int64) {
+		t.Helper()
+		var wg sync.WaitGroup
+		codes := make([]int, clients)
+		ids := make([]string, clients)
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				resp, v := postJob(t, gw.URL, specJSON(t, seed), "10s")
+				codes[i] = resp.StatusCode
+				ids[i], _ = v["id"].(string)
+			}(i)
+		}
+		wg.Wait()
+		for i := range codes {
+			if codes[i] != http.StatusOK {
+				t.Fatalf("seed %d client %d: status %d", seed, i, codes[i])
+			}
+			if ids[i] == "" {
+				t.Fatalf("seed %d client %d: no job id", seed, i)
+			}
+		}
 	}
+	solves := func() int64 { return atomic.LoadInt64(&a.solves) + atomic.LoadInt64(&b.solves) }
+	submits := func() int64 { return atomic.LoadInt64(&a.submits) + atomic.LoadInt64(&b.submits) }
 
-	// Wait until every follower has joined the leader's flight, then
-	// release the upstream solve.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		coalesced := g.metrics.Coalesced.Load()
-		if coalesced == clients-1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("coalesced = %v, want %d", coalesced, clients-1)
-		}
-		time.Sleep(time.Millisecond)
+	// Case 1: a cold burst at the key's owner.
+	burst(seedOwnedBy(t, g.ring, a.ts.URL))
+	if n := solves(); n != 1 {
+		t.Fatalf("cold burst: fleet-wide solves = %d, want 1", n)
 	}
-	close(gate)
-	wg.Wait()
+	t.Logf("cold burst: %d clients, %d shard submits, %d solve", clients, submits(), solves())
 
-	if n := atomic.LoadInt64(submits); n != 1 {
-		t.Fatalf("upstream submits = %d, want 1 (coalescing leaked)", n)
+	// Case 2: the same burst on a fresh key after its primary is gone.
+	seed := seedOwnedBy(t, g.ring, a.ts.URL) + 1
+	for owner, _ := g.ring.Owner(specKey(t, seed)); owner != a.ts.URL; owner, _ = g.ring.Owner(specKey(t, seed)) {
+		seed++
 	}
-	for i := 0; i < clients; i++ {
-		if codes[i] != http.StatusOK {
-			t.Fatalf("client %d: status %d", i, codes[i])
+	a.ts.Close()
+	before, beforeSubmits := solves(), submits()
+	burst(seed)
+	if n := solves() - before; n != 1 {
+		t.Fatalf("rerouted burst: fleet-wide solves = %d, want 1", n)
+	}
+	t.Logf("rerouted burst: %d clients, %d shard submits, %d solve", clients, submits()-beforeSubmits, solves()-before)
+}
+
+// countingBackend is a real serve.Server whose solver sleeps long
+// enough for a concurrent burst to overlap it, counting both the
+// submits that reach the shard and the solves it runs.
+type countingBackend struct {
+	ts              *httptest.Server
+	solves, submits int64
+}
+
+func newCountingBackend(t *testing.T) *countingBackend {
+	t.Helper()
+	b := &countingBackend{}
+	srv := serve.NewServer(serve.Config{
+		Workers: 2, QueueDepth: 16,
+		Solve: func(*serve.Spec, *dist.CheckpointStore) (*core.Approximation, error) {
+			time.Sleep(50 * time.Millisecond)
+			atomic.AddInt64(&b.solves, 1)
+			return &core.Approximation{Method: core.RandQBEI, Rank: 1, Converged: true, NormA: 1}, nil
+		},
+	})
+	b.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			atomic.AddInt64(&b.submits, 1)
 		}
-		if bodies[i] != bodies[0] {
-			t.Fatalf("client %d relayed %q, leader saw %q", i, bodies[i], bodies[0])
-		}
-	}
-	// The flight table must be empty again: a later identical submit
-	// is a fresh leader, not a stale join.
-	g.mu.Lock()
-	inflight := len(g.flights)
-	g.mu.Unlock()
-	if inflight != 0 {
-		t.Fatalf("%d stale flights after settle", inflight)
-	}
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(b.ts.Close)
+	return b
 }
 
 // flakyTransport fails the first `failures` round trips with a dial

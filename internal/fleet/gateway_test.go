@@ -371,14 +371,14 @@ func TestHealthEvictsAndReadmits(t *testing.T) {
 	// (backoff gates the probe; wait it out)
 	time.Sleep(2 * time.Millisecond)
 	h.probeAll()
-	if ring.Contains("a") || h.Healthy("a") {
+	if ring.Contains("a") || h.Snapshot()["a"] {
 		t.Fatal("not evicted at threshold")
 	}
 	// Recovery: one good probe readmits.
 	alive["a"].Store(true)
 	time.Sleep(5 * time.Millisecond) // past the doubled backoff
 	h.probeAll()
-	if !ring.Contains("a") || !h.Healthy("a") {
+	if !ring.Contains("a") || !h.Snapshot()["a"] {
 		t.Fatal("not readmitted after recovery")
 	}
 	want := []string{"a=false", "a=true"}

@@ -246,14 +246,6 @@ func (h *Health) noteSuccess(backend string) {
 	}
 }
 
-// Healthy reports a backend's current state.
-func (h *Health) Healthy(backend string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st, ok := h.states[backend]
-	return ok && st.healthy
-}
-
 // Snapshot returns backend → healthy for metrics and /healthz.
 func (h *Health) Snapshot() map[string]bool {
 	h.mu.Lock()

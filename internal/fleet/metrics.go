@@ -18,9 +18,9 @@ type Metrics struct {
 	Errors                             *prom.Vec // by backend
 	requests, latencySum, latencyCount *prom.Vec
 
-	Reroutes, Spillover, Unroutable, Coalesced *prom.Value
-	RetryPasses, RetryExhausted, ReplicaReads  *prom.Value
-	Evictions, Readmissions                    *prom.Value
+	Reroutes, Spillover, Unroutable           *prom.Value
+	RetryPasses, RetryExhausted, ReplicaReads *prom.Value
+	Evictions, Readmissions                   *prom.Value
 
 	ringSize, jobRoutes *prom.Value
 	backendHealthy      *prom.Vec
@@ -39,7 +39,6 @@ func NewMetrics() *Metrics {
 	m.Evictions = r.Counter("lowrank_gateway_evictions_total", "Backends evicted from the ring.")
 	m.Readmissions = r.Counter("lowrank_gateway_readmissions_total", "Backends readmitted to the ring.")
 	m.Unroutable = r.Counter("lowrank_gateway_unroutable_total", "Requests failed with every backend down.")
-	m.Coalesced = r.Counter("lowrank_gateway_coalesced_total", "Submits that joined an identical in-flight submit.")
 	m.RetryPasses = r.Counter("lowrank_gateway_retry_passes_total", "Backoff passes after every candidate dial-failed.")
 	m.RetryExhausted = r.Counter("lowrank_gateway_retry_exhausted_total", "Requests that spent their whole retry budget.")
 	m.ReplicaReads = r.Counter("lowrank_gateway_replica_reads_total", "Cached submits answered by a non-primary owner-set member.")

@@ -22,9 +22,6 @@ func TestWritePromGolden(t *testing.T) {
 	full.RingChange(false)
 	full.RingChange(true)
 	full.Unroutable.Inc()
-	for i := 0; i < 3; i++ {
-		full.Coalesced.Inc()
-	}
 	full.RetryPasses.Inc()
 	full.RetryPasses.Inc()
 	full.RetryExhausted.Inc()

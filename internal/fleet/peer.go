@@ -152,9 +152,6 @@ func (p *PeerClient) fetch(key, owner string) (*core.Approximation, bool) {
 	return ap, true
 }
 
-// FillFunc adapts the client to the serve.SchedulerConfig hook.
-func (p *PeerClient) FillFunc() serve.PeerFillFunc { return p.Fill }
-
 // Replicate is the serve.ReplicateFunc: encode the fresh solve once
 // and queue it for async push to the other owner-set members. The
 // worker that solved may itself be outside the owner set (spillover),

@@ -172,7 +172,7 @@ func TestEq10ExactWithCapturedT(t *testing.T) {
 			if res.Dropped.FrobNorm() > res.DroppedNorm1*(1+1e-12) {
 				t.Fatalf("p=%d: ‖T‖_F = %v above the triangle bound %v", p, res.Dropped.FrobNorm(), res.DroppedNorm1)
 			}
-			got := ThresholdedError(a, res)
+			got := thresholdedError(a, res)
 			if math.Abs(got-res.ErrIndicator) > 1e-9*res.NormA {
 				t.Fatalf("p=%d seed %d: eq (10) residual %v vs estimator %v", p, seed, got, res.ErrIndicator)
 			}
@@ -240,4 +240,18 @@ func TestR11BoundEq23(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// thresholdedError evaluates eq (10) exactly for a run with
+// CaptureDropped: ‖(P_r·A·P_c + T) − L̃·Ũ‖_F, which must equal the error
+// estimator ‖Ã⁽ⁱ⁺¹⁾‖_F up to roundoff — the ILUT factorization is an
+// exact LU_CRTP of the perturbed matrix Ã.
+func thresholdedError(a *sparse.CSR, res *Result) float64 {
+	if res.Dropped == nil {
+		panic("lucrtp: thresholdedError requires Options.CaptureDropped")
+	}
+	perm := a.PermuteRows(res.RowPerm).PermuteCols(res.ColPerm)
+	tilde := sparse.Add(1, perm, 1, res.Dropped)
+	lu := sparse.SpGEMM(res.L, res.U)
+	return sparse.Add(1, tilde, -1, lu).FrobNorm()
 }

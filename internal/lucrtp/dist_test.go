@@ -8,6 +8,17 @@ import (
 	"sparselr/internal/dist"
 )
 
+// mustRun runs body on p ranks through dist.RunE and fails tb on a run
+// error.
+func mustRun(tb testing.TB, p int, cfg dist.Config, body func(*dist.Comm)) *dist.Result {
+	tb.Helper()
+	res, err := dist.RunE(p, cfg, func(c *dist.Comm) error { body(c); return nil })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func TestFactorDistMatchesSequential(t *testing.T) {
 	a := decayMatrix(60, 50, 30, 0.6, 101)
 	opts := Options{BlockSize: 8, Tol: 1e-3}
@@ -17,7 +28,7 @@ func TestFactorDistMatchesSequential(t *testing.T) {
 	}
 	for _, p := range []int{1, 2, 4} {
 		var got *Result
-		dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
+		mustRun(t, p, dist.DefaultConfig(), func(c *dist.Comm) {
 			r, err := FactorDist(c, a, opts)
 			if err != nil {
 				t.Errorf("p=%d: %v", p, err)
@@ -49,7 +60,7 @@ func TestFactorDistAllRanksAgree(t *testing.T) {
 	a := decayMatrix(40, 40, 20, 0.6, 102)
 	p := 4
 	results := make([]*Result, p)
-	dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
+	mustRun(t, p, dist.DefaultConfig(), func(c *dist.Comm) {
 		r, err := FactorDist(c, a, Options{BlockSize: 4, Tol: 1e-2})
 		if err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
@@ -71,7 +82,7 @@ func TestFactorDistILUT(t *testing.T) {
 	a := decayMatrix(80, 80, 50, 0.8, 103)
 	tol := 1e-2
 	var got *Result
-	dist.Run(4, dist.DefaultConfig(), func(c *dist.Comm) {
+	mustRun(t, 4, dist.DefaultConfig(), func(c *dist.Comm) {
 		r, err := FactorDist(c, a, Options{BlockSize: 8, Tol: tol, Threshold: AutoThreshold, EstIters: 6})
 		if err != nil {
 			t.Errorf("%v", err)
@@ -92,13 +103,13 @@ func TestFactorDistILUT(t *testing.T) {
 
 func TestFactorDistKernelBreakdown(t *testing.T) {
 	a := randSparse(80, 80, 0.08, 104)
-	res := dist.Run(4, dist.DefaultConfig(), func(c *dist.Comm) {
+	res := mustRun(t, 4, dist.DefaultConfig(), func(c *dist.Comm) {
 		if _, err := FactorDist(c, a, Options{BlockSize: 8, Tol: 1e-2}); err != nil {
 			t.Error(err)
 		}
 	})
 	for _, kernel := range []string{"colQR_TP/local", "rowQR_TP/local", "panelQR", "rowPerm", "triSolve", "schur"} {
-		if res.MaxKernel(kernel) <= 0 {
+		if res.MaxKernels()[kernel] <= 0 {
 			t.Errorf("kernel %q has no attributed time", kernel)
 		}
 	}
@@ -113,7 +124,7 @@ func TestFactorDistVirtualSpeedup(t *testing.T) {
 	// reduction dominates).
 	a := randSparse(160, 160, 0.06, 105)
 	timeFor := func(p int) float64 {
-		res := dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
+		res := mustRun(t, p, dist.DefaultConfig(), func(c *dist.Comm) {
 			if _, err := FactorDist(c, a, Options{BlockSize: 8, Tol: 1e-2}); err != nil {
 				t.Error(err)
 			}
@@ -131,7 +142,7 @@ func TestFactorDistColumnDiscarding(t *testing.T) {
 	a := decayMatrix(80, 80, 25, 0.6, 140)
 	tol := 1e-2
 	var got *Result
-	dist.Run(4, dist.DefaultConfig(), func(c *dist.Comm) {
+	mustRun(t, 4, dist.DefaultConfig(), func(c *dist.Comm) {
 		r, err := FactorDist(c, a, Options{BlockSize: 8, Tol: tol, DiscardTol: 1})
 		if err != nil {
 			t.Error(err)
@@ -175,7 +186,7 @@ func TestFactorDistReorderEvery(t *testing.T) {
 		cfg := dist.DefaultConfig()
 		cfg.Tracer = tr
 		var got *Result
-		dist.Run(2, cfg, func(c *dist.Comm) {
+		mustRun(t, 2, cfg, func(c *dist.Comm) {
 			r, err := FactorDist(c, a, opts(mode))
 			if err != nil {
 				t.Errorf("mode %v: %v", mode, err)

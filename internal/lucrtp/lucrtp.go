@@ -157,13 +157,13 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 	return r, err
 }
 
-// FactorDist runs LU_CRTP/ILUT_CRTP inside a dist.Run body: the column
+// FactorDist runs LU_CRTP/ILUT_CRTP inside a dist.RunE body: the column
 // tournament, the row tournament, the triangular solve and the Schur
 // complement are executed SPMD-style across the ranks with the data
 // movement of §V (block-cyclic column distribution for A⁽ⁱ⁾, scatter of
 // Ā₂₁, broadcast of Ā₁₁, allgather of the solve result). Every rank
 // returns an identical *Result; per-rank virtual-time and per-kernel
-// attributions accumulate in the Comm and are read from dist.Run's
+// attributions accumulate in the Comm and are read from dist.RunE's
 // Result (Figs 4–5). On one rank the solve runs on the whole block,
 // skipping the row-share copy only distribution needs, and the Schur
 // update's row share is all of Ā₂₂; every collective and charge stays.
@@ -672,20 +672,6 @@ type luSnapshot struct {
 	droppedNNZ         int
 	controlTriggered   bool
 	hitNumRank         bool
-}
-
-// ThresholdedError evaluates eq (10) exactly for a run with
-// CaptureDropped: ‖(P_r·A·P_c + T) − L̃·Ũ‖_F, which must equal the error
-// estimator ‖Ã⁽ⁱ⁺¹⁾‖_F up to roundoff — the ILUT factorization is an
-// exact LU_CRTP of the perturbed matrix Ã.
-func ThresholdedError(a *sparse.CSR, res *Result) float64 {
-	if res.Dropped == nil {
-		panic("lucrtp: ThresholdedError requires Options.CaptureDropped")
-	}
-	perm := a.PermuteRows(res.RowPerm).PermuteCols(res.ColPerm)
-	tilde := sparse.Add(1, perm, 1, res.Dropped)
-	lu := sparse.SpGEMM(res.L, res.U)
-	return sparse.Add(1, tilde, -1, lu).FrobNorm()
 }
 
 // assembleFactors maps the buffered entries from original coordinates to

@@ -23,17 +23,6 @@ func NewDense(r, c int) *Dense {
 	return &Dense{Rows: r, Cols: c, Stride: c, Data: make([]float64, r*c)}
 }
 
-// NewDenseFrom builds an r×c matrix from a row-major flat slice. The slice
-// is copied.
-func NewDenseFrom(r, c int, data []float64) *Dense {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("mat: data length %d != %d×%d", len(data), r, c))
-	}
-	d := NewDense(r, c)
-	copy(d.Data, data)
-	return d
-}
-
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Dense {
 	d := NewDense(n, n)
@@ -117,19 +106,6 @@ func (d *Dense) Zero() {
 			row[j] = 0
 		}
 	}
-}
-
-// Col copies column j into dst (allocating when dst is nil or short) and
-// returns it.
-func (d *Dense) Col(j int, dst []float64) []float64 {
-	if cap(dst) < d.Rows {
-		dst = make([]float64, d.Rows)
-	}
-	dst = dst[:d.Rows]
-	for i := 0; i < d.Rows; i++ {
-		dst[i] = d.Data[i*d.Stride+j]
-	}
-	return dst
 }
 
 // SetCol assigns column j from src.

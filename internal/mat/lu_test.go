@@ -73,7 +73,7 @@ func TestSolveRight(t *testing.T) {
 }
 
 func TestSolveUpper(t *testing.T) {
-	r := NewDenseFrom(3, 3, []float64{2, 1, -1, 0, 3, 2, 0, 0, 4})
+	r := denseFrom(3, 3, []float64{2, 1, -1, 0, 3, 2, 0, 0, 4})
 	x := randDense(3, 2, 67)
 	b := Mul(r, x)
 	got, err := SolveUpper(r, b)
@@ -86,7 +86,7 @@ func TestSolveUpper(t *testing.T) {
 }
 
 func TestSolveUpperSingular(t *testing.T) {
-	r := NewDenseFrom(2, 2, []float64{1, 2, 0, 0})
+	r := denseFrom(2, 2, []float64{1, 2, 0, 0})
 	if _, err := SolveUpper(r, NewDense(2, 1)); !errors.Is(err, ErrSingular) {
 		t.Fatal("expected ErrSingular")
 	}

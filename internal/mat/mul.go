@@ -34,14 +34,6 @@ func Mul(a, b *Dense) *Dense {
 	return out
 }
 
-// MulAdd accumulates a·b into dst (dst += a·b).
-func MulAdd(dst, a, b *Dense) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic("mat: MulAdd dimension mismatch")
-	}
-	gemmInto(dst, a, b, 1, true)
-}
-
 // MulSub subtracts a·b from dst (dst -= a·b). The sign is threaded through
 // the gemm kernel as alpha = −1, so no negated copy of a is formed.
 func MulSub(dst, a, b *Dense) {

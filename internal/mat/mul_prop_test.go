@@ -63,7 +63,7 @@ func TestPropMulFamilyBitwiseAcrossProcs(t *testing.T) {
 			withMaxProcs(p, func() {
 				got.mul = Mul(a, b)
 				got.add = base.Clone()
-				MulAdd(got.add, a, b)
+				mulAdd(got.add, a, b)
 				got.sub = base.Clone()
 				MulSub(got.sub, a, b)
 				got.mt = MulT(at, b) // (k×m)ᵀ·(k×n) = m×n

@@ -64,7 +64,7 @@ func TestMulAddAccumulates(t *testing.T) {
 	dst := randDense(4, 5, 28)
 	want := dst.Clone()
 	want.Add(naiveMul(a, b))
-	MulAdd(dst, a, b)
+	mulAdd(dst, a, b)
 	if !dst.Equal(want, 1e-12) {
 		t.Fatal("MulAdd wrong")
 	}

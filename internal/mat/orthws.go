@@ -5,8 +5,8 @@ import "math"
 // OrthWorkspace computes orthonormal range bases with reusable, grow-only
 // storage so solver block iterations can re-orthogonalize every step
 // without heap traffic. It shares the pivoted-factorization core
-// (qrcpFactor) and the reflector application with Orth/QRCP, so its output
-// is bitwise identical to Orth for every input.
+// (qrcpFactor) with QRCPSelect and QRCPInPlace; the package-level Orth
+// runs it on fresh storage.
 //
 // A workspace is not safe for concurrent use. The matrix returned by Orth
 // is a view into workspace storage and stays valid only until the next
@@ -35,10 +35,11 @@ func Grow[T any](s []T, n int) []T {
 }
 
 // Orth returns an orthonormal basis for the range of a, dropping
-// numerically dependent columns — the same result, bit for bit, as the
-// package-level Orth. Steady-state calls allocate nothing when
-// min(m, n) < qrBlockedMinK (larger inputs take the blocked-QR path,
-// which builds its WY panels on the heap, exactly as Orth does).
+// numerically dependent columns: the leading columns of the QRCP's Q
+// whose diagonal entry exceeds |R(0,0)|·1e-13·max(m, n). Steady-state
+// calls allocate nothing when min(m, n) < qrBlockedMinK (larger inputs
+// take the blocked-QR path, which builds its WY panels on the heap,
+// exactly as QR does).
 func (ws *OrthWorkspace) Orth(a *Dense) *Dense {
 	m, n := a.Dims()
 	if m == 0 || n == 0 {
@@ -54,7 +55,7 @@ func (ws *OrthWorkspace) Orth(a *Dense) *Dense {
 	ws.scratch = Grow(ws.scratch, n)
 	ws.perm = Grow(ws.perm, n)
 	qrcpFactor(f, ws.tau, ws.norms, ws.orig, ws.scratch, ws.perm)
-	// Numerical rank from the QRCP diagonal (same rule as Orth).
+	// Numerical rank from the QRCP diagonal.
 	d0 := math.Abs(f.Data[0])
 	if d0 == 0 {
 		return ws.q.Shape(m, 0)

@@ -1,7 +1,7 @@
 package mat
 
 // Panel packing and the register-blocked micro-kernel behind the dense
-// multiply kernels (Mul/MulAdd/MulSub/MulInto and the packed MulBT and
+// multiply kernels (Mul/MulSub/MulInto and the packed MulBT and
 // MulTSub paths).
 //
 // Layout. The shared packed-B buffer holds one jc-slice of alpha·B (or of

@@ -178,13 +178,13 @@ func TestMulAddMulSubParallelMatchSerialBitwise(t *testing.T) {
 		var addS, addP, subS, subP *Dense
 		withMaxProcs(1, func() {
 			addS = base.Clone()
-			MulAdd(addS, a, b)
+			mulAdd(addS, a, b)
 			subS = base.Clone()
 			MulSub(subS, a, b)
 		})
 		withMaxProcs(4, func() {
 			addP = base.Clone()
-			MulAdd(addP, a, b)
+			mulAdd(addP, a, b)
 			subP = base.Clone()
 			MulSub(subP, a, b)
 		})
@@ -199,7 +199,7 @@ func TestMulAddMulSubParallelMatchSerialBitwise(t *testing.T) {
 		neg := a.Clone()
 		neg.Scale(-1)
 		ref := base.Clone()
-		MulAdd(ref, neg, b)
+		mulAdd(ref, neg, b)
 		if !subP.Equal(ref, 1e-12) {
 			t.Fatalf("MulSub %v: alpha=-1 path deviates from negated-clone reference", s)
 		}
@@ -296,8 +296,8 @@ func TestQRCPDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	a := randDense(200, 120, 5)
 	var q1, r1, q4, r4 *Dense
 	var p1, p4 []int
-	withMaxProcs(1, func() { q1, r1, p1 = QRCP(a) })
-	withMaxProcs(4, func() { q4, r4, p4 = QRCP(a) })
+	withMaxProcs(1, func() { q1, r1, p1 = qrcp(a) })
+	withMaxProcs(4, func() { q4, r4, p4 = qrcp(a) })
 	for j := range p1 {
 		if p1[j] != p4[j] {
 			t.Fatal("QRCP pivot sequence depends on GOMAXPROCS")

@@ -451,73 +451,27 @@ func UpperRows(f *Dense, r, c int) *Dense {
 	return out
 }
 
-// ROnly computes only the R factor of the thin QR of a (used by the QR_TP
-// tournament reductions, where Q is not needed).
-func ROnly(a *Dense) *Dense {
-	m, n := a.Dims()
-	return UpperRows(houseQR(a).fac, min(m, n), n)
-}
-
 // Orth returns an orthonormal basis for the range of a, dropping
 // numerically dependent columns (relative tolerance on the QRCP
 // diagonal). The result has between 0 and min(m,n) columns. A nil result
 // is never returned; a zero matrix yields a matrix with zero columns.
+// It is OrthWorkspace.Orth on fresh storage, so the two agree bit for
+// bit; the result is compacted when columns were dropped.
 func Orth(a *Dense) *Dense {
-	m, n := a.Dims()
-	if m == 0 || n == 0 {
-		return NewDense(m, 0)
+	var ws OrthWorkspace
+	q := ws.Orth(a)
+	if q.Stride != q.Cols {
+		return q.Clone()
 	}
-	q, r, _ := QRCP(a)
-	// Determine numerical rank from the QRCP diagonal.
-	d0 := math.Abs(r.At(0, 0))
-	if d0 == 0 {
-		return NewDense(m, 0)
-	}
-	tol := d0 * 1e-13 * float64(max(m, n))
-	rank := 0
-	k := min(m, n)
-	for i := 0; i < k; i++ {
-		if math.Abs(r.At(i, i)) > tol {
-			rank++
-		} else {
-			break
-		}
-	}
-	return q.View(0, 0, m, rank).Clone()
-}
-
-// QRCP computes a column-pivoted (rank-revealing) QR factorization
-// a·P = q·r using the Businger–Golub algorithm with column-norm
-// downdating. perm[j] gives the index in a of the j-th column of a·P.
-// The diagonal of r is non-increasing in magnitude.
-//
-// The pivot sequence is computed with serial reductions, so it is
-// independent of GOMAXPROCS; only the trailing-matrix rank-1 updates and
-// the final Q formation use the parallel kernels.
-func QRCP(a *Dense) (q, r *Dense, perm []int) {
-	f, tau, r, perm := qrcpPivoted(a)
-	q = (&qrFactor{fac: f, tau: tau}).thinQ(len(tau))
-	return q, r, perm
-}
-
-// qrcpPivoted is the part QRCP and QRCPSelect share: it factors a copy
-// of a with qrcpFactor and returns the factored copy, tau, R and perm, so
-// both entry points return bitwise the same R and pivots.
-func qrcpPivoted(a *Dense) (f *Dense, tau []float64, r *Dense, perm []int) {
-	m, n := a.Dims()
-	k := min(m, n)
-	f = a.Clone()
-	perm = make([]int, n)
-	tau = make([]float64, k)
-	qrcpFactor(f, tau, make([]float64, n), make([]float64, n), make([]float64, n), perm)
-	return f, tau, UpperRows(f, k, n), perm
+	out := *q
+	return &out
 }
 
 // qrcpFactor runs the Businger–Golub pivoted factorization in place on f
 // with caller-provided storage: tau (len min(m,n)), norms/orig/scratch
-// (len n) and perm (len n). It is the single implementation behind QRCP
-// and OrthWorkspace, so pooled-workspace callers factor bitwise
-// identically to the allocating API.
+// (len n) and perm (len n). It is the single implementation behind
+// QRCPSelect, QRCPInPlace and OrthWorkspace, so pooled-workspace
+// callers factor bitwise identically to the allocating API.
 func qrcpFactor(f *Dense, tau, norms, orig, scratch []float64, perm []int) {
 	m, n := f.Dims()
 	k := min(m, n)
@@ -573,17 +527,26 @@ func qrcpFactor(f *Dense, tau, norms, orig, scratch []float64, perm []int) {
 	}
 }
 
-// QRCPSelect returns the R factor and the column permutation of QRCP(a),
-// bitwise equal to QRCP's, without forming Q. It is the column selector
-// of the skeleton methods; the tournament nodes use QRCPInPlace instead.
+// QRCPSelect returns the R factor and the column permutation of a
+// column-pivoted (rank-revealing) QR factorization a·P = Q·R, using the
+// Businger–Golub algorithm with column-norm downdating; perm[j] is the
+// index in a of the j-th column of a·P, and R's diagonal is
+// non-increasing in magnitude. Q is not formed. The pivot sequence is
+// computed with serial reductions, so it is independent of GOMAXPROCS.
+// It is the column selector of the skeleton methods; the tournament
+// nodes use QRCPInPlace instead.
 func QRCPSelect(a *Dense) (r *Dense, perm []int) {
-	_, _, r, perm = qrcpPivoted(a)
-	return r, perm
+	m, n := a.Dims()
+	k := min(m, n)
+	f := a.Clone()
+	perm = make([]int, n)
+	qrcpFactor(f, make([]float64, k), make([]float64, n), make([]float64, n), make([]float64, n), perm)
+	return UpperRows(f, k, n), perm
 }
 
 // QRCPInPlace runs the QRCP pivot sequence on f in place with
 // caller-owned storage and allocates nothing: on return perm is the
-// column permutation of QRCP(f) bit for bit (it runs the same
+// column permutation of QRCPSelect(f) bit for bit (it runs the same
 // qrcpFactor), the upper triangle of f holds R and the reflectors sit
 // below it. tau needs length min(m, n); norms, orig, scratch and perm
 // need length n. It is the tournament-node kernel, where only the pivots

@@ -54,17 +54,44 @@ func TestQRZeroMatrix(t *testing.T) {
 	}
 }
 
+// The R-only factorization (QRWorkspace.FactorR, no Q formed) leaves
+// QR's R in the upper triangle bit for bit.
 func TestROnlyMatchesQR(t *testing.T) {
-	a := randDense(10, 4, 77)
-	_, r := QR(a)
-	r2 := ROnly(a)
-	// R is unique up to the sign of each row; compare |R|.
-	for i := 0; i < r.Rows; i++ {
-		for j := 0; j < r.Cols; j++ {
-			if math.Abs(math.Abs(r.At(i, j))-math.Abs(r2.At(i, j))) > 1e-12 {
-				t.Fatal("ROnly differs from QR's R")
-			}
+	var ws QRWorkspace
+	for _, dims := range [][2]int{{10, 4}, {4, 10}, {120, 60}} {
+		a := randDense(dims[0], dims[1], 77)
+		_, r := QR(a)
+		f := a.Clone()
+		ws.FactorR(f)
+		if got := UpperRows(f, r.Rows, r.Cols); !sameBits(got, r) {
+			t.Fatalf("%v: FactorR's R differs from QR's", dims)
 		}
+	}
+}
+
+// Orth is bitwise the reference built on the thinQ-formed QRCP, on
+// full-rank, rank-deficient, zero, wide and blocked-size inputs and at
+// several GOMAXPROCS.
+func TestOrthMatchesReference(t *testing.T) {
+	lowRank := MulBT(randDense(40, 3, 81), randDense(9, 3, 82))
+	zeroCol := randDense(30, 6, 83)
+	for i := 0; i < zeroCol.Rows; i++ {
+		zeroCol.Set(i, 2, 0)
+	}
+	inputs := []*Dense{
+		randDense(20, 5, 80), lowRank, zeroCol, NewDense(7, 4), NewDense(0, 3),
+		randDense(5, 12, 84), randDense(300, 64, 85), MulBT(randDense(200, 50, 86), randDense(60, 50, 87)),
+	}
+	for _, procs := range []int{1, 2, 4} {
+		withMaxProcs(procs, func() {
+			for i, a := range inputs {
+				got, want := Orth(a), orthRef(a)
+				if !sameBits(got, want) || got.Stride != got.Cols {
+					t.Fatalf("GOMAXPROCS %d input %d (%d×%d): Orth %d×%d (stride %d) differs from the reference %d×%d",
+						procs, i, a.Rows, a.Cols, got.Rows, got.Cols, got.Stride, want.Rows, want.Cols)
+				}
+			}
+		})
 	}
 }
 
@@ -112,7 +139,7 @@ func TestOrthZero(t *testing.T) {
 
 func TestQRCPReconstruction(t *testing.T) {
 	a := randDense(9, 6, 44)
-	q, r, perm := QRCP(a)
+	q, r, perm := qrcp(a)
 	ap := a.PermuteCols(perm)
 	if !Mul(q, r).Equal(ap, 1e-11) {
 		t.Fatal("QRCP reconstruction failed")
@@ -125,7 +152,7 @@ func TestQRCPReconstruction(t *testing.T) {
 func TestQRCPDiagonalNonIncreasing(t *testing.T) {
 	f := func(seed int64) bool {
 		a := randDense(12, 7, seed)
-		_, r, _ := QRCP(a)
+		_, r, _ := qrcp(a)
 		for i := 1; i < r.Rows && i < r.Cols; i++ {
 			// Allow a tiny slack for roundoff in the norm downdating.
 			if math.Abs(r.At(i, i)) > math.Abs(r.At(i-1, i-1))*(1+1e-10) {
@@ -141,7 +168,7 @@ func TestQRCPDiagonalNonIncreasing(t *testing.T) {
 
 func TestQRCPPermIsPermutation(t *testing.T) {
 	a := randDense(6, 10, 45)
-	_, _, perm := QRCP(a)
+	_, _, perm := qrcp(a)
 	seen := make([]bool, 10)
 	for _, p := range perm {
 		if p < 0 || p >= 10 || seen[p] {
@@ -156,7 +183,7 @@ func TestQRCPRevealsRank(t *testing.T) {
 	u := randDense(10, 3, 46)
 	v := randDense(7, 3, 47)
 	a := MulBT(u, v)
-	_, r, _ := QRCP(a)
+	_, r, _ := qrcp(a)
 	if math.Abs(r.At(2, 2)) < 1e-10 {
 		t.Fatal("rank-3 matrix should have 3 significant diagonal entries")
 	}
@@ -169,7 +196,7 @@ func TestQRCPRevealsRank(t *testing.T) {
 
 func TestQRCPWideMatrix(t *testing.T) {
 	a := randDense(4, 9, 48)
-	q, r, perm := QRCP(a)
+	q, r, perm := qrcp(a)
 	if !Mul(q, r).Equal(a.PermuteCols(perm), 1e-11) {
 		t.Fatal("QRCP failed on wide matrix")
 	}
@@ -177,7 +204,7 @@ func TestQRCPWideMatrix(t *testing.T) {
 
 func TestQRCPSelectAgreesWithQRCP(t *testing.T) {
 	a := randDense(8, 6, 49)
-	_, rFull, permFull := QRCP(a)
+	_, rFull, permFull := qrcp(a)
 	r, perm := QRCPSelect(a)
 	for i := range perm {
 		if perm[i] != permFull[i] {

@@ -38,7 +38,7 @@ func (ws *QRWorkspace) QR(a *Dense) *Dense {
 }
 
 // FactorR factors a in place like QR but forms no Q: on return the upper
-// triangle of a holds R, bit for bit the R of QR(a) and ROnly(a).
+// triangle of a holds R, bit for bit the R of QR(a).
 func (ws *QRWorkspace) FactorR(a *Dense) {
 	m, n := a.Dims()
 	ws.tau = Grow(ws.tau, min(m, n))

@@ -78,7 +78,7 @@ func (s rowsOf) ColsNNZ(rows []int) int {
 // a game factors, the QRCP vectors, the QR of the final R₁₁, and the
 // champion and merge slices.
 // In steady state a game allocates nothing, and its pivots are bitwise
-// those of mat.QRCP on the same panel. A workspace is not safe for
+// those of mat.QRCPSelect on the same panel. A workspace is not safe for
 // concurrent use: a solve owns one, and in the dist runtime every rank
 // owns its own. The zero value is ready to use.
 type Workspace struct {
@@ -217,16 +217,11 @@ func SelectColumns(a *sparse.CSC, k int, tree Tree) Result {
 	return new(Workspace).SelectColumns(a, k, tree)
 }
 
-// Permutation expands a winner list into a full column permutation of an
-// n-column matrix: winners first (in order), then the remaining columns
-// in ascending order. perm[j] = original index of new column j.
-func Permutation(winners []int, n int) []int {
-	return PermutationInto(make([]int, n), make([]bool, n), winners)
-}
-
-// PermutationInto is Permutation into caller-owned storage: it writes the
-// permutation of a len(perm)-column matrix into perm, marking taken
-// columns in taken (same length), and returns perm.
+// PermutationInto expands a winner list into a full column permutation
+// of a len(perm)-column matrix, written into caller-owned storage:
+// winners first (in order), then the remaining columns in ascending
+// order, perm[j] = original index of new column j. Taken columns are
+// marked in taken (same length). It returns perm.
 func PermutationInto(perm []int, taken []bool, winners []int) []int {
 	n := len(perm)
 	clear(taken)

@@ -12,6 +12,17 @@ import (
 	"sparselr/internal/sparse"
 )
 
+// mustRun runs body on p ranks through dist.RunE and fails tb on a run
+// error.
+func mustRun(tb testing.TB, p int, cfg dist.Config, body func(*dist.Comm)) *dist.Result {
+	tb.Helper()
+	res, err := dist.RunE(p, cfg, func(c *dist.Comm) error { body(c); return nil })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 // oneRank runs a tournament on a one-rank world, where rank 0 owns
 // every candidate.
 func oneRank(body func(*dist.Comm) Result) Result {
@@ -157,7 +168,7 @@ func TestTournamentQualityVsSVD(t *testing.T) {
 }
 
 func TestPermutation(t *testing.T) {
-	perm := Permutation([]int{3, 1}, 5)
+	perm := PermutationInto(make([]int, 5), make([]bool, 5), []int{3, 1})
 	want := []int{3, 1, 0, 2, 4}
 	for i := range want {
 		if perm[i] != want[i] {
@@ -174,7 +185,7 @@ func TestPermutationInvalidWinner(t *testing.T) {
 					t.Fatalf("expected panic for winners %v", winners)
 				}
 			}()
-			Permutation(winners, 5)
+			PermutationInto(make([]int, 5), make([]bool, 5), winners)
 		}()
 	}
 }
@@ -244,7 +255,7 @@ func TestSelectColumnsDistMatchesSequentialWinners(t *testing.T) {
 	csc := a.ToCSC()
 	k := 8
 	for _, p := range []int{1, 2, 4, 8} {
-		res := dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
+		res := mustRun(t, p, dist.DefaultConfig(), func(c *dist.Comm) {
 			myCols := BlockCyclicColumns(64, p, c.Rank(), 2*k)
 			r := SelectColumnsDist(c, csc, myCols, k)
 			if len(r.Winners) != k {
@@ -269,7 +280,7 @@ func TestSelectColumnsDistAllRanksAgree(t *testing.T) {
 	k := 4
 	p := 4
 	winners := make([][]int, p)
-	dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
+	mustRun(t, p, dist.DefaultConfig(), func(c *dist.Comm) {
 		myCols := BlockCyclicColumns(32, p, c.Rank(), 2*k)
 		r := SelectColumnsDist(c, csc, myCols, k)
 		winners[c.Rank()] = r.Winners
@@ -286,14 +297,14 @@ func TestSelectColumnsDistAllRanksAgree(t *testing.T) {
 func TestSelectColumnsDistKernelAttribution(t *testing.T) {
 	a := randCSR(50, 64, 0.2, 98)
 	csc := a.ToCSC()
-	res := dist.Run(4, dist.DefaultConfig(), func(c *dist.Comm) {
+	res := mustRun(t, 4, dist.DefaultConfig(), func(c *dist.Comm) {
 		myCols := BlockCyclicColumns(64, 4, c.Rank(), 8)
 		SelectColumnsDist(c, csc, myCols, 4)
 	})
-	if res.MaxKernel("colQR_TP/local") <= 0 {
+	if res.MaxKernels()["colQR_TP/local"] <= 0 {
 		t.Fatal("local tournament kernel time missing")
 	}
-	if res.MaxKernel("colQR_TP/global") <= 0 {
+	if res.MaxKernels()["colQR_TP/global"] <= 0 {
 		t.Fatal("global tournament kernel time missing")
 	}
 }

@@ -12,14 +12,14 @@ import (
 )
 
 // refNode and refSelect are the tournament as written before the
-// workspace existed: a freshly extracted panel per game, the full QRCP
-// (Q included), and freshly allocated champion lists. The workspace
+// workspace existed: a freshly extracted panel per game, a fresh QRCP
+// (QRCPSelect) and freshly allocated champion lists. The workspace
 // drivers must pick exactly their winners.
 func refNode(a *sparse.CSC, cand []int, k int) []int {
 	if len(cand) <= k {
 		return append([]int(nil), cand...)
 	}
-	_, _, perm := mat.QRCP(a.ExtractColsDense(cand))
+	_, perm := mat.QRCPSelect(a.ExtractColsDense(cand))
 	win := make([]int, k)
 	for i := range win {
 		win[i] = cand[perm[i]]
@@ -31,7 +31,7 @@ func refR11(a *sparse.CSC, winners []int, k int) *mat.Dense {
 	if len(winners) == 0 {
 		return mat.NewDense(0, 0)
 	}
-	r := mat.ROnly(a.ExtractColsDense(winners))
+	_, r := mat.QR(a.ExtractColsDense(winners))
 	kk := min(k, len(winners), r.Rows)
 	return r.View(0, 0, kk, kk).Clone()
 }
@@ -207,12 +207,12 @@ func TestWorkspaceDistMatchesFresh(t *testing.T) {
 			}
 			got := make([][2]Result, p)
 			want := make([][2]Result, p)
-			gotStats := dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
+			gotStats := mustRun(t, p, dist.DefaultConfig(), func(c *dist.Comm) {
 				w := &ws[c.Rank()]
 				got[c.Rank()][0] = w.SelectColumnsDist(c, a, BlockCyclicColumns(a.Cols, p, c.Rank(), k), k)
 				got[c.Rank()][1] = w.SelectRowsDist(c, q, BlockCyclicColumns(q.Rows, p, c.Rank(), k), k)
 			})
-			wantStats := dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
+			wantStats := mustRun(t, p, dist.DefaultConfig(), func(c *dist.Comm) {
 				want[c.Rank()][0] = SelectColumnsDist(c, a, BlockCyclicColumns(a.Cols, p, c.Rank(), k), k)
 				want[c.Rank()][1] = new(Workspace).selectDist(c, roundTrip(q), BlockCyclicColumns(q.Rows, p, c.Rank(), k), k, "rowQR_TP")
 			})

@@ -30,7 +30,7 @@ func allocTestMatrix(m, n, nnzPerRow int, seed int64) *sparse.CSR {
 // sketcher is allocation-free.
 func stepAllocs(t *testing.T, a *sparse.CSR, opts Options) float64 {
 	var allocs float64
-	dist.Run(1, dist.DefaultConfig(), func(c *dist.Comm) {
+	mustRun(t, 1, dist.DefaultConfig(), func(c *dist.Comm) {
 		st, err := newQBState(c, a, opts)
 		if err != nil {
 			t.Error(err)

@@ -7,6 +7,17 @@ import (
 	"sparselr/internal/mat"
 )
 
+// mustRun runs body on p ranks through dist.RunE and fails tb on a run
+// error.
+func mustRun(tb testing.TB, p int, cfg dist.Config, body func(*dist.Comm)) *dist.Result {
+	tb.Helper()
+	res, err := dist.RunE(p, cfg, func(c *dist.Comm) error { body(c); return nil })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func TestFactorDistMatchesSequential(t *testing.T) {
 	a := decayMatrix(60, 50, 30, 0.6, 31)
 	opts := Options{BlockSize: 8, Tol: 1e-3, Power: 1, Seed: 99}
@@ -16,7 +27,7 @@ func TestFactorDistMatchesSequential(t *testing.T) {
 	}
 	for _, p := range []int{1, 2, 4} {
 		var got *Result
-		dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
+		mustRun(t, p, dist.DefaultConfig(), func(c *dist.Comm) {
 			r, err := FactorDist(c, a, opts, nil)
 			if err != nil {
 				t.Errorf("p=%d: %v", p, err)
@@ -52,13 +63,13 @@ func TestFactorDistMatchesSequential(t *testing.T) {
 
 func TestFactorDistKernels(t *testing.T) {
 	a := randSparse(80, 80, 0.1, 32)
-	res := dist.Run(4, dist.DefaultConfig(), func(c *dist.Comm) {
+	res := mustRun(t, 4, dist.DefaultConfig(), func(c *dist.Comm) {
 		if _, err := FactorDist(c, a, Options{BlockSize: 8, Tol: 1e-1, Power: 2, Seed: 5}, nil); err != nil {
 			t.Error(err)
 		}
 	})
 	for _, kernel := range []string{"SpMM", "orth/TSQR", "GEMM", "Bupdate"} {
-		if res.MaxKernel(kernel) <= 0 {
+		if res.MaxKernels()[kernel] <= 0 {
 			t.Errorf("kernel %q missing from the breakdown", kernel)
 		}
 	}
@@ -69,7 +80,7 @@ func TestFactorDistScalesBetterThanDeterministicStall(t *testing.T) {
 	// range (Fig 4: the randomized method exhibits better scalability).
 	a := randSparse(160, 160, 0.08, 33)
 	timeFor := func(p int) float64 {
-		res := dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
+		res := mustRun(t, p, dist.DefaultConfig(), func(c *dist.Comm) {
 			if _, err := FactorDist(c, a, Options{BlockSize: 8, Tol: 2e-1, Seed: 6}, nil); err != nil {
 				t.Error(err)
 			}
@@ -88,7 +99,7 @@ func TestFactorDistILUTComparableQuality(t *testing.T) {
 	a := decayMatrix(70, 70, 35, 0.75, 34)
 	tol := 1e-2
 	var got *Result
-	dist.Run(2, dist.DefaultConfig(), func(c *dist.Comm) {
+	mustRun(t, 2, dist.DefaultConfig(), func(c *dist.Comm) {
 		r, err := FactorDist(c, a, Options{BlockSize: 8, Tol: tol, Seed: 7}, nil)
 		if err != nil {
 			t.Error(err)

@@ -103,7 +103,7 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 	return r, err
 }
 
-// FactorDist runs RandQB_EI inside a dist.Run body in a genuinely
+// FactorDist runs RandQB_EI inside a dist.RunE body in a genuinely
 // distributed layout, mirroring §V's Elemental setup: A and the growing
 // basis Q_K are 1-D row-distributed (each rank stores only its m/P rows —
 // the El::Multiply layout), B_K is replicated (K×n is the small side),

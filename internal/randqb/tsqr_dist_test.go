@@ -31,7 +31,7 @@ func TestDistTSQROrthonormalAndSpanning(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 7, 8} {
 		y := randTall(50, 6, int64(p))
 		results := make([]*mat.Dense, p)
-		dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
+		mustRun(t, p, dist.DefaultConfig(), func(c *dist.Comm) {
 			results[c.Rank()] = distTSQR(c, y, "orth/TSQR", new(tsqrWorkspace))
 		})
 		for r := 0; r < p; r++ {
@@ -61,7 +61,7 @@ func TestDistTSQRDeficientFallback(t *testing.T) {
 	v := randTall(5, 2, 10)
 	y := mat.MulBT(u, v)
 	p := 4
-	dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
+	mustRun(t, p, dist.DefaultConfig(), func(c *dist.Comm) {
 		q := distTSQR(c, y, "orth/TSQR", new(tsqrWorkspace))
 		if q.Cols != 2 {
 			t.Errorf("rank %d: fallback basis has %d columns, want 2", c.Rank(), q.Cols)
@@ -73,7 +73,7 @@ func TestDistTSQRDeficientFallback(t *testing.T) {
 }
 
 func TestDistTSQRZeroColumns(t *testing.T) {
-	dist.Run(2, dist.DefaultConfig(), func(c *dist.Comm) {
+	mustRun(t, 2, dist.DefaultConfig(), func(c *dist.Comm) {
 		q := distTSQR(c, mat.NewDense(10, 0), "orth/TSQR", new(tsqrWorkspace))
 		if q.Cols != 0 || q.Rows != 10 {
 			t.Error("zero-column input mishandled")
@@ -83,10 +83,10 @@ func TestDistTSQRZeroColumns(t *testing.T) {
 
 func TestDistTSQRChargesKernel(t *testing.T) {
 	y := randTall(60, 4, 11)
-	res := dist.Run(4, dist.DefaultConfig(), func(c *dist.Comm) {
+	res := mustRun(t, 4, dist.DefaultConfig(), func(c *dist.Comm) {
 		distTSQR(c, y, "orth/TSQR", new(tsqrWorkspace))
 	})
-	if res.MaxKernel("orth/TSQR") <= 0 {
+	if res.MaxKernels()["orth/TSQR"] <= 0 {
 		t.Fatal("TSQR kernel time missing")
 	}
 	// Real messages flowed: comm time is nonzero.
@@ -154,7 +154,7 @@ func TestDistTSQRLocalWorkspaceP2(t *testing.T) {
 	}
 	for _, tc := range cases {
 		blocks := make([]*mat.Dense, 2)
-		dist.Run(2, dist.DefaultConfig(), func(c *dist.Comm) {
+		mustRun(t, 2, dist.DefaultConfig(), func(c *dist.Comm) {
 			lo, hi := dist.RowShare(m, 2, c.Rank())
 			ws := new(tsqrWorkspace)
 			q := distTSQRLocal(c, tc.y.View(lo, 0, hi-lo, w).Clone(), m, "orth/TSQR", ws)

@@ -91,7 +91,7 @@ func TestStepBytesKeptOnly(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const m, n = 300, 240
 	a := randSparse(m, n, 0.05, 31)
-	dist.Run(1, dist.DefaultConfig(), func(c *dist.Comm) {
+	mustRun(t, 1, dist.DefaultConfig(), func(c *dist.Comm) {
 		st, err := newUBVState(c, a, rankCappedOpts(64))
 		if err != nil {
 			t.Error(err)

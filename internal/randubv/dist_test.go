@@ -8,6 +8,17 @@ import (
 	"sparselr/internal/mat"
 )
 
+// mustRun runs body on p ranks through dist.RunE and fails tb on a run
+// error.
+func mustRun(tb testing.TB, p int, cfg dist.Config, body func(*dist.Comm)) *dist.Result {
+	tb.Helper()
+	res, err := dist.RunE(p, cfg, func(c *dist.Comm) error { body(c); return nil })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func TestFactorDistMatchesSequential(t *testing.T) {
 	a := decayMatrix(60, 50, 30, 0.6, 21)
 	opts := Options{BlockSize: 8, Tol: 1e-3, Seed: 22}
@@ -17,7 +28,7 @@ func TestFactorDistMatchesSequential(t *testing.T) {
 	}
 	for _, p := range []int{1, 2, 4} {
 		var got *Result
-		dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
+		mustRun(t, p, dist.DefaultConfig(), func(c *dist.Comm) {
 			r, err := FactorDist(c, a, opts)
 			if err != nil {
 				t.Errorf("p=%d: %v", p, err)
@@ -51,7 +62,7 @@ func TestFactorDistConvergesAndVerifies(t *testing.T) {
 	a := decayMatrix(70, 70, 40, 0.75, 23)
 	tol := 1e-2
 	var got *Result
-	res := dist.Run(4, dist.DefaultConfig(), func(c *dist.Comm) {
+	res := mustRun(t, 4, dist.DefaultConfig(), func(c *dist.Comm) {
 		r, err := FactorDist(c, a, Options{BlockSize: 8, Tol: tol, Seed: 24})
 		if err != nil {
 			t.Error(err)
@@ -68,7 +79,7 @@ func TestFactorDistConvergesAndVerifies(t *testing.T) {
 		t.Fatalf("true error %v", te)
 	}
 	for _, kernel := range []string{"SpMM", "orth/TSQR", "Bupdate"} {
-		if res.MaxKernel(kernel) <= 0 {
+		if res.MaxKernels()[kernel] <= 0 {
 			t.Errorf("kernel %q missing", kernel)
 		}
 	}
@@ -77,7 +88,7 @@ func TestFactorDistConvergesAndVerifies(t *testing.T) {
 func TestFactorDistShowsModeledSpeedup(t *testing.T) {
 	a := randSparse(150, 150, 0.08, 25)
 	timeFor := func(p int) float64 {
-		res := dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
+		res := mustRun(t, p, dist.DefaultConfig(), func(c *dist.Comm) {
 			if _, err := FactorDist(c, a, Options{BlockSize: 8, Tol: 2e-1, Seed: 26}); err != nil {
 				t.Error(err)
 			}
@@ -93,7 +104,7 @@ func TestFactorDistShowsModeledSpeedup(t *testing.T) {
 func TestFactorDistIndicatorAgreesWithTruth(t *testing.T) {
 	a := decayMatrix(50, 60, 25, 0.65, 27)
 	var got *Result
-	dist.Run(2, dist.DefaultConfig(), func(c *dist.Comm) {
+	mustRun(t, 2, dist.DefaultConfig(), func(c *dist.Comm) {
 		r, err := FactorDist(c, a, Options{BlockSize: 4, Tol: 1e-4, Seed: 28})
 		if err != nil {
 			t.Error(err)

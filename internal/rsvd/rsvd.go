@@ -11,14 +11,16 @@ import (
 	"sparselr/internal/sparse"
 )
 
+// oversampling is the number of extra sketch columns per attempt.
+const oversampling = 8
+
 // Options configures a restarted-RSVD run.
 type Options struct {
-	InitialRank  int     // starting rank estimate (default 8)
-	Oversampling int     // extra sketch columns per attempt (default 8)
-	Power        int     // power-scheme iterations (default 1)
-	Tol          float64 // τ
-	MaxRank      int     // cap (0 = min(m,n))
-	Seed         int64
+	InitialRank int     // starting rank estimate (default 8)
+	Power       int     // power-scheme iterations (default 0: none)
+	Tol         float64 // τ
+	MaxRank     int     // cap (0 = min(m,n))
+	Seed        int64
 	// Sketch selects the sketching operator (default Gaussian reproduces
 	// historical results bit-for-bit); SketchNNZ configures SparseSign.
 	Sketch    sketch.Kind
@@ -28,9 +30,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.InitialRank <= 0 {
 		o.InitialRank = 8
-	}
-	if o.Oversampling <= 0 {
-		o.Oversampling = 8
 	}
 	if o.Power < 0 {
 		o.Power = 0
@@ -76,7 +75,7 @@ func Factor(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		}
 		res.Restarts++
 		res.RankHistory = append(res.RankHistory, k)
-		u, s, v, captured := onePass(c, a, k, opts.Oversampling, opts.Power, sk)
+		u, s, v, captured := onePass(c, a, k, oversampling, opts.Power, sk)
 		// Frobenius indicator: ‖A − QB‖²_F = ‖A‖²_F − ‖B‖²_F.
 		rem := normA*normA - captured
 		if rem < 0 {

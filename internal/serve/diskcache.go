@@ -248,9 +248,6 @@ func (c *DiskCache) storeFrame(key string, frame []byte) {
 	c.idx.put(key, struct{}{}, int64(len(frame)))
 }
 
-// Dir returns the cache directory.
-func (c *DiskCache) Dir() string { return c.dir }
-
 // DiskStats is the operational snapshot of a DiskCache.
 type DiskStats struct {
 	Entries   int
@@ -281,14 +278,4 @@ func (c *DiskCache) Stats() DiskStats {
 		Evictions: c.idx.evictions,
 		Dropped:   c.dropped,
 	}
-}
-
-// Keys returns the resident keys, most recent first (tests, tooling).
-func (c *DiskCache) Keys() []string {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.idx.keys()
 }

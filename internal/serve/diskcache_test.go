@@ -302,19 +302,22 @@ func TestDiskCacheEvictionRacesReads(t *testing.T) {
 	if st.Bytes > st.Budget {
 		t.Fatalf("resident bytes %d exceed budget %d after settle", st.Bytes, st.Budget)
 	}
-	if got := len(c.Keys()); got != st.Entries {
+	c.mu.Lock()
+	resident := c.idx.keys()
+	c.mu.Unlock()
+	if got := len(resident); got != st.Entries {
 		t.Fatalf("index order holds %d keys, stats say %d entries", got, st.Entries)
 	}
 	// Directory and index agree: evicted files are gone, resident files
 	// all indexed, no temp leftovers.
-	files, err := os.ReadDir(c.Dir())
+	files, err := os.ReadDir(c.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(files) != st.Entries {
 		t.Fatalf("directory holds %d files, index %d entries", len(files), st.Entries)
 	}
-	for _, k := range c.Keys() {
+	for _, k := range resident {
 		if ap, ok := c.Get(k); !ok || ap == nil {
 			t.Fatalf("resident key %s unreadable after settle", k[:8])
 		}

@@ -79,12 +79,3 @@ func (l *lru[V]) remove(key string) {
 		l.used -= el.Value.(*lruEntry[V]).bytes
 	}
 }
-
-// keys lists the resident keys, most recent first.
-func (l *lru[V]) keys() []string {
-	keys := make([]string, 0, len(l.items))
-	for el := l.ll.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*lruEntry[V]).key)
-	}
-	return keys
-}

@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// keys lists the resident keys, most recent first.
+func (l *lru[V]) keys() []string {
+	keys := make([]string, 0, len(l.items))
+	for el := l.ll.Front(); el != nil; el = el.Next() {
+		keys = append(keys, el.Value.(*lruEntry[V]).key)
+	}
+	return keys
+}
+
 // TestLRURules walks the shared LRU through every rule both cache tiers
 // depend on: get refreshes recency, put refreshes an existing key's
 // value, size and recency, an entry over the whole budget is refused

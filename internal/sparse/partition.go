@@ -66,14 +66,6 @@ func chunksByPrefixInto(dst, prefix []int, nchunks int) []int {
 	return bounds
 }
 
-// RowChunksByNNZ returns nnz-balanced row bounds for a CSR row pointer:
-// bounds[c]..bounds[c+1] delimit chunk c of at most nchunks chunks. The
-// fused sketch applies in internal/sketch share this partitioner so every
-// CSR traversal in the repo balances the same way.
-func RowChunksByNNZ(rowPtr []int, nchunks int) []int {
-	return chunksByPrefix(rowPtr, nchunks)
-}
-
 // spmmChunksPerProc is the number of nnz-balanced chunks handed to the
 // pool per processor. A few chunks per worker lets the dynamic ParallelFor
 // scheduler absorb the residual imbalance that row granularity leaves

@@ -84,7 +84,7 @@ func TestChunksByPrefixEdgeCases(t *testing.T) {
 func TestRowChunksByNNZCoversAllRows(t *testing.T) {
 	a := randCSR(300, 200, 0.03, 5)
 	for _, nchunks := range []int{1, 2, 3, 7, 16, 1000} {
-		bounds := RowChunksByNNZ(a.RowPtr, nchunks)
+		bounds := chunksByPrefix(a.RowPtr, nchunks)
 		checkBounds(t, bounds, a.Rows)
 	}
 }

@@ -192,7 +192,7 @@ const (
 )
 
 // MulDense returns A·B for dense B. Large products run row-parallel on
-// the shared kernel pool with nnz-balanced row chunks (RowChunksByNNZ),
+// the shared kernel pool with nnz-balanced row chunks (ParallelRowsByNNZ),
 // so power-law row distributions no longer serialize on their hub rows;
 // every output row is written by exactly one worker in the serial
 // accumulation order, so the result is bitwise identical to the serial

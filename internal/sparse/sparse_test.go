@@ -103,7 +103,8 @@ func TestFromDenseToDenseRoundTrip(t *testing.T) {
 }
 
 func TestFromDenseTolerance(t *testing.T) {
-	d := mat.NewDenseFrom(1, 3, []float64{1e-8, 0.5, -1e-9})
+	d := mat.NewDense(1, 3)
+	copy(d.Data, []float64{1e-8, 0.5, -1e-9})
 	a := FromDense(d, 1e-6)
 	if a.NNZ() != 1 || a.At(0, 1) != 0.5 {
 		t.Fatal("tolerance-based sparsification wrong")

@@ -53,8 +53,9 @@
 #      runs of both
 #  16. dist collective micro-benchmarks (traced vs untraced) -> BENCH_dist.json
 #  17. sketch micro-benchmarks -> BENCH_sketch.json (ns/op + allocs/op),
-#      asserting SparseSign apply >= 3x faster than Gaussian and
-#      0 allocs/op on the Gaussian/SparseSign apply paths
+#      asserting 0 allocs/op on the Gaussian/SparseSign apply paths and
+#      SparseSign apply >= 3x faster than Gaussian on the medians of 5
+#      alternating runs of both
 #  18. skeleton-method gate: re-run the internal/cur fixed-precision
 #      acceptance test (all three variants reach tau on Table I with the
 #      exact streamed residual), then the CUR/ID2/ACA-vs-RandQB_EI
@@ -381,15 +382,10 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
         }
         END {
             print "\n}"
-            # Structured-sketch perf gate: SparseSign apply must beat the
-            # Gaussian apply by >= 3x, and the Gaussian/SparseSign apply
-            # paths must be allocation-free in steady state.
+            # Structured-sketch allocation gate: the Gaussian/SparseSign
+            # apply paths must be allocation-free in steady state.
             g = ns["SketchApplyGaussian"]; s = ns["SketchApplySparseSign"]
             if (g == "" || s == "") { print "missing sketch apply benchmarks" > "/dev/stderr"; exit 1 }
-            if (s * 3 > g) {
-                printf "SparseSign apply not >=3x faster than Gaussian: %s vs %s ns/op\n", s, g > "/dev/stderr"
-                exit 1
-            }
             if (allocs["SketchApplyGaussian"] + 0 != 0 || allocs["SketchApplySparseSign"] + 0 != 0) {
                 printf "sketch apply allocates: gaussian=%s sparsesign=%s allocs/op\n", allocs["SketchApplyGaussian"], allocs["SketchApplySparseSign"] > "/dev/stderr"
                 exit 1
@@ -397,6 +393,27 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
         }
     ' > BENCH_sketch.json
     echo "wrote BENCH_sketch.json"
+    # Structured-sketch perf gate: SparseSign apply must beat the
+    # Gaussian apply by >= 3x. Single runs swing on a shared 2-CPU host,
+    # so, as for KernelSpMMT, the gate compares the medians of 5 runs of
+    # each, alternating which apply goes first.
+    sketch_ns() {
+        go test -run '^$' -bench "^BenchmarkSketchApply$1\$" -benchtime "${BENCHTIME:-200ms}" ./internal/sketch | awk '/^Benchmark/ { print $3 }'
+    }
+    gauss=() sign=()
+    for i in 1 2 3 4 5; do
+        if (( i % 2 )); then
+            sign+=("$(sketch_ns SparseSign)"); gauss+=("$(sketch_ns Gaussian)")
+        else
+            gauss+=("$(sketch_ns Gaussian)"); sign+=("$(sketch_ns SparseSign)")
+        fi
+    done
+    gauss_med=$(median5 "${gauss[@]}") sign_med=$(median5 "${sign[@]}")
+    echo "SketchApplySparseSign median ${sign_med} ns/op, SketchApplyGaussian median ${gauss_med} ns/op (5 alternating runs each)"
+    if [[ -z "$sign_med" || -z "$gauss_med" ]] || awk -v s="$sign_med" -v g="$gauss_med" 'BEGIN { exit !(s * 3 > g) }'; then
+        echo "SparseSign apply not >=3x faster than Gaussian: median ${sign_med} vs ${gauss_med} ns/op" >&2
+        exit 1
+    fi
 
     echo "== skeleton-method gate (CUR/ID2/ACA fixed-precision accuracy + cost vs RandQB_EI)"
     go test -run '^TestTableIFixedPrecision$' -count=1 -timeout "${TESTTIMEOUT:-10m}" ./internal/cur
