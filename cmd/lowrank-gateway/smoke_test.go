@@ -294,9 +294,11 @@ func TestFleetSmoke(t *testing.T) {
 	gatewayRPS := float64(reqs) / window.Seconds()
 	t.Logf("gateway_rps=%.0f peer_fill_hit_rate=%.2f", gatewayRPS, hitRate)
 
-	// Phase 3: SIGKILL shard A mid-wave. Its keys must reroute to B
-	// through the gateway (dial error → next ring node), and the health
-	// checker must evict it.
+	// Phase 3: SIGKILL shard A mid-wave. Its keys must reach B and the
+	// health checker must evict A. A leaves the ring by either path: a
+	// submit that dials it first reroutes (dial error → next ring node),
+	// or a probe evicts it before the first submit and nothing needs
+	// rerouting.
 	if err := shardA.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -307,8 +309,9 @@ func TestFleetSmoke(t *testing.T) {
 			t.Fatalf("rerouted seed %d: %d %v", s, code, v)
 		}
 	}
-	if rr := scrape(t, gw.base, "lowrank_gateway_reroutes_total"); rr < 1 {
-		t.Fatalf("reroutes = %v, want ≥ 1", rr)
+	rr := scrape(t, gw.base, "lowrank_gateway_reroutes_total")
+	if ev := scrape(t, gw.base, "lowrank_gateway_evictions_total"); rr+ev < 1 {
+		t.Fatalf("reroutes + evictions = %v + %v, want ≥ 1", rr, ev)
 	}
 	// Eviction may land via the forward failure or the next probe tick.
 	evDeadline := time.Now().Add(10 * time.Second)

@@ -25,7 +25,7 @@ var exportAllowlist = map[string]string{
 
 	// Test oracles: the reference a test compares production code with.
 	"core.Approximation.Reconstruct": "dense Â from the factor table; the TrueError, export and one-rank tests compare against it",
-	"sparse.SpGEMMFlops":             "schur_test checks SchurComplement's charged flops against the SpGEMM count",
+	"sparse.SpGEMMFlops":             "schur_test checks the Schur workspace's charged flops against the SpGEMM count",
 
 	// Cross-package test fixtures.
 	"fleet.NewChaosPlan":  "the real-process chaos soak (cmd/lowrank-gateway soak_test.go, ./verify.sh -soak) builds its kill schedule with it",

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"sparselr/internal/dist"
@@ -142,7 +143,7 @@ type Result struct {
 // Table II and Fig 1.
 func (r *Result) NNZFactors() int { return r.L.NNZ() + r.U.NNZ() }
 
-// entry buffers factor entries in original-row / global-column space
+// entry buffers a captured T̃ entry in original row and column ids
 // until the final permutations are known.
 type entry struct {
 	i, j int
@@ -195,7 +196,8 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 	// and permutations already embed the reordering.
 	startIter := 0
 	resumed := false
-	var lEnt, uEnt, tEnt []entry
+	f := newFactorStore(m, n)
+	var tEnt []entry
 	z := 0
 	mu, phi, t2 := 0.0, 0.0, 0.0 // t2: running Σ‖T̃⁽ʲ⁾‖²_F
 	if opts.Checkpoint != nil {
@@ -204,8 +206,7 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 			startIter = it
 			resumed = true
 			acur = s.acur.Clone()
-			lEnt = append([]entry(nil), s.lEnt...)
-			uEnt = append([]entry(nil), s.uEnt...)
+			f = factorStore{lt: *s.lt.Clone(), u: *s.u.Clone()}
 			tEnt = append([]entry(nil), s.tEnt...)
 			z = s.z
 			mu, phi, t2 = s.mu, s.phi, s.t2
@@ -373,9 +374,9 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		qk = pq
 		ws.applyTail(rowOrder, z, ws.lrp)
 
-		// --- Partition Ā (line 8); Ā₂₁ and Ā₂₂ are read from acur ---
-		a11 := acur.ExtractBlock(0, keff, 0, keff).ToDense()
-		a12 := acur.ExtractBlock(0, keff, keff, ncur)
+		// --- Partition Ā (line 8): Ā₁₂ is copied out for the Schur
+		// update, Ā₁₁ for the solve; Ā₂₁ and Ā₂₂ are read from acur ---
+		acur.ExtractBlockInto(&ws.a12, 0, keff, keff, ncur)
 
 		// --- Triangular solve X = Ā₂₁Ā₁₁⁻¹ or the stable Q-based form
 		// (line 10): Ā₂₁ scattered by rows, Ā₁₁ broadcast, result
@@ -383,7 +384,7 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		c.Bcast(0, nil, 8*keff*keff) // broadcast of Ā₁₁
 		lo, hi := dist.RowShare(mcur-keff, p, c.Rank())
 		myX := ws.x.Shape(hi-lo, keff) // this rank's rows of Ā₂₁, solved in place
-		pivot := a11
+		var pivot *mat.Dense
 		if opts.StableL {
 			for i := lo; i < hi; i++ {
 				copy(myX.Row(i-lo), qk.Row(keff+i))
@@ -391,46 +392,28 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 			pivot = qk.View(0, 0, keff, keff)
 		} else {
 			gatherLeft(myX, acur, keff+lo)
+			pivot = ws.a11.Shape(keff, keff)
+			gatherLeft(pivot, acur, 0)
 		}
 		if err := mat.SolveRightInPlace(myX, pivot); err != nil {
 			// All ranks hit the same singular pivot deterministically.
 			return res, fmt.Errorf("%w: iteration %d: %v", ErrBreakdown, iter, err)
 		}
 		c.Compute(2*float64(hi-lo)*float64(keff)*float64(keff), "triSolve")
-		xsp := allgatherRows(c, sparse.FromDense(myX, 0))
-		if xsp.Cols == 0 {
-			xsp = sparse.NewCSR(mcur-keff, keff)
-		}
+		sparse.FromDenseInto(&ws.xLoc, myX, 0)
+		xsp := ws.allgatherRows(c, &ws.xLoc, &ws.xAll)
 
 		// --- Append L_k = [I; X] and U_k = [Ā₁₁ Ā₁₂] (line 11,
 		// replicated bookkeeping) ---
-		for tIdx := 0; tIdx < keff; tIdx++ {
-			lEnt = append(lEnt, entry{rowOrder[z+tIdx], z + tIdx, 1})
-			for cc := 0; cc < keff; cc++ {
-				if v := a11.At(tIdx, cc); v != 0 {
-					uEnt = append(uEnt, entry{z + tIdx, colOrder[z+cc], v})
-				}
-			}
-			cols, vals := a12.RowView(tIdx)
-			for kk, cc := range cols {
-				uEnt = append(uEnt, entry{z + tIdx, colOrder[z+keff+cc], vals[kk]})
-			}
-		}
-		for r := 0; r < xsp.Rows; r++ {
-			cols, vals := xsp.RowView(r)
-			for kk, cc := range cols {
-				lEnt = append(lEnt, entry{rowOrder[z+keff+r], z + cc, vals[kk]})
-			}
-		}
+		f.appendPanel(z, keff, rowOrder, colOrder, acur, xsp)
 
 		// --- Schur complement (line 12): each rank forms its row share
 		// of Ā₂₂ − XĀ₁₂ in one pass over acur, then an Allgather
-		// distributes S (§V) ---
-		c.Compute(sparse.SchurFlops(acur, keff, keff, xsp, a12, lo, hi), "schur")
-		s := allgatherRows(c, sparse.SchurComplement(acur, keff, keff, xsp, a12, lo, hi))
-		if s.Rows == 0 {
-			s = sparse.NewCSR(mcur-keff, ncur-keff)
-		}
+		// distributes S (§V). The stacked S of the previous iteration,
+		// read by this iteration's PermuteInto, holds the new one ---
+		mine, flops := ws.schur.Schur(acur, keff, keff, xsp, &ws.a12, lo, hi)
+		c.Compute(flops, "schur")
+		s := ws.allgatherRows(c, mine, &ws.sAll)
 
 		e := s.FrobNorm()
 		res.ErrHistory = append(res.ErrHistory, e)
@@ -512,8 +495,8 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		if opts.Checkpoint != nil && opts.CheckpointEvery > 0 && iter%opts.CheckpointEvery == 0 {
 			opts.Checkpoint.Save(iter, c.Rank(), &luSnapshot{
 				acur:             acur.Clone(),
-				lEnt:             append([]entry(nil), lEnt...),
-				uEnt:             append([]entry(nil), uEnt...),
+				lt:               f.lt.Clone(),
+				u:                f.u.Clone(),
 				tEnt:             append([]entry(nil), tEnt...),
 				z:                z,
 				mu:               mu,
@@ -542,9 +525,10 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 	if len(res.ErrHistory) > 0 {
 		res.ErrIndicator = res.ErrHistory[len(res.ErrHistory)-1]
 	}
-	rowPos, colPos := inverse(rowOrder), inverse(colOrder)
-	res.L, res.U = assembleFactors(lEnt, uEnt, rowPos, colPos, res.Rank)
+	rowPos := inverse(rowOrder)
+	res.L, res.U = f.finish(rowPos, colOrder)
 	if opts.CaptureDropped {
+		colPos := inverse(colOrder)
 		tb := sparse.NewBuilder(m, n)
 		for _, e := range tEnt {
 			tb.Add(rowPos[e.i], colPos[e.j], e.v)
@@ -570,8 +554,14 @@ func fillReducingOrder(c *dist.Comm, a *sparse.CSR) []int {
 
 // workspace is one rank's grow-only LU iteration storage, owned like
 // qrtp.Workspace: ranks are goroutines, so each owns one and they never
-// share it. A warm iteration allocates only what it keeps: the Schur
-// output, the factor entries and the k×k blocks.
+// share it. Beyond first growth of its buffers and of the factors, a
+// warm iteration allocates only the tournament results, the k×k LU of
+// the solve and, at p > 1, the collectives' part lists (ReorderEvery and
+// aggressive thresholding also build fresh matrices).
+//
+// At p > 1 the rank's Schur share (schur's output) and its rows of X
+// (xLoc) are Allgather payloads that other ranks read by reference; see
+// allgatherRows for why rewriting them in the next iteration is safe.
 type workspace struct {
 	tour  qrtp.Workspace
 	qr    mat.QRWorkspace
@@ -580,6 +570,14 @@ type workspace struct {
 	panel mat.Buffer // A⁽ⁱ⁾'s winning columns, then R over the reflectors
 	q     mat.Buffer // P_r·Q_k
 	x     mat.Buffer // this rank's rows of Ā₂₁ (or Q₂₁), then of X
+	a11   mat.Buffer // Ā₁₁, the solve's pivot block
+	a12   sparse.CSR // Ā₁₂, the Schur update's right factor
+	xLoc  sparse.CSR // this rank's rows of X
+	schur sparse.SchurWorkspace
+	// The allgathered X and S at p > 1 (at p = 1 they are xLoc and
+	// schur's output), and the received blocks.
+	xAll, sAll sparse.CSR
+	parts      []*sparse.CSR
 	// This rank's tournament candidates, the column and row winner
 	// permutations, and their scratch.
 	myCols, myRows []int
@@ -636,17 +634,33 @@ func gatherLeft(dst *mat.Dense, a *sparse.CSR, r0 int) {
 }
 
 // allgatherRows assembles a row-distributed CSR from every rank's row
-// block. On one rank the block already is the whole matrix.
-func allgatherRows(c *dist.Comm, mine *sparse.CSR) *sparse.CSR {
+// block into dst. On one rank the block already is the whole matrix.
+//
+// The blocks travel by reference, so at p > 1 the two ownership rules of
+// DESIGN.md §4c hold for X's and S's blocks. Each rank copies every
+// block into dst before it enters another collective. A rank writes its
+// X block again in the next iteration, after this iteration's Schur
+// Allgather has returned, and its Schur block after the next column
+// tournament has returned. Every rank sends into both collectives only
+// after it copied the blocks out, and both end in a Bcast from rank 0,
+// sent once rank 0 has heard from every rank (the Allgather's Gather and
+// the tournament's winner tree), so no rank rewrites a block another
+// rank may still read.
+func (ws *workspace) allgatherRows(c *dist.Comm, mine, dst *sparse.CSR) *sparse.CSR {
 	parts := c.Allgather(mine, 12*mine.NNZ())
 	if len(parts) == 1 {
 		return mine
 	}
-	blocks := make([]*sparse.CSR, len(parts))
-	for r, part := range parts {
-		blocks[r] = part.(*sparse.CSR)
+	ws.parts = ws.parts[:0]
+	for _, part := range parts {
+		ws.parts = append(ws.parts, part.(*sparse.CSR))
 	}
-	return sparse.VStackCSR(blocks...)
+	sparse.VStackCSRInto(dst, ws.parts...)
+	clear(ws.parts)
+	if dst.Rows == 0 {
+		dst.Cols = mine.Cols
+	}
+	return dst
 }
 
 // luSnapshot is one rank's LU_CRTP/ILUT_CRTP loop state at an iteration
@@ -654,7 +668,8 @@ func allgatherRows(c *dist.Comm, mine *sparse.CSR) *sparse.CSR {
 // same values; all fields are deep copies.
 type luSnapshot struct {
 	acur               *sparse.CSR
-	lEnt, uEnt, tEnt   []entry
+	lt, u              *sparse.CSR // the factorStore's partial factors
+	tEnt               []entry
 	z                  int
 	mu, phi, t2        float64
 	rowOrder, colOrder []int
@@ -674,19 +689,84 @@ type luSnapshot struct {
 	hitNumRank         bool
 }
 
-// assembleFactors maps the buffered entries from original coordinates to
-// the final permuted positions (rowPos/colPos, the inverses of the row
-// and column orders) and builds CSR factors.
-func assembleFactors(lEnt, uEnt []entry, rowPos, colPos []int, rank int) (l, u *sparse.CSR) {
-	lb := sparse.NewBuilder(len(rowPos), rank)
-	for _, e := range lEnt {
-		lb.Add(rowPos[e.i], e.j, e.v)
+// factorStore collects L and U while the loop runs, each in the order
+// its entries become final. L's columns are final when appended, so lt
+// holds Lᵀ, one row per column of L, over original row ids. U's rows
+// are final when appended, so u holds U over original column ids.
+// finish maps both through the final permutations once.
+type factorStore struct {
+	lt, u sparse.CSR
+}
+
+func newFactorStore(m, n int) factorStore {
+	return factorStore{
+		lt: sparse.CSR{Cols: m, RowPtr: []int{0}},
+		u:  sparse.CSR{Cols: n, RowPtr: []int{0}},
 	}
-	ub := sparse.NewBuilder(rank, len(colPos))
-	for _, e := range uEnt {
-		ub.Add(e.i, colPos[e.j], e.v)
+}
+
+// appendPanel appends L_k = [I; X] as columns z, …, z+keff−1 of L and
+// U_k = [Ā₁₁ Ā₁₂], the first keff rows of abar, as rows z, …, z+keff−1
+// of U. Exact zeros (an explicit zero stored in A) do not reach U; X
+// holds none.
+func (f *factorStore) appendPanel(z, keff int, rowOrder, colOrder []int, abar, x *sparse.CSR) {
+	u := &f.u
+	for t := 0; t < keff; t++ {
+		cols, vals := abar.RowView(t)
+		for k, j := range cols {
+			if vals[k] != 0 {
+				u.ColIdx = append(u.ColIdx, colOrder[z+j])
+				u.Val = append(u.Val, vals[k])
+			}
+		}
+		u.RowPtr = append(u.RowPtr, len(u.Val))
 	}
-	return lb.ToCSR(), ub.ToCSR()
+	u.Rows += keff
+
+	// Column z+t of L is the unit pivot at row rowOrder[z+t], then X's
+	// column t. Count each column's entries, then scatter with ptr[t] as
+	// column t's cursor, as CSR.ToCSCInto does.
+	l := &f.lt
+	base, nnz := len(l.Val), keff+x.NNZ()
+	l.ColIdx = slices.Grow(l.ColIdx, nnz)[:base+nnz]
+	l.Val = slices.Grow(l.Val, nnz)[:base+nnz]
+	l.RowPtr = slices.Grow(l.RowPtr, keff)[:z+keff+1]
+	ptr := l.RowPtr[z:]
+	for t := 1; t <= keff; t++ {
+		ptr[t] = 1
+	}
+	for _, t := range x.ColIdx {
+		ptr[t+1]++
+	}
+	for t := 1; t <= keff; t++ {
+		ptr[t] += ptr[t-1]
+	}
+	for t := 0; t < keff; t++ {
+		l.ColIdx[ptr[t]], l.Val[ptr[t]] = rowOrder[z+t], 1
+		ptr[t]++
+	}
+	for r := 0; r < x.Rows; r++ {
+		i := rowOrder[z+keff+r]
+		cols, vals := x.RowView(r)
+		for k, t := range cols {
+			l.ColIdx[ptr[t]], l.Val[ptr[t]] = i, vals[k]
+			ptr[t]++
+		}
+	}
+	copy(ptr[1:], ptr[:keff])
+	ptr[0] = base
+	l.Rows += keff
+}
+
+// finish returns L and U of P_r·A·P_c in storage of exactly their size:
+// Lᵀ's row ids map through rowPos (the inverse of the row order) and one
+// transpose sorts L's rows, and U's column ids map through the inverse
+// of colOrder with each row sorted once. It consumes the store.
+func (f *factorStore) finish(rowPos, colOrder []int) (l, u *sparse.CSR) {
+	for k, i := range f.lt.ColIdx {
+		f.lt.ColIdx[k] = rowPos[i]
+	}
+	return f.lt.Transpose(), f.u.PermuteCols(colOrder)
 }
 
 // inverse returns the inverse of the permutation order:

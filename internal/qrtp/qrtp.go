@@ -42,8 +42,9 @@ type source interface {
 }
 
 // rowsOf presents the rows of a dense matrix q as the columns of qᵀ. Its
-// panels and nonzero counts are those of sparse.FromDense(q.T(), 0).ToCSC()
-// bit for bit: entries that round trip would drop (±0, NaN) read as +0.
+// panels and nonzero counts are those of the CSC of qᵀ built by
+// sparse.FromDenseInto (tol 0) and ToCSC, bit for bit: entries that
+// round trip would drop (±0, NaN) read as +0.
 type rowsOf struct{ q *mat.Dense }
 
 func (s rowsOf) Dims() (r, c int) { return s.q.Cols, s.q.Rows }

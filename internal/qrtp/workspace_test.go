@@ -165,7 +165,11 @@ func adversarialQ(m, k int, seed int64) *mat.Dense {
 
 // roundTrip is the row-tournament input as it was built before rows were
 // gathered straight from q: qᵀ through a sparse round trip.
-func roundTrip(q *mat.Dense) *sparse.CSC { return sparse.FromDense(q.T(), 0).ToCSC() }
+func roundTrip(q *mat.Dense) *sparse.CSC {
+	var t sparse.CSR
+	sparse.FromDenseInto(&t, q.T(), 0)
+	return t.ToCSC()
+}
 
 // On one rank the row tournament is the sequential binary tournament
 // over all rows.

@@ -134,8 +134,9 @@ func TestSpGEMMParallelMatchesSerialBitwise(t *testing.T) {
 // spGEMMSerial is the single-threaded Gustavson product, the reference
 // for the parallel-equivalence tests.
 func spGEMMSerial(a, b *CSR) *CSR {
-	g := gustavson{x: a, b: b}
-	return g.serial(0, g.weights(0, a.Rows))
+	var out *CSR
+	withMaxProcs(1, func() { out = SpGEMM(a, b) })
+	return out
 }
 
 // referenceToCSR is the previous comparison-sort finalization, kept as the

@@ -9,7 +9,7 @@ import (
 )
 
 // schurCase builds A (m×n), X ((m−r0)×k) and B (k×(n−c0)) for
-// SchurComplement(A, r0, c0, X, B, ·, ·). Rows listed in empty have no X
+// SchurWorkspace.Schur(A, r0, c0, X, B, ·, ·). Rows listed in empty have no X
 // entries and no trailing A entries; rows listed in cancel carry the
 // product row X·B in A's trailing block, so A − X·B cancels to exactly
 // zero there.
@@ -89,32 +89,129 @@ func TestSchurComplementMatchesAddSpGEMM(t *testing.T) {
 				ablk := a.ExtractBlock(c.r0+lo, c.r0+hi, c.c0, a.Cols)
 				var want *CSR
 				withMaxProcs(1, func() { want = Add(1, ablk, -1, SpGEMM(xblk, b)) })
-				g := gustavson{x: x, b: b, a: a, r0: c.r0, c0: c.c0}
-				if pw := g.weights(lo, hi); c.parallelAtEveryRank && 2*float64(pw[hi-lo]) < spgemmParallelThreshold {
+				var w SchurWorkspace
+				w.weigh(gustavson{x: x, b: b, a: a, r0: c.r0, c0: c.c0}, lo, hi)
+				if pw := w.pw; c.parallelAtEveryRank && 2*float64(pw[hi-lo]) < spgemmParallelThreshold {
 					t.Fatalf("%s p=%d rank %d: share below the parallel threshold", c.name, p, rank)
 				}
+				wantFlops := SpGEMMFlops(xblk, b) + 2*float64(ablk.NNZ())
 				for _, procs := range []int{1, 2, 4} {
 					var got *CSR
-					withMaxProcs(procs, func() { got = SchurComplement(a, c.r0, c.c0, x, b, lo, hi) })
+					var flops float64
+					withMaxProcs(procs, func() { got, flops = new(SchurWorkspace).Schur(a, c.r0, c.c0, x, b, lo, hi) })
 					if !csrBitwiseEqual(got, want) {
 						t.Fatalf("%s p=%d rank %d [%d,%d) GOMAXPROCS=%d: fused Schur differs from Add(A22, −X·A12)",
 							c.name, p, rank, lo, hi, procs)
 					}
-				}
-				wantFlops := SpGEMMFlops(xblk, b) + 2*float64(ablk.NNZ())
-				if got := SchurFlops(a, c.r0, c.c0, x, b, lo, hi); got != wantFlops {
-					t.Fatalf("%s p=%d rank %d: SchurFlops = %v, want %v", c.name, p, rank, got, wantFlops)
+					if flops != wantFlops {
+						t.Fatalf("%s p=%d rank %d: Schur charges %v flops, want %v", c.name, p, rank, flops, wantFlops)
+					}
 				}
 			}
 		}
 		// The cancelling rows must come out empty, or the case does not
 		// exercise the exact-zero drop.
-		s := SchurComplement(a, c.r0, c.c0, x, b, 0, rows)
+		s, _ := new(SchurWorkspace).Schur(a, c.r0, c.c0, x, b, 0, rows)
 		for _, i := range c.cancel {
 			if s.RowPtr[i+1] != s.RowPtr[i] {
 				t.Fatalf("%s: cancelling row %d kept %d entries", c.name, i, s.RowPtr[i+1]-s.RowPtr[i])
 			}
 		}
+	}
+}
+
+// TestSchurWorkspaceReuse runs one workspace over a sequence of shapes
+// that grow and then shrink, on the serial path (GOMAXPROCS 1) and the
+// chunked one (GOMAXPROCS 2): every call must equal the two-pass
+// reference bit for bit, so rows, entries, accumulator marks or chunk
+// buffers left over from a larger call show up. One shape has a last
+// row heavier than all the others together, which leaves the chunked
+// path's last chunk empty right after a call that filled it.
+func TestSchurWorkspaceReuse(t *testing.T) {
+	type shape struct {
+		m, n, r0, c0, k int
+		dx, db, da      float64
+		heavy           bool
+	}
+	shapes := []shape{
+		{60, 50, 6, 6, 6, 0.5, 0.1, 0.03, false},
+		{300, 200, 8, 8, 8, 0.5, 0.1, 0.03, false},
+		{840, 400, 16, 16, 16, 0.5, 0.1, 0.03, false},
+		{300, 2000, 24, 24, 24, 0, 1, 0.001, true},
+		{500, 300, 12, 12, 12, 0.5, 0.1, 0.03, false},
+		{120, 90, 4, 4, 4, 0.5, 0.1, 0.03, false},
+		{40, 30, 0, 0, 0, 0.5, 0.1, 0.03, false},
+	}
+	for _, procs := range []int{1, 2} {
+		var w SchurWorkspace
+		emptyChunk := false
+		for i, sh := range shapes {
+			rows := sh.m - sh.r0
+			seed := int64(200 + i)
+			a, x, b := schurCase(sh.m, sh.n, sh.r0, sh.c0, sh.k, sh.dx, sh.db, sh.da,
+				[]int{0, rows / 2, rows/2 + 1}, []int{1, rows - 2}, seed)
+			if sh.heavy {
+				a, x = withHeavyLastRow(a, x, sh.c0, seed)
+			}
+			for _, p := range []int{1, 2} {
+				for rank := 0; rank < p; rank++ {
+					lo, hi := dist.RowShare(rows, p, rank)
+					var want, got *CSR
+					withMaxProcs(1, func() {
+						want = Add(1, a.ExtractBlock(sh.r0+lo, sh.r0+hi, sh.c0, a.Cols), -1, SpGEMM(x.ExtractBlock(lo, hi, 0, x.Cols), b))
+					})
+					withMaxProcs(procs, func() { got, _ = w.Schur(a, sh.r0, sh.c0, x, b, lo, hi) })
+					if !csrBitwiseEqual(got, want) || len(got.RowPtr) != got.Rows+1 {
+						t.Fatalf("GOMAXPROCS=%d shape %d (%d×%d) p=%d rank %d: reused workspace differs from the reference",
+							procs, i, sh.m, sh.n, p, rank)
+					}
+					if procs == 2 && sh.heavy && 2*float64(w.pw[hi-lo]) >= spgemmParallelThreshold && w.bounds[len(w.bounds)-2] == hi-lo {
+						emptyChunk = true
+					}
+				}
+			}
+		}
+		if procs == 2 && !emptyChunk {
+			t.Fatal("no chunked call left its last chunk empty")
+		}
+	}
+}
+
+// withHeavyLastRow returns a and x with their last rows filled in (a's
+// trailing block from column c0, all of x's row).
+func withHeavyLastRow(a, x *CSR, c0 int, seed int64) (*CSR, *CSR) {
+	rng := rand.New(rand.NewSource(seed))
+	fill := func(m *CSR, from int) *CSR {
+		b := NewBuilder(m.Rows, m.Cols)
+		for i := 0; i < m.Rows-1; i++ {
+			cols, vals := m.RowView(i)
+			for k, j := range cols {
+				b.Add(i, j, vals[k])
+			}
+		}
+		for j := from; j < m.Cols; j++ {
+			b.Add(m.Rows-1, j, rng.NormFloat64())
+		}
+		return b.ToCSR()
+	}
+	return fill(a, c0), fill(x, 0)
+}
+
+// TestSchurWorkspaceWarmAllocs pins a warm call of an unchanged shape to
+// zero allocations on the serial and the chunked path.
+func TestSchurWorkspaceWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	a, x, b := schurCase(840, 400, 16, 16, 16, 0.5, 0.1, 0.02, nil, nil, 7)
+	for _, procs := range []int{1, 2} {
+		var w SchurWorkspace
+		withMaxProcs(procs, func() {
+			w.Schur(a, 16, 16, x, b, 0, 824)
+			if got := testing.AllocsPerRun(10, func() { w.Schur(a, 16, 16, x, b, 0, 824) }); got != 0 {
+				t.Fatalf("GOMAXPROCS=%d: warm Schur %v allocs/op, want 0", procs, got)
+			}
+		})
 	}
 }
 
@@ -124,7 +221,7 @@ func TestSchurComplementDimensionPanic(t *testing.T) {
 			t.Fatal("expected panic on a mismatched B")
 		}
 	}()
-	SchurComplement(NewCSR(5, 5), 1, 1, NewCSR(4, 2), NewCSR(2, 3), 0, 4)
+	new(SchurWorkspace).Schur(NewCSR(5, 5), 1, 1, NewCSR(4, 2), NewCSR(2, 3), 0, 4)
 }
 
 // TestPermuteColsAllocs bounds PermuteCols to the result's four

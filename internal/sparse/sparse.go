@@ -86,21 +86,23 @@ func (a *CSR) ToDense() *mat.Dense {
 	return d
 }
 
-// FromDense builds a CSR matrix keeping entries with |v| > tol.
-// tol = 0 keeps all exact nonzeros.
-func FromDense(d *mat.Dense, tol float64) *CSR {
-	a := NewCSR(d.Rows, d.Cols)
+// FromDenseInto writes the entries of d with |v| > tol into dst, reusing
+// dst's storage. tol = 0 keeps all exact nonzeros.
+func FromDenseInto(dst *CSR, d *mat.Dense, tol float64) {
+	dst.Rows, dst.Cols = d.Rows, d.Cols
+	dst.RowPtr = mat.Grow(dst.RowPtr, d.Rows+1)
+	dst.RowPtr[0] = 0
+	dst.ColIdx, dst.Val = dst.ColIdx[:0], dst.Val[:0]
 	for i := 0; i < d.Rows; i++ {
 		row := d.Row(i)
 		for j, v := range row {
 			if math.Abs(v) > tol {
-				a.ColIdx = append(a.ColIdx, j)
-				a.Val = append(a.Val, v)
+				dst.ColIdx = append(dst.ColIdx, j)
+				dst.Val = append(dst.Val, v)
 			}
 		}
-		a.RowPtr[i+1] = len(a.Val)
+		dst.RowPtr[i+1] = len(dst.Val)
 	}
-	return a
 }
 
 // FrobNorm returns the Frobenius norm.
@@ -463,51 +465,64 @@ func (a *CSR) ResidualFrobNorm(l, r *mat.Dense) float64 {
 
 // SpGEMM returns the sparse product A·B using Gustavson's row-merge
 // algorithm. Entries whose accumulated value is exactly zero are dropped.
-// Large products run row-parallel with *flop-balanced* chunks: the row
-// ranges are cut in the prefix sum of per-row Gustavson flop counts
-// (chunksByPrefix), so one dense hub row of A no longer serializes the
-// product. Each chunk owns a private sparse accumulator and the per-chunk
-// results are concatenated in row order. Every output row is computed
-// with exactly the serial per-row merge order, so the parallel result is
-// bitwise identical to the serial one. The output arrays grow by
-// extrapolating the entries emitted per flop (growOutput), not by
+// It runs SchurWorkspace's kernel on a fresh workspace: large products
+// run row-parallel in flop-balanced chunks, and every output row is
+// computed with exactly the serial per-row merge order, so the parallel
+// result is bitwise identical to the serial one. The output arrays grow
+// by extrapolating the entries emitted per flop (growOutput), not by
 // append's steps, so they allocate little beyond their final size.
 func SpGEMM(a, b *CSR) *CSR {
 	if a.Cols != b.Rows {
 		panic("sparse: SpGEMM dimension mismatch")
 	}
-	return gustavson{x: a, b: b}.rows(0, a.Rows)
+	w := new(SchurWorkspace)
+	return w.rows(gustavson{x: a, b: b}, 0, a.Rows)
 }
 
-// SchurComplement returns rows [lo, hi) of the Schur complement
-// A[r0:, c0:] − X·B, that is A[r0+lo : r0+hi, c0:] − X[lo:hi, :]·B, in
-// one Gustavson pass. A's trailing block is read in place and merged
-// with each product row as it leaves the sparse accumulator, so neither
-// the block nor the product is materialized. Exact zeros are dropped, and
-// the result is bitwise equal to
+// SchurWorkspace is the grow-only storage of the row-merge kernel behind
+// SpGEMM and the LU Schur update: the weight prefix, the chunk bounds,
+// one sparse accumulator and one output buffer per parallel chunk, and
+// the output CSR. A warm call whose output fits allocates nothing. A
+// workspace is not safe for concurrent use, and each call overwrites the
+// matrix the previous call returned.
+type SchurWorkspace struct {
+	pw, bounds []int
+	spas       []spa
+	chunks     []chunkOut
+	out        CSR
+	// The operands of the parallel call in flight, read by run, which is
+	// bound once so that a call forms no closure.
+	g   gustavson
+	lo  int
+	run func(clo, chi int)
+}
+
+// chunkOut is one parallel chunk's output rows.
+type chunkOut struct {
+	colIdx []int
+	val    []float64
+}
+
+// Schur returns rows [lo, hi) of the Schur complement A[r0:, c0:] − X·B,
+// that is A[r0+lo : r0+hi, c0:] − X[lo:hi, :]·B, in w's storage, and its
+// cost-model charge: SpGEMMFlops(X[lo:hi, :], B) plus two flops per
+// stored entry of A[r0+lo : r0+hi, c0:]. One pass over the rows' weights
+// gives both the charge and the chunking. A's trailing block is read in
+// place and merged with each product row as it leaves the sparse
+// accumulator, so neither the block nor the product is materialized.
+// Exact zeros are dropped, and the result is bitwise equal to
 //
 //	Add(1, A.ExtractBlock(r0+lo, r0+hi, c0, A.Cols), -1,
 //		SpGEMM(X.ExtractBlock(lo, hi, 0, X.Cols), B))
 //
 // Large blocks run row-parallel like SpGEMM, in chunks balanced on each
 // row's flops plus its A entries.
-func SchurComplement(a *CSR, r0, c0 int, x, b *CSR, lo, hi int) *CSR {
-	checkSchur(a, r0, c0, x, b, lo, hi)
-	return gustavson{x: x, b: b, a: a, r0: r0, c0: c0}.rows(lo, hi)
-}
-
-// SchurFlops returns the cost-model charge of SchurComplement with the
-// same arguments: SpGEMMFlops(X[lo:hi, :], B) plus two flops per stored
-// entry of A[r0+lo : r0+hi, c0:], that is twice the rows' weights.
-func SchurFlops(a *CSR, r0, c0 int, x, b *CSR, lo, hi int) float64 {
-	checkSchur(a, r0, c0, x, b, lo, hi)
-	return 2 * float64(gustavson{x: x, b: b, a: a, r0: r0, c0: c0}.weights(lo, hi)[hi-lo])
-}
-
-func checkSchur(a *CSR, r0, c0 int, x, b *CSR, lo, hi int) {
+func (w *SchurWorkspace) Schur(a *CSR, r0, c0 int, x, b *CSR, lo, hi int) (s *CSR, flops float64) {
 	if r0 < 0 || c0 < 0 || x.Rows != a.Rows-r0 || x.Cols != b.Rows || b.Cols != a.Cols-c0 || lo < 0 || lo > hi || hi > x.Rows {
-		panic("sparse: SchurComplement dimension mismatch")
+		panic("sparse: Schur dimension mismatch")
 	}
+	s = w.rows(gustavson{x: x, b: b, a: a, r0: r0, c0: c0}, lo, hi)
+	return s, 2 * float64(w.pw[hi-lo])
 }
 
 // gustavson is one row-merge product X·B, or, when a is non-nil, the
@@ -528,12 +543,14 @@ func (g gustavson) aRow(i int) (cols []int, vals []float64) {
 	return cols[k:], vals[k:]
 }
 
-// weights returns the prefix sum over rows [lo, hi) of each output row's
-// size bound: its Gustavson flop count Σ nnz(B row j) over the stored
-// x_ij, plus its A entries. It balances the parallel chunks and sizes
-// the output.
-func (g gustavson) weights(lo, hi int) []int {
-	pw := make([]int, hi-lo+1)
+// weigh fills w.pw with the prefix sum over rows [lo, hi) of each output
+// row's size bound: its Gustavson flop count Σ nnz(B row j) over the
+// stored x_ij, plus its A entries. It prices the product, balances the
+// parallel chunks and sizes the output.
+func (w *SchurWorkspace) weigh(g gustavson, lo, hi int) {
+	w.pw = mat.Grow(w.pw, hi-lo+1)
+	pw := w.pw
+	pw[0] = 0
 	for i := lo; i < hi; i++ {
 		acols, _ := g.aRow(i)
 		f := len(acols)
@@ -542,57 +559,81 @@ func (g gustavson) weights(lo, hi int) []int {
 		}
 		pw[i-lo+1] = pw[i-lo] + f
 	}
-	return pw
 }
 
-// rows computes output rows [lo, hi): serially, or row-parallel in
-// weight-balanced chunks when the product is large enough.
-func (g gustavson) rows(lo, hi int) *CSR {
-	pw := g.weights(lo, hi)
-	if runtime.GOMAXPROCS(0) < 2 || 2*float64(pw[hi-lo]) < spgemmParallelThreshold {
-		return g.serial(lo, pw)
+// rows computes output rows [lo, hi) into w.out: serially, or
+// row-parallel in weight-balanced chunks when the product is large
+// enough.
+func (w *SchurWorkspace) rows(g gustavson, lo, hi int) *CSR {
+	w.weigh(g, lo, hi)
+	out := &w.out
+	out.Rows, out.Cols = hi-lo, g.b.Cols
+	out.RowPtr = mat.Grow(out.RowPtr, hi-lo+1)
+	out.RowPtr[0] = 0
+	if runtime.GOMAXPROCS(0) < 2 || 2*float64(w.pw[hi-lo]) < spgemmParallelThreshold {
+		w.reserveChunks(1)
+		out.ColIdx, out.Val = w.spas[0].rows(g, lo, w.pw, out.RowPtr[1:], out.ColIdx, out.Val)
+		return out
 	}
-	out := NewCSR(hi-lo, g.b.Cols)
-	bounds := chunksByPrefix(pw, runtime.GOMAXPROCS(0))
-	nchunks := len(bounds) - 1
-	type chunkOut struct {
-		colIdx []int
-		val    []float64
+	w.bounds = chunksByPrefixInto(w.bounds, w.pw, runtime.GOMAXPROCS(0))
+	nchunks := len(w.bounds) - 1
+	w.reserveChunks(nchunks)
+	w.g, w.lo = g, lo
+	if w.run == nil {
+		w.run = w.runChunks
 	}
-	results := make([]chunkOut, nchunks)
 	// Each chunk writes its chunk-relative row ends into its own range
 	// of out.RowPtr; the concatenation below shifts them into place.
-	mat.ParallelFor(nchunks, 1, func(clo, chi int) {
-		for c := clo; c < chi; c++ {
-			l, h := bounds[c], bounds[c+1]
-			if l < h {
-				co := &results[c]
-				co.colIdx, co.val = newSPA(g.b.Cols).rows(g, lo+l, pw[l:h+1], out.RowPtr[l+1:h+1])
-			}
-		}
-	})
+	mat.ParallelFor(nchunks, 1, w.run)
+	w.g = gustavson{}
 	total := 0
-	for _, co := range results {
+	for _, co := range w.chunks[:nchunks] {
 		total += len(co.val)
 	}
-	out.ColIdx = make([]int, 0, total)
-	out.Val = make([]float64, 0, total)
-	for c, co := range results {
-		for r := bounds[c] + 1; r <= bounds[c+1]; r++ {
-			out.RowPtr[r] += len(out.Val)
+	out.ColIdx, out.Val = grow(out.ColIdx, total), grow(out.Val, total)
+	off := 0
+	for c, co := range w.chunks[:nchunks] {
+		for r := w.bounds[c] + 1; r <= w.bounds[c+1]; r++ {
+			out.RowPtr[r] += off
 		}
-		out.ColIdx = append(out.ColIdx, co.colIdx...)
-		out.Val = append(out.Val, co.val...)
+		copy(out.ColIdx[off:], co.colIdx)
+		copy(out.Val[off:], co.val)
+		off += len(co.val)
 	}
 	return out
 }
 
-// serial computes output rows lo, lo+1, … (one per step of the weight
-// prefix pw) with one accumulator.
-func (g gustavson) serial(lo int, pw []int) *CSR {
-	out := NewCSR(len(pw)-1, g.b.Cols)
-	out.ColIdx, out.Val = newSPA(g.b.Cols).rows(g, lo, pw, out.RowPtr[1:])
-	return out
+// reserveChunks makes room for n chunks' accumulators and output
+// buffers.
+func (w *SchurWorkspace) reserveChunks(n int) {
+	if len(w.spas) < n {
+		w.spas = append(w.spas, make([]spa, n-len(w.spas))...)
+		w.chunks = append(w.chunks, make([]chunkOut, n-len(w.chunks))...)
+	}
+}
+
+// runChunks computes chunks [clo, chi) of the parallel call in flight.
+// An empty chunk leaves an empty buffer, not the previous call's rows.
+func (w *SchurWorkspace) runChunks(clo, chi int) {
+	for c := clo; c < chi; c++ {
+		l, h := w.bounds[c], w.bounds[c+1]
+		co := &w.chunks[c]
+		if l == h {
+			co.colIdx, co.val = co.colIdx[:0], co.val[:0]
+			continue
+		}
+		co.colIdx, co.val = w.spas[c].rows(w.g, w.lo+l, w.pw[l:h+1], w.out.RowPtr[l+1:h+1], co.colIdx, co.val)
+	}
+}
+
+// grow returns s resized to n, at least doubling its capacity when it
+// must grow, as append does, so output that grows a little on every
+// call does not reallocate on every call.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, max(n, 2*cap(s)))
+	}
+	return s[:n]
 }
 
 // spa is a dense sparse accumulator over the output columns.
@@ -602,18 +643,22 @@ type spa struct {
 	pattern []int
 }
 
-func newSPA(cols int) *spa {
-	w := &spa{acc: make([]float64, cols), mark: make([]int, cols), pattern: make([]int, 0, 64)}
-	for i := range w.mark {
-		w.mark[i] = -1
+// rows writes output rows lo, lo+1, … of g, one per step of the weight
+// prefix pw, over the storage of colIdx and val, and the end of row lo+r
+// to ends[r]. It returns the filled colIdx and val.
+func (w *spa) rows(g gustavson, lo int, pw, ends, colIdx []int, val []float64) ([]int, []float64) {
+	cols := g.b.Cols
+	w.acc = mat.Grow(w.acc, cols)
+	w.mark = mat.Grow(w.mark, cols)
+	for j := range w.mark {
+		w.mark[j] = -1
 	}
-	return w
-}
-
-// rows returns output rows lo, lo+1, … of g, one per step of the weight
-// prefix pw, writing the end of row lo+r to ends[r].
-func (w *spa) rows(g gustavson, lo int, pw, ends []int) (colIdx []int, val []float64) {
+	if w.pattern == nil {
+		w.pattern = make([]int, 0, 64)
+	}
+	colIdx, val = colIdx[:0], val[:0]
 	last := len(pw) - 1
+	bound := pw[last] - pw[0]
 	if g.a != nil {
 		// A Schur block starts at its A entries plus 1/8: the update
 		// mostly adds fill to them, so this is usually its final size.
@@ -622,15 +667,19 @@ func (w *spa) rows(g gustavson, lo int, pw, ends []int) (colIdx []int, val []flo
 			acols, _ := g.aRow(lo + r)
 			est += len(acols)
 		}
-		est = min(est+est/8, pw[last]-pw[0])
-		colIdx, val = make([]int, 0, est), make([]float64, 0, est)
+		est = min(est+est/8, bound)
+		if cap(val) < est {
+			// A warm buffer at least doubles, as in grow.
+			c := max(est, min(2*cap(val), bound))
+			colIdx, val = make([]int, 0, c), make([]float64, 0, c)
+		}
 	}
 	for r := 0; r < last; r++ {
 		i := lo + r
 		w.pattern = spGEMMRow(g.x, g.b, i, w.acc, w.mark, w.pattern[:0])
 		acols, avals := g.aRow(i)
 		if n := len(val) + len(w.pattern) + len(acols); n > cap(val) {
-			colIdx, val = growOutput(colIdx, val, n, pw[r+1]-pw[0], pw[last]-pw[0], len(val)+pw[last]-pw[r])
+			colIdx, val = growOutput(colIdx, val, n, pw[r+1]-pw[0], bound, len(val)+pw[last]-pw[r])
 		}
 		if g.a == nil {
 			for _, j := range w.pattern {
@@ -855,21 +904,31 @@ var permScratchPool = sync.Pool{New: func() any { return new(permScratch) }}
 // ExtractBlock returns the submatrix with rows [r0, r1) and columns
 // [c0, c1) as a new CSR matrix.
 func (a *CSR) ExtractBlock(r0, r1, c0, c1 int) *CSR {
+	out := new(CSR)
+	a.ExtractBlockInto(out, r0, r1, c0, c1)
+	return out
+}
+
+// ExtractBlockInto writes the submatrix with rows [r0, r1) and columns
+// [c0, c1) into dst, reusing dst's storage. dst must not alias a.
+func (a *CSR) ExtractBlockInto(dst *CSR, r0, r1, c0, c1 int) {
 	if r0 < 0 || r1 > a.Rows || c0 < 0 || c1 > a.Cols || r0 > r1 || c0 > c1 {
 		panic("sparse: ExtractBlock range out of bounds")
 	}
-	out := NewCSR(r1-r0, c1-c0)
+	dst.Rows, dst.Cols = r1-r0, c1-c0
+	dst.RowPtr = mat.Grow(dst.RowPtr, r1-r0+1)
+	dst.RowPtr[0] = 0
+	dst.ColIdx, dst.Val = dst.ColIdx[:0], dst.Val[:0]
 	for i := r0; i < r1; i++ {
 		cols, vals := a.RowView(i)
 		// Binary search for the first column ≥ c0.
 		lo := sort.SearchInts(cols, c0)
 		for k := lo; k < len(cols) && cols[k] < c1; k++ {
-			out.ColIdx = append(out.ColIdx, cols[k]-c0)
-			out.Val = append(out.Val, vals[k])
+			dst.ColIdx = append(dst.ColIdx, cols[k]-c0)
+			dst.Val = append(dst.Val, vals[k])
 		}
-		out.RowPtr[i-r0+1] = len(out.Val)
+		dst.RowPtr[i-r0+1] = len(dst.Val)
 	}
-	return out
 }
 
 // ExtractRows gathers the given rows, in order, into a new
@@ -1032,9 +1091,11 @@ func (a *CSR) ThresholdSmallest(limit, budget2 float64) (kept, dropped *CSR) {
 	return kept, dropped
 }
 
-// VStackCSR concatenates matrices vertically. All parts must have the
-// same column count; nil or zero-row parts are skipped.
-func VStackCSR(parts ...*CSR) *CSR {
+// VStackCSRInto writes the vertical concatenation of parts into dst,
+// reusing dst's storage (at least doubling it when it must grow). All
+// parts must have the same column count; nil or zero-row parts are
+// skipped, and with none left dst is 0×0. dst must not alias a part.
+func VStackCSRInto(dst *CSR, parts ...*CSR) {
 	cols := -1
 	rows := 0
 	nnz := 0
@@ -1045,31 +1106,28 @@ func VStackCSR(parts ...*CSR) *CSR {
 		if cols == -1 {
 			cols = p.Cols
 		} else if p.Cols != cols {
-			panic("sparse: VStackCSR column mismatch")
+			panic("sparse: VStackCSRInto column mismatch")
 		}
 		rows += p.Rows
 		nnz += p.NNZ()
 	}
-	if cols == -1 {
-		return NewCSR(0, 0)
-	}
-	out := NewCSR(rows, cols)
-	out.ColIdx = make([]int, 0, nnz)
-	out.Val = make([]float64, 0, nnz)
-	r := 0
+	dst.Rows, dst.Cols = rows, max(cols, 0)
+	dst.RowPtr = grow(dst.RowPtr, rows+1)
+	dst.ColIdx, dst.Val = grow(dst.ColIdx, nnz), grow(dst.Val, nnz)
+	dst.RowPtr[0] = 0
+	r, off := 0, 0
 	for _, p := range parts {
 		if p == nil || p.Rows == 0 {
 			continue
 		}
-		for i := 0; i < p.Rows; i++ {
-			cs, vs := p.RowView(i)
-			out.ColIdx = append(out.ColIdx, cs...)
-			out.Val = append(out.Val, vs...)
-			out.RowPtr[r+1] = len(out.Val)
-			r++
+		copy(dst.ColIdx[off:], p.ColIdx)
+		copy(dst.Val[off:], p.Val)
+		for i := 1; i <= p.Rows; i++ {
+			dst.RowPtr[r+i] = off + p.RowPtr[i]
 		}
+		r += p.Rows
+		off += p.NNZ()
 	}
-	return out
 }
 
 // Equal reports element-wise equality within absolute tolerance tol.

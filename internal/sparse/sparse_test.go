@@ -94,7 +94,8 @@ func TestFromDenseToDenseRoundTrip(t *testing.T) {
 				d.Data[i] = 0
 			}
 		}
-		a := FromDense(d, 0)
+		var a CSR
+		FromDenseInto(&a, d, 0)
 		return a.ToDense().Equal(d, 0)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -105,7 +106,8 @@ func TestFromDenseToDenseRoundTrip(t *testing.T) {
 func TestFromDenseTolerance(t *testing.T) {
 	d := mat.NewDense(1, 3)
 	copy(d.Data, []float64{1e-8, 0.5, -1e-9})
-	a := FromDense(d, 1e-6)
+	a := new(CSR)
+	FromDenseInto(a, d, 1e-6)
 	if a.NNZ() != 1 || a.At(0, 1) != 0.5 {
 		t.Fatal("tolerance-based sparsification wrong")
 	}
@@ -386,26 +388,37 @@ func TestThresholdSmallestRespectsBudget(t *testing.T) {
 	}
 }
 
+// vstack runs VStackCSRInto on a fresh destination.
+func vstack(parts ...*CSR) *CSR {
+	out := new(CSR)
+	VStackCSRInto(out, parts...)
+	return out
+}
+
+// TestVStackCSR stacks into one reused destination, a large stack then
+// a smaller one, so rows or entries left over from the first show up.
 func TestVStackCSR(t *testing.T) {
 	a := randCSR(3, 5, 0.4, 61)
 	b := randCSR(2, 5, 0.4, 62)
 	c := randCSR(4, 5, 0.4, 63)
-	got := VStackCSR(a, nil, b, NewCSR(0, 5), c)
+	var got CSR
+	VStackCSRInto(&got, c, a, c, b)
+	VStackCSRInto(&got, a, nil, b, NewCSR(0, 5), c)
 	want := mat.VStack(mat.VStack(a.ToDense(), b.ToDense()), c.ToDense())
 	if !got.ToDense().Equal(want, 0) {
 		t.Fatal("VStackCSR content wrong")
 	}
-	if got.NNZ() != a.NNZ()+b.NNZ()+c.NNZ() {
+	if got.NNZ() != a.NNZ()+b.NNZ()+c.NNZ() || len(got.RowPtr) != got.Rows+1 {
 		t.Fatal("VStackCSR nnz wrong")
 	}
 }
 
 func TestVStackCSREmpty(t *testing.T) {
-	out := VStackCSR()
+	out := vstack()
 	if out.Rows != 0 || out.Cols != 0 {
 		t.Fatal("empty stack should be 0×0")
 	}
-	out = VStackCSR(nil, NewCSR(0, 3))
+	out = vstack(nil, NewCSR(0, 3))
 	if out.Rows != 0 {
 		t.Fatal("all-empty stack should have no rows")
 	}
@@ -417,7 +430,7 @@ func TestVStackCSRMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	VStackCSR(NewCSR(2, 3), NewCSR(2, 4))
+	vstack(NewCSR(2, 3), NewCSR(2, 4))
 }
 
 func TestSpGEMMFlopsMatchesActualWork(t *testing.T) {
