@@ -69,9 +69,10 @@ type Options struct {
 
 	// Randomized-method knobs. Power is the power parameter p ∈ [0,3]
 	// of every RandQB_EI sweep, including the basis CUR and ID2 select
-	// their skeletons from, and of RSVD's range finder. RandQB_EI
-	// rejects a Power outside [0,3] by panicking inside its rank body,
-	// which Approximate returns as a *dist.RankError at every Procs.
+	// their skeletons from and each of RSVD's restart attempts. RandQB_EI,
+	// and so RSVD, rejects a Power outside [0,3] by panicking inside its
+	// rank body, which Approximate returns as a *dist.RankError at every
+	// Procs.
 	Power int
 	Seed  int64 // PRNG seed
 	// Sketch selects the sketching operator of the randomized methods

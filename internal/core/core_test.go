@@ -332,10 +332,14 @@ func TestOneRankErrorClass(t *testing.T) {
 			t.Fatalf("%v Procs 2 on a 0×5 matrix: class %v, error %v; want %v", m, c, err, want)
 		}
 	}
-	// An out-of-range Power panics inside the rank body at every Procs.
-	_, err := Approximate(testMatrix(9), Options{Method: RandQBEI, BlockSize: 4, Tol: 1e-2, Power: 4})
-	if c := ClassifyFailure(err); c != FailureRankCrash {
-		t.Fatalf("RandQB_EI Power 4: class %v, error %v; want %v", c, err, FailureRankCrash)
+	// An out-of-range Power panics inside the rank body at every Procs,
+	// in RSVD's RandQB_EI sweeps too.
+	var err error
+	for _, m := range []Method{RandQBEI, RSVDRestart} {
+		_, err = Approximate(testMatrix(9), Options{Method: m, BlockSize: 4, Tol: 1e-2, Power: 4})
+		if c := ClassifyFailure(err); c != FailureRankCrash {
+			t.Fatalf("%v Power 4: class %v, error %v; want %v", m, c, err, FailureRankCrash)
+		}
 	}
 	// One nonzero column at fixed rank 2: the QB basis keeps a rounding
 	// direction as its second column, B_K's second pivot is a zero column

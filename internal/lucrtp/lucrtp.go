@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"sparselr/internal/dist"
 	"sparselr/internal/mat"
@@ -117,10 +116,8 @@ type Result struct {
 	HitNumRank   bool    // stopped by the numerical-rank criterion
 
 	// Per-iteration series (index 0 = after iteration 1).
-	ErrHistory  []float64       // error indicator after each iteration
-	FillHistory []float64       // density of A⁽ⁱ⁺¹⁾ (Fig 1 right)
-	NNZHistory  []int           // nnz of A⁽ⁱ⁺¹⁾
-	TimeHistory []time.Duration // cumulative wall time after each iteration
+	ErrHistory  []float64 // error indicator after each iteration
+	FillHistory []float64 // density of A⁽ⁱ⁺¹⁾ (Fig 1 right)
 
 	// ILUT_CRTP accounting.
 	Mu               float64 // threshold used (0 when inactive)
@@ -189,7 +186,6 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 
 	res := &Result{NormA: normA, RowPerm: identity(m), ColPerm: identity(n)}
 	acur := a
-	start := time.Now()
 
 	// Resume from the newest complete checkpoint cut, if one exists. The
 	// COLAMD preamble is skipped on resume: the restored Schur complement
@@ -216,11 +212,6 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 			res.Mu, res.Phi = s.resMu, s.resPhi
 			res.ErrHistory = append([]float64(nil), s.errHistory...)
 			res.FillHistory = append([]float64(nil), s.fillHistory...)
-			res.NNZHistory = append([]int(nil), s.nnzHistory...)
-			res.TimeHistory = append([]time.Duration(nil), s.timeHistory...)
-			if len(s.timeHistory) > 0 {
-				start = start.Add(-s.timeHistory[len(s.timeHistory)-1])
-			}
 			res.Iters = it
 			res.Rank = s.rank
 			res.ErrIndicator = s.errIndicator
@@ -418,8 +409,6 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		e := s.FrobNorm()
 		res.ErrHistory = append(res.ErrHistory, e)
 		res.FillHistory = append(res.FillHistory, s.Density())
-		res.NNZHistory = append(res.NNZHistory, s.NNZ())
-		res.TimeHistory = append(res.TimeHistory, time.Since(start))
 		res.Iters = iter
 		z += keff
 		res.Rank = z
@@ -509,8 +498,6 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 				resPhi:           res.Phi,
 				errHistory:       append([]float64(nil), res.ErrHistory...),
 				fillHistory:      append([]float64(nil), res.FillHistory...),
-				nnzHistory:       append([]int(nil), res.NNZHistory...),
-				timeHistory:      append([]time.Duration(nil), res.TimeHistory...),
 				rank:             res.Rank,
 				errIndicator:     res.ErrIndicator,
 				discardedCols:    res.DiscardedCols,
@@ -677,8 +664,6 @@ type luSnapshot struct {
 	resMu, resPhi      float64
 	errHistory         []float64
 	fillHistory        []float64
-	nnzHistory         []int
-	timeHistory        []time.Duration
 	rank               int
 	errIndicator       float64
 	discardedCols      int

@@ -357,7 +357,7 @@ func TestFillHistoryRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.FillHistory) != res.Iters || len(res.NNZHistory) != res.Iters || len(res.TimeHistory) != res.Iters {
+	if len(res.FillHistory) != res.Iters || len(res.ErrHistory) != res.Iters {
 		t.Fatal("history lengths must equal iteration count")
 	}
 	if res.MaxFill() <= 0 || res.MaxFill() > 1 {

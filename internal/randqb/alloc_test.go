@@ -47,7 +47,6 @@ func stepAllocs(t *testing.T, a *sparse.CSR, opts Options) float64 {
 			st.kCur = rewindK
 			st.e = e0
 			st.res.ErrHistory = st.res.ErrHistory[:0]
-			st.res.TimeHistory = st.res.TimeHistory[:0]
 			if done := st.step(2); done {
 				t.Error("step terminated during steady-state measurement")
 			}

@@ -3,7 +3,6 @@ package randqb
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"sparselr/internal/dist"
 	"sparselr/internal/mat"
@@ -63,8 +62,7 @@ type Result struct {
 	// IndicatorUnreliable is set when τ < 2.1e-7 (Theorem 3 regime).
 	IndicatorUnreliable bool
 
-	ErrHistory  []float64
-	TimeHistory []time.Duration
+	ErrHistory []float64
 
 	OrthLossFirst float64 // ‖QᵀQ−I‖∞ after iteration 1
 	OrthLossLast  float64 // ... after the final iteration
@@ -175,8 +173,7 @@ type qbState struct {
 	y, bom, qh, proj, bt mat.Buffer
 	sum                  mat.Buffer // rank 0's dist.SumReduce total
 
-	res   *Result
-	start time.Time
+	res *Result
 }
 
 func newQBState(c *dist.Comm, a *sparse.CSR, opts Options) (*qbState, error) {
@@ -194,9 +191,7 @@ func newQBState(c *dist.Comm, a *sparse.CSR, opts Options) (*qbState, error) {
 	if opts.Tol > 0 && opts.Tol < IndicatorBreakdownTol {
 		res.IndicatorUnreliable = true
 	}
-	iterCap := maxRank/opts.BlockSize + 2
-	res.ErrHistory = make([]float64, 0, iterCap)
-	res.TimeHistory = make([]time.Duration, 0, iterCap)
+	res.ErrHistory = make([]float64, 0, maxRank/opts.BlockSize+2)
 	p := c.Size()
 	lo, hi := dist.RowShare(m, p, c.Rank())
 	nlo, nhi := dist.RowShare(n, p, c.Rank())
@@ -211,7 +206,7 @@ func newQBState(c *dist.Comm, a *sparse.CSR, opts Options) (*qbState, error) {
 		mLoc: hi - lo, nlo: nlo, nhi: nhi,
 		nnzLoc: float64(aLoc.NNZ()),
 		e:      normA * normA,
-		res:    res, start: time.Now(),
+		res:    res,
 	}
 	st.ensureCap(min(2*opts.BlockSize, maxRank))
 	return st, nil
@@ -377,7 +372,6 @@ func (st *qbState) step(iter int) bool {
 	ind := math.Sqrt(st.e)
 	res := st.res
 	res.ErrHistory = append(res.ErrHistory, ind)
-	res.TimeHistory = append(res.TimeHistory, time.Since(st.start))
 	res.Iters = iter
 	res.ErrIndicator = ind
 	if st.opts.TrackOrthLoss {
@@ -398,7 +392,6 @@ func (st *qbState) step(iter int) bool {
 			bK:            st.bKView().Clone(),
 			errIndicator:  res.ErrIndicator,
 			errHistory:    append([]float64(nil), res.ErrHistory...),
-			timeHistory:   append([]time.Duration(nil), res.TimeHistory...),
 			orthLossFirst: res.OrthLossFirst,
 			orthLossLast:  res.OrthLossLast,
 		})
@@ -420,7 +413,6 @@ type qbSnapshot struct {
 	qK, bK        *mat.Dense
 	errIndicator  float64
 	errHistory    []float64
-	timeHistory   []time.Duration
 	orthLossFirst float64
 	orthLossLast  float64
 }
@@ -447,7 +439,6 @@ func (st *qbState) resume() int {
 	res.Iters = it
 	res.ErrIndicator = s.errIndicator
 	res.ErrHistory = append(res.ErrHistory[:0], s.errHistory...)
-	res.TimeHistory = append(res.TimeHistory[:0], s.timeHistory...)
 	res.OrthLossFirst = s.orthLossFirst
 	res.OrthLossLast = s.orthLossLast
 	st.sk.FastForward(s.draws)

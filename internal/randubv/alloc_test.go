@@ -115,7 +115,6 @@ func TestStepBytesKeptOnly(t *testing.T) {
 			st.blocks, st.ku, st.vAll.cols, st.e = st.blocks[:nb], ku, cols, e
 			st.vi = &mat.Dense{Rows: n, Cols: vw, Stride: st.vAll.capV, Data: st.vAll.data[cols-vw:]}
 			st.res.ErrHistory = st.res.ErrHistory[:nh]
-			st.res.TimeHistory = st.res.TimeHistory[:nh]
 		}
 		const runs = 10
 		var kept, total uint64

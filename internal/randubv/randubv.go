@@ -3,7 +3,6 @@ package randubv
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"sparselr/internal/dist"
 	"sparselr/internal/mat"
@@ -50,7 +49,6 @@ type Result struct {
 	ErrIndicator float64
 	Converged    bool
 	ErrHistory   []float64
-	TimeHistory  []time.Duration
 }
 
 // Factor runs the randomized block bidiagonalization on a: the SPMD body
@@ -130,8 +128,7 @@ type ubvState struct {
 	yBuf, locBuf, partBuf, sumBuf, projBuf, tBuf mat.Buffer
 	wsU, wsV                                     mat.QRWorkspace
 
-	res   *Result
-	start time.Time
+	res *Result
 }
 
 func newUBVState(c *dist.Comm, a *sparse.CSR, opts Options) (*ubvState, error) {
@@ -157,9 +154,8 @@ func newUBVState(c *dist.Comm, a *sparse.CSR, opts Options) (*ubvState, error) {
 		p: p, m: m, n: n, lo: lo, hi: hi, maxRank: maxRank,
 		nnzLoc: float64(aLoc.NNZ()), mLoc: float64(hi - lo),
 		normA: normA, e: normA * normA,
-		vAll:  vStore{n: n, maxCap: maxRank},
-		res:   &Result{NormA: normA},
-		start: time.Now(),
+		vAll: vStore{n: n, maxCap: maxRank},
+		res:  &Result{NormA: normA},
 	}, nil
 }
 
@@ -231,7 +227,6 @@ func (st *ubvState) begin() (int, error) {
 			res.Iters = it
 			res.ErrIndicator = s.errIndicator
 			res.ErrHistory = append([]float64(nil), s.errHistory...)
-			res.TimeHistory = append([]time.Duration(nil), s.timeHistory...)
 			return it, nil
 		}
 	}
@@ -280,7 +275,6 @@ func (st *ubvState) step(iter int) bool {
 	}
 	ind := math.Sqrt(st.e)
 	res.ErrHistory = append(res.ErrHistory, ind)
-	res.TimeHistory = append(res.TimeHistory, time.Since(st.start))
 	res.Iters = iter
 	res.ErrIndicator = ind
 	if ind < st.opts.Tol*normA {
@@ -329,7 +323,6 @@ func (st *ubvState) step(iter int) bool {
 			blocks:       cloneBlocks(st.blocks),
 			errIndicator: res.ErrIndicator,
 			errHistory:   append([]float64(nil), res.ErrHistory...),
-			timeHistory:  append([]time.Duration(nil), res.TimeHistory...),
 		})
 	}
 	// The superdiagonal block also captures approximation energy:
@@ -456,7 +449,6 @@ type ubvSnapshot struct {
 	blocks       []blockPair
 	errIndicator float64
 	errHistory   []float64
-	timeHistory  []time.Duration
 }
 
 func cloneBlocks(blocks []blockPair) []blockPair {

@@ -3,10 +3,10 @@ package rsvd
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"sparselr/internal/dist"
 	"sparselr/internal/mat"
+	"sparselr/internal/randqb"
 	"sparselr/internal/sketch"
 	"sparselr/internal/sparse"
 )
@@ -17,7 +17,7 @@ const oversampling = 8
 // Options configures a restarted-RSVD run.
 type Options struct {
 	InitialRank int     // starting rank estimate (default 8)
-	Power       int     // power-scheme iterations (default 0: none)
+	Power       int     // power-scheme iterations p ∈ [0, 3] (default 0)
 	Tol         float64 // τ
 	MaxRank     int     // cap (0 = min(m,n))
 	Seed        int64
@@ -25,15 +25,6 @@ type Options struct {
 	// historical results bit-for-bit); SketchNNZ configures SparseSign.
 	Sketch    sketch.Kind
 	SketchNNZ int
-}
-
-func (o *Options) defaults() {
-	if o.InitialRank <= 0 {
-		o.InitialRank = 8
-	}
-	if o.Power < 0 {
-		o.Power = 0
-	}
 }
 
 // Result is the truncated randomized SVD meeting the tolerance.
@@ -48,13 +39,10 @@ type Result struct {
 
 	ErrIndicator float64
 	Converged    bool
-	TimeHistory  []time.Duration
-	RankHistory  []int // attempted k per restart
 }
 
 // Factor runs the restart loop on a, charging every kernel to c.
 func Factor(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
-	opts.defaults()
 	m, n := a.Dims()
 	if m == 0 || n == 0 {
 		return nil, fmt.Errorf("rsvd: empty matrix %d×%d", m, n)
@@ -63,26 +51,24 @@ func Factor(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 	if maxRank <= 0 || maxRank > min(m, n) {
 		maxRank = min(m, n)
 	}
-	sk := sketch.New(opts.Sketch, n, opts.Seed, opts.SketchNNZ)
 	normA := a.FrobNorm()
 	res := &Result{NormA: normA}
-	start := time.Now()
 
 	k := opts.InitialRank
+	if k <= 0 {
+		k = 8
+	}
 	for {
 		if k > maxRank {
 			k = maxRank
 		}
 		res.Restarts++
-		res.RankHistory = append(res.RankHistory, k)
-		u, s, v, captured := onePass(c, a, k, oversampling, opts.Power, sk)
-		// Frobenius indicator: ‖A − QB‖²_F = ‖A‖²_F − ‖B‖²_F.
-		rem := normA*normA - captured
-		if rem < 0 {
-			rem = 0
+		u, s, v, captured, err := onePass(c, a, k, opts)
+		if err != nil {
+			return nil, err
 		}
-		ind := math.Sqrt(rem)
-		res.TimeHistory = append(res.TimeHistory, time.Since(start))
+		// Frobenius indicator: ‖A − QB‖²_F = ‖A‖²_F − ‖B‖²_F.
+		ind := math.Sqrt(max(normA*normA-captured, 0))
 		res.ErrIndicator = ind
 		res.U, res.S, res.V = u, s, v
 		res.Rank = len(s)
@@ -100,57 +86,33 @@ func Factor(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 	}
 }
 
-// onePass computes one randomized SVD attempt at rank k and returns the
-// factors plus the captured spectral mass Σ‖B‖²_F.
-func onePass(c *dist.Comm, a *sparse.CSR, k, oversampling, power int, sk sketch.Sketcher) (u *mat.Dense, s []float64, v *mat.Dense, captured float64) {
+// onePass computes one randomized SVD attempt at rank k: one RandQB_EI
+// block of width k + oversampling (drawn from the stream at opts.Seed,
+// with its power scheme), then the SVD of the small B. It returns the
+// rank-k factors plus their captured spectral mass Σ σᵢ².
+func onePass(c *dist.Comm, a *sparse.CSR, k int, opts Options) (u *mat.Dense, s []float64, v *mat.Dense, captured float64, err error) {
 	m, n := a.Dims()
-	nnz := float64(a.NNZ())
-	w := k + oversampling
-	if w > min(m, n) {
-		w = min(m, n)
+	w := min(k+oversampling, m, n)
+	qb, err := randqb.FactorDist(c, a, randqb.Options{
+		BlockSize: w, MaxRank: w, Power: opts.Power, Seed: opts.Seed,
+		Sketch: opts.Sketch, SketchNNZ: opts.SketchNNZ,
+	}, nil)
+	if err != nil {
+		return nil, nil, nil, 0, err
 	}
-	blk := sk.Next(w)
-	c.Compute(blk.CostCSR(nnz, m), "SpMM")
-	y := blk.MulCSR(a)
-	q := orth(c, y)
-	for r := 0; r < power; r++ {
-		c.Compute(2*nnz*float64(q.Cols), "SpMM")
-		z := a.MulTDense(q)
-		qz := orth(c, z)
-		c.Compute(2*nnz*float64(qz.Cols), "SpMM")
-		y = a.MulDense(qz)
-		q = orth(c, y)
-	}
-	// B = Qᵀ·A (small dense), SVD of B.
-	c.Compute(2*nnz*float64(q.Cols), "SpMM")
-	b := a.MulTDense(q).T()
-	c.Compute(mat.SVDFlops(b.Dims()), "SVD")
-	ub, sb, vb := mat.SVD(b)
-	captured = 0
-	for _, sv := range sb {
+	c.Compute(mat.SVDFlops(qb.B.Dims()), "SVD")
+	ub, sb, vb := mat.SVD(qb.B)
+	// Truncate to k: the oversampled tail leaves the captured mass so
+	// the indicator reflects the returned rank-k factors.
+	kk := min(k, len(sb))
+	for _, sv := range sb[:kk] {
 		captured += sv * sv
 	}
-	// Truncate to k.
-	kk := k
-	if kk > len(sb) {
-		kk = len(sb)
-	}
-	c.Compute(2*float64(m)*float64(q.Cols)*float64(kk), "GEMM")
-	u = mat.Mul(q, ub.View(0, 0, ub.Rows, kk).Clone())
+	c.Compute(2*float64(m)*float64(qb.Rank)*float64(kk), "GEMM")
+	u = mat.Mul(qb.Q, ub.View(0, 0, ub.Rows, kk).Clone())
 	s = append([]float64(nil), sb[:kk]...)
 	v = vb.View(0, 0, vb.Rows, kk).Clone()
-	// The truncation discards the oversampled tail from the captured
-	// mass so the indicator reflects the returned rank-k factors.
-	for i := kk; i < len(sb); i++ {
-		captured -= sb[i] * sb[i]
-	}
-	return u, s, v, captured
-}
-
-// orth is mat.Orth charged as a thin QR with Q formed.
-func orth(c *dist.Comm, y *mat.Dense) *mat.Dense {
-	c.Compute(mat.OrthFlops(y.Dims()), "orth")
-	return mat.Orth(y)
+	return u, s, v, captured, nil
 }
 
 // trim reduces the converged factors to the minimum rank that still

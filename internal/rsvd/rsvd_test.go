@@ -3,9 +3,11 @@ package rsvd
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sparselr/internal/dist"
+	"sparselr/internal/gen"
 	"sparselr/internal/randqb"
 	"sparselr/internal/sparse"
 )
@@ -68,15 +70,62 @@ func TestFactorConverges(t *testing.T) {
 	}
 }
 
-func TestRankHistoryDoubles(t *testing.T) {
+// Each attempt draws its sketch afresh from the stream at Seed, so the
+// attempt at rank k is the same whatever rank the loop started from: a run
+// started at the j-th attempted rank needs j fewer restarts and returns
+// the same factors bit for bit.
+func TestRestartsDoubleFromInitialRank(t *testing.T) {
 	a := decayMatrix(60, 60, 40, 0.8, 3)
-	res, err := factor(a, Options{InitialRank: 4, Tol: 1e-4, Power: 1, Seed: 4})
+	opts := Options{InitialRank: 4, Tol: 1e-4, Power: 1, Seed: 4}
+	want, err := factor(a, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(res.RankHistory); i++ {
-		if res.RankHistory[i] != res.RankHistory[i-1]*2 && res.RankHistory[i] != 60 {
-			t.Fatalf("rank history should double (or clamp): %v", res.RankHistory)
+	if !want.Converged || want.Restarts < 3 {
+		t.Fatalf("converged %v after %d restarts; want convergence after at least 3", want.Converged, want.Restarts)
+	}
+	for j := 1; j < want.Restarts; j++ {
+		o := opts
+		o.InitialRank = opts.InitialRank << j
+		got, err := factor(a, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Restarts != want.Restarts-j || got.Rank != want.Rank ||
+			!slices.Equal(got.S, want.S) || !slices.Equal(got.U.Data, want.U.Data) {
+			t.Fatalf("start at k=%d: %d restarts, rank %d; want %d restarts and the same rank-%d factors",
+				o.InitialRank, got.Restarts, got.Rank, want.Restarts-j, want.Rank)
+		}
+	}
+}
+
+// TestTableIRankAndRestarts pins RSVD's rank at τ and its restart count on
+// two small Table I analogs (block 16, seed 1) to at most the values the
+// attempts had when they ran their own sketch, power scheme and orth
+// instead of a one-block RandQB_EI sweep.
+func TestTableIRankAndRestarts(t *testing.T) {
+	for _, c := range []struct {
+		label          string
+		tol            float64
+		power          int
+		rank, restarts int
+	}{
+		{"M2", 1e-2, 0, 49, 3}, {"M2", 1e-3, 0, 73, 4},
+		{"M6", 1e-2, 0, 16, 1}, {"M6", 1e-3, 0, 18, 2},
+		{"M2", 1e-2, 1, 48, 3}, {"M2", 1e-3, 1, 73, 4},
+		{"M6", 1e-2, 1, 16, 1}, {"M6", 1e-3, 1, 16, 1},
+	} {
+		pm, err := gen.ByLabel(c.label, gen.Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := factor(pm.A, Options{InitialRank: 16, Tol: c.tol, Power: c.power, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged || res.Rank > c.rank || res.Restarts > c.restarts {
+			t.Errorf("%s τ=%g p=%d: converged %v, rank %d, %d restarts; want convergence at rank ≤ %d in ≤ %d restarts",
+				c.label, c.tol, c.power, res.Converged, res.Rank, res.Restarts, c.rank, c.restarts)
 		}
 	}
 }

@@ -200,6 +200,8 @@ func oneRank[T any](t *testing.T, body func(*dist.Comm) (T, error)) T {
 	return r
 }
 
+// TestSeedDriftRSVD's hash was re-recorded when RSVD's attempts came to
+// run as one-block RandQB_EI sweeps, which changes the factors.
 func TestSeedDriftRSVD(t *testing.T) {
 	r := oneRank(t, func(c *dist.Comm) (*rsvd.Result, error) {
 		return rsvd.Factor(c, driftA(), rsvd.Options{InitialRank: 8, Tol: 1e-2, Power: 1, Seed: 3})
@@ -211,7 +213,7 @@ func TestSeedDriftRSVD(t *testing.T) {
 	}
 	w.dense(r.V)
 	w.u64(uint64(r.Rank))
-	checkDrift(t, "rsvd", w.sum(), 0xdd1b522ca8b01c90)
+	checkDrift(t, "rsvd", w.sum(), 0xeeae7e84f7ec7121)
 }
 
 // curDriftHash hashes a skeleton result: indices, sparse outer factors,

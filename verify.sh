@@ -109,7 +109,7 @@ go test -timeout "${TESTTIMEOUT:-10m}" ./...
 echo "== go test -race (kernel + fault-injection + core + serving + metrics packages, watchdog timeout)"
 go test -race -timeout "${TESTTIMEOUT:-10m}" \
     ./internal/mat ./internal/sparse ./internal/sketch ./internal/cur ./internal/core ./internal/serve ./internal/fleet ./internal/prom ./internal/qrtp \
-    ./internal/dist/... ./internal/randqb/... ./internal/randubv/... ./internal/lucrtp/...
+    ./internal/dist/... ./internal/randqb/... ./internal/randubv/... ./internal/lucrtp/... ./internal/rsvd
 
 echo "== seed-drift gate (bit-identity vs golden hashes at GOMAXPROCS 1, 2, 4)"
 go test -timeout "${TESTTIMEOUT:-10m}" -run '^TestSeedDrift' -count=1 -cpu 1,2,4 -v . | grep -E '^(--- |ok|FAIL)'
