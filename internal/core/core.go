@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"sparselr/internal/arrf"
@@ -83,12 +84,10 @@ type Options struct {
 	Sketch    sketch.Kind
 	SketchNNZ int
 
-	// Deterministic-method knobs.
-	EstIters            int     // u of eq (24) for ILUT_CRTP (0 → 10)
-	Mu                  float64 // fixed threshold (0 → automatic via eq 24)
-	Aggressive          bool    // aggressive sorted-drop thresholding (§VI-A)
-	Reorder             lucrtp.ReorderMode
-	StopAtNumericalRank bool
+	// Deterministic-method knobs. ILUT_CRTP always derives μ from
+	// eq (24); the fixed and aggressive thresholds are lucrtp options.
+	EstIters int // u of eq (24) for ILUT_CRTP (0 → 10)
+	Reorder  lucrtp.ReorderMode
 
 	// Procs is the number of virtual ranks the method's body runs on.
 	// Procs ≤ 1 is a one-rank world: the sequential run of any method,
@@ -153,28 +152,17 @@ type Approximation struct {
 	CUR *cur.Result
 }
 
-// FixedRank runs the method in fixed-rank mode (§I of the paper
-// distinguishes fixed-rank from fixed-precision problems): the rank k is
-// prescribed and no tolerance-based stop applies. Converged is not
-// meaningful in this mode; inspect ErrIndicator for the achieved error.
-func FixedRank(a *sparse.CSR, method Method, k int, opts Options) (*Approximation, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("core: fixed-rank mode needs k > 0, got %d", k)
-	}
-	opts.Method = method
-	opts.MaxRank = k
-	opts.Tol = 0
-	return Approximate(a, opts)
-}
-
 // Approximate runs the selected fixed-precision method on a: every
 // method's body runs on max(Procs, 1) virtual ranks, and the result
 // carries the modeled-time telemetry of that world. The error rule is
 // dist.RunRoot's: at one rank a body's own error comes back unwrapped,
 // and a panic or an injected fault is a *dist.RankError.
 func Approximate(a *sparse.CSR, opts Options) (*Approximation, error) {
-	if opts.Tol <= 0 && !opts.StopAtNumericalRank && opts.MaxRank <= 0 {
-		return nil, fmt.Errorf("core: need a positive tolerance, a MaxRank cap, or StopAtNumericalRank")
+	if math.IsNaN(opts.Tol) || math.IsInf(opts.Tol, 0) {
+		return nil, fmt.Errorf("core: tolerance must be finite, got %v", opts.Tol)
+	}
+	if opts.Tol <= 0 && opts.MaxRank <= 0 {
+		return nil, fmt.Errorf("core: need a positive tolerance or a MaxRank cap")
 	}
 	mi, known := methodInfo(opts.Method)
 	if !known {
@@ -382,19 +370,11 @@ func ubvOptions(o Options) randubv.Options {
 func luOptions(o Options) lucrtp.Options {
 	lo := lucrtp.Options{
 		BlockSize: o.BlockSize, Tol: o.Tol, MaxRank: o.MaxRank,
-		EstIters: o.EstIters, Mu: o.Mu, Reorder: o.Reorder,
-		StopAtNumericalRank: o.StopAtNumericalRank, CheckpointEvery: o.CheckpointEvery,
-		Checkpoint: o.CheckpointStore,
+		EstIters: o.EstIters, Reorder: o.Reorder,
+		CheckpointEvery: o.CheckpointEvery, Checkpoint: o.CheckpointStore,
 	}
 	if o.Method == ILUTCRTP {
-		switch {
-		case o.Aggressive:
-			lo.Threshold = lucrtp.AggressiveThreshold
-		case o.Mu > 0:
-			lo.Threshold = lucrtp.FixedThreshold
-		default:
-			lo.Threshold = lucrtp.AutoThreshold
-		}
+		lo.Threshold = lucrtp.AutoThreshold
 	}
 	return lo
 }

@@ -150,7 +150,16 @@ func TestDistributedRandUBV(t *testing.T) {
 func TestOptionValidation(t *testing.T) {
 	a := testMatrix(8)
 	if _, err := Approximate(a, Options{Method: LUCRTP}); err == nil {
-		t.Fatal("expected an error without tolerance, cap or rank stop")
+		t.Fatal("expected an error without tolerance or cap")
+	}
+	// A non-finite τ would run to full rank (NaN compares false with
+	// every bound), so it is rejected even with a rank cap.
+	for _, tol := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, maxRank := range []int{0, 8} {
+			if _, err := Approximate(a, Options{Method: RandQBEI, Tol: tol, MaxRank: maxRank}); err == nil {
+				t.Fatalf("Tol %v MaxRank %d accepted", tol, maxRank)
+			}
+		}
 	}
 	if _, err := Approximate(a, Options{Method: Method(99), Tol: 1e-2}); err == nil {
 		t.Fatal("expected an error for an unknown method")
@@ -183,22 +192,6 @@ func TestParseMethodAndString(t *testing.T) {
 	}
 }
 
-func TestILUTFixedMuAndAggressive(t *testing.T) {
-	a := gen.Circuit(150, 5, 9)
-	for _, opts := range []Options{
-		{Method: ILUTCRTP, BlockSize: 8, Tol: 1e-2, Mu: 1e-6},
-		{Method: ILUTCRTP, BlockSize: 8, Tol: 1e-2, Aggressive: true},
-	} {
-		ap, err := Approximate(a, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if te := ap.TrueError(a); te >= 1.1e-2*ap.NormA {
-			t.Fatalf("true error %v", te)
-		}
-	}
-}
-
 func TestMaxRankOnlyRun(t *testing.T) {
 	a := testMatrix(10)
 	ap, err := Approximate(a, Options{Method: RandQBEI, BlockSize: 4, MaxRank: 12, Tol: 1e-15, Seed: 11})
@@ -213,7 +206,11 @@ func TestMaxRankOnlyRun(t *testing.T) {
 func TestFixedRankMode(t *testing.T) {
 	a := testMatrix(31)
 	k := 16
-	svd, err := FixedRank(a, TSVD, k, Options{})
+	fixed := func(m Method, opts Options) (*Approximation, error) {
+		opts.Method, opts.MaxRank, opts.Tol = m, k, 0
+		return Approximate(a, opts)
+	}
+	svd, err := fixed(TSVD, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +218,7 @@ func TestFixedRankMode(t *testing.T) {
 		t.Fatalf("TSVD fixed rank %d, want %d", svd.Rank, k)
 	}
 	for _, m := range []Method{RandQBEI, RandUBV, LUCRTP} {
-		ap, err := FixedRank(a, m, k, Options{BlockSize: 8, Seed: 32})
+		ap, err := fixed(m, Options{BlockSize: 8, Seed: 32})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -234,22 +231,8 @@ func TestFixedRankMode(t *testing.T) {
 			t.Fatalf("%v: error %v below the optimal %v", m, ap.TrueError(a), svd.ErrIndicator)
 		}
 	}
-	if _, err := FixedRank(a, RandQBEI, 0, Options{}); err == nil {
+	if _, err := Approximate(a, Options{Method: RandQBEI}); err == nil {
 		t.Fatal("k = 0 must be rejected")
-	}
-}
-
-func TestStopAtNumericalRankOption(t *testing.T) {
-	sm := gen.SJSUSuite(4, 12)[3]
-	ap, err := Approximate(sm.A, Options{
-		Method: LUCRTP, BlockSize: 8, Tol: 1e-9,
-		MaxRank: sm.NumRank, StopAtNumericalRank: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ap.Rank > sm.NumRank {
-		t.Fatalf("rank %d above numerical rank %d", ap.Rank, sm.NumRank)
 	}
 }
 
@@ -349,7 +332,7 @@ func TestOneRankErrorClass(t *testing.T) {
 		b.Add(i, 0, 0.3+0.17*float64(i))
 	}
 	for _, m := range []Method{CUR, TwoSidedID} {
-		_, err = FixedRank(b.ToCSR(), m, 2, Options{Seed: 1})
+		_, err = Approximate(b.ToCSR(), Options{Method: m, MaxRank: 2, Seed: 1})
 		if c := ClassifyFailure(err); c != FailureBreakdown || !errors.Is(err, mat.ErrSingular) ||
 			strings.Contains(fmt.Sprint(err), "dist: rank 0") {
 			t.Fatalf("%v on a singular skeleton: class %v, error %v; want %v without a rank prefix", m, c, err, FailureBreakdown)

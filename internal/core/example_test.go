@@ -33,16 +33,17 @@ func ExampleApproximate() {
 	// true error below bound: true
 }
 
-// ExampleFixedRank demonstrates the fixed-rank mode: prescribe the rank
-// and compare the randomized factorization's error with the optimum.
-func ExampleFixedRank() {
+// ExampleApproximate_fixedRank demonstrates the fixed-rank mode: prescribe
+// the rank as MaxRank with Tol 0 and compare the randomized
+// factorization's error with the optimum.
+func ExampleApproximate_fixedRank() {
 	a := gen.RandLowRank(150, 150, 30, 0.75, 5, 3)
 
-	qb, err := core.FixedRank(a, core.RandQBEI, 16, core.Options{BlockSize: 8, Power: 2, Seed: 1})
+	qb, err := core.Approximate(a, core.Options{Method: core.RandQBEI, MaxRank: 16, BlockSize: 8, Power: 2, Seed: 1})
 	if err != nil {
 		panic(err)
 	}
-	svd, err := core.FixedRank(a, core.TSVD, 16, core.Options{})
+	svd, err := core.Approximate(a, core.Options{Method: core.TSVD, MaxRank: 16})
 	if err != nil {
 		panic(err)
 	}

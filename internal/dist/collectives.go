@@ -10,7 +10,6 @@ const (
 	tagBcast
 	tagReduce
 	tagGather
-	tagAllgather
 )
 
 // Bcast distributes root's data to every rank and returns it. bytes is

@@ -108,9 +108,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks.
 func (c *Comm) Size() int { return c.world.p }
 
-// CommTime returns the virtual time this rank has spent communicating.
-func (c *Comm) CommTime() float64 { return c.commT }
-
 // Compute advances the virtual clock by flops·Gamma and attributes the
 // time to the named kernel (Figs 5–6 use these attributions).
 func (c *Comm) Compute(flops float64, kernel string) {

@@ -94,13 +94,6 @@ func (t *Trace) TraceEvent(e Event) {
 	t.mu.Unlock()
 }
 
-// Reset discards all recorded events so the Trace can be reused.
-func (t *Trace) Reset() {
-	t.mu.Lock()
-	t.perRank = map[int][]Event{}
-	t.mu.Unlock()
-}
-
 // Ranks returns the rank ids that recorded at least one event, ascending.
 func (t *Trace) Ranks() []int {
 	t.mu.Lock()
@@ -238,8 +231,6 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 // CPStep is one segment of the critical path. Segments are disjoint and
 // ordered by time; their durations sum to the makespan (up to roundoff).
 type CPStep struct {
-	Rank  int
-	Kind  EventKind
 	Name  string
 	Start float64
 	End   float64
@@ -253,7 +244,6 @@ type CriticalPath struct {
 	Makespan     float64 // its final virtual clock
 	Steps        []CPStep
 	ByName       map[string]float64 // path time per event name
-	ByKind       map[string]float64 // path time per event kind
 	Switches     int                // rank changes along the path
 }
 
@@ -263,7 +253,7 @@ type CriticalPath struct {
 // left; otherwise it steps to the rank's previous event. Requires a
 // complete trace of the run.
 func (t *Trace) CriticalPath() *CriticalPath {
-	cp := &CriticalPath{MakespanRank: -1, ByName: map[string]float64{}, ByKind: map[string]float64{}}
+	cp := &CriticalPath{MakespanRank: -1, ByName: map[string]float64{}}
 	spans := map[int][]Event{}
 	for _, r := range t.Ranks() {
 		s := t.spans(r)
@@ -282,7 +272,7 @@ func (t *Trace) CriticalPath() *CriticalPath {
 	prevRank := rank
 	for idx >= 0 {
 		e := spans[rank][idx]
-		step := CPStep{Rank: rank, Kind: e.Kind, Name: e.Name, Start: e.Start, End: e.End}
+		step := CPStep{Name: e.Name, Start: e.Start, End: e.End}
 		if e.Kind == EvRecv && e.Waited > 0 && e.Peer >= 0 {
 			// The receive was bounded by the sender: the path segment is
 			// the transfer itself, and the walk continues on the sender's
@@ -307,7 +297,6 @@ func (t *Trace) CriticalPath() *CriticalPath {
 	for _, s := range cp.Steps {
 		d := s.End - s.Start
 		cp.ByName[s.Name] += d
-		cp.ByKind[s.Kind.String()] += d
 	}
 	return cp
 }

@@ -353,3 +353,10 @@ func TestSendRecvSeqMatch(t *testing.T) {
 		t.Fatalf("send/recv halves do not match:\nsends %v\nrecvs %v", sends, recvs)
 	}
 }
+
+// Reset discards all recorded events so the Trace can be reused.
+func (t *Trace) Reset() {
+	t.mu.Lock()
+	t.perRank = map[int][]Event{}
+	t.mu.Unlock()
+}

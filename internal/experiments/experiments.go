@@ -100,7 +100,6 @@ func (c *Config) tableIWorkloads() []gen.PaperMatrix {
 // paper's Table II "best (np, k)" columns, scaled to the synthetic sizes.
 type workloadParams struct {
 	K       int       // block size for the randomized + deterministic runs
-	KILUT   int       // ILUT_CRTP uses LU_CRTP's parameters in the paper
 	NP      int       // virtual ranks
 	Tols    []float64 // the τ column of Table II for this matrix
 	EstIter int       // u for eq (24) when no LU_CRTP reference run exists

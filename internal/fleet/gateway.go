@@ -165,12 +165,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 func (g *Gateway) Start() { g.health.Start() }
 func (g *Gateway) Stop()  { g.health.Stop() }
 
-// Ring exposes the hash ring (tests, ops).
-func (g *Gateway) Ring() *Ring { return g.ring }
-
-// Health exposes the health checker (tests, ops).
-func (g *Gateway) Health() *Health { return g.health }
-
 // ServeHTTP implements http.Handler.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mux.ServeHTTP(w, r)

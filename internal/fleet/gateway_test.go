@@ -20,9 +20,10 @@ import (
 
 // testBackend is one real serve.Server with a counting stub solver.
 type testBackend struct {
-	ts     *httptest.Server
-	srv    *serve.Server
-	solves int64
+	ts      *httptest.Server
+	srv     *serve.Server
+	started int64 // solves entered, before the gate
+	solves  int64
 }
 
 func newTestBackend(t *testing.T, workers, queue int, gate chan struct{}) *testBackend {
@@ -31,6 +32,7 @@ func newTestBackend(t *testing.T, workers, queue int, gate chan struct{}) *testB
 	b.srv = serve.NewServer(serve.Config{
 		Workers: workers, QueueDepth: queue,
 		Solve: func(spec *serve.Spec, _ *dist.CheckpointStore) (*core.Approximation, error) {
+			atomic.AddInt64(&b.started, 1)
 			if gate != nil {
 				<-gate
 			}
@@ -175,7 +177,7 @@ func TestGatewaySpillsOverOnBackpressure(t *testing.T) {
 	}
 	// Wait until the first job is actually running (its queue slot freed).
 	deadline := time.Now().Add(5 * time.Second)
-	for a.srv.Scheduler().Inflight() == 0 {
+	for atomic.LoadInt64(&a.started) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("first job never started")
 		}
@@ -437,4 +439,11 @@ func TestPeerClientFill(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	owner.srv.Drain(ctx)
+}
+
+// Contains reports membership.
+func (r *Ring) Contains(backend string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.members[backend]
 }

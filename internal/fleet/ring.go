@@ -195,13 +195,6 @@ func (r *Ring) Len() int {
 	return len(snap.backends)
 }
 
-// Contains reports membership.
-func (r *Ring) Contains(backend string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.members[backend]
-}
-
 // String renders the member list for logs.
 func (r *Ring) String() string {
 	return fmt.Sprintf("ring%v", r.Members())

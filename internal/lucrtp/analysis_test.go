@@ -35,7 +35,7 @@ func TestWeylBoundEq12(t *testing.T) {
 		if a.NNZ() == 0 {
 			return true
 		}
-		mu := 0.4 * a.MaxAbs()
+		mu := 0.4 * a.ToDense().MaxAbs()
 		kept, dropped := threshold(a, mu)
 		if dropped.NNZ() == 0 {
 			return true
@@ -62,7 +62,7 @@ func TestMirskyBoundEq13(t *testing.T) {
 		if a.NNZ() == 0 {
 			return true
 		}
-		mu := 0.5 * a.MaxAbs()
+		mu := 0.5 * a.ToDense().MaxAbs()
 		kept, dropped := threshold(a, mu)
 		svA := svOf(a)
 		svK := svOf(kept)

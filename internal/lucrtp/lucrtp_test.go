@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sparselr/internal/dist"
+	"sparselr/internal/gen"
 	"sparselr/internal/mat"
 	"sparselr/internal/qrtp"
 	"sparselr/internal/sparse"
@@ -331,6 +332,37 @@ func TestStopAtNumericalRank(t *testing.T) {
 	}
 	if res.Rank > 16 {
 		t.Fatalf("rank %d should be near the true rank 10", res.Rank)
+	}
+}
+
+// The fixed-μ and aggressive thresholds keep ILUT_CRTP within τ on a
+// circuit matrix, as the automatic μ of eq (24) does.
+func TestILUTFixedMuAndAggressive(t *testing.T) {
+	a := gen.Circuit(150, 5, 9)
+	for _, opts := range []Options{
+		{BlockSize: 8, Tol: 1e-2, Threshold: FixedThreshold, Mu: 1e-6},
+		{BlockSize: 8, Tol: 1e-2, Threshold: AggressiveThreshold},
+	} {
+		res, err := Factor(a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if te := trueError(a, res); te >= 1.1e-2*res.NormA {
+			t.Fatalf("true error %v", te)
+		}
+	}
+}
+
+// On an SJSU-suite matrix with a tiny τ, the numerical-rank stop keeps
+// the rank at or below the matrix's numerical rank.
+func TestStopAtNumericalRankOption(t *testing.T) {
+	sm := gen.SJSUSuite(4, 12)[3]
+	res, err := Factor(sm.A, Options{BlockSize: 8, Tol: 1e-9, MaxRank: sm.NumRank, StopAtNumericalRank: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rank > sm.NumRank {
+		t.Fatalf("rank %d above numerical rank %d", res.Rank, sm.NumRank)
 	}
 }
 

@@ -160,16 +160,6 @@ func (d *Dense) TInto(dst *Dense) *Dense {
 	return dst
 }
 
-// Scale multiplies every element by s in place.
-func (d *Dense) Scale(s float64) {
-	for i := 0; i < d.Rows; i++ {
-		row := d.Row(i)
-		for j := range row {
-			row[j] *= s
-		}
-	}
-}
-
 // Add accumulates src into d element-wise (d += src).
 func (d *Dense) Add(src *Dense) {
 	if d.Rows != src.Rows || d.Cols != src.Cols {
@@ -318,17 +308,6 @@ func VStack(a, b *Dense) *Dense {
 	return out
 }
 
-// PermuteRows returns P·d where P is described by perm: row i of the
-// result is row perm[i] of d.
-func (d *Dense) PermuteRows(perm []int) *Dense {
-	if len(perm) != d.Rows {
-		panic("mat: PermuteRows length mismatch")
-	}
-	out := NewDense(d.Rows, d.Cols)
-	d.PermuteRowsInto(out, perm)
-	return out
-}
-
 // PermuteRowsInto writes P·d into dst, a d.Rows×d.Cols matrix that does
 // not alias d: row i of dst becomes row perm[i] of d.
 func (d *Dense) PermuteRowsInto(dst *Dense, perm []int) {
@@ -338,20 +317,4 @@ func (d *Dense) PermuteRowsInto(dst *Dense, perm []int) {
 	for i, p := range perm {
 		copy(dst.Row(i), d.Row(p))
 	}
-}
-
-// PermuteCols returns d·P where column j of the result is column perm[j]
-// of d.
-func (d *Dense) PermuteCols(perm []int) *Dense {
-	if len(perm) != d.Cols {
-		panic("mat: PermuteCols length mismatch")
-	}
-	out := NewDense(d.Rows, d.Cols)
-	for i := 0; i < d.Rows; i++ {
-		src, dst := d.Row(i), out.Row(i)
-		for j, p := range perm {
-			dst[j] = src[p]
-		}
-	}
-	return out
 }

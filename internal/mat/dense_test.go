@@ -221,10 +221,10 @@ func TestAddSubScale(t *testing.T) {
 	if !c.Equal(a, 1e-14) {
 		t.Fatal("Add then Sub should restore")
 	}
-	c.Scale(2)
+	c.Add(a)
 	c.Sub(a)
 	if !c.Equal(a, 1e-14) {
-		t.Fatal("2a - a != a")
+		t.Fatal("a + a - a != a")
 	}
 }
 

@@ -367,23 +367,6 @@ func mulBTRows(out, a, b *Dense, lo, hi int) {
 	}
 }
 
-// MulVec returns a·x for a column vector x.
-func MulVec(a *Dense, x []float64) []float64 {
-	if a.Cols != len(x) {
-		panic("mat: MulVec dimension mismatch")
-	}
-	out := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // Dot returns the inner product of two vectors.
 func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {

@@ -107,11 +107,11 @@ func TestMulBTMatchesExplicitTranspose(t *testing.T) {
 func TestMulVecAndMulTVec(t *testing.T) {
 	a := randDense(4, 3, 33)
 	x := []float64{1, -2, 0.5}
-	got := MulVec(a, x)
+	got := Mul(a, &Dense{Rows: 3, Cols: 1, Stride: 1, Data: x})
 	for i := 0; i < 4; i++ {
 		want := a.At(i, 0)*1 + a.At(i, 1)*-2 + a.At(i, 2)*0.5
-		if math.Abs(got[i]-want) > 1e-14 {
-			t.Fatal("MulVec wrong")
+		if math.Abs(got.At(i, 0)-want) > 1e-14 {
+			t.Fatal("a·x wrong")
 		}
 	}
 }

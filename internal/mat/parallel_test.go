@@ -197,7 +197,9 @@ func TestMulAddMulSubParallelMatchSerialBitwise(t *testing.T) {
 		// MulSub must equal base − a·b exactly as computed by MulAdd with
 		// negated a (the semantics of the old clone-and-negate code).
 		neg := a.Clone()
-		neg.Scale(-1)
+		for i := range neg.Data {
+			neg.Data[i] = -neg.Data[i]
+		}
 		ref := base.Clone()
 		mulAdd(ref, neg, b)
 		if !subP.Equal(ref, 1e-12) {

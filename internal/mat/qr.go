@@ -74,16 +74,6 @@ func houseQRInPlace(f *Dense, tau, s []float64) {
 	}
 }
 
-// houseQRUnblocked is the column-at-a-time reference path on a clone of
-// a, used by the equivalence tests and benchmarks.
-func houseQRUnblocked(a *Dense) *qrFactor {
-	m, n := a.Dims()
-	f := a.Clone()
-	tau := make([]float64, min(m, n))
-	houseQRColumns(f, tau, make([]float64, n))
-	return &qrFactor{fac: f, tau: tau}
-}
-
 // houseQRColumns factors f in place one reflector at a time.
 func houseQRColumns(f *Dense, tau, s []float64) {
 	m, n := f.Dims()
@@ -397,25 +387,6 @@ func (qf *qrFactor) applyQScratch(b *Dense, s []float64) {
 	for p := len(blocks) - 1; p >= 0; p-- {
 		blk := blocks[p]
 		applyWY(b.View(blk.j, 0, b.Rows-blk.j, b.Cols), blk.v, blk.t, false)
-	}
-}
-
-// applyQT computes Qᵀ·b in place.
-func (qf *qrFactor) applyQT(b *Dense) {
-	if b.Rows != qf.fac.Rows {
-		panic("mat: applyQT dimension mismatch")
-	}
-	if len(qf.tau) < qrBlockedMinK {
-		s := make([]float64, b.Cols)
-		for j := 0; j < len(qf.tau); j++ {
-			qf.applyReflector(b, j, s)
-		}
-		return
-	}
-	blocks := qf.wyBlocks()
-	for p := 0; p < len(blocks); p++ {
-		blk := blocks[p]
-		applyWY(b.View(blk.j, 0, b.Rows-blk.j, b.Cols), blk.v, blk.t, true)
 	}
 }
 

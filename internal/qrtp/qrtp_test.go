@@ -148,7 +148,7 @@ func TestTournamentQualityVsSVD(t *testing.T) {
 	a := randCSR(30, 40, 0.25, 93)
 	k := 5
 	res := SelectColumns(a.ToCSC(), k, Binary)
-	panel := a.ToCSC().ExtractColsDense(res.Winners)
+	panel := extractCols(a.ToCSC(), res.Winners)
 	q := mat.Orth(panel)
 	// Residual after projecting A onto the winner span.
 	ad := a.ToDense()

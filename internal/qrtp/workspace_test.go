@@ -15,11 +15,18 @@ import (
 // workspace existed: a freshly extracted panel per game, a fresh QRCP
 // (QRCPSelect) and freshly allocated champion lists. The workspace
 // drivers must pick exactly their winners.
+// extractCols gathers the columns cols of a into a fresh dense panel.
+func extractCols(a *sparse.CSC, cols []int) *mat.Dense {
+	out := mat.NewDense(a.Rows, len(cols))
+	a.ExtractColsDenseInto(out, cols)
+	return out
+}
+
 func refNode(a *sparse.CSC, cand []int, k int) []int {
 	if len(cand) <= k {
 		return append([]int(nil), cand...)
 	}
-	_, perm := mat.QRCPSelect(a.ExtractColsDense(cand))
+	_, perm := mat.QRCPSelect(extractCols(a, cand))
 	win := make([]int, k)
 	for i := range win {
 		win[i] = cand[perm[i]]
@@ -31,7 +38,7 @@ func refR11(a *sparse.CSC, winners []int, k int) *mat.Dense {
 	if len(winners) == 0 {
 		return mat.NewDense(0, 0)
 	}
-	_, r := mat.QR(a.ExtractColsDense(winners))
+	_, r := mat.QR(extractCols(a, winners))
 	kk := min(k, len(winners), r.Rows)
 	return r.View(0, 0, kk, kk).Clone()
 }

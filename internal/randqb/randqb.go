@@ -10,11 +10,6 @@ import (
 	"sparselr/internal/sparse"
 )
 
-// IndicatorBreakdownTol is the double-precision validity limit of the
-// error indicator: Theorem 3 of Yu et al. shows eq (4) fails for
-// τ < 2.1·10⁻⁷.
-const IndicatorBreakdownTol = 2.1e-7
-
 // Options configures a RandQB_EI run.
 type Options struct {
 	BlockSize int     // k; defaults to 8
@@ -26,9 +21,6 @@ type Options struct {
 	// historical results bit-for-bit); SketchNNZ configures SparseSign.
 	Sketch    sketch.Kind
 	SketchNNZ int
-	// TrackOrthLoss records ‖Q_KᵀQ_K − I‖∞ after the first and the last
-	// iteration (§VI-B reports its growth from ~1e-15..1e-14 upward).
-	TrackOrthLoss bool
 
 	// CheckpointEvery > 0 makes each rank save its loop state into
 	// Checkpoint at the end of every CheckpointEvery-th iteration. When
@@ -59,13 +51,8 @@ type Result struct {
 
 	ErrIndicator float64 // final E⁽ⁱ⁾ (eq 4)
 	Converged    bool
-	// IndicatorUnreliable is set when τ < 2.1e-7 (Theorem 3 regime).
-	IndicatorUnreliable bool
 
 	ErrHistory []float64
-
-	OrthLossFirst float64 // ‖QᵀQ−I‖∞ after iteration 1
-	OrthLossLast  float64 // ... after the final iteration
 }
 
 // MinRank returns the smallest rank r ≤ K such that the best rank-r
@@ -188,9 +175,6 @@ func newQBState(c *dist.Comm, a *sparse.CSR, opts Options) (*qbState, error) {
 	}
 	normA := a.FrobNorm()
 	res := &Result{NormA: normA}
-	if opts.Tol > 0 && opts.Tol < IndicatorBreakdownTol {
-		res.IndicatorUnreliable = true
-	}
 	res.ErrHistory = make([]float64, 0, maxRank/opts.BlockSize+2)
 	p := c.Size()
 	lo, hi := dist.RowShare(m, p, c.Rank())
@@ -374,26 +358,14 @@ func (st *qbState) step(iter int) bool {
 	res.ErrHistory = append(res.ErrHistory, ind)
 	res.Iters = iter
 	res.ErrIndicator = ind
-	if st.opts.TrackOrthLoss {
-		qK := st.qKView()
-		gram := dist.SumReduce(st.c, mat.MulT(qK, qK), &st.sum, "GEMM")
-		gram.Sub(mat.Identity(qK.Cols))
-		loss := gram.InfNorm()
-		if iter == 1 {
-			res.OrthLossFirst = loss
-		}
-		res.OrthLossLast = loss
-	}
 	if st.opts.Checkpoint != nil && st.opts.CheckpointEvery > 0 && iter%st.opts.CheckpointEvery == 0 {
 		st.opts.Checkpoint.Save(iter, c.Rank(), &qbSnapshot{
-			draws:         st.sk.Draws(),
-			e:             st.e,
-			qK:            st.qKView().Clone(),
-			bK:            st.bKView().Clone(),
-			errIndicator:  res.ErrIndicator,
-			errHistory:    append([]float64(nil), res.ErrHistory...),
-			orthLossFirst: res.OrthLossFirst,
-			orthLossLast:  res.OrthLossLast,
+			draws:        st.sk.Draws(),
+			e:            st.e,
+			qK:           st.qKView().Clone(),
+			bK:           st.bKView().Clone(),
+			errIndicator: res.ErrIndicator,
+			errHistory:   append([]float64(nil), res.ErrHistory...),
 		})
 	}
 	if ind < st.opts.Tol*res.NormA {
@@ -408,13 +380,11 @@ func (st *qbState) step(iter int) bool {
 // recurrence and the RNG draw count (so a resume redraws the same
 // sketches). All fields are deep copies.
 type qbSnapshot struct {
-	draws         int
-	e             float64
-	qK, bK        *mat.Dense
-	errIndicator  float64
-	errHistory    []float64
-	orthLossFirst float64
-	orthLossLast  float64
+	draws        int
+	e            float64
+	qK, bK       *mat.Dense
+	errIndicator float64
+	errHistory   []float64
 }
 
 // resume restores the newest complete checkpoint cut, if one exists, and
@@ -439,8 +409,6 @@ func (st *qbState) resume() int {
 	res.Iters = it
 	res.ErrIndicator = s.errIndicator
 	res.ErrHistory = append(res.ErrHistory[:0], s.errHistory...)
-	res.OrthLossFirst = s.orthLossFirst
-	res.OrthLossLast = s.orthLossLast
 	st.sk.FastForward(s.draws)
 	return it
 }

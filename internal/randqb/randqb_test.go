@@ -69,18 +69,26 @@ func TestFactorConvergesAndIndicatorAgrees(t *testing.T) {
 
 func TestQOrthonormal(t *testing.T) {
 	a := randSparse(40, 30, 0.3, 2)
-	res, err := Factor(a, Options{BlockSize: 4, Tol: 1e-2, Seed: 3, TrackOrthLoss: true})
+	res, err := Factor(a, Options{BlockSize: 4, Tol: 1e-2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := mat.MulT(res.Q, res.Q)
-	g.Sub(mat.Identity(res.Rank))
-	if g.InfNorm() > 1e-12 {
-		t.Fatalf("Q lost orthonormality: %v", g.InfNorm())
+	// Q_K only grows by appended blocks, so its first block is the basis
+	// after iteration 1.
+	first, last := orthLoss(res.Q.View(0, 0, res.Q.Rows, 4)), orthLoss(res.Q)
+	if last > 1e-12 {
+		t.Fatalf("Q lost orthonormality: %v", last)
 	}
-	if res.OrthLossFirst <= 0 || res.OrthLossLast < res.OrthLossFirst*0.01 {
-		t.Fatalf("orthogonality probes look wrong: first %v last %v", res.OrthLossFirst, res.OrthLossLast)
+	if first <= 0 || last < first*0.01 {
+		t.Fatalf("orthogonality probes look wrong: first %v last %v", first, last)
 	}
+}
+
+// orthLoss is ‖QᵀQ − I‖∞, the loss of orthogonality §VI-B tracks.
+func orthLoss(q *mat.Dense) float64 {
+	g := mat.MulT(q, q)
+	g.Sub(mat.Identity(q.Cols))
+	return g.InfNorm()
 }
 
 func TestPowerSchemeReducesIterations(t *testing.T) {
@@ -134,24 +142,6 @@ func TestExactRankTermination(t *testing.T) {
 	}
 	if te := a.ResidualFrobNorm(res.Q, res.B); te > 1e-8*res.NormA {
 		t.Fatalf("true error %v should be negligible", te)
-	}
-}
-
-func TestIndicatorUnreliableFlag(t *testing.T) {
-	a := randSparse(20, 20, 0.4, 11)
-	res, err := Factor(a, Options{BlockSize: 4, Tol: 1e-9, Seed: 12, MaxRank: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.IndicatorUnreliable {
-		t.Fatal("τ = 1e-9 < 2.1e-7 must set IndicatorUnreliable (Theorem 3)")
-	}
-	res2, err := Factor(a, Options{BlockSize: 4, Tol: 1e-3, Seed: 12, MaxRank: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.IndicatorUnreliable {
-		t.Fatal("τ = 1e-3 must not set the flag")
 	}
 }
 

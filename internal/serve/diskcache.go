@@ -32,7 +32,7 @@ type DiskCache struct {
 	idx  lru[struct{}] // file name → file size
 	logf func(format string, args ...interface{})
 
-	hits, misses, writes, dropped uint64
+	writes, dropped uint64
 }
 
 // diskTmpPattern marks in-progress writes; leftovers are swept at open.
@@ -165,14 +165,12 @@ func (c *DiskCache) ReadFrame(key string) ([]byte, bool) {
 // read/decode failure. Caller holds c.mu.
 func (c *DiskCache) readLocked(key string) ([]byte, *core.Approximation, bool) {
 	if _, ok := c.idx.get(key); !ok {
-		c.misses++
 		return nil, nil, false
 	}
 	b, err := os.ReadFile(filepath.Join(c.dir, key))
 	if err == nil {
 		var ap *core.Approximation
 		if ap, err = DecodeApproximation(bytes.NewReader(b)); err == nil {
-			c.hits++
 			return b, ap, true
 		}
 	}
@@ -180,7 +178,6 @@ func (c *DiskCache) readLocked(key string) ([]byte, *core.Approximation, bool) {
 	os.Remove(filepath.Join(c.dir, key))
 	c.idx.remove(key)
 	c.dropped++
-	c.misses++
 	c.logf("serve: disk cache: dropped corrupt entry %s on read: %v", key, err)
 	return nil, nil, false
 }
@@ -253,8 +250,6 @@ type DiskStats struct {
 	Entries   int
 	Bytes     int64
 	Budget    int64
-	Hits      uint64
-	Misses    uint64
 	Writes    uint64
 	Evictions uint64
 	// Dropped counts corrupt/truncated entries deleted at open or read.
@@ -272,8 +267,6 @@ func (c *DiskCache) Stats() DiskStats {
 		Entries:   len(c.idx.items),
 		Bytes:     c.idx.used,
 		Budget:    c.idx.budget,
-		Hits:      c.hits,
-		Misses:    c.misses,
 		Writes:    c.writes,
 		Evictions: c.idx.evictions,
 		Dropped:   c.dropped,

@@ -80,14 +80,6 @@ func (j *Job) Status() Status {
 	return j.status
 }
 
-// Cached reports whether the job was satisfied without a fresh solve
-// (result-cache hit or singleflight join).
-func (j *Job) Cached() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.cached
-}
-
 // Result returns the approximation and error of a terminal job.
 func (j *Job) Result() (*core.Approximation, error) {
 	j.mu.Lock()
@@ -106,9 +98,6 @@ func (j *Job) Wait(ctx context.Context) error {
 		return ctx.Err()
 	}
 }
-
-// Done exposes the completion channel (closed at terminal status).
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // markCached flags a job as satisfied without a fresh local solve
 // (peer cache fill).

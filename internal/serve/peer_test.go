@@ -265,3 +265,11 @@ func TestCacheFetchEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// Cached reports whether the job was satisfied without a fresh solve
+// (result-cache hit or singleflight join).
+func (j *Job) Cached() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.cached
+}

@@ -151,7 +151,7 @@ func TestServerConcurrentClients(t *testing.T) {
 		<-gate2
 		return &core.Approximation{Method: core.RandQBEI, Rank: 1, Converged: true}, nil
 	}
-	srv2 := NewServer(Config{Workers: 1, QueueDepth: 2, Solve: slow, RetryAfter: 3})
+	srv2 := NewServer(Config{Workers: 1, QueueDepth: 2, Solve: slow})
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
 	// Worker occupancy is asynchronous: fill until 429 or a safety cap.
@@ -177,8 +177,8 @@ func TestServerConcurrentClients(t *testing.T) {
 	if !overflowed {
 		t.Fatal("queue never overflowed into 429")
 	}
-	if retryAfter != "3" {
-		t.Fatalf("Retry-After %q, want \"3\"", retryAfter)
+	if retryAfter != "1" {
+		t.Fatalf("Retry-After %q, want \"1\"", retryAfter)
 	}
 
 	// Drain daemon 2 while its accepted jobs are still gated: drain

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +19,9 @@ import (
 	"sparselr/internal/lucrtp"
 	"sparselr/internal/sparse"
 )
+
+// mmBody is a minimal MatrixMarket upload.
+const mmBody = "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n"
 
 func validSpec() *Spec {
 	return &Spec{Generator: "M3", Scale: "small", Method: "RandQB_EI", Tol: 1e-2, Seed: 1}
@@ -43,10 +48,23 @@ func TestSpecValidate(t *testing.T) {
 		{Generator: "M3", Method: "qb", Tol: 1e-2, Scale: "huge"},     // unknown scale
 		{Generator: "M3", Method: "tsvd", Tol: 1e-2, Procs: 4},        // tsvd has no dist impl
 		{Generator: "M3", Method: "qb", Tol: 1e-2, Procs: -1},         // negative procs
+		{Generator: "M3", Method: "qb", Tol: math.NaN()},              // NaN tol runs to full rank
+		{Generator: "M3", Method: "qb", Tol: math.Inf(1)},             // infinite tol
+		{Generator: "M3", Method: "qb", Tol: math.Inf(-1), MaxRank: 8},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("bad spec %d accepted: %+v", i, s)
+		}
+	}
+	// The query form of an upload parses "NaN" and "Inf" as floats.
+	for _, tol := range []string{"NaN", "Inf", "-Inf"} {
+		s, err := ParseSubmitBody("text/plain", []byte(mmBody), url.Values{"tol": {tol}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Validate(); err == nil {
+			t.Errorf("?tol=%s accepted: Tol %v", tol, s.Tol)
 		}
 	}
 }

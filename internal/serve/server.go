@@ -44,11 +44,10 @@ type Config struct {
 
 	// MaxBodyBytes bounds uploaded request bodies (0 = 64 MiB).
 	MaxBodyBytes int64
-
-	// RetryAfter is the Retry-After hint on 429 responses in seconds
-	// (0 = 1).
-	RetryAfter int
 }
+
+// retryAfter is the Retry-After hint, in seconds, on 429 responses.
+const retryAfter = "1"
 
 // Server wires the scheduler, cache and metrics behind the HTTP API:
 //
@@ -74,8 +73,7 @@ type Server struct {
 	metrics *Metrics
 	mux     *http.ServeMux
 
-	maxBody    int64
-	retryAfter int
+	maxBody int64
 }
 
 // NewServer builds the server and starts its scheduler workers.
@@ -95,18 +93,14 @@ func NewServer(cfg Config) *Server {
 		cfg.Resume = NewResumeRegistry()
 	}
 	s := &Server{
-		cache:      cache,
-		disk:       cfg.Disk,
-		resume:     cfg.Resume,
-		metrics:    cfg.Metrics,
-		maxBody:    cfg.MaxBodyBytes,
-		retryAfter: cfg.RetryAfter,
+		cache:   cache,
+		disk:    cfg.Disk,
+		resume:  cfg.Resume,
+		metrics: cfg.Metrics,
+		maxBody: cfg.MaxBodyBytes,
 	}
 	if s.maxBody <= 0 {
 		s.maxBody = 64 << 20
-	}
-	if s.retryAfter <= 0 {
-		s.retryAfter = 1
 	}
 	s.sched = NewScheduler(SchedulerConfig{
 		Workers:    cfg.Workers,
@@ -133,9 +127,6 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
 }
-
-// Scheduler exposes the underlying scheduler (drain, tests).
-func (s *Server) Scheduler() *Scheduler { return s.sched }
 
 // Drain stops admission and completes outstanding work (SIGTERM path).
 func (s *Server) Drain(ctx context.Context) error { return s.sched.Drain(ctx) }
@@ -266,7 +257,7 @@ func (s *Server) writeAdmitError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	switch err {
 	case ErrQueueFull:
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter))
+		w.Header().Set("Retry-After", retryAfter)
 		code = http.StatusTooManyRequests
 	case ErrDraining:
 		code = http.StatusServiceUnavailable

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"time"
 
 	"sparselr/internal/core"
@@ -77,8 +78,8 @@ func (s *Spec) Validate() error {
 	if s.BlockSize < 0 {
 		return fmt.Errorf("serve: block size must be positive, got %d", s.BlockSize)
 	}
-	if s.Tol < 0 {
-		return fmt.Errorf("serve: tolerance must be nonnegative, got %g", s.Tol)
+	if !(s.Tol >= 0) || math.IsInf(s.Tol, 1) {
+		return fmt.Errorf("serve: tolerance must be finite and nonnegative, got %g", s.Tol)
 	}
 	if s.Tol == 0 && s.MaxRank <= 0 {
 		return fmt.Errorf("serve: need tol > 0 or max_rank > 0")

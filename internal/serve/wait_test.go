@@ -34,7 +34,7 @@ func TestMalformedWaitAdmitsNothing(t *testing.T) {
 		if code := post(path, body); code != http.StatusBadRequest {
 			t.Fatalf("POST %s: %d, want 400", path, code)
 		}
-		if depth, _ := srv.Scheduler().QueueDepth(); depth != 0 || m.CacheMisses.Load() != 0 {
+		if depth, _ := srv.sched.QueueDepth(); depth != 0 || m.CacheMisses.Load() != 0 {
 			t.Fatalf("POST %s admitted work: queue depth %d, lowrankd_cache_misses_total %v", path, depth, m.CacheMisses.Load())
 		}
 	}

@@ -22,6 +22,6 @@
 // seeded RNG, Draws reports the canonical variates consumed (NormFloat64
 // for Gaussian, Uint64 for the structured sketches), and FastForward
 // replays that many variates so distributed checkpoint/restart can resume
-// a sketch stream mid-run. Clone (reconstruct + fast-forward) supports
-// per-rank SPMD use from a shared seed.
+// a sketch stream mid-run; SPMD ranks each construct their own stream
+// from the shared seed.
 package sketch

@@ -13,7 +13,6 @@ import (
 // results are bit-identical across the refactor.
 type gaussianSketcher struct {
 	n     int
-	seed  int64
 	rng   *rand.Rand
 	draws int
 	buf   mat.Buffer
@@ -21,10 +20,9 @@ type gaussianSketcher struct {
 }
 
 func newGaussian(n int, seed int64) *gaussianSketcher {
-	return &gaussianSketcher{n: n, seed: seed, rng: rand.New(rand.NewSource(seed))}
+	return &gaussianSketcher{n: n, rng: rand.New(rand.NewSource(seed))}
 }
 
-func (g *gaussianSketcher) Kind() Kind { return Gaussian }
 func (g *gaussianSketcher) Draws() int { return g.draws }
 
 func (g *gaussianSketcher) FastForward(d int) {
@@ -32,12 +30,6 @@ func (g *gaussianSketcher) FastForward(d int) {
 		g.rng.NormFloat64()
 	}
 	g.draws += d
-}
-
-func (g *gaussianSketcher) Clone() Sketcher {
-	c := newGaussian(g.n, g.seed)
-	c.FastForward(g.draws)
-	return c
 }
 
 func (g *gaussianSketcher) Next(k int) Block {

@@ -74,10 +74,9 @@ type Block interface {
 }
 
 // Sketcher is a seeded, deterministic stream of sketch blocks.
-// Implementations are not safe for concurrent use; SPMD ranks each hold
-// their own Clone (or construct from the shared seed).
+// Implementations are not safe for concurrent use; SPMD ranks each
+// construct their own from the shared seed.
 type Sketcher interface {
-	Kind() Kind
 	// Next draws the next n×k block. The result aliases sketcher storage
 	// and is invalidated by the following Next call.
 	Next(k int) Block
@@ -87,9 +86,6 @@ type Sketcher interface {
 	// FastForward advances the stream by d canonical variates, as if that
 	// many had been consumed by earlier Next calls (checkpoint resume).
 	FastForward(d int)
-	// Clone returns an independent sketcher positioned at the same point
-	// of the same stream.
-	Clone() Sketcher
 }
 
 // DefaultSparseNNZ is the per-row nonzero count used by SparseSign when

@@ -118,8 +118,8 @@ func TestGaussianApplyBitIdentical(t *testing.T) {
 	}
 }
 
-// Same seed → same stream; Clone continues the stream; FastForward lands
-// at the same point as drawing.
+// Same seed → same stream; FastForward lands at the same point as
+// drawing, so a stream rebuilt from the seed continues it.
 func TestDeterminismCloneFastForward(t *testing.T) {
 	for _, kind := range []Kind{Gaussian, SparseSign, SRTT} {
 		s1 := New(kind, 64, 5, 4)
@@ -128,13 +128,6 @@ func TestDeterminismCloneFastForward(t *testing.T) {
 		b2 := s2.Next(8)
 		if d := maxAbsDiff(b1.Dense(), b2.Dense()); d != 0 {
 			t.Fatalf("%v: same seed diverged by %g", kind, d)
-		}
-		// Clone after one block must reproduce the second block.
-		c := s1.Clone()
-		n1 := s1.Next(8).Dense()
-		nc := c.Next(8).Dense()
-		if d := maxAbsDiff(n1, nc); d != 0 {
-			t.Fatalf("%v: clone diverged by %g", kind, d)
 		}
 		// FastForward by the recorded draw count must land where s1 is.
 		f := New(kind, 64, 5, 4)

@@ -18,7 +18,6 @@ import (
 type sparseSignSketcher struct {
 	n     int
 	s0    int // requested nonzeros per row
-	seed  int64
 	rng   *rand.Rand
 	draws int
 	idx   []int
@@ -28,10 +27,9 @@ type sparseSignSketcher struct {
 }
 
 func newSparseSign(n int, seed int64, nnzPerRow int) *sparseSignSketcher {
-	return &sparseSignSketcher{n: n, s0: nnzPerRow, seed: seed, rng: rand.New(rand.NewSource(seed))}
+	return &sparseSignSketcher{n: n, s0: nnzPerRow, rng: rand.New(rand.NewSource(seed))}
 }
 
-func (g *sparseSignSketcher) Kind() Kind { return SparseSign }
 func (g *sparseSignSketcher) Draws() int { return g.draws }
 
 func (g *sparseSignSketcher) FastForward(d int) {
@@ -39,12 +37,6 @@ func (g *sparseSignSketcher) FastForward(d int) {
 		g.rng.Uint64()
 	}
 	g.draws += d
-}
-
-func (g *sparseSignSketcher) Clone() Sketcher {
-	c := newSparseSign(g.n, g.seed, g.s0)
-	c.FastForward(g.draws)
-	return c
 }
 
 func (g *sparseSignSketcher) Next(k int) Block {

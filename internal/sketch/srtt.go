@@ -29,7 +29,6 @@ import (
 // per row, diagonal sign per bucket, subsample draw per output column).
 type srttSketcher struct {
 	n      int
-	seed   int64
 	rng    *rand.Rand
 	draws  int
 	bucket []int
@@ -41,10 +40,9 @@ type srttSketcher struct {
 }
 
 func newSRTT(n int, seed int64) *srttSketcher {
-	return &srttSketcher{n: n, seed: seed, rng: rand.New(rand.NewSource(seed))}
+	return &srttSketcher{n: n, rng: rand.New(rand.NewSource(seed))}
 }
 
-func (g *srttSketcher) Kind() Kind { return SRTT }
 func (g *srttSketcher) Draws() int { return g.draws }
 
 func (g *srttSketcher) FastForward(d int) {
@@ -52,12 +50,6 @@ func (g *srttSketcher) FastForward(d int) {
 		g.rng.Uint64()
 	}
 	g.draws += d
-}
-
-func (g *srttSketcher) Clone() Sketcher {
-	c := newSRTT(g.n, g.seed)
-	c.FastForward(g.draws)
-	return c
 }
 
 func nextPow2(k int) int {

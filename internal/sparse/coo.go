@@ -30,9 +30,6 @@ func (b *Builder) Add(i, j int, v float64) {
 	b.v = append(b.v, v)
 }
 
-// Len returns the number of recorded (pre-deduplication) entries.
-func (b *Builder) Len() int { return len(b.v) }
-
 // ToCSR finalizes the builder into a CSR matrix: entries are sorted,
 // duplicates summed, and exact-zero sums dropped. Sorting is a two-pass
 // stable counting sort (by column, then by row), so assembly is

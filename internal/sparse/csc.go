@@ -16,9 +16,6 @@ type CSC struct {
 	Val        []float64
 }
 
-// NNZ returns the number of stored entries.
-func (a *CSC) NNZ() int { return len(a.Val) }
-
 // Dims returns the matrix dimensions.
 func (a *CSC) Dims() (r, c int) { return a.Rows, a.Cols }
 
@@ -71,42 +68,23 @@ func (a *CSR) ToCSCInto(dst *CSC) {
 	ptr[0] = 0
 }
 
-// ToCSR converts back to CSR in linear time.
-func (a *CSC) ToCSR() *CSR {
-	asCSR := &CSR{Rows: a.Cols, Cols: a.Rows, RowPtr: a.ColPtr, ColIdx: a.RowIdx, Val: a.Val}
-	return asCSR.Transpose()
-}
-
-// ExtractColsDense gathers the given columns into a dense Rows×len(cols)
-// panel. Cost is proportional to the nonzeros of the selected columns.
-func (a *CSC) ExtractColsDense(cols []int) *mat.Dense {
-	out := mat.NewDense(a.Rows, len(cols))
-	a.scatterCols(out, cols)
-	return out
-}
-
-// ExtractColsDenseInto is ExtractColsDense into caller-owned storage: dst
-// must be Rows×len(cols). It zeroes exactly dst, then scatters the
-// selected columns, so a reused buffer yields the same panel as a fresh
-// one.
+// ExtractColsDenseInto gathers the given columns into dst, a
+// Rows×len(cols) panel (the kernel feeding dense panel QR in QR_TP). It
+// zeroes exactly dst, then scatters the selected columns, so a reused
+// buffer yields the same panel as a fresh one; cost is proportional to
+// the nonzeros of the selected columns.
 func (a *CSC) ExtractColsDenseInto(dst *mat.Dense, cols []int) {
 	if dst.Rows != a.Rows || dst.Cols != len(cols) {
 		panic(fmt.Sprintf("sparse: ExtractColsDenseInto destination %d×%d, want %d×%d", dst.Rows, dst.Cols, a.Rows, len(cols)))
 	}
 	dst.Zero()
-	a.scatterCols(dst, cols)
-}
-
-// scatterCols writes the entries of the selected columns into the
-// zeroed panel out.
-func (a *CSC) scatterCols(out *mat.Dense, cols []int) {
 	for p, j := range cols {
 		if j < 0 || j >= a.Cols {
-			panic(fmt.Sprintf("sparse: ExtractColsDense column %d out of range", j))
+			panic(fmt.Sprintf("sparse: ExtractColsDenseInto column %d out of range", j))
 		}
 		rows, vals := a.ColView(j)
 		for k, i := range rows {
-			out.Data[i*out.Stride+p] = vals[k]
+			dst.Data[i*dst.Stride+p] = vals[k]
 		}
 	}
 }
@@ -119,13 +97,4 @@ func (a *CSC) ColsNNZ(cols []int) int {
 		n += a.ColNNZ(j)
 	}
 	return n
-}
-
-// FrobNorm2 returns the squared Frobenius norm.
-func (a *CSC) FrobNorm2() float64 {
-	var s float64
-	for _, v := range a.Val {
-		s += v * v
-	}
-	return s
 }

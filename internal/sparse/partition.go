@@ -17,18 +17,13 @@ import (
 // count, never on scheduling, so kernels whose chunks write disjoint
 // output regions stay bitwise deterministic.
 
-// chunksByPrefix splits [0, len(prefix)-1) into nchunks contiguous ranges
-// whose prefix-sum weights are as equal as row granularity allows.
+// chunksByPrefixInto splits [0, len(prefix)-1) into nchunks contiguous
+// ranges whose prefix-sum weights are as equal as row granularity allows.
 // prefix must be nondecreasing with prefix[0] == 0 (RowPtr, or any
 // per-row cost prefix). The result is a bounds slice b of length
 // nchunks+1 with b[0] = 0 and b[nchunks] = n; chunk c covers rows
 // [b[c], b[c+1]) and may be empty when one row dominates the weight.
-func chunksByPrefix(prefix []int, nchunks int) []int {
-	return chunksByPrefixInto(nil, prefix, nchunks)
-}
-
-// chunksByPrefixInto is chunksByPrefix writing into dst's storage when
-// it is large enough.
+// It writes into dst's storage when it is large enough.
 func chunksByPrefixInto(dst, prefix []int, nchunks int) []int {
 	n := len(prefix) - 1
 	if nchunks > n {

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// checkBounds asserts the structural invariants every chunksByPrefix
+// checkBounds asserts the structural invariants every chunksByPrefixInto
 // result must satisfy: full coverage, monotone bounds, fixed endpoints.
 func checkBounds(t *testing.T, bounds []int, rows int) {
 	t.Helper()
@@ -28,7 +28,7 @@ func TestChunksByPrefixBalance(t *testing.T) {
 		for i := 1; i <= rows; i++ {
 			prefix[i] = prefix[i-1] + rng.Intn(20)
 		}
-		bounds := chunksByPrefix(prefix, nchunks)
+		bounds := chunksByPrefixInto(nil, prefix, nchunks)
 		checkBounds(t, bounds, rows)
 		total := prefix[rows]
 		if total == 0 {
@@ -56,7 +56,7 @@ func TestChunksByPrefixBalance(t *testing.T) {
 func TestChunksByPrefixEdgeCases(t *testing.T) {
 	// Zero weight everywhere: uniform fallback still covers all rows.
 	zero := make([]int, 101)
-	bounds := chunksByPrefix(zero, 4)
+	bounds := chunksByPrefixInto(nil, zero, 4)
 	checkBounds(t, bounds, 100)
 	for c := 0; c+1 < len(bounds); c++ {
 		if w := bounds[c+1] - bounds[c]; w < 20 || w > 30 {
@@ -67,24 +67,24 @@ func TestChunksByPrefixEdgeCases(t *testing.T) {
 	// All weight in the last row: earlier chunks collapse, coverage holds.
 	last := make([]int, 101)
 	last[100] = 1000
-	checkBounds(t, chunksByPrefix(last, 4), 100)
+	checkBounds(t, chunksByPrefixInto(nil, last, 4), 100)
 
 	// More chunks than rows: clamps to one chunk per row.
 	small := []int{0, 3, 7}
-	b := chunksByPrefix(small, 8)
+	b := chunksByPrefixInto(nil, small, 8)
 	checkBounds(t, b, 2)
 	if len(b) != 3 {
 		t.Fatalf("want 2 chunks for 2 rows, got bounds %v", b)
 	}
 
 	// Single row, nchunks < 1 clamp.
-	checkBounds(t, chunksByPrefix([]int{0, 5}, 0), 1)
+	checkBounds(t, chunksByPrefixInto(nil, []int{0, 5}, 0), 1)
 }
 
 func TestRowChunksByNNZCoversAllRows(t *testing.T) {
 	a := randCSR(300, 200, 0.03, 5)
 	for _, nchunks := range []int{1, 2, 3, 7, 16, 1000} {
-		bounds := chunksByPrefix(a.RowPtr, nchunks)
+		bounds := chunksByPrefixInto(nil, a.RowPtr, nchunks)
 		checkBounds(t, bounds, a.Rows)
 	}
 }

@@ -132,17 +132,6 @@ func (a *CSR) FrobNorm2() float64 {
 	return s
 }
 
-// MaxAbs returns the largest absolute entry.
-func (a *CSR) MaxAbs() float64 {
-	var m float64
-	for _, v := range a.Val {
-		if av := math.Abs(v); av > m {
-			m = av
-		}
-	}
-	return m
-}
-
 // ColNorms2 returns the squared Euclidean norm of each column, in dst's
 // storage when it has room (a nil dst allocates).
 func (a *CSR) ColNorms2(dst []float64) []float64 {

@@ -2,8 +2,11 @@
 # Repo verification gate. Runs, in order:
 #   1. gofmt -l (tree must be gofmt-clean)
 #   2. go vet ./...
-#   3. go build ./...
-#   4. go test ./...           (tier-1)
+#   3. go build ./...; then go vet and go build in the separate bench/
+#      module (sparselr/bench), which ./... at the root never compiles
+#      but which imports internal/ and which the benchmark driver runs
+#   4. go test ./...           (tier-1), then a short FuzzSpec run over
+#      the daemon's submit path (parse -> Validate -> Key)
 #   5. go test -race over the packages with parallel kernels, the
 #      fault-injection paths, the sketch layer, the core dispatch
 #      (every loop solve runs on a rank goroutine), the serving layer
@@ -103,8 +106,14 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
+echo "== bench module: go vet ./... && go build ./..."
+(cd bench && go vet ./... && go build ./...)
+
 echo "== go test ./..."
 go test -timeout "${TESTTIMEOUT:-10m}" ./...
+
+echo "== FuzzSpec (submit body -> Validate -> Key, 5s)"
+go test -run '^$' -fuzz '^FuzzSpec$' -fuzztime 5s -parallel 2 ./internal/serve
 
 echo "== go test -race (kernel + fault-injection + core + serving + metrics packages, watchdog timeout)"
 go test -race -timeout "${TESTTIMEOUT:-10m}" \
