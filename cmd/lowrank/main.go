@@ -23,7 +23,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strings"
 
 	"sparselr/internal/core"
 	"sparselr/internal/dist"
@@ -52,11 +51,11 @@ func main() {
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-	m, sketchKind, err := validateFlags(flagValues{
-		matrix: *matrix, scale: *scale, method: *method, k: *k, tol: *tol,
-		power: *power, np: *np, maxRank: *maxRank, sketch: *sketchK, sketchNNZ: *sketchN,
-	})
-	if err != nil {
+	opts := core.Options{
+		BlockSize: *k, Tol: *tol, Power: *power,
+		Seed: *seed, Procs: *np, MaxRank: *maxRank, SketchNNZ: *sketchN,
+	}
+	if err := validateFlags(*matrix, *scale, *method, *sketchK, &opts); err != nil {
 		fmt.Fprintln(os.Stderr, "lowrank:", err)
 		fmt.Fprintln(os.Stderr, "run 'lowrank -h' for usage")
 		os.Exit(2)
@@ -74,11 +73,6 @@ func main() {
 	r, c := a.Dims()
 	fmt.Printf("matrix %s: %d×%d, nnz=%d, density=%.4g\n", name, r, c, a.NNZ(), a.Density())
 
-	opts := core.Options{
-		Method: m, BlockSize: *k, Tol: *tol, Power: *power,
-		Seed: *seed, Procs: *np, MaxRank: *maxRank,
-		Sketch: sketchKind, SketchNNZ: *sketchN,
-	}
 	var tr *dist.Trace
 	if *brk || *traceF != "" {
 		tr = dist.NewTrace()
@@ -122,61 +116,27 @@ func main() {
 	}
 }
 
-// flagValues carries the parsed flags into validateFlags.
-type flagValues struct {
-	matrix, scale, method, sketch string
-	k, power, np, maxRank         int
-	sketchNNZ                     int
-	tol                           float64
-}
-
-// validateFlags rejects inconsistent flag combinations up front — a
-// bad tolerance, an unknown sketch, -sketchnnz without the sparsesign
-// sketch, a distributed run of a method with one-rank bodies only — so
-// the run fails with a usage message instead of a late panic or a
-// silent fallback. It returns the resolved method and sketch kind.
-func validateFlags(f flagValues) (core.Method, sketch.Kind, error) {
-	m, err := core.ParseMethod(f.method)
-	if err != nil {
-		return 0, 0, err
+// validateFlags resolves the -method and -sketch spellings into opts
+// and checks the rules that are the CLI's own (the -scale of a generated
+// matrix, -k > 0), then the request contract, core.Options.Validate, so
+// a bad request fails with a usage message before the matrix is loaded.
+func validateFlags(matrix, scale, method, sketchName string, opts *core.Options) error {
+	var err error
+	if opts.Method, err = core.ParseMethod(method); err != nil {
+		return err
 	}
-	kind, err := sketch.ParseKind(f.sketch)
-	if err != nil {
-		return 0, 0, err
+	if opts.Sketch, err = sketch.ParseKind(sketchName); err != nil {
+		return err
 	}
-	if gen.IsLabel(f.matrix) {
-		if _, err := gen.ParseScale(f.scale); err != nil {
-			return 0, 0, err
+	if gen.IsLabel(matrix) {
+		if _, err := gen.ParseScale(scale); err != nil {
+			return err
 		}
 	}
-	if f.k <= 0 {
-		return 0, 0, fmt.Errorf("block size -k must be positive, got %d", f.k)
+	if opts.BlockSize <= 0 {
+		return fmt.Errorf("block size -k must be positive, got %d", opts.BlockSize)
 	}
-	if f.tol < 0 {
-		return 0, 0, fmt.Errorf("tolerance -tol must be nonnegative, got %g", f.tol)
-	}
-	if f.tol == 0 && f.maxRank <= 0 {
-		return 0, 0, fmt.Errorf("need -tol > 0 or -maxrank > 0 (a zero tolerance with no rank cap never terminates)")
-	}
-	if f.maxRank < 0 {
-		return 0, 0, fmt.Errorf("-maxrank must be nonnegative, got %d", f.maxRank)
-	}
-	if f.power < 0 || f.power > 3 {
-		return 0, 0, fmt.Errorf("-power must be in [0,3], got %d", f.power)
-	}
-	if f.np < 0 {
-		return 0, 0, fmt.Errorf("-np must be nonnegative, got %d", f.np)
-	}
-	if f.np > 1 && !m.DistCapable() {
-		return 0, 0, fmt.Errorf("%v has no distributed implementation; use -np 1", m)
-	}
-	if f.sketchNNZ < 0 {
-		return 0, 0, fmt.Errorf("-sketchnnz must be nonnegative, got %d", f.sketchNNZ)
-	}
-	if f.sketchNNZ > 0 && kind != sketch.SparseSign {
-		return 0, 0, fmt.Errorf("-sketchnnz only applies to -sketch sparsesign, got -sketch %v", kind)
-	}
-	return m, kind, nil
+	return opts.Validate()
 }
 
 // startCPUProfile begins CPU profiling into path (empty = off) and
@@ -293,8 +253,8 @@ func writeTrace(path string, tr *dist.Trace) error {
 }
 
 func loadMatrix(spec, scale string) (*sparse.CSR, string, error) {
-	if strings.HasPrefix(spec, "M") && len(spec) == 2 {
-		s, err := parseScale(scale)
+	if gen.IsLabel(spec) {
+		s, err := gen.ParseScale(scale)
 		if err != nil {
 			return nil, "", err
 		}
@@ -315,5 +275,3 @@ func loadMatrix(spec, scale string) (*sparse.CSR, string, error) {
 	}
 	return a, spec, nil
 }
-
-func parseScale(s string) (gen.Scale, error) { return gen.ParseScale(s) }

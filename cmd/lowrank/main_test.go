@@ -3,8 +3,8 @@ package main
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -19,12 +19,12 @@ func TestParseScale(t *testing.T) {
 	for in, want := range map[string]gen.Scale{
 		"small": gen.Small, "medium": gen.Medium, "large": gen.Large,
 	} {
-		got, err := parseScale(in)
+		got, err := gen.ParseScale(in)
 		if err != nil || got != want {
-			t.Fatalf("parseScale(%q) = %v, %v", in, got, err)
+			t.Fatalf("gen.ParseScale(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := parseScale("huge"); err == nil {
+	if _, err := gen.ParseScale("huge"); err == nil {
 		t.Fatal("expected error for unknown scale")
 	}
 }
@@ -38,69 +38,84 @@ func TestLoadMatrixGenerated(t *testing.T) {
 		t.Fatal("degenerate generated matrix")
 	}
 	if _, _, err := loadMatrix("M9", "small"); err == nil {
-		t.Fatal("expected error for unknown label")
+		t.Fatal("expected error for M9, neither a label nor a file")
 	}
 	if _, _, err := loadMatrix("M1", "bogus"); err == nil {
 		t.Fatal("expected error for bad scale")
 	}
 }
 
+// A file whose name looks like a generator label but is not one
+// (M1..M6), such as M9, loads as a file too.
 func TestLoadMatrixFromFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "m.mtx")
+	t.Chdir(t.TempDir())
 	orig := gen.Circuit(20, 3, 1)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+	for _, path := range []string{"m.mtx", "M9"} {
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := orig.WriteMatrixMarket(f); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		a, name, err := loadMatrix(path, "small")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name != path || !a.Equal(orig, 0) {
+			t.Fatalf("file %s loaded as %q, equal to the file: %v", path, name, a.Equal(orig, 0))
+		}
 	}
-	if err := orig.WriteMatrixMarket(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	a, _, err := loadMatrix(path, "small")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Equal(orig, 0) {
-		t.Fatal("file load changed the matrix")
-	}
-	if _, _, err := loadMatrix(filepath.Join(dir, "missing.mtx"), "small"); err == nil {
+	if _, _, err := loadMatrix("missing.mtx", "small"); err == nil {
 		t.Fatal("expected error for missing file")
 	}
 }
 
+// cliFlags are the flags validateFlags sees.
+type cliFlags struct {
+	matrix, scale, method, sketch string
+	opts                          core.Options
+}
+
+func (f cliFlags) validate() error {
+	return validateFlags(f.matrix, f.scale, f.method, f.sketch, &f.opts)
+}
+
 func TestValidateFlags(t *testing.T) {
-	ok := flagValues{matrix: "M1", scale: "small", method: "LU_CRTP", k: 16,
-		tol: 1e-2, power: 1, np: 1, sketch: "gaussian"}
-	if _, _, err := validateFlags(ok); err != nil {
+	ok := cliFlags{matrix: "M1", scale: "small", method: "LU_CRTP", sketch: "gaussian",
+		opts: core.Options{BlockSize: 16, Tol: 1e-2, Power: 1, Procs: 1}}
+	if err := ok.validate(); err != nil {
 		t.Fatalf("valid flags rejected: %v", err)
 	}
 	// -sketchnnz with the sparsesign sketch is the one place it is legal.
 	sp := ok
 	sp.sketch = "sparsesign"
-	sp.sketchNNZ = 4
-	if _, _, err := validateFlags(sp); err != nil {
+	sp.opts.SketchNNZ = 4
+	if err := sp.validate(); err != nil {
 		t.Fatalf("sparsesign+sketchnnz rejected: %v", err)
 	}
-	mutate := func(f func(*flagValues)) flagValues { v := ok; f(&v); return v }
-	bad := map[string]flagValues{
-		"unknown method":        mutate(func(v *flagValues) { v.method = "nope" }),
-		"unknown sketch":        mutate(func(v *flagValues) { v.sketch = "nope" }),
-		"unknown scale":         mutate(func(v *flagValues) { v.scale = "huge" }),
-		"zero block":            mutate(func(v *flagValues) { v.k = 0 }),
-		"negative block":        mutate(func(v *flagValues) { v.k = -4 }),
-		"negative tol":          mutate(func(v *flagValues) { v.tol = -1e-3 }),
-		"zero tol no maxrank":   mutate(func(v *flagValues) { v.tol = 0 }),
-		"negative maxrank":      mutate(func(v *flagValues) { v.maxRank = -1 }),
-		"power out of range":    mutate(func(v *flagValues) { v.power = 4 }),
-		"negative np":           mutate(func(v *flagValues) { v.np = -2 }),
-		"tsvd distributed":      mutate(func(v *flagValues) { v.method = "tsvd"; v.np = 4 }),
-		"cur distributed":       mutate(func(v *flagValues) { v.method = "cur"; v.np = 2 }),
-		"sketchnnz w/ gaussian": mutate(func(v *flagValues) { v.sketchNNZ = 4 }),
-		"negative sketchnnz":    mutate(func(v *flagValues) { v.sketch = "sparsesign"; v.sketchNNZ = -1 }),
+	mutate := func(f func(*cliFlags)) cliFlags { v := ok; f(&v); return v }
+	bad := map[string]cliFlags{
+		"unknown method":        mutate(func(v *cliFlags) { v.method = "nope" }),
+		"unknown sketch":        mutate(func(v *cliFlags) { v.sketch = "nope" }),
+		"unknown scale":         mutate(func(v *cliFlags) { v.scale = "huge" }),
+		"zero block":            mutate(func(v *cliFlags) { v.opts.BlockSize = 0 }),
+		"negative block":        mutate(func(v *cliFlags) { v.opts.BlockSize = -4 }),
+		"negative tol":          mutate(func(v *cliFlags) { v.opts.Tol = -1e-3 }),
+		"NaN tol":               mutate(func(v *cliFlags) { v.opts.Tol = math.NaN() }),
+		"infinite tol":          mutate(func(v *cliFlags) { v.opts.Tol = math.Inf(1) }),
+		"zero tol no maxrank":   mutate(func(v *cliFlags) { v.opts.Tol = 0 }),
+		"negative maxrank":      mutate(func(v *cliFlags) { v.opts.MaxRank = -1 }),
+		"power out of range":    mutate(func(v *cliFlags) { v.opts.Power = 4 }),
+		"negative np":           mutate(func(v *cliFlags) { v.opts.Procs = -2 }),
+		"tsvd distributed":      mutate(func(v *cliFlags) { v.method = "tsvd"; v.opts.Procs = 4 }),
+		"cur distributed":       mutate(func(v *cliFlags) { v.method = "cur"; v.opts.Procs = 2 }),
+		"sketchnnz w/ gaussian": mutate(func(v *cliFlags) { v.opts.SketchNNZ = 4 }),
+		"negative sketchnnz":    mutate(func(v *cliFlags) { v.sketch = "sparsesign"; v.opts.SketchNNZ = -1 }),
 	}
 	for name, v := range bad {
-		if _, _, err := validateFlags(v); err == nil {
+		if err := v.validate(); err == nil {
 			t.Errorf("%s: accepted %+v", name, v)
 		}
 	}
@@ -108,19 +123,19 @@ func TestValidateFlags(t *testing.T) {
 	// for all ten.
 	for _, name := range strings.Split(core.MethodUsage(), " | ") {
 		for _, np := range []int{0, 1} {
-			if _, _, err := validateFlags(mutate(func(v *flagValues) { v.method = name; v.np = np })); err != nil {
+			if err := mutate(func(v *cliFlags) { v.method = name; v.opts.Procs = np }).validate(); err != nil {
 				t.Fatalf("%s at -np %d rejected: %v", name, np, err)
 			}
 		}
 	}
 	// Zero tol with a rank cap is the legal fixed-rank mode.
-	fr := mutate(func(v *flagValues) { v.tol = 0; v.maxRank = 8 })
-	if _, _, err := validateFlags(fr); err != nil {
+	fr := mutate(func(v *cliFlags) { v.opts.Tol = 0; v.opts.MaxRank = 8 })
+	if err := fr.validate(); err != nil {
 		t.Fatalf("fixed-rank flags rejected: %v", err)
 	}
 	// A non-generator matrix path skips scale validation.
-	file := mutate(func(v *flagValues) { v.matrix = "data/x.mtx"; v.scale = "bogus" })
-	if _, _, err := validateFlags(file); err != nil {
+	file := mutate(func(v *cliFlags) { v.matrix = "data/x.mtx"; v.scale = "bogus" })
+	if err := file.validate(); err != nil {
 		t.Fatalf("file path with unused scale rejected: %v", err)
 	}
 }

@@ -157,7 +157,7 @@ func main() {
 	}
 	// The smoke test and scripts parse this line to find the bound port.
 	fmt.Printf("lowrankd: listening on %s (workers=%d queue=%d cache=%dB)\n",
-		ln.Addr(), *workers, *queueDepth, max64(budget, 0))
+		ln.Addr(), *workers, *queueDepth, max(budget, 0))
 
 	var handler http.Handler = srv
 	if *pprofOn {
@@ -192,11 +192,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

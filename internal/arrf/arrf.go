@@ -78,6 +78,7 @@ func Factor(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		window[i] = probe()
 	}
 	var qCols [][]float64
+	degenerate := 0 // consecutive probes that projected to roundoff
 	basisDot := func(v []float64) {
 		// v ← (I − QQᵀ)v with one pass of classical Gram–Schmidt
 		// against the current basis.
@@ -109,12 +110,19 @@ func Factor(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		basisDot(y)
 		nv := mat.Nrm2(y)
 		if nv < 1e-14*normA {
-			// Degenerate probe: replace it and continue.
+			// Degenerate probe: replace it and continue, unless a whole
+			// window of fresh probes has projected to roundoff: then the
+			// basis spans A's numerical range and no τ below roundoff
+			// can be met.
+			if degenerate++; degenerate > r {
+				break
+			}
 			w := probe()
 			basisDot(w)
 			window = append(window, w)
 			continue
 		}
+		degenerate = 0
 		q := make([]float64, m)
 		for i := range q {
 			q[i] = y[i] / nv

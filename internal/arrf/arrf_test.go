@@ -106,6 +106,20 @@ func TestExactRankStops(t *testing.T) {
 	}
 }
 
+// A τ below roundoff cannot be met once the basis spans A's range:
+// the run stops unconverged at the exact rank instead of drawing
+// degenerate probes forever.
+func TestSubRoundoffTolStops(t *testing.T) {
+	a := decayMatrix(40, 40, 8, 0.9, 7)
+	res, err := factor(a, Options{Tol: 1e-300, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Converged || res.Rank != 8 {
+		t.Fatalf("τ = 1e-300 on a rank-8 matrix: converged %v at rank %d; want unconverged at 8", res.Converged, res.Rank)
+	}
+}
+
 func TestMaxRankCap(t *testing.T) {
 	a := decayMatrix(50, 50, 40, 0.95, 9)
 	res, err := factor(a, Options{Tol: 1e-14, MaxRank: 12, Seed: 10})

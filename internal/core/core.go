@@ -57,8 +57,8 @@ const (
 	ACA
 )
 
-// String, ParseMethod, DistCapable and MethodUsage derive from the
-// method registry in registry.go.
+// String, ParseMethod and MethodUsage derive from the method registry
+// in registry.go.
 
 // Options configures a run. Zero values give sensible defaults
 // (BlockSize 8, one rank).
@@ -70,10 +70,8 @@ type Options struct {
 
 	// Randomized-method knobs. Power is the power parameter p ∈ [0,3]
 	// of every RandQB_EI sweep, including the basis CUR and ID2 select
-	// their skeletons from and each of RSVD's restart attempts. RandQB_EI,
-	// and so RSVD, rejects a Power outside [0,3] by panicking inside its
-	// rank body, which Approximate returns as a *dist.RankError at every
-	// Procs.
+	// their skeletons from and each of RSVD's restart attempts. Validate
+	// rejects a Power outside [0,3] for every method.
 	Power int
 	Seed  int64 // PRNG seed
 	// Sketch selects the sketching operator of the randomized methods
@@ -152,24 +150,51 @@ type Approximation struct {
 	CUR *cur.Result
 }
 
+// Validate is the one statement of a valid request, which
+// Approximate, cmd/lowrank and lowrankd all apply: a known method; a
+// finite τ ≥ 0, where τ = 0 (fixed-rank mode) needs a MaxRank cap;
+// BlockSize, MaxRank, Procs and SketchNNZ ≥ 0, where 0 selects the
+// default; Procs > 1 only for a method with a distributed body; Power
+// in [0,3]; a known sketch kind; and SketchNNZ > 0 only with the
+// SparseSign sketch. It allocates nothing for valid options.
+func (o Options) Validate() error {
+	mi, known := methodInfo(o.Method)
+	switch {
+	case !known:
+		return fmt.Errorf("core: unknown method %v", o.Method)
+	case math.IsNaN(o.Tol) || math.IsInf(o.Tol, 0) || o.Tol < 0:
+		return fmt.Errorf("core: tolerance must be finite and nonnegative, got %g", o.Tol)
+	case o.Tol == 0 && o.MaxRank <= 0:
+		return errors.New("core: need a positive tolerance or a rank cap (a zero tolerance with no cap never terminates)")
+	case o.BlockSize < 0:
+		return fmt.Errorf("core: block size must be nonnegative, got %d", o.BlockSize)
+	case o.MaxRank < 0:
+		return fmt.Errorf("core: rank cap must be nonnegative, got %d", o.MaxRank)
+	case o.Procs < 0:
+		return fmt.Errorf("core: procs must be nonnegative, got %d", o.Procs)
+	case o.Procs > 1 && !mi.Dist:
+		return fmt.Errorf("core: %v has no distributed implementation; use one rank", o.Method)
+	case o.Power < 0 || o.Power > 3:
+		return fmt.Errorf("core: power must be in [0,3], got %d", o.Power)
+	case o.Sketch < sketch.Gaussian || o.Sketch > sketch.SRTT:
+		return fmt.Errorf("core: unknown sketch %v", o.Sketch)
+	case o.SketchNNZ < 0:
+		return fmt.Errorf("core: sketch nnz must be nonnegative, got %d", o.SketchNNZ)
+	case o.SketchNNZ > 0 && o.Sketch != sketch.SparseSign:
+		return fmt.Errorf("core: sketch nnz only applies to the sparsesign sketch, got %v", o.Sketch)
+	}
+	return nil
+}
+
 // Approximate runs the selected fixed-precision method on a: every
 // method's body runs on max(Procs, 1) virtual ranks, and the result
-// carries the modeled-time telemetry of that world. The error rule is
-// dist.RunRoot's: at one rank a body's own error comes back unwrapped,
-// and a panic or an injected fault is a *dist.RankError.
+// carries the modeled-time telemetry of that world. Options that fail
+// Validate return its error before any rank starts. Otherwise the error
+// rule is dist.RunRoot's: at one rank a body's own error comes back
+// unwrapped, and a panic or an injected fault is a *dist.RankError.
 func Approximate(a *sparse.CSR, opts Options) (*Approximation, error) {
-	if math.IsNaN(opts.Tol) || math.IsInf(opts.Tol, 0) {
-		return nil, fmt.Errorf("core: tolerance must be finite, got %v", opts.Tol)
-	}
-	if opts.Tol <= 0 && opts.MaxRank <= 0 {
-		return nil, fmt.Errorf("core: need a positive tolerance or a MaxRank cap")
-	}
-	mi, known := methodInfo(opts.Method)
-	if !known {
-		return nil, fmt.Errorf("core: unknown method %v", opts.Method)
-	}
-	if opts.Procs > 1 && !mi.Dist {
-		return nil, fmt.Errorf("core: %v has no distributed implementation; use Procs ≤ 1", opts.Method)
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	cfg := dist.DefaultConfig()
 	if opts.DistConfig != nil {
@@ -219,7 +244,7 @@ func solve(c *dist.Comm, a *sparse.CSR, opts Options) (*Approximation, error) {
 		}
 	case TSVD:
 		var r *tsvd.Result
-		if opts.Tol <= 0 && opts.MaxRank > 0 {
+		if opts.Tol == 0 {
 			r, err = tsvd.FixedRank(c, a, opts.MaxRank)
 		} else {
 			r, err = tsvd.FixedPrecision(c, a, opts.Tol)

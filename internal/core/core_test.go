@@ -12,6 +12,7 @@ import (
 	"sparselr/internal/dist"
 	"sparselr/internal/gen"
 	"sparselr/internal/mat"
+	"sparselr/internal/sketch"
 	"sparselr/internal/sparse"
 )
 
@@ -147,23 +148,137 @@ func TestDistributedRandUBV(t *testing.T) {
 	}
 }
 
+// contractViolations each break one rule of the request contract,
+// starting from a valid request.
+var contractViolations = []struct {
+	name string
+	set  func(*Options)
+}{
+	{"no tolerance and no cap", func(o *Options) { o.Tol = 0 }},
+	{"negative tolerance", func(o *Options) { o.Tol = -0.01 }},
+	{"negative tolerance with a cap", func(o *Options) { o.Tol, o.MaxRank = -0.01, 8 }},
+	{"NaN tolerance", func(o *Options) { o.Tol = math.NaN() }},
+	{"NaN tolerance with a cap", func(o *Options) { o.Tol, o.MaxRank = math.NaN(), 8 }},
+	{"infinite tolerance", func(o *Options) { o.Tol = math.Inf(1) }},
+	{"infinite tolerance with a cap", func(o *Options) { o.Tol, o.MaxRank = math.Inf(1), 8 }},
+	{"-Inf tolerance with a cap", func(o *Options) { o.Tol, o.MaxRank = math.Inf(-1), 8 }},
+	{"negative block size", func(o *Options) { o.BlockSize = -4 }},
+	{"negative cap", func(o *Options) { o.MaxRank = -1 }},
+	{"negative procs", func(o *Options) { o.Procs = -2 }},
+	{"negative power", func(o *Options) { o.Power = -1 }},
+	{"power 4", func(o *Options) { o.Power = 4 }},
+	{"power 7", func(o *Options) { o.Power = 7 }},
+	{"unknown sketch", func(o *Options) { o.Sketch = sketch.Kind(7) }},
+	{"negative sketch", func(o *Options) { o.Sketch = sketch.Kind(-1) }},
+	{"negative sketch nnz", func(o *Options) { o.Sketch, o.SketchNNZ = sketch.SparseSign, -1 }},
+	{"sketch nnz with the Gaussian sketch", func(o *Options) { o.SketchNNZ = 4 }},
+	{"sketch nnz with SRTT", func(o *Options) { o.Sketch, o.SketchNNZ = sketch.SRTT, 4 }},
+}
+
+// TestOptionValidation is the request contract's table: every rule is
+// checked for all ten methods at Procs 0 and 2, and a violation fails
+// in Approximate with Validate's error, as a plain FailureOther that
+// no rank reported.
 func TestOptionValidation(t *testing.T) {
 	a := testMatrix(8)
-	if _, err := Approximate(a, Options{Method: LUCRTP}); err == nil {
-		t.Fatal("expected an error without tolerance or cap")
+	rejects := func(o Options, what string) {
+		t.Helper()
+		want := o.Validate()
+		if want == nil {
+			t.Fatalf("%s: Validate accepted %+v", what, o)
+		}
+		_, err := Approximate(a, o)
+		if err == nil || err.Error() != want.Error() || ClassifyFailure(err) != FailureOther ||
+			strings.Contains(err.Error(), "dist: rank 0") {
+			t.Fatalf("%s: Approximate returned %v (class %v), want Validate's %q as %v",
+				what, err, ClassifyFailure(err), want, FailureOther)
+		}
 	}
-	// A non-finite τ would run to full rank (NaN compares false with
-	// every bound), so it is rejected even with a rank cap.
-	for _, tol := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		for _, maxRank := range []int{0, 8} {
-			if _, err := Approximate(a, Options{Method: RandQBEI, Tol: tol, MaxRank: maxRank}); err == nil {
-				t.Fatalf("Tol %v MaxRank %d accepted", tol, maxRank)
+	for _, mi := range methodTable {
+		for _, procs := range []int{0, 2} {
+			base := Options{Method: mi.Method, BlockSize: 4, Tol: 1e-2, Seed: 1, Procs: procs}
+			for _, v := range contractViolations {
+				o := base
+				v.set(&o)
+				rejects(o, fmt.Sprintf("%v Procs %d %s", mi.Method, procs, v.name))
+			}
+			if procs > 1 && !mi.Dist {
+				rejects(base, fmt.Sprintf("%v Procs %d", mi.Method, procs))
+				continue
+			}
+			// The boundaries of each rule are valid: zero selects the
+			// default, τ = 0 with a cap is fixed-rank mode.
+			for _, set := range []func(*Options){
+				func(o *Options) {},
+				func(o *Options) { o.Tol, o.MaxRank = 0, 8 },
+				func(o *Options) { o.BlockSize = 0 },
+				func(o *Options) { o.Power = 0 },
+				func(o *Options) { o.Power = 3 },
+				func(o *Options) { o.Sketch = sketch.SRTT },
+				func(o *Options) { o.Sketch, o.SketchNNZ = sketch.SparseSign, 4 },
+			} {
+				o := base
+				set(&o)
+				if err := o.Validate(); err != nil {
+					t.Fatalf("%v: Validate rejected %+v: %v", mi.Method, o, err)
+				}
 			}
 		}
 	}
-	if _, err := Approximate(a, Options{Method: Method(99), Tol: 1e-2}); err == nil {
-		t.Fatal("expected an error for an unknown method")
+	for _, m := range []Method{Method(-1), Method(99)} {
+		rejects(Options{Method: m, Tol: 1e-2}, fmt.Sprint(m))
 	}
+}
+
+// Validate sits on every request path, so a valid request costs no
+// allocation: the method and sketch checks are range and table lookups.
+func TestValidateAllocs(t *testing.T) {
+	o := Options{Method: CUR, BlockSize: 8, Tol: 1e-2, Power: 3, Sketch: sketch.SparseSign, SketchNNZ: 4}
+	if n := testing.AllocsPerRun(100, func() {
+		if o.Validate() != nil {
+			t.Fatal("valid options rejected")
+		}
+	}); n != 0 {
+		t.Errorf("Validate: %v allocs per call, want 0", n)
+	}
+}
+
+// FuzzOptions checks the contract against the solvers on testMatrix(9):
+// options Validate accepts run with no panic, rank crash or deadlock (a
+// numerical breakdown is allowed), and options it rejects make
+// Approximate return that same error before any rank starts. Procs is
+// folded into [0, 4], so no input starts more than four ranks, and the
+// int8 fields keep each run small.
+func FuzzOptions(f *testing.F) {
+	g, ss := int8(sketch.Gaussian), int8(sketch.SparseSign)
+	for m := RandQBEI; m <= ACA; m++ {
+		f.Add(int8(m), int8(4), -0.01, int8(1), int8(8), int8(0), g, int8(0)) // τ < 0 with a cap
+		f.Add(int8(m), int8(4), 1e-2, int8(7), int8(0), int8(0), g, int8(0))  // Power 7
+		f.Add(int8(m), int8(4), 1e-2, int8(1), int8(0), int8(2), ss, int8(4))
+	}
+	f.Add(int8(RandQBEI), int8(4), 1e-2, int8(1), int8(0), int8(0), int8(7), int8(0)) // unknown sketch
+	f.Add(int8(RandQBEI), int8(4), 1e-2, int8(1), int8(0), int8(0), g, int8(4))       // nnz with Gaussian
+	f.Add(int8(LUCRTP), int8(0), 0.0, int8(0), int8(12), int8(3), g, int8(0))
+	f.Add(int8(ARRF), int8(0), 1e-300, int8(0), int8(0), int8(0), g, int8(0)) // τ below roundoff
+	a := testMatrix(9)
+	f.Fuzz(func(t *testing.T, method, block int8, tol float64, power, maxRank, procs, kind, nnz int8) {
+		o := Options{
+			Method: Method(method), BlockSize: int(block), Tol: tol, Power: int(power),
+			MaxRank: int(maxRank), Procs: int(uint8(procs) % 5), Seed: 1,
+			Sketch: sketch.Kind(kind), SketchNNZ: int(nnz),
+		}
+		want := o.Validate()
+		_, err := Approximate(a, o)
+		if want != nil {
+			if err == nil || err.Error() != want.Error() || strings.Contains(err.Error(), "dist: rank 0") {
+				t.Fatalf("%+v: Approximate returned %v, want Validate's %q", o, err, want)
+			}
+			return
+		}
+		if c := ClassifyFailure(err); c != FailureNone && c != FailureBreakdown {
+			t.Fatalf("%+v: valid options failed as %v: %v", o, c, err)
+		}
+	})
 }
 
 func TestParseMethodAndString(t *testing.T) {
@@ -315,13 +430,13 @@ func TestOneRankErrorClass(t *testing.T) {
 			t.Fatalf("%v Procs 2 on a 0×5 matrix: class %v, error %v; want %v", m, c, err, want)
 		}
 	}
-	// An out-of-range Power panics inside the rank body at every Procs,
-	// in RSVD's RandQB_EI sweeps too.
+	// An out-of-range Power fails the request contract before any rank
+	// starts.
 	var err error
 	for _, m := range []Method{RandQBEI, RSVDRestart} {
 		_, err = Approximate(testMatrix(9), Options{Method: m, BlockSize: 4, Tol: 1e-2, Power: 4})
-		if c := ClassifyFailure(err); c != FailureRankCrash {
-			t.Fatalf("%v Power 4: class %v, error %v; want %v", m, c, err, FailureRankCrash)
+		if c := ClassifyFailure(err); c != FailureOther || strings.Contains(fmt.Sprint(err), "dist: rank 0") {
+			t.Fatalf("%v Power 4: class %v, error %v; want %v without a rank prefix", m, c, err, FailureOther)
 		}
 	}
 	// One nonzero column at fixed rank 2: the QB basis keeps a rounding

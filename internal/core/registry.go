@@ -8,10 +8,10 @@ import (
 // MethodInfo is one row of the method registry: the single source of
 // truth for a method's canonical (paper-style) name, the spellings the
 // CLIs and the serving daemon accept, and whether it runs on more than
-// one rank. cmd/lowrank usage text, serve.Spec validation
-// and core dispatch all derive from this table, so adding a method in
-// one place cannot skew flag validation, usage text and 422
-// classification against each other.
+// one rank. cmd/lowrank usage text, Options.Validate (which the CLI
+// and serve.Spec apply) and core dispatch all derive from this table,
+// so adding a method in one place cannot skew flag validation, usage
+// text and 422 classification against each other.
 type MethodInfo struct {
 	Method  Method
 	Name    string   // canonical name, as the paper writes it
@@ -49,13 +49,6 @@ func (m Method) String() string {
 		return mi.Name
 	}
 	return fmt.Sprintf("Method(%d)", int(m))
-}
-
-// DistCapable reports whether the method accepts Procs > 1. Every
-// method reports its modeled times at Procs ≤ 1.
-func (m Method) DistCapable() bool {
-	mi, ok := methodInfo(m)
-	return ok && mi.Dist
 }
 
 // ParseMethod resolves the paper-style method names and their CLI

@@ -76,19 +76,14 @@ type Result struct {
 // K = MaxRank. ACA reads only Tol and MaxRank. Identical options produce
 // bit-identical factors regardless of GOMAXPROCS: the sketch stream is
 // seeded, QRCP pivoting is deterministic, and ACA pivot walks break ties
-// by lowest index. Every kernel is charged to c.
+// by lowest index. Every kernel is charged to c. The options are the
+// caller's to check (core.Options.Validate).
 func Factor(c *dist.Comm, a *sparse.CSR, v Variant, opts randqb.Options) (*Result, error) {
 	if a == nil || a.Rows == 0 || a.Cols == 0 {
 		return nil, fmt.Errorf("cur: empty matrix")
 	}
 	if v != CUR && v != ID2 && v != ACA {
 		return nil, fmt.Errorf("cur: unknown variant %v", v)
-	}
-	if opts.Tol < 0 {
-		return nil, fmt.Errorf("cur: tolerance must be nonnegative, got %g", opts.Tol)
-	}
-	if opts.Tol == 0 && opts.MaxRank <= 0 {
-		return nil, fmt.Errorf("cur: need Tol > 0 or MaxRank > 0")
 	}
 	normA := a.FrobNorm()
 	if normA == 0 {

@@ -249,16 +249,15 @@ func TestApproxMatchesFactors(t *testing.T) {
 	}
 }
 
+// Factor checks the matrix and the variant; the τ and rank-cap rules
+// are the request contract's (core.Options.Validate).
 func TestOptionValidation(t *testing.T) {
 	a := decayMatrix(10, 10, 5, 0.5, 1)
 	if _, err := factor(nil, CUR, randqb.Options{Tol: 1e-2}); err == nil {
 		t.Fatal("nil matrix accepted")
 	}
-	if _, err := factor(a, CUR, randqb.Options{}); err == nil {
-		t.Fatal("no Tol and no MaxRank accepted")
-	}
-	if _, err := factor(a, CUR, randqb.Options{Tol: -1}); err == nil {
-		t.Fatal("negative Tol accepted")
+	if _, err := factor(a, Variant(9), randqb.Options{Tol: 1e-2}); err == nil {
+		t.Fatal("unknown variant accepted")
 	}
 }
 

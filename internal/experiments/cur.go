@@ -54,7 +54,7 @@ func RunCUR(cfg Config) []CURRow {
 		for _, method := range curSweepMethods {
 			ap, err := core.Approximate(m.A, core.Options{
 				Method: method, BlockSize: p.K, Tol: tol, Power: 1,
-				Seed: cfg.Seed, SketchNNZ: cfg.SketchNNZ,
+				Seed: cfg.Seed,
 			})
 			if err != nil {
 				fmt.Fprintf(w, "# %s %v error: %v\n", m.Label, method, err)

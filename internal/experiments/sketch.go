@@ -45,11 +45,14 @@ func RunSketch(cfg Config) []SketchRow {
 		p := paramsFor(m.Label, cfg.Scale)
 		tol := p.Tols[len(p.Tols)-1]
 		for _, kind := range kinds {
-			ap, err := core.Approximate(m.A, core.Options{
+			opts := core.Options{
 				Method: core.RandQBEI, BlockSize: p.K, Tol: tol, Power: 1,
-				Seed: cfg.Seed, Procs: p.NP,
-				Sketch: kind, SketchNNZ: cfg.SketchNNZ,
-			})
+				Seed: cfg.Seed, Procs: p.NP, Sketch: kind,
+			}
+			if kind == sketch.SparseSign {
+				opts.SketchNNZ = cfg.SketchNNZ
+			}
+			ap, err := core.Approximate(m.A, opts)
 			if err != nil {
 				fmt.Fprintf(w, "# %s %v error: %v\n", m.Label, kind, err)
 				continue

@@ -14,7 +14,7 @@ func Bidiagonalize(a *Dense) (d, e []float64) {
 	}
 	f := a.Clone()
 	d = make([]float64, n)
-	e = make([]float64, max0(n-1))
+	e = make([]float64, max(n-1, 0))
 	s := make([]float64, n)
 	tau := make([]float64, n)
 	for j := 0; j < n; j++ {
@@ -65,13 +65,6 @@ func Bidiagonalize(a *Dense) (d, e []float64) {
 	return d, e
 }
 
-func max0(x int) int {
-	if x < 0 {
-		return 0
-	}
-	return x
-}
-
 // BidiagonalSVDValues computes the singular values of the upper
 // bidiagonal matrix with diagonal d and superdiagonal e using the
 // implicit-shift Golub–Kahan QR iteration with deflation. d and e are
@@ -111,7 +104,7 @@ func BidiagonalSVDValues(d, e []float64) []float64 {
 			zeroDiag := false
 			for i := lo; i <= hi; i++ {
 				if d[i] == 0 {
-					d[i] = eps * math.Abs(e[min2(i, hi-1)])
+					d[i] = eps * math.Abs(e[min(i, hi-1)])
 					zeroDiag = true
 				}
 			}
@@ -142,13 +135,6 @@ func BidiagonalSVDValues(d, e []float64) []float64 {
 		out[j+1] = v
 	}
 	return out
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // golubKahanStep performs one implicit-shift QR sweep on the active

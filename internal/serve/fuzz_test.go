@@ -10,7 +10,9 @@ import (
 // ParseSubmitBody (JSON body, or a MatrixMarket body with the knobs in
 // the query string), then Validate, then Key. Nothing may panic, and a
 // spec Validate accepts has a finite τ ≥ 0 — a NaN τ compares false with
-// every stopping bound and would buy a full-rank solve.
+// every stopping bound and would buy a full-rank solve — and options the
+// library accepts, so the daemon never queues a job core.Approximate
+// rejects.
 func FuzzSpec(f *testing.F) {
 	f.Add(false, mmBody, "tol=NaN")
 	f.Add(false, mmBody, "tol=Inf&maxrank=4")
@@ -41,6 +43,9 @@ func FuzzSpec(f *testing.F) {
 		}
 		if math.IsNaN(s.Tol) || math.IsInf(s.Tol, 0) || s.Tol < 0 {
 			t.Fatalf("Validate accepted τ = %v", s.Tol)
+		}
+		if err := s.CoreOptions().Validate(); err != nil {
+			t.Fatalf("Validate accepted a spec whose options the library rejects: %v", err)
 		}
 		if len(s.Key()) != 64 {
 			t.Fatalf("key %q is not a SHA-256 hex digest", s.Key())

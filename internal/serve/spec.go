@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math"
 	"time"
 
 	"sparselr/internal/core"
@@ -52,8 +51,10 @@ type Spec struct {
 // DefaultBlockSize is the block size k used when a Spec leaves it 0.
 const DefaultBlockSize = 16
 
-// Validate normalizes the spec, resolving the method, sketch and scale
-// spellings and rejecting the flag combinations cmd/lowrank rejects.
+// Validate normalizes the spec: it resolves the method, sketch and
+// scale spellings, defaults the block size, checks the rules that are
+// the daemon's own (one matrix source, checkpoint cadence, deadline)
+// and then the request contract, core.Options.Validate, on CoreOptions.
 // It must be called (once) before Key, Matrix or CoreOptions.
 func (s *Spec) Validate() error {
 	if (s.Generator == "") == (s.MatrixMarket == "") {
@@ -75,38 +76,14 @@ func (s *Spec) Validate() error {
 	if s.BlockSize == 0 {
 		s.BlockSize = DefaultBlockSize
 	}
-	if s.BlockSize < 0 {
-		return fmt.Errorf("serve: block size must be positive, got %d", s.BlockSize)
-	}
-	if !(s.Tol >= 0) || math.IsInf(s.Tol, 1) {
-		return fmt.Errorf("serve: tolerance must be finite and nonnegative, got %g", s.Tol)
-	}
-	if s.Tol == 0 && s.MaxRank <= 0 {
-		return fmt.Errorf("serve: need tol > 0 or max_rank > 0")
-	}
-	if s.MaxRank < 0 {
-		return fmt.Errorf("serve: max_rank must be nonnegative, got %d", s.MaxRank)
-	}
-	if s.Power < 0 || s.Power > 3 {
-		return fmt.Errorf("serve: power must be in [0,3], got %d", s.Power)
-	}
-	if s.SketchNNZ < 0 {
-		return fmt.Errorf("serve: sketch_nnz must be nonnegative, got %d", s.SketchNNZ)
-	}
-	if s.SketchNNZ > 0 && s.sketchKind != sketch.SparseSign {
-		return fmt.Errorf("serve: sketch_nnz only applies to the sparsesign sketch, got sketch %q", s.sketchKind)
-	}
-	if s.Procs < 0 {
-		return fmt.Errorf("serve: procs must be nonnegative, got %d", s.Procs)
-	}
-	if s.Procs > 1 && !s.method.DistCapable() {
-		return fmt.Errorf("serve: %v has no distributed implementation; use procs <= 1", s.method)
-	}
 	if s.CheckpointEvery < 0 {
 		return fmt.Errorf("serve: checkpoint_every must be nonnegative, got %d", s.CheckpointEvery)
 	}
 	if s.DeadlineMS < 0 {
 		return fmt.Errorf("serve: deadline_ms must be nonnegative, got %d", s.DeadlineMS)
+	}
+	if err := s.CoreOptions().Validate(); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	// Canonicalize the wire spellings so equivalent requests share a
 	// cache key regardless of which alias the client used. Procs 1 is

@@ -21,15 +21,12 @@ type Result struct {
 	TailNorm float64
 }
 
-// FixedRank returns the best rank-k approximation of a. It charges the
-// dense SVD to c.
+// FixedRank returns the best rank-k approximation of a, k ≥ 0. It
+// charges the dense SVD to c.
 func FixedRank(c *dist.Comm, a *sparse.CSR, k int) (*Result, error) {
 	m, n := a.Dims()
 	if m == 0 || n == 0 {
 		return nil, fmt.Errorf("tsvd: empty matrix %d×%d", m, n)
-	}
-	if k < 0 {
-		return nil, fmt.Errorf("tsvd: negative rank %d", k)
 	}
 	u, s, v := svd(c, a)
 	if k > len(s) {
@@ -40,14 +37,11 @@ func FixedRank(c *dist.Comm, a *sparse.CSR, k int) (*Result, error) {
 
 // FixedPrecision returns the minimum-rank truncation with
 // ‖A − Â_K‖_F < τ‖A‖_F — the optimum every fixed-precision method in the
-// paper is compared against. It charges the dense SVD to c.
+// paper is compared against, for τ > 0. It charges the dense SVD to c.
 func FixedPrecision(c *dist.Comm, a *sparse.CSR, tol float64) (*Result, error) {
 	m, n := a.Dims()
 	if m == 0 || n == 0 {
 		return nil, fmt.Errorf("tsvd: empty matrix %d×%d", m, n)
-	}
-	if tol <= 0 {
-		return nil, fmt.Errorf("tsvd: non-positive tolerance %g", tol)
 	}
 	u, s, v := svd(c, a)
 	k := MinRank(s, a.FrobNorm(), tol)

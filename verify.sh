@@ -6,7 +6,9 @@
 #      module (sparselr/bench), which ./... at the root never compiles
 #      but which imports internal/ and which the benchmark driver runs
 #   4. go test ./...           (tier-1), then a short FuzzSpec run over
-#      the daemon's submit path (parse -> Validate -> Key)
+#      the daemon's submit path (parse -> Validate -> Key) and a short
+#      FuzzOptions run of the request contract (core.Options.Validate ->
+#      Approximate)
 #   5. go test -race over the packages with parallel kernels, the
 #      fault-injection paths, the sketch layer, the core dispatch
 #      (every loop solve runs on a rank goroutine), the serving layer
@@ -114,6 +116,9 @@ go test -timeout "${TESTTIMEOUT:-10m}" ./...
 
 echo "== FuzzSpec (submit body -> Validate -> Key, 5s)"
 go test -run '^$' -fuzz '^FuzzSpec$' -fuzztime 5s -parallel 2 ./internal/serve
+
+echo "== FuzzOptions (core.Options.Validate -> Approximate, 5s)"
+go test -run '^$' -fuzz '^FuzzOptions$' -fuzztime 5s -parallel 2 ./internal/core
 
 echo "== go test -race (kernel + fault-injection + core + serving + metrics packages, watchdog timeout)"
 go test -race -timeout "${TESTTIMEOUT:-10m}" \
